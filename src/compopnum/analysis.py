@@ -10,7 +10,7 @@ which is how constant-free statements become testable.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -100,22 +100,6 @@ def _fit_one(model: str, ns: np.ndarray, values: np.ndarray) -> DecayFit:
     )
 
 
-def fit_indices(spec: SingularSpectrum, mode: str = "auto") -> np.ndarray:
-    """1-based indices eligible for fitting: n >= 2, values clear of the
-    floor that matches the certification tier in use (10x the rigorous floor
-    under rigorous certification, the double-precision floor under the
-    stability tier)."""
-    cert = spec.certified & (
-        spec.values >= (10.0 * spec.certification_floor if math.isfinite(spec.certification_floor) else math.inf)
-    )
-    if mode == "certified" or (mode == "auto" and cert.sum() >= 20):
-        mask = cert
-    else:
-        mask = spec.stable & (spec.values >= 1e-12)
-    ns = np.nonzero(mask)[0] + 1
-    return ns[ns >= 2]
-
-
 def fit_decay(
     spec: SingularSpectrum | np.ndarray,
     models=("geometric", "rootn", "nlogn"),
@@ -132,7 +116,10 @@ def fit_decay(
     range is structurally short may lower it, which the report should state.
     """
     if isinstance(spec, SingularSpectrum):
-        ns = fit_indices(spec, mode) if ns is None else np.asarray(ns)
+        if ns is None:
+            ns = spec.reliable_range(mode)
+            ns = ns[ns >= 2]
+        ns = np.asarray(ns)
         values = spec.values[ns - 1]
     else:
         values = np.asarray(spec, dtype=float)

@@ -17,7 +17,7 @@ import hashlib
 import json
 import math
 import sys
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -69,7 +69,10 @@ class RunConfig:
             raise ConfigError(f"unknown space {self.space!r}") from exc
 
     def config_hash(self) -> str:
-        blob = json.dumps(asdict(self), sort_keys=True, default=str)
+        """Hash of the computation's inputs; output paths are left out."""
+        config = asdict(self)
+        del config["out"], config["report"]
+        blob = json.dumps(config, sort_keys=True, default=str)
         return hashlib.sha256(blob.encode()).hexdigest()[:16]
 
 
@@ -85,7 +88,10 @@ def _fmt(x) -> str:
 def _write_spectrum_csv(path: str, spec) -> None:
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh)
-        w.writerow(["n", "a_n", "error_radius", "certified"])
+        w.writerow(["n", "a_n", "error_radius", "certified", "stability_radius"])
+        stab = spec.stability_radii
+        if stab is None:  # truncation too small to halve: no stability tier
+            stab = np.full(len(spec.values), math.inf)
         for i, v in enumerate(spec.values):
             w.writerow(
                 [
@@ -93,20 +99,9 @@ def _write_spectrum_csv(path: str, spec) -> None:
                     _fmt(v),
                     _fmt(spec.error_radii[i]),
                     _fmt(bool(spec.certified[i])),
+                    _fmt(stab[i]),
                 ]
             )
-
-
-def _json_default(obj):
-    if isinstance(obj, (np.floating, np.integer)):
-        return obj.item()
-    if isinstance(obj, np.ndarray):
-        return obj.tolist()
-    if isinstance(obj, np.bool_):
-        return bool(obj)
-    if isinstance(obj, float) and not math.isfinite(obj):
-        return repr(obj)
-    raise TypeError(f"unserializable {type(obj)}")
 
 
 def _sanitize(obj):
@@ -125,7 +120,7 @@ def _sanitize(obj):
 
 
 def _write_report(path: str | None, payload: dict) -> None:
-    text = json.dumps(_sanitize(payload), sort_keys=True, indent=2, default=_json_default)
+    text = json.dumps(_sanitize(payload), sort_keys=True, indent=2)
     if path:
         with open(path, "w") as fh:
             fh.write(text + "\n")
@@ -139,7 +134,8 @@ def _report_envelope(cfg: RunConfig, checks: list[analysis.Report]) -> dict:
         "config_hash": cfg.config_hash(),
         "config": asdict(cfg),
         "checks": [c.as_dict() for c in checks],
-        "passed": all(c.passed for c in checks),
+        # a command that ran no checks has no verdict
+        "passed": all(c.passed for c in checks) if checks else None,
     }
 
 
@@ -209,7 +205,8 @@ def _verify_window_bound(cfg: RunConfig) -> list[analysis.Report]:
                 "C_first_half": c_short,
                 "C_full": c_full,
                 "range": (int(ns[0]), int(ns[-1])),
-                "ordering_holds": True,
+                # every a_n in range lies below its window bound
+                "ordering_holds": bool(c_full <= 1.0),
             },
         )
     ]

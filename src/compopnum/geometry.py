@@ -4,8 +4,9 @@ For a univalent Schur function the counting function of the image is an
 indicator, so annulus masses, Carleson-window masses and weighted integrals
 over the image reduce to area integrals.  The cusp image is bounded by three
 explicit circles, which gives closed-form angular arc measures at every
-radius; everything else falls back to closed forms per symbol kind or to
-stratified Monte Carlo with a membership test.
+radius.  `_image` writes every supported image as factor * base, with the
+unit disk or the cusp region as base; symbols without a known base fall
+back to stratified Monte Carlo with a winding-number membership test.
 
 All areas are normalized: dA = dx dy / pi, so the unit disk has area 1.
 """
@@ -14,7 +15,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -42,6 +43,7 @@ __all__ = [
     "cusp_inscribed_disk_radius",
     "blaschke_certificate",
     "region_power_norms",
+    "exact_power_norms",
     "region_gram_singular_values",
 ]
 
@@ -228,12 +230,6 @@ class CuspRegion:
             val = 2.0 * np.minimum(np.arcsin(np.minimum(r, 1.0)), np.arccos(np.clip(r, -1.0, 1.0)))
         return np.where((sigma <= 0.0) | (sigma >= a), 0.0, val)
 
-    def tip_arcs(self, sigma: float):
-        """Angular intervals (about the direction pointing into the domain)
-        of {|w - 1| = sigma} inside the region: beta in (-b0, b0)."""
-        half = 0.5 * float(self.tip_angular_measure(sigma))
-        return half
-
     def slice_halfwidth(self, x):
         """Half-height of the region at real part x, for x in (1-a, 1)."""
         x = np.asarray(x, dtype=float)
@@ -241,13 +237,70 @@ class CuspRegion:
         c1, r = self.inner_center, self.radius
         with np.errstate(invalid="ignore"):
             y_main = np.sqrt(np.maximum(0.0, r**2 - (x - c1) ** 2))
-            gap = (1.0 - x) * (1.0 + x - 2.0 * (1.0 - a / 2.0))  # r^2-(x-c1)^2 stable? keep direct
             s_out = np.sqrt(np.maximum(0.0, r**2 - (x - 1.0) ** 2))
             y_out = (x - 1.0) ** 2 / (a / 2.0 + s_out)  # a/2 - sqrt(a^2/4-(1-x)^2), stable
         return np.where((x <= 1.0 - a) | (x >= 1.0), 0.0, np.minimum(y_main, y_out))
 
+    def box_angle(self, t: float) -> float:
+        """Half-angle theta0 of a polar box about the tip provably containing
+        the region's part of the annulus {|w| >= 1-t}: depth <= t and
+        |angle| <= theta0.
+
+        Membership in the main circle plus |w| >= 1-t forces the real part
+        above x_min = ((1-t)^2 - (a-1))/(2 c1) ~ 1 - 4.56 t, and the excluded
+        circles then cap |Im w| by the slice half-width there (~ (4.56 t)^2 /
+        a), so the box angle shrinks quadratically in t: the importance
+        stratum that keeps the hit rate high for deep annuli.
+        """
+        x_min = ((1.0 - t) ** 2 - (self.diameter - 1.0)) / (2.0 * self.inner_center)
+        if x_min <= 0.5:
+            return math.pi
+        halfwidth = float(self.slice_halfwidth(x_min))
+        theta0 = math.atan2(halfwidth, x_min) * 1.05 + 1e-12
+        return min(math.pi, theta0)
+
+
+class _UnitDisk:
+    """The unit disk as an image base: affine maps scale it, disk
+    automorphisms fill it."""
+
+    def contains(self, w):
+        return np.abs(w) < 1.0
+
+    def annulus_area(self, t: float) -> float:
+        return max(0.0, 1.0 - (1.0 - t) ** 2)
+
+    def box_angle(self, t: float) -> float:
+        return math.pi
+
 
 _CUSP_REGION = CuspRegion()
+_UNIT_DISK = _UnitDisk()
+
+
+def _image(s: SymbolMap):
+    """(base, factor) with phi(D) = factor * base.
+
+    The base is the unit disk, the cusp region, or None when the image is
+    only known through the boundary curve of phi.
+    """
+    if isinstance(s, AffineMap):
+        return _UNIT_DISK, s.factor
+    if isinstance(s, MoebiusMap):
+        return _UNIT_DISK, 1.0
+    if isinstance(s, CuspMap):
+        return _CUSP_REGION, 1.0
+    if isinstance(s, ComposedMap) and isinstance(s.outer, AffineMap):
+        base, factor = _image(s.inner)
+        return base, s.outer.factor * factor
+    return None, 1.0
+
+
+def _base_depth(t: float, factor) -> float:
+    """Depth in the base whose annulus the factor scales onto {|w| >= 1-t}."""
+    r = abs(factor)
+    # a unit factor keeps t bit for bit; 1-(1-t)/1 can move it by an ulp
+    return t if r == 1.0 else 1.0 - (1.0 - t) / r
 
 
 # ---------------------------------------------------------------------------
@@ -292,19 +345,15 @@ def _require_univalent(s: SymbolMap):
 
 
 def image_contains(s: SymbolMap, w):
-    """Membership test w in phi(D) for the univalent catalog symbols."""
+    """Membership test w in phi(D) for univalent symbols."""
     _require_univalent(s)
+    base, factor = _image(s)
+    if base is None:
+        # generic univalent fallback: winding number of the near-boundary curve
+        return _winding_contains(s, w)
     w = np.asarray(w, dtype=complex)
-    if isinstance(s, AffineMap):
-        return np.abs(w) < s.r
-    if isinstance(s, MoebiusMap):
-        return np.abs(w) < 1.0
-    if isinstance(s, CuspMap):
-        return _CUSP_REGION.contains(w)
-    if isinstance(s, ComposedMap) and isinstance(s.outer, AffineMap):
-        return image_contains(s.inner, w / s.outer.factor)
-    # generic univalent fallback: winding number of the near-boundary curve
-    return _winding_contains(s, w)
+    # dividing by a unit factor would only copy the points
+    return base.contains(w if factor == 1.0 else w / factor)
 
 
 def _winding_contains(s: SymbolMap, w, n_boundary: int = 4096):
@@ -326,20 +375,10 @@ def _winding_contains(s: SymbolMap, w, n_boundary: int = 4096):
 @functools.lru_cache(maxsize=16384)
 def _exact_annulus_area(s: SymbolMap, t: float) -> float | None:
     """Closed-form A[phi(D) n {|w| >= 1-t}] when the image is known exactly."""
-    if isinstance(s, AffineMap):
-        return max(0.0, s.r**2 - (1.0 - t) ** 2)
-    if isinstance(s, MoebiusMap):
-        return max(0.0, 1.0 - (1.0 - t) ** 2)
-    if isinstance(s, CuspMap):
-        return _CUSP_REGION.annulus_area(t)
-    if isinstance(s, ComposedMap) and isinstance(s.outer, AffineMap) and s.outer.theta == 0.0:
-        r = s.outer.r
-        inner_t = 1.0 - (1.0 - t) / r
-        if inner_t <= 0.0:
-            return 0.0
-        sub = _exact_annulus_area(s.inner, min(inner_t, 1.0))
-        return None if sub is None else r**2 * sub
-    return None
+    base, factor = _image(s)
+    if base is None:
+        return None
+    return abs(factor) ** 2 * base.annulus_area(_base_depth(t, factor))
 
 
 def annulus_area(
@@ -372,54 +411,35 @@ def annulus_area(
     raise ValueError(f"unknown method {method!r}")
 
 
+def _annulus_box(s: SymbolMap, t: float):
+    """(centre, theta0, normalized area) of the polar box {1-t <= |w| <= 1,
+    |arg w - centre| <= theta0} that contains phi(D) n {|w| >= 1-t}."""
+    base, factor = _image(s)
+    centre, theta0 = 0.0, math.pi
+    if base is not None:
+        centre, theta0 = np.angle(factor), base.box_angle(_base_depth(t, factor))
+    return centre, theta0, (1.0 - (1.0 - t) ** 2) * (theta0 / np.pi)
+
+
 def _polar_annulus_area(s: SymbolMap, t: float, n_r: int = 400, n_th: int = 1024):
-    u = (np.arange(n_r) + 0.5) * t / n_r
-    rr = 1.0 - u
-    th = 2.0 * np.pi * (np.arange(n_th) + 0.5) / n_th
-    w = rr[:, None] * np.exp(1j * th)[None, :]
-    inside = image_contains(s, w.reshape(-1)).reshape(w.shape)
-    # sum r dr dtheta / pi
-    val = float((inside * rr[:, None]).sum()) * (t / n_r) * (2.0 * np.pi / n_th) / math.pi
-    return RegionMeasure(s, val, 0.0, "polar", samples=n_r * n_th)
-
-
-def _cusp_annulus_box(t: float):
-    """Polar box around the tip provably containing the cusp part of the
-    annulus {|w| >= 1-t}: depth <= t and |angle| <= theta0(t).
-
-    Membership in the main circle plus |w| >= 1-t forces the real part above
-    x_min = ((1-t)^2 - (a-1))/(2 c1) ~ 1 - 4.56 t, and the excluded circles
-    then cap |Im w| by the slice half-width there (~ (4.56 t)^2 / a), so the
-    box angle shrinks quadratically in t: the importance stratum that keeps
-    the hit rate high for deep annuli.
-    """
-    a = CUSP_DIAMETER
-    c1 = 1.0 - a / 2.0
-    x_min = ((1.0 - t) ** 2 - (a - 1.0)) / (2.0 * c1)
-    if x_min <= 0.5:
-        return np.pi
-    halfwidth = float(_CUSP_REGION.slice_halfwidth(x_min))
-    theta0 = math.atan2(halfwidth, x_min) * 1.05 + 1e-12
-    return min(np.pi, theta0)
+    centre, theta0, box = _annulus_box(s, t)
+    lo2 = (1.0 - t) ** 2
+    # midpoint grid of the box, equal-area in the radius
+    rr = np.sqrt(lo2 + (1.0 - lo2) * (np.arange(n_r)[:, None] + 0.5) / n_r)
+    th = centre + theta0 * ((2.0 * np.arange(n_th) + 1.0) / n_th - 1.0)
+    inside = image_contains(s, rr * np.exp(1j * th))
+    return RegionMeasure(s, box * float(inside.mean()), 0.0, "polar", samples=n_r * n_th)
 
 
 def _mc_annulus_area(s: SymbolMap, t: float, samples: int, seed: int):
     rng = np.random.default_rng(seed)
+    centre, theta0, box = _annulus_box(s, t)
     lo2 = (1.0 - t) ** 2
-    if isinstance(s, CuspMap) or (
-        isinstance(s, ComposedMap) and isinstance(s.outer, AffineMap) and isinstance(s.inner, CuspMap)
-    ):
-        theta0 = _cusp_annulus_box(t)
-    else:
-        theta0 = np.pi
-    # uniform on the polar box {1-t <= |w| <= 1, |arg w| <= theta0}
+    # uniform on the box
     rr = np.sqrt(lo2 + (1.0 - lo2) * rng.random(samples))
-    th = theta0 * (2.0 * rng.random(samples) - 1.0)
-    w = rr * np.exp(1j * th)
-    hits = image_contains(s, w)
-    box = (1.0 - lo2) * (theta0 / np.pi)  # normalized box area
-    p = hits.mean()
-    value = box * p
+    th = centre + theta0 * (2.0 * rng.random(samples) - 1.0)
+    hits = image_contains(s, rr * np.exp(1j * th))
+    value = box * hits.mean()
     std = box * hits.std(ddof=1) / math.sqrt(samples)
     return RegionMeasure(s, float(value), float(std), "monte-carlo", samples=samples)
 
@@ -505,10 +525,11 @@ def window_area(
     """Normalized area of S(xi, h) n phi(D)."""
     _require_univalent(s)
     xi, h = complex(window.xi), window.h
+    at_tip = _image(s) == (_CUSP_REGION, 1.0) and xi == 1.0
     if method == "auto":
-        method = "exact-arcs" if isinstance(s, CuspMap) and xi == 1.0 else "monte-carlo"
+        method = "exact-arcs" if at_tip else "monte-carlo"
     if method == "exact-arcs":
-        if not (isinstance(s, CuspMap) and xi == 1.0):
+        if not at_tip:
             raise _UnsupportedRegion("exact window arcs only at the cusp tip")
         u, wts = _gauss_panels(0.0, h)
         vals = _CUSP_REGION.tip_angular_measure(u) * u
@@ -594,7 +615,7 @@ def _window_mean_quadrature(b: BlaschkeProduct, xi: complex, h: float, n_alpha: 
         acc = 0.0
         x_leg, w_leg = np.polynomial.legendre.leggauss(n_alpha)
         for sigma, wt in zip(u, wts):
-            half = _CUSP_REGION.tip_arcs(float(sigma))
+            half = 0.5 * float(_CUSP_REGION.tip_angular_measure(sigma))
             if half <= 0.0:
                 continue
             beta = half * x_leg  # symmetric interval (-half, half)
@@ -654,6 +675,17 @@ def region_power_norms(ks, region: CuspRegion | None = None) -> np.ndarray:
     region = region or _CUSP_REGION
     ks = np.asarray(ks, dtype=float)
     return ks * np.sqrt(region.power_moments(ks))
+
+
+def exact_power_norms(s: SymbolMap, n_max: int) -> np.ndarray | None:
+    """Dirichlet norms of phi^k, k = 1..n_max, from the image integral when
+    phi(D) is a scaled cusp region (|f|^k times the cusp norms); None for
+    every other symbol."""
+    base, factor = _image(s)
+    if not isinstance(base, CuspRegion):
+        return None
+    ks = np.arange(1, n_max + 1)
+    return abs(factor) ** ks * region_power_norms(ks, base)
 
 
 def region_gram_singular_values(N: int, region: CuspRegion | None = None) -> np.ndarray:

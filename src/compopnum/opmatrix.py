@@ -29,7 +29,7 @@ import numpy as np
 
 from . import geometry, tails
 from .series import Space, SeriesParams, dirichlet_power_norms, power_coefficient_table
-from .symbols import CuspMap, SymbolMap
+from .symbols import SymbolMap
 
 __all__ = [
     "OperatorMatrix",
@@ -96,17 +96,16 @@ class SingularSpectrum:
         return np.nonzero(mask)[0] + 1
 
 
-def _power_norms_sq_over_k(s: SymbolMap, k_from: int, k_to: int, params: SeriesParams):
-    """t_k = ||phi^k||_D^2 / k for k in [k_from, k_to]."""
-    if isinstance(s, CuspMap):
-        ks = np.arange(k_from, k_to + 1)
-        norms = geometry.region_power_norms(ks)
-        return norms**2 / ks
-    # the k-th power needs retained degrees well past k
-    M_tail = max(params.M, 2 * k_to)
-    norms, _ = dirichlet_power_norms(s, k_to, M=M_tail, method="coefficients")
-    ks = np.arange(1, k_to + 1, dtype=float)
-    return (norms**2 / ks)[k_from - 1 :]
+def _power_norms_sq_over_k(s: SymbolMap, k_to: int, params: SeriesParams):
+    """t_k = ||phi^k||_D^2 / k for k = 1..k_to, and the norms themselves when
+    they are exact image integrals (None otherwise)."""
+    exact = geometry.exact_power_norms(s, k_to)
+    norms = exact
+    if norms is None:
+        # the k-th power needs retained degrees well past k
+        M_tail = max(params.M, 2 * k_to)
+        norms, _ = dirichlet_power_norms(s, k_to, M=M_tail, method="coefficients")
+    return norms**2 / np.arange(1, k_to + 1), exact
 
 
 def hs_tail_bound(
@@ -125,7 +124,7 @@ def hs_tail_bound(
         raise ValueError("index must be >= 1")
     k_max = k_max or 4 * max(n, 16)
     params = series_params or SeriesParams(M=2 * k_max)
-    t = _power_norms_sq_over_k(s, 1, k_max, params)
+    t, _ = _power_norms_sq_over_k(s, k_max, params)
     fit = tails.tail_remainder(t, allow_divergent=True)
     if not math.isfinite(fit.remainder):
         return math.inf
@@ -171,7 +170,7 @@ def assemble(
 
     # column tail: discarded basis vectors k > N
     k_max = k_tail_factor * N
-    t_all = _power_norms_sq_over_k(s, 1, k_max, params)
+    t_all, exact = _power_norms_sq_over_k(s, k_max, params)
     fit = tails.tail_remainder(t_all, allow_divergent=True)
     if math.isfinite(fit.remainder):
         hs_tail = math.sqrt(float(t_all[N:].sum()) + fit.remainder)
@@ -183,9 +182,8 @@ def assemble(
     mass = jj[None, :] * np.abs(table) ** 2  # [k, j]
     above_N = mass[:, N + 1 :].sum(axis=1)
     deficit = np.zeros(N)
-    if isinstance(s, CuspMap):
-        true_sq = geometry.region_power_norms(np.arange(1, N + 1)) ** 2
-        deficit = np.maximum(true_sq - mass.sum(axis=1), 0.0)
+    if exact is not None:
+        deficit = np.maximum(exact[:N] ** 2 - mass.sum(axis=1), 0.0)
     else:
         for idx in range(N):
             rem = tails.tail_remainder(mass[idx], allow_divergent=True).remainder

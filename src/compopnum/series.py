@@ -15,12 +15,12 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import geometry, tails
-from .symbols import CuspMap, SymbolMap
+from .symbols import SymbolMap
 
 __all__ = [
     "Space",
@@ -43,10 +43,6 @@ class Space(enum.Enum):
     BERGMAN = "bergman"
 
 
-class AliasingError(ArithmeticError):
-    """Two-radius consistency check failed beyond tolerance."""
-
-
 @dataclass(frozen=True)
 class PowerSeries:
     """Finite coefficient vector c_0..c_M with an extraction certificate."""
@@ -56,19 +52,6 @@ class PowerSeries:
     error_bound: float
     aliasing_suspect: bool = False
     flushed: int = 0
-
-    @property
-    def degree(self) -> int:
-        return len(self.coeffs) - 1
-
-    def truncated(self, n: int) -> "PowerSeries":
-        return PowerSeries(
-            self.coeffs[: n + 1].copy(),
-            self.sampling_radius,
-            self.error_bound,
-            self.aliasing_suspect,
-            self.flushed,
-        )
 
 
 @dataclass(frozen=True)
@@ -208,22 +191,21 @@ def dirichlet_power_norms(
 
     method "coefficients" sums j |c_j|^2 from the extracted series (error
     bounds propagated from the extraction certificates); "region" uses the
-    exact change-of-variable integral over the image region, available for
-    the cusp, where power norms carry Taylor mass far beyond any practical
-    truncation degree; "auto" picks "region" for the cusp.
+    exact change-of-variable integral over the image region, available when
+    the image is a scaled cusp region, where power norms carry Taylor mass
+    far beyond any practical truncation degree; "auto" picks "region"
+    whenever it is available.
 
     Returns (norms, error_bounds) as arrays of length n_max.
     """
-    if method == "auto":
-        method = "region" if isinstance(s, CuspMap) else "coefficients"
-    if method == "region":
-        if not isinstance(s, CuspMap):
-            raise ValueError("region norms are only available for the cusp map")
-        ks = np.arange(1, n_max + 1)
-        norms = geometry.region_power_norms(ks)
-        return norms, np.full(n_max, 1e-13)
-    if method != "coefficients":
+    if method not in ("auto", "region", "coefficients"):
         raise ValueError(f"unknown method {method!r}")
+    if method != "coefficients":
+        norms = geometry.exact_power_norms(s, n_max)
+        if norms is not None:
+            return norms, np.full(n_max, 1e-13)
+        if method == "region":
+            raise ValueError("region norms need an image that is a scaled cusp region")
     params = SeriesParams(M if M is not None else max(64, 4 * n_max), rho, Q)
     Mr, _, _ = params.resolved()
     table, err, alias, _ = power_coefficient_table(s, n_max, params)

@@ -130,6 +130,9 @@ def test_fit_affine_geometric_wins():
     fits = fit_decay(spec)
     assert fits[0].model == "geometric"
     assert fits[0].c == pytest.approx(math.log(2.0), abs=1e-6)
+    assert fits[0].fit_range[0] == 2
+    with pytest.raises(ValueError):
+        fit_decay(spec, mode="rigorous")  # one policy: unknown modes raise
 
 
 def test_fit_residuals_zero_mean():

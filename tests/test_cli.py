@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from compopnum import geometry
 from compopnum.cli import main
 
 
@@ -19,12 +20,30 @@ def test_an_diagonal_csv(tmp_path):
                 "--out", str(out), "--report", str(rep)]) == 0
     rows = list(csv.DictReader(open(out)))
     assert len(rows) == 32
+    assert list(rows[0]) == ["n", "a_n", "error_radius", "certified", "stability_radius"]
     for row in rows[:10]:
         n = int(row["n"])
         assert float(row["a_n"]) == pytest.approx(0.5**n, rel=1e-10)
     payload = json.loads(rep.read_text())
     assert payload["version"]
     assert payload["config_hash"]
+
+
+def _an_report(tmp_path, tag):
+    rep = tmp_path / f"{tag}.json"
+    assert run(["an", "--symbol", "affine:r=0.5", "--N", "16",
+                "--out", str(tmp_path / f"{tag}.csv"), "--report", str(rep)]) == 0
+    return json.loads(rep.read_text())
+
+
+def test_report_without_checks_has_no_verdict(tmp_path):
+    payload = _an_report(tmp_path, "a")
+    assert payload["checks"] == []
+    assert payload["passed"] is None
+
+
+def test_config_hash_ignores_output_paths(tmp_path):
+    assert _an_report(tmp_path, "a")["config_hash"] == _an_report(tmp_path, "b")["config_hash"]
 
 
 def test_determinism_bit_identical(tmp_path):
@@ -128,6 +147,23 @@ def test_verify_headline_reports_failure(tmp_path):
     assert not payload["passed"]
     names = [c["name"] for c in payload["checks"]]
     assert any(name.startswith("rootn-fit") for name in names)
+
+
+def test_window_bound_ordering_is_computed(tmp_path, monkeypatch):
+    rep = tmp_path / "v24.json"
+    args = ["verify", "--theorem", "2.4", "--symbol", "cusp", "--N", "128", "--report", str(rep)]
+    assert run(args) == 0
+    details = json.loads(rep.read_text())["checks"][0]["details"]
+    assert details["C_full"] <= 1.0
+    assert details["ordering_holds"] is True
+    # bounds a million times too small break the ordering but not the
+    # stability of the constant, which alone decides "passed"
+    zinc = geometry.zinc_upper_bound
+    monkeypatch.setattr(geometry, "zinc_upper_bound", lambda s, n: (1e-6 * zinc(s, n)[0], None))
+    assert run(args) == 0
+    details = json.loads(rep.read_text())["checks"][0]["details"]
+    assert details["C_full"] > 1.0
+    assert details["ordering_holds"] is False
 
 
 def test_zinc_subcommand(tmp_path):

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from compopnum.geometry import (
     BlaschkeProduct,
@@ -19,10 +21,14 @@ from compopnum.geometry import (
     window_area,
     zinc_upper_bound,
 )
-from compopnum.symbols import CUSP_DIAMETER, AffineMap, CuspMap, MoebiusMap
+from compopnum.series import dirichlet_power_norms
+from compopnum.symbols import CUSP_DIAMETER, AffineMap, ComposedMap, CuspMap, MoebiusMap
 
 REGION = CuspRegion()
 CUSP = CuspMap()
+ANGLES = st.floats(0.0, 2.0 * math.pi)
+# depth in the unscaled image, kept off 0 so the annulus has area to sample
+BASE_DEPTHS = st.floats(2.0**-6, 1.0)
 
 
 def test_region_area_closed_form():
@@ -58,8 +64,40 @@ def test_annulus_area_methods_agree():
     exact = annulus_area(CUSP, 1.0, method="exact-arcs")
     mc = annulus_area(CUSP, 1.0, method="monte-carlo", samples=2_000_000, seed=11)
     assert abs(mc.value - exact.value) <= 3 * mc.std_error
-    polar = annulus_area(CUSP, 0.25, method="polar")
-    assert polar.value == pytest.approx(annulus_area(CUSP, 0.25).value, rel=5e-2)
+    for t in (0.25, 2.0**-6):
+        polar = annulus_area(CUSP, t, method="polar")
+        assert polar.value == pytest.approx(annulus_area(CUSP, t).value, rel=5e-2)
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(r=st.floats(0.5, 1.0), theta=ANGLES, u=BASE_DEPTHS)
+def test_exact_arcs_rotation_invariant(r, theta, u):
+    t = 1.0 - r * (1.0 - u)
+    rotated = annulus_area(ComposedMap(AffineMap(r, theta), CUSP), t, method="exact-arcs")
+    plain = annulus_area(ComposedMap(AffineMap(r), CUSP), t, method="exact-arcs")
+    # |r e^{i theta}| may differ from r in the last place
+    assert rotated.value == pytest.approx(plain.value, rel=1e-9)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(
+    kind=st.sampled_from(["affine", "moebius", "cusp", "rotated-cusp"]),
+    r=st.floats(0.5, 1.0),
+    theta=ANGLES,
+    u=BASE_DEPTHS,
+)
+def test_monte_carlo_within_five_sigma_of_exact(kind, r, theta, u):
+    s = {
+        "affine": AffineMap(r, theta),
+        "moebius": MoebiusMap(0.5 * r * complex(math.cos(theta), math.sin(theta))),
+        "cusp": CUSP,
+        "rotated-cusp": ComposedMap(AffineMap(r, theta), CUSP),
+    }[kind]
+    t = 1.0 - r * (1.0 - u) if kind in ("affine", "rotated-cusp") else u
+    exact = annulus_area(s, t, method="exact-arcs").value
+    mc = annulus_area(s, t, method="monte-carlo", samples=100_000, seed=17)
+    # when every sample hits, the estimate is the box area: exact up to roundoff
+    assert abs(mc.value - exact) <= 5.0 * mc.std_error + 1e-15
 
 
 def test_annulus_area_affine_disjoint():
@@ -198,6 +236,15 @@ def test_region_power_norms_paper_scale():
     assert running_max[-1] / running_max[0] < 3.0
     # and the norm sequence is eventually decreasing
     assert np.all(np.diff(norms[50:]) < 0)
+
+
+@settings(max_examples=10, deadline=None, derandomize=True)
+@given(theta=ANGLES, n=st.integers(1, 200))
+def test_scaled_cusp_power_norms(theta, n):
+    # ||(f chi)^k|| = |f|^k ||chi^k||: the scaled cusp takes the region route
+    scaled, _ = dirichlet_power_norms(ComposedMap(AffineMap(0.9, theta), CUSP), n)
+    plain, _ = dirichlet_power_norms(CUSP, n)
+    assert scaled == pytest.approx(0.9 ** np.arange(1, n + 1) * plain, rel=1e-12)
 
 
 def test_region_gram_monotone_and_dominates_matrix(cusp_spectra):
