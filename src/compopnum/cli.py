@@ -22,7 +22,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from . import __version__, analysis, geometry
-from .opmatrix import assemble, hs_tail_bound, singular_spectrum
+from .opmatrix import assemble, singular_spectrum
 from .series import SeriesParams, Space, coefficients_of_power
 from .symbols import SymbolMap, parse_symbol
 
@@ -190,13 +190,10 @@ def _verify_window_bound(cfg: RunConfig) -> list[analysis.Report]:
     ns = all_ns[(all_ns >= 20) & (all_ns <= 200) & (spec.values >= 1e-12)]
     if len(ns) < 5:
         raise ValueError("not enough usable entries in [20, 200] for the bound check")
-    ratios = {}
-    for n in ns:
-        bound, _t = geometry.zinc_upper_bound(s, int(n))
-        ratios[int(n)] = spec.values[n - 1] / bound
+    ratios = spec.values[ns - 1] / geometry.zinc_upper_bound(s, ns)[0]
     split = ns[len(ns) // 2]
-    c_short = max(v for k, v in ratios.items() if k <= split)
-    c_full = max(ratios.values())
+    c_short = ratios[ns <= split].max()
+    c_full = ratios.max()
     return [
         analysis.Report(
             name="window-upper-bound",

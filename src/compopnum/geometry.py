@@ -13,7 +13,6 @@ All areas are normalized: dA = dx dy / pi, so the unit disk has area 1.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
@@ -51,6 +50,9 @@ __all__ = [
 # ---------------------------------------------------------------------------
 # quadrature helpers
 
+# Gauss-Legendre rules for the node counts in use, computed once
+_LEGGAUSS = {n: np.polynomial.legendre.leggauss(n) for n in (20, 24)}
+
 
 def _gauss_panels(
     u_lo: float,
@@ -65,7 +67,7 @@ def _gauss_panels(
     integrands with endpoint mass or square-root kinks at the edges are
     resolved to near machine precision.  Returns (nodes, weights).
     """
-    x, w = np.polynomial.legendre.leggauss(n_nodes)
+    x, w = _LEGGAUSS[n_nodes]
 
     def edges_toward(lo, hi):
         # dyadic edges accumulating at lo
@@ -372,7 +374,6 @@ def _winding_contains(s: SymbolMap, w, n_boundary: int = 4096):
     return out.reshape(np.asarray(w).shape)
 
 
-@functools.lru_cache(maxsize=16384)
 def _exact_annulus_area(s: SymbolMap, t: float) -> float | None:
     """Closed-form A[phi(D) n {|w| >= 1-t}] when the image is known exactly."""
     base, factor = _image(s)
@@ -397,13 +398,13 @@ def annulus_area(
     _require_univalent(s)
     if not 0.0 < t <= 1.0:
         raise ValueError("annulus depth must lie in (0, 1]")
-    if method == "auto":
-        method = "exact-arcs" if _exact_annulus_area(s, t) is not None else "monte-carlo"
-    if method == "exact-arcs":
+    if method in ("auto", "exact-arcs"):
         val = _exact_annulus_area(s, t)
-        if val is None:
+        if val is not None:
+            return RegionMeasure(s, val, 0.0, "exact-arcs")
+        if method == "exact-arcs":
             raise _UnsupportedRegion("no exact arcs for this symbol; use monte-carlo")
-        return RegionMeasure(s, val, 0.0, "exact-arcs")
+        method = "monte-carlo"
     if method == "polar":
         return _polar_annulus_area(s, t)
     if method == "monte-carlo":
@@ -444,25 +445,27 @@ def _mc_annulus_area(s: SymbolMap, t: float, samples: int, seed: int):
     return RegionMeasure(s, float(value), float(std), "monte-carlo", samples=samples)
 
 
-def m_functional(s: SymbolMap, t: float, **kw) -> RegionMeasure:
+def m_functional(s: SymbolMap, t: float) -> RegionMeasure:
     """m(t): annulus mass scaled by 1/t^2."""
-    area = annulus_area(s, t, **kw)
+    area = annulus_area(s, t)
     return RegionMeasure(
         s, area.value / t**2, area.std_error / t**2, area.method, area.samples, area.flagged
     )
 
 
-def M_functional(s: SymbolMap, t: float, k_max: int = 40, **kw) -> RegionMeasure:
+_DYADIC_TERMS = 40  # M(t) sums m(2^-k t) for k = 0.._DYADIC_TERMS
+
+
+def M_functional(s: SymbolMap, t: float) -> RegionMeasure:
     """Dyadic sum M(t) = sum_k m(2^-k t), truncated with a fitted power-law tail.
 
     The last five dyadic terms are fit to c 2^(-alpha k); the fit must show
     decay (alpha > 0.2) for the truncation to be accepted.
     """
-    if k_max < 5:
-        raise ValueError("k_max must allow a 5-point tail fit")
+    k_max = _DYADIC_TERMS
     terms, errs = [], []
     for k in range(k_max + 1):
-        mk = m_functional(s, t * 2.0**-k, **kw)
+        mk = m_functional(s, t * 2.0**-k)
         terms.append(mk.value)
         errs.append(mk.std_error)
     terms = np.array(terms)
@@ -486,29 +489,38 @@ def M_functional(s: SymbolMap, t: float, k_max: int = 40, **kw) -> RegionMeasure
     return RegionMeasure(s, total + remainder, std, f"dyadic-sum[{k_max}]")
 
 
-def zinc_upper_bound(s: SymbolMap, n: int, t_grid=None, k_max: int = 40, **kw):
-    """min over the grid of n (1-t)^n + sqrt(M(t)); returns (value, argmin t).
+# elementwise math.pow, the power of Python and numpy scalars; numpy's
+# vectorised power can differ from it in the last bit
+_pow = np.frompyfunc(math.pow, 2, 1)
 
-    The infimum form bounds the n-th approximation number up to a constant.
+
+def zinc_upper_bound(s: SymbolMap, n):
+    """min over a fixed t-grid of n (1-t)^n + sqrt(M(t)), for an index n or an
+    array of indices; returns (value, argmin t), each of n's shape.
+
+    M(t) does not depend on n, so it is computed once per grid point.  The
+    infimum form bounds the n-th approximation number up to a constant.
     """
-    if t_grid is None:
-        grid = list(np.exp(np.linspace(math.log(1e-4), math.log(0.999), 40)))
-        grid += [2.0**-l for l in range(1, 12)]
-        if s.sup_norm_hint is not None and s.sup_norm_hint < 1.0:
-            grid.append(1.0 - s.sup_norm_hint)  # largest t with empty annulus
-        t_grid = sorted(grid)
-    best, best_t = math.inf, None
-    for t in np.asarray(t_grid, dtype=float):
+    grid = list(np.exp(np.linspace(math.log(1e-4), math.log(0.999), 40)))
+    grid += [2.0**-l for l in range(1, 12)]
+    if s.sup_norm_hint is not None and s.sup_norm_hint < 1.0:
+        grid.append(1.0 - s.sup_norm_hint)  # largest t with empty annulus
+    ts = np.array(sorted(grid))
+    root_M = np.full(len(ts), math.inf)  # grid points without a convergent M(t) never win
+    for i, t in enumerate(ts):
         try:
-            Mt = M_functional(s, float(t), k_max=k_max, **kw).value
+            root_M[i] = math.sqrt(max(M_functional(s, float(t)).value, 0.0))
         except ArithmeticError:
-            continue
-        val = n * (1.0 - t) ** n + math.sqrt(max(Mt, 0.0))
-        if val < best:
-            best, best_t = val, float(t)
-    if best_t is None:
+            pass
+    if np.all(np.isinf(root_M)):
         raise ArithmeticError("no grid point admitted a convergent M(t)")
-    return best, best_t
+    ns = np.asarray(n)[..., None]
+    vals = ns * _pow(1.0 - ts, ns).astype(float) + root_M  # [..., t]
+    best = vals.argmin(axis=-1)
+    value = np.take_along_axis(vals, best[..., None], axis=-1)[..., 0]
+    if value.ndim == 0:
+        return float(value), float(ts[best])
+    return value, ts[best]
 
 
 # ---------------------------------------------------------------------------
@@ -599,11 +611,11 @@ def unit_interval_dyadic_zeros(count: int) -> tuple:
     return tuple(1.0 - 2.0**-j for j in range(1, count + 1))
 
 
-def default_window_grid(l_max: int = 12, j_max: int = 8):
+def default_window_grid():
     """Window grid near the contact point: xi = exp(i theta) for theta in
-    {0, +/-2^-j}, sizes h = 2^-l."""
-    thetas = [0.0] + [s * 2.0**-j for j in range(1, j_max + 1) for s in (+1.0, -1.0)]
-    hs = [2.0**-l for l in range(1, l_max + 1)]
+    {0, +/-2^-j}, j <= 8, sizes h = 2^-l, l <= 12."""
+    thetas = [0.0] + [s * 2.0**-j for j in range(1, 9) for s in (+1.0, -1.0)]
+    hs = [2.0**-l for l in range(1, 13)]
     return [(math.cos(t) + 1j * math.sin(t), h) for t in thetas for h in hs]
 
 
@@ -632,7 +644,6 @@ def _window_mean_quadrature(b: BlaschkeProduct, xi: complex, h: float, n_alpha: 
 
 def blaschke_certificate(
     r: int,
-    window_grid=None,
     n_zeros: int | None = None,
     method: str = "quadrature",
     samples: int = 200_000,
@@ -648,10 +659,9 @@ def blaschke_certificate(
         raise ValueError("power must be nonnegative")
     zeros = unit_interval_dyadic_zeros(r if n_zeros is None else n_zeros)
     b = BlaschkeProduct(zeros, power=r)
-    grid = window_grid if window_grid is not None else default_window_grid()
     best = 0.0
     rng = np.random.default_rng(seed)
-    for xi, h in grid:
+    for xi, h in default_window_grid():
         if method == "quadrature":
             val = _window_mean_quadrature(b, complex(xi), float(h))
         else:
@@ -668,13 +678,12 @@ def blaschke_certificate(
 # region-side spectral data (independent of any Taylor expansion)
 
 
-def region_power_norms(ks, region: CuspRegion | None = None) -> np.ndarray:
+def region_power_norms(ks) -> np.ndarray:
     """Dirichlet norms of the k-th powers of the cusp map, k in ks, from the
     exact change-of-variable integral k^2 (1/pi) int |w|^(2k-2) dA over the
     image region."""
-    region = region or _CUSP_REGION
     ks = np.asarray(ks, dtype=float)
-    return ks * np.sqrt(region.power_moments(ks))
+    return ks * np.sqrt(_CUSP_REGION.power_moments(ks))
 
 
 def exact_power_norms(s: SymbolMap, n_max: int) -> np.ndarray | None:
@@ -685,10 +694,10 @@ def exact_power_norms(s: SymbolMap, n_max: int) -> np.ndarray | None:
     if not isinstance(base, CuspRegion):
         return None
     ks = np.arange(1, n_max + 1)
-    return abs(factor) ** ks * region_power_norms(ks, base)
+    return abs(factor) ** ks * region_power_norms(ks)
 
 
-def region_gram_singular_values(N: int, region: CuspRegion | None = None) -> np.ndarray:
+def region_gram_singular_values(N: int) -> np.ndarray:
     """Singular values of the cusp composition operator restricted to the
     span of the first N basis vectors, from the image-region Gram matrix.
 
@@ -696,11 +705,10 @@ def region_gram_singular_values(N: int, region: CuspRegion | None = None) -> np.
     compression of a positive contraction; its eigenvalues are the squared
     restricted singular values.  Entirely independent of Taylor coefficients.
     """
-    region = region or _CUSP_REGION
-    u, wts = _panels_with_breakpoints(1.0, region.breakpoints(), n_nodes=24)
+    u, wts = _panels_with_breakpoints(1.0, _CUSP_REGION.breakpoints(), n_nodes=24)
     keep = u < 1.0
     u, wts = u[keep], wts[keep]
-    alpha, lo, hi = region.arc_data(u)
+    alpha, lo, hi = _CUSP_REGION.arc_data(u)
     hi = np.minimum(hi, alpha)
     lo = np.minimum(lo, alpha)
     qs = np.arange(N, dtype=float)

@@ -96,24 +96,25 @@ class SingularSpectrum:
         return np.nonzero(mask)[0] + 1
 
 
-def _power_norms_sq_over_k(s: SymbolMap, k_to: int, params: SeriesParams):
-    """t_k = ||phi^k||_D^2 / k for k = 1..k_to, and the norms themselves when
-    they are exact image integrals (None otherwise)."""
-    exact = geometry.exact_power_norms(s, k_to)
+def _column_tail(s: SymbolMap, n: int, k_max: int, params: SeriesParams):
+    """(sqrt(sum_{k >= n} ||phi^k||_D^2 / k), exact norms or None).
+
+    The sum runs over k <= k_max plus the remainder fitted beyond, and is
+    infinite when the fit shows no summable decay.  The norms come from the
+    image integral when it is exact (and are returned for reuse), else from
+    the coefficients.
+    """
+    exact = geometry.exact_power_norms(s, k_max)
     norms = exact
     if norms is None:
         # the k-th power needs retained degrees well past k
-        M_tail = max(params.M, 2 * k_to)
-        norms, _ = dirichlet_power_norms(s, k_to, M=M_tail, method="coefficients")
-    return norms**2 / np.arange(1, k_to + 1), exact
+        M_tail = max(params.M, 2 * k_max)
+        norms, _ = dirichlet_power_norms(s, k_max, M=M_tail, method="coefficients")
+    t = norms**2 / np.arange(1, k_max + 1)
+    return math.sqrt(float(t[n - 1 :].sum()) + tails.tail_remainder(t).remainder), exact
 
 
-def hs_tail_bound(
-    s: SymbolMap,
-    n: int,
-    series_params: SeriesParams | None = None,
-    k_max: int | None = None,
-) -> float:
+def hs_tail_bound(s: SymbolMap, n: int) -> float:
     """sqrt(sum_{k >= n} ||phi^k||_D^2 / k) with an extrapolated remainder.
 
     Bounds the n-th approximation number from above (rank n-1 truncation of
@@ -122,13 +123,8 @@ def hs_tail_bound(
     """
     if n < 1:
         raise ValueError("index must be >= 1")
-    k_max = k_max or 4 * max(n, 16)
-    params = series_params or SeriesParams(M=2 * k_max)
-    t, _ = _power_norms_sq_over_k(s, k_max, params)
-    fit = tails.tail_remainder(t, allow_divergent=True)
-    if not math.isfinite(fit.remainder):
-        return math.inf
-    return math.sqrt(float(t[n - 1 :].sum()) + fit.remainder)
+    k_max = 4 * max(n, 16)
+    return _column_tail(s, n, k_max, SeriesParams(M=2 * k_max))[0]
 
 
 def assemble(
@@ -136,7 +132,6 @@ def assemble(
     N: int,
     space: Space = Space.DIRICHLET_STAR,
     series_params: SeriesParams | None = None,
-    k_tail_factor: int = 4,
 ) -> OperatorMatrix:
     """Truncated operator matrix with tail certificates.
 
@@ -168,26 +163,18 @@ def assemble(
     else:
         A = core
 
-    # column tail: discarded basis vectors k > N
-    k_max = k_tail_factor * N
-    t_all, exact = _power_norms_sq_over_k(s, k_max, params)
-    fit = tails.tail_remainder(t_all, allow_divergent=True)
-    if math.isfinite(fit.remainder):
-        hs_tail = math.sqrt(float(t_all[N:].sum()) + fit.remainder)
-    else:
-        hs_tail = math.inf
+    # column tail: discarded basis vectors k > N, summed exactly to 4N
+    hs_tail, exact = _column_tail(s, N + 1, 4 * N, params)
 
     # row tail: mass of phi^k, k <= N, above the retained rows
     jj = np.arange(M + 1, dtype=float)
     mass = jj[None, :] * np.abs(table) ** 2  # [k, j]
     above_N = mass[:, N + 1 :].sum(axis=1)
-    deficit = np.zeros(N)
     if exact is not None:
         deficit = np.maximum(exact[:N] ** 2 - mass.sum(axis=1), 0.0)
     else:
-        for idx in range(N):
-            rem = tails.tail_remainder(mass[idx], allow_divergent=True).remainder
-            deficit[idx] = rem if math.isfinite(rem) else 0.0
+        # a row whose mass shows no decay has unknown mass beyond M: infinite
+        deficit = np.array([tails.tail_remainder(row).remainder for row in mass])
     row_tail = math.sqrt(float(((above_N + deficit) / k).sum()))
 
     # coefficient-noise aggregate: per-entry error sqrt(j/k) err_k, Frobenius

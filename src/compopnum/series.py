@@ -91,7 +91,6 @@ def power_coefficient_table(
     s: SymbolMap,
     k_max: int,
     params: SeriesParams,
-    certify: bool = True,
 ):
     """Coefficients of phi^k, k = 1..k_max, as a (k_max, M+1) array.
 
@@ -102,28 +101,25 @@ def power_coefficient_table(
     M, rho, Q = params.resolved()
     base = _samples_on_circle(s, rho, Q)
     rho2 = (1.0 + rho) / 2.0
-    base2 = _samples_on_circle(s, rho2, Q) if certify else None
+    base2 = _samples_on_circle(s, rho2, Q)
     table = np.empty((k_max, M + 1), dtype=complex)
     err = np.empty(k_max)
     alias = np.zeros(k_max, dtype=bool)
     flushed = np.zeros(k_max, dtype=int)
     g = np.ones_like(base)
-    g2 = np.ones_like(base) if certify else None
+    g2 = np.ones_like(base)
     for k in range(1, k_max + 1):
         g = g * base
         c, floor = _coeffs_from_samples(g, M, rho)
         small = np.abs(c) < floor
         c[small] = 0.0
         flushed[k - 1] = int(small.sum())
-        bound = float(floor.max())
-        if certify:
-            g2 = g2 * base2
-            c2, _ = _coeffs_from_samples(g2, M, rho2)
-            disc = float(np.abs(c - c2).max())
-            colscale = max(float(np.abs(c).max()), 1e-300)
-            alias[k - 1] = disc > 1e-6 * max(colscale, 1.0e-12)
-            bound = max(bound, disc)
-        err[k - 1] = bound
+        g2 = g2 * base2
+        c2, _ = _coeffs_from_samples(g2, M, rho2)
+        disc = float(np.abs(c - c2).max())
+        colscale = max(float(np.abs(c).max()), 1e-300)
+        alias[k - 1] = disc > 1e-6 * max(colscale, 1.0e-12)
+        err[k - 1] = max(float(floor.max()), disc)
         table[k - 1] = c
     return table, err, alias, flushed
 
@@ -183,42 +179,36 @@ def dirichlet_power_norms(
     s: SymbolMap,
     n_max: int,
     M: int | None = None,
-    rho: float | None = None,
-    Q: int | None = None,
     method: str = "auto",
 ):
     """Dirichlet norms of phi^k, k = 1..n_max.
 
     method "coefficients" sums j |c_j|^2 from the extracted series (error
-    bounds propagated from the extraction certificates); "region" uses the
-    exact change-of-variable integral over the image region, available when
-    the image is a scaled cusp region, where power norms carry Taylor mass
-    far beyond any practical truncation degree; "auto" picks "region"
-    whenever it is available.
+    bounds propagated from the extraction certificates); "auto" uses instead
+    the exact change-of-variable integral over the image region when the
+    image is a scaled cusp region, where power norms carry Taylor mass far
+    beyond any practical truncation degree.
 
     Returns (norms, error_bounds) as arrays of length n_max.
     """
-    if method not in ("auto", "region", "coefficients"):
+    if method not in ("auto", "coefficients"):
         raise ValueError(f"unknown method {method!r}")
-    if method != "coefficients":
+    if method == "auto":
         norms = geometry.exact_power_norms(s, n_max)
         if norms is not None:
             return norms, np.full(n_max, 1e-13)
-        if method == "region":
-            raise ValueError("region norms need an image that is a scaled cusp region")
-    params = SeriesParams(M if M is not None else max(64, 4 * n_max), rho, Q)
+    params = SeriesParams(M if M is not None else max(64, 4 * n_max))
     Mr, _, _ = params.resolved()
     table, err, alias, _ = power_coefficient_table(s, n_max, params)
     j = np.arange(Mr + 1, dtype=float)
     mass = j[None, :] * np.abs(table) ** 2
     norms = np.sqrt(np.maximum(mass.sum(axis=1), 0.0))
     # per-entry error: coefficient noise through the quadratic form, plus the
-    # extrapolated Dirichlet mass above the retained degree
+    # extrapolated Dirichlet mass above the retained degree (infinite when
+    # no decay is visible)
     bound = np.empty(n_max)
     for k in range(n_max):
         noise = err[k] * math.sqrt(float(j.sum()))
-        tail = tails.tail_remainder(mass[k], allow_divergent=True).remainder
-        if not math.isfinite(tail):
-            tail = norms[k] ** 2  # no decay visible: mass beyond M unknown
+        tail = tails.tail_remainder(mass[k]).remainder
         bound[k] = noise + math.sqrt(max(tail, 0.0))
     return norms, bound

@@ -4,7 +4,8 @@ Both the Hilbert-Schmidt truncation certificates and the degree-tail error
 bounds need sums of the form sum_{j > J} t_j where only t_1..t_J are
 computed.  The last octave is fit to a geometric and to a power-law model in
 log space; the better model supplies a closed-form remainder.  A fit that
-does not show summable decay is an error, never silent optimism.
+does not show summable decay gives an infinite remainder, never silent
+optimism.
 """
 
 from __future__ import annotations
@@ -17,10 +18,6 @@ import numpy as np
 __all__ = ["TailFit", "tail_remainder"]
 
 
-class TailExtrapolationError(ArithmeticError):
-    """No conclusive decaying model fit the tail."""
-
-
 @dataclass(frozen=True)
 class TailFit:
     model: str  # "geometric" | "power" | "zero" | "divergent"
@@ -28,12 +25,12 @@ class TailFit:
     rmse: float
 
 
-def tail_remainder(t: np.ndarray, allow_divergent: bool = False) -> TailFit:
+def tail_remainder(t: np.ndarray) -> TailFit:
     """Estimate sum_{j > J} t_j from t = (t_1 ... t_J), t_j >= 0.
 
     Fits the last octave.  Returns TailFit with remainder = math.inf and
-    model = "divergent" when the sequence does not decay summably and
-    allow_divergent is set; raises otherwise.
+    model = "divergent" when the sequence does not decay summably: mass that
+    cannot be bounded counts as infinite.
     """
     t = np.asarray(t, dtype=float)
     J = len(t)
@@ -63,8 +60,4 @@ def tail_remainder(t: np.ndarray, allow_divergent: bool = False) -> TailFit:
         if gp < -1.0 - 1e-9:
             return TailFit("power", tJ * J / (-gp - 1.0), rp)
     # fall through: chosen model does not decay summably
-    if allow_divergent:
-        return TailFit("divergent", math.inf, min(rg, rp))
-    raise TailExtrapolationError(
-        f"tail fit inconclusive (geometric slope {bg:.3g}, power exponent {gp:.3g})"
-    )
+    return TailFit("divergent", math.inf, min(rg, rp))

@@ -209,10 +209,8 @@ def test_criterion_09_window_bound_ordering(cusp_spectra):
     _, spec = cusp_spectra[1024]
     all_ns = np.arange(1, 1025)
     ns = all_ns[(all_ns >= 20) & (all_ns <= 200) & (spec.values >= 1e-12)]
-    ratios = {}
-    for n in ns:
-        bound, _ = geometry.zinc_upper_bound(CuspMap(), int(n))
-        ratios[int(n)] = spec.values[n - 1] / bound
+    bounds, _ = geometry.zinc_upper_bound(CuspMap(), ns)
+    ratios = {int(n): spec.values[n - 1] / bound for n, bound in zip(ns, bounds)}
     split = ns[len(ns) // 2]
     c_first = max(v for k, v in ratios.items() if k <= split)
     c_full = max(ratios.values())

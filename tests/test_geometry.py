@@ -126,7 +126,7 @@ def test_m_functional_affine_zero():
 def test_M_functional_dyadic_sum_bounded():
     for t in (0.125, 0.03125):
         m = m_functional(CUSP, t).value
-        M = M_functional(CUSP, t, k_max=40).value
+        M = M_functional(CUSP, t).value
         assert m < M <= 2.5 * m
 
 
@@ -143,8 +143,23 @@ def test_zinc_finite_at_n1():
 
 
 def test_zinc_eventually_nonincreasing_for_cusp():
-    vals = [zinc_upper_bound(CUSP, n)[0] for n in range(10, 60, 5)]
+    vals = zinc_upper_bound(CUSP, np.arange(10, 60, 5))[0]
     assert all(a >= b - 1e-12 for a, b in zip(vals, vals[1:]))
+
+
+def test_zinc_array_call_matches_scalar_calls():
+    ns = np.arange(20, 201).reshape(-1, 1)
+    # the scaled cusp's argmins have M(t) = 0, so n (1-t)^n is all there is
+    for s in (CUSP, ComposedMap(AffineMap(0.9, theta=1.0), CUSP)):
+        vals, ts = zinc_upper_bound(s, ns)
+        assert vals.shape == ts.shape == ns.shape
+        assert zinc_upper_bound(s, 20) == (vals[0, 0], ts[0, 0])
+        # every value is the scalar formula at its argmin, bit for bit
+        root_M = {}
+        for n, val, t in zip(ns.flat, vals.flat, ts.flat):
+            if t not in root_M:
+                root_M[t] = math.sqrt(M_functional(s, float(t)).value)
+            assert val == int(n) * (1.0 - t) ** int(n) + root_M[t]
 
 
 def test_window_area_cusp_tip_cubic():

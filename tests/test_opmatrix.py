@@ -5,7 +5,7 @@ import pytest
 
 from compopnum.opmatrix import assemble, hs_tail_bound, singular_spectrum
 from compopnum.series import SeriesParams, Space
-from compopnum.symbols import AffineMap, CuspMap, MoebiusMap, builtin_contractions
+from compopnum.symbols import AffineMap, CuspMap, MoebiusMap, builtin_contractions, parse_symbol
 
 
 def test_affine_assembles_diagonal():
@@ -75,6 +75,18 @@ def test_cusp_hs_tail_vs_svd_estimate():
     bound = hs_tail_bound(CuspMap(), 16)
     assert math.isfinite(bound)
     assert bound >= spec.values[15]
+
+
+def test_divergent_row_tails_count_as_infinite():
+    # -cusp has the cusp's singular values, but on the coefficient route most
+    # of its rows show no decay by degree M: their mass beyond M is unknown,
+    # so nothing may be certified
+    m = assemble(parse_symbol("compose(moebius:u=0+0i,cusp)"), 64)
+    assert m.row_tail == math.inf
+    spec = singular_spectrum(m)
+    assert not spec.certified.any()
+    cusp = singular_spectrum(assemble(CuspMap(), 64))
+    assert spec.values[:4] == pytest.approx(cusp.values[:4], rel=1e-9)
 
 
 def test_star_basis_requires_fixed_origin():

@@ -110,6 +110,14 @@ def test_dirichlet_power_norms_identity():
     assert norms[8] == pytest.approx(3.0, abs=1e-10)
 
 
+def test_power_norm_bound_infinite_without_visible_decay():
+    # the cusp's 13th to 16th powers still carry undecayed mass at degree 64
+    norms, bounds = dirichlet_power_norms(CuspMap(), 16, method="coefficients")
+    assert np.all(np.isfinite(norms))
+    assert np.all(np.isfinite(bounds[:12]))
+    assert np.all(np.isinf(bounds[12:]))
+
+
 def test_cusp_region_vs_coefficients_at_low_powers():
     # the coefficient route can only lose mass (degrees above the cutoff),
     # and the loss grows with the power: the norm mass of cusp powers
