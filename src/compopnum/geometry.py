@@ -51,7 +51,7 @@ __all__ = [
 # quadrature helpers
 
 # Gauss-Legendre rules for the node counts in use, computed once
-_LEGGAUSS = {n: np.polynomial.legendre.leggauss(n) for n in (20, 24)}
+_LEGGAUSS = {n: np.polynomial.legendre.leggauss(n) for n in (20, 24, 48)}
 
 
 def _gauss_panels(
@@ -207,18 +207,21 @@ class CuspRegion:
         vals = self.angular_measure(u) * (1.0 - u)
         return float(np.dot(w, vals)) / math.pi
 
-    def power_moments(self, ks) -> np.ndarray:
-        """(1/pi) * integral over the region of |w|^(2k-2) dA, for each k.
+    def radial_nodes(self, n_nodes: int):
+        """(u, weights, log s) of the radial rule on depths [0, 1) split at the
+        breakpoints; zero-radius nodes, which carry no power moment, are
+        dropped.  The log1p keeps s^k accurate at depths u ~ 1e-14 for k up
+        to ~1e6."""
+        u, w = _panels_with_breakpoints(1.0, self.breakpoints(), n_nodes)
+        keep = u < 1.0
+        return u[keep], w[keep], np.log1p(-u[keep])
 
-        Evaluated as a radial integral of the arc measure; the log1p keeps
-        |w|^(2k-1) accurate at depths u ~ 1e-14 for k up to ~1e6.
-        """
+    def power_moments(self, ks) -> np.ndarray:
+        """(1/pi) * integral over the region of |w|^(2k-2) dA, for each k,
+        as a radial integral of the arc measure."""
         ks = np.asarray(ks, dtype=float)
-        u, w = _panels_with_breakpoints(1.0, self.breakpoints())
-        keep = u < 1.0  # zero-radius nodes contribute nothing
-        u, w = u[keep], w[keep]
+        u, w, logs = self.radial_nodes(20)
         theta = self.angular_measure(u)
-        logs = np.log1p(-u)  # log s
         # moment_k = sum_i w_i theta_i s_i^(2k-1)
         expo = np.exp(np.outer(2.0 * ks - 1.0, logs))
         return (expo @ (w * theta)) / math.pi
@@ -284,7 +287,8 @@ def _image(s: SymbolMap):
     """(base, factor) with phi(D) = factor * base.
 
     The base is the unit disk, the cusp region, or None when the image is
-    only known through the boundary curve of phi.
+    only known through the boundary curve of phi.  An outer affine map, or
+    the Moebius map with u = 0 (z -> -z), multiplies the inner factor.
     """
     if isinstance(s, AffineMap):
         return _UNIT_DISK, s.factor
@@ -295,6 +299,9 @@ def _image(s: SymbolMap):
     if isinstance(s, ComposedMap) and isinstance(s.outer, AffineMap):
         base, factor = _image(s.inner)
         return base, s.outer.factor * factor
+    if isinstance(s, ComposedMap) and isinstance(s.outer, MoebiusMap) and s.outer.u == 0:
+        base, factor = _image(s.inner)
+        return base, -factor
     return None, 1.0
 
 
@@ -527,6 +534,14 @@ def zinc_upper_bound(s: SymbolMap, n):
 # Carleson windows
 
 
+def _window_samples(rng, xi: complex, h: float, samples: int):
+    """Uniform points of the disk |w - xi| < h: radius h sqrt(U), angle 2 pi U'.
+    All radii are drawn before all angles; seeded results depend on it."""
+    rr = h * np.sqrt(rng.random(samples))
+    th = 2.0 * np.pi * rng.random(samples)
+    return xi + rr * np.exp(1j * th)
+
+
 def window_area(
     s: SymbolMap,
     window: CarlesonWindow,
@@ -546,10 +561,7 @@ def window_area(
         u, wts = _gauss_panels(0.0, h)
         vals = _CUSP_REGION.tip_angular_measure(u) * u
         return RegionMeasure(s, float(np.dot(wts, vals)) / math.pi, 0.0, "exact-arcs")
-    rng = np.random.default_rng(seed)
-    rr = h * np.sqrt(rng.random(samples))
-    th = 2.0 * np.pi * rng.random(samples)
-    w = xi + rr * np.exp(1j * th)
+    w = _window_samples(np.random.default_rng(seed), xi, h, samples)
     ok = np.abs(w) < 1.0
     hits = np.zeros(samples, dtype=bool)
     if ok.any():
@@ -619,27 +631,23 @@ def default_window_grid():
     return [(math.cos(t) + 1j * math.sin(t), h) for t in thetas for h in hs]
 
 
-def _window_mean_quadrature(b: BlaschkeProduct, xi: complex, h: float, n_alpha: int = 48):
+def _window_mean_quadrature(b: BlaschkeProduct, xi: complex, h: float):
     """(1/pi) integral of |B|^2 over S(xi,h) n cusp region, by arcs at the tip
     (xi = 1) or by polar quadrature about xi with membership weights."""
     u, wts = _gauss_panels(0.0, h)
     if xi == 1.0:
-        acc = 0.0
-        x_leg, w_leg = np.polynomial.legendre.leggauss(n_alpha)
-        for sigma, wt in zip(u, wts):
-            half = 0.5 * float(_CUSP_REGION.tip_angular_measure(sigma))
-            if half <= 0.0:
-                continue
-            beta = half * x_leg  # symmetric interval (-half, half)
-            w = 1.0 + sigma * np.exp(1j * (np.pi + beta))
-            acc += wt * sigma * half * float(np.dot(w_leg, b.abs2(w)))
-        return acc / math.pi
+        x_leg, w_leg = _LEGGAUSS[48]
+        # arcs of radius sigma < h < 1 < a about the tip, none empty: pi + (-half, half)
+        half = 0.5 * _CUSP_REGION.tip_angular_measure(u)
+        w = 1.0 + u[:, None] * np.exp(1j * (np.pi + half[:, None] * x_leg))
+        return float(np.dot(wts * u * half, b.abs2(w) @ w_leg)) / math.pi
     # generic center: uniform angular grid with membership indicator
-    alphas = 2.0 * np.pi * (np.arange(n_alpha * 8) + 0.5) / (n_alpha * 8)
+    alphas = 2.0 * np.pi * (np.arange(384) + 0.5) / 384
     ww = xi + u[:, None] * np.exp(1j * alphas)[None, :]
     mask = (np.abs(ww) < 1.0) & _CUSP_REGION.contains(ww)
-    vals = np.where(mask, b.abs2(ww), 0.0).mean(axis=1) * (2.0 * np.pi)
-    return float(np.dot(wts, vals * u)) / math.pi
+    vals = np.zeros(ww.shape)
+    vals[mask] = b.abs2(ww[mask])
+    return float(np.dot(wts, vals.mean(axis=1) * (2.0 * np.pi) * u)) / math.pi
 
 
 def blaschke_certificate(
@@ -665,9 +673,7 @@ def blaschke_certificate(
         if method == "quadrature":
             val = _window_mean_quadrature(b, complex(xi), float(h))
         else:
-            rr = h * np.sqrt(rng.random(samples))
-            th = 2.0 * np.pi * rng.random(samples)
-            w = complex(xi) + rr * np.exp(1j * th)
+            w = _window_samples(rng, complex(xi), h, samples)
             ok = (np.abs(w) < 1.0) & _CUSP_REGION.contains(w)
             val = float(h**2 * np.where(ok, b.abs2(w), 0.0).mean())
         best = max(best, val / h)
@@ -705,32 +711,25 @@ def region_gram_singular_values(N: int) -> np.ndarray:
     compression of a positive contraction; its eigenvalues are the squared
     restricted singular values.  Entirely independent of Taylor coefficients.
     """
-    u, wts = _panels_with_breakpoints(1.0, _CUSP_REGION.breakpoints(), n_nodes=24)
-    keep = u < 1.0
-    u, wts = u[keep], wts[keep]
+    u, wts, logs = _CUSP_REGION.radial_nodes(24)
     alpha, lo, hi = _CUSP_REGION.arc_data(u)
     hi = np.minimum(hi, alpha)
     lo = np.minimum(lo, alpha)
-    qs = np.arange(N, dtype=float)
-    # angular factor: int over arcs of cos(q theta) dtheta (even in theta)
-    with np.errstate(invalid="ignore", divide="ignore"):
-        q = qs[:, None]
-        s_all = np.where(q == 0, alpha[None, :], np.sin(q * alpha[None, :]) / np.where(q == 0, 1, q))
-        s_hi = np.where(q == 0, hi[None, :], np.sin(q * hi[None, :]) / np.where(q == 0, 1, q))
-        s_lo = np.where(q == 0, lo[None, :], np.sin(q * lo[None, :]) / np.where(q == 0, 1, q))
-    ang = 2.0 * (s_all - (s_hi - s_lo))  # [q, node]
-    logs = np.log1p(-u)
-    G = np.empty((N, N))
-    ms = np.arange(N)
-    radial = np.exp(np.outer(ms, 2.0 * logs))  # s^(2m) | [m, node]
-    s1 = np.exp(logs)
-    for q in range(N):
-        base = wts * s1 ** (q + 1) * ang[q] / math.pi
-        diag = (radial[: N - q] * base[None, :]).sum(axis=1)
-        mm = ms[: N - q]
-        scale = np.sqrt((mm + 1.0) * (mm + q + 1.0))
-        vals = scale * diag
-        G[mm, mm + q] = vals
-        G[mm + q, mm] = vals
-    lam = np.linalg.eigvalsh(G)[::-1]
+    # angular factor: int over arcs of cos(q theta) dtheta (even in theta),
+    # updated in place: the [q, node] arrays dominate the memory
+    q = np.arange(1, N)[:, None]
+    ang = np.empty((N, u.size))
+    ang[0] = 2.0 * (alpha - (hi - lo))
+    ang[1:] = np.sin(q * alpha)
+    ang[1:] -= np.sin(q * hi)
+    ang[1:] += np.sin(q * lo)
+    ang[1:] *= 2.0 / q
+    radial = np.exp(np.outer(np.arange(N), logs))  # s^m | [m, node]
+    ang *= radial * (wts * np.exp(logs) / math.pi)  # B[q, node] = w s^(q+1) ang_q / pi
+    # the q-th diagonal: G[m, m+q] = sqrt((m+1)(m+q+1)) P[m, q]
+    P = (radial * radial) @ ang.T
+    i, j = np.triu_indices(N)
+    G = np.zeros((N, N))
+    G[i, j] = np.sqrt((i + 1.0) * (j + 1.0)) * P[i, j - i]
+    lam = np.linalg.eigvalsh(G, UPLO="U")[::-1]
     return np.sqrt(np.maximum(lam, 0.0))

@@ -219,9 +219,8 @@ def test_criterion_09_window_bound_ordering(cusp_spectra):
     assert ok
 
 
-def test_criterion_10_blaschke_certificate_decreasing():
-    vals = [geometry.blaschke_certificate(r, n_zeros=10) for r in (4, 6, 8, 10)]
-    logs = np.log(vals)
+def test_criterion_10_blaschke_certificate_decreasing(blaschke_certificates):
+    logs = np.log(blaschke_certificates)
     slopes = np.diff(logs) / 2.0
     ok = bool(np.all(np.diff(logs) < 0))
     _line(10, ok, "log cert: " + ", ".join(f"{v:.2f}" for v in logs) + f"; slopes {slopes.round(2)}")

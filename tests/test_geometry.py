@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from compopnum import geometry
 from compopnum.geometry import (
     BlaschkeProduct,
     CarlesonWindow,
@@ -232,10 +233,31 @@ def test_blaschke_certificate_trivial_power():
     assert math.isfinite(val) and val > 0
 
 
-def test_blaschke_certificate_decreasing_in_power():
-    vals = [blaschke_certificate(r, n_zeros=10) for r in (4, 6, 8, 10)]
-    logs = np.log(vals)
+def test_blaschke_certificate_decreasing_in_power(blaschke_certificates):
+    logs = np.log(blaschke_certificates)
     assert np.all(np.diff(logs) < 0)
+
+
+def test_blaschke_certificate_monte_carlo_matches_quadrature():
+    # r = 0: |B|^2 = 1, so both methods estimate the largest window area / h
+    mc = blaschke_certificate(0, method="monte-carlo", samples=200_000, seed=3)
+    assert mc == pytest.approx(blaschke_certificate(0), rel=0.03)
+
+
+def test_tip_window_matches_node_loop():
+    # reference: one 48-point angular rule per radial node, summed in a loop
+    b = BlaschkeProduct(unit_interval_dyadic_zeros(4), power=4)
+    h = 0.25
+    u, wts = geometry._gauss_panels(0.0, h)
+    x_leg, w_leg = geometry._LEGGAUSS[48]
+    acc = 0.0
+    for sigma, wt in zip(u, wts):
+        half = 0.5 * float(REGION.tip_angular_measure(sigma))
+        if half > 0.0:
+            w = 1.0 + sigma * np.exp(1j * (np.pi + half * x_leg))
+            acc += wt * sigma * half * float(np.dot(w_leg, b.abs2(w)))
+    value = geometry._window_mean_quadrature(b, 1.0, h)
+    assert value == pytest.approx(acc / math.pi, rel=1e-13, abs=0.0)
 
 
 def test_dyadic_zeros():
@@ -260,6 +282,34 @@ def test_scaled_cusp_power_norms(theta, n):
     scaled, _ = dirichlet_power_norms(ComposedMap(AffineMap(0.9, theta), CUSP), n)
     plain, _ = dirichlet_power_norms(CUSP, n)
     assert scaled == pytest.approx(0.9 ** np.arange(1, n + 1) * plain, rel=1e-12)
+
+
+def test_region_gram_matches_diagonal_loop():
+    # reference: the Gram matrix filled one entry at a time, diagonal by diagonal
+    N = 48
+    u, wts, logs = REGION.radial_nodes(24)
+    alpha, lo, hi = REGION.arc_data(u)
+    hi, lo = np.minimum(hi, alpha), np.minimum(lo, alpha)
+    s = np.exp(logs)
+    G = np.empty((N, N))
+    for q in range(N):
+        if q == 0:
+            ang = 2.0 * (alpha - (hi - lo))
+        else:
+            ang = 2.0 * (np.sin(q * alpha) - (np.sin(q * hi) - np.sin(q * lo))) / q
+        for m in range(N - q):
+            moment = np.dot(wts * ang, s ** (2 * m + q + 1)) / math.pi
+            G[m, m + q] = G[m + q, m] = math.sqrt((m + 1) * (m + q + 1)) * moment
+    ref = np.sqrt(np.maximum(np.linalg.eigvalsh(G)[::-1], 0.0))
+    assert region_gram_singular_values(N)[:10] == pytest.approx(ref[:10], rel=1e-12, abs=0.0)
+
+
+@pytest.mark.parametrize("N", [64, 256])
+def test_region_gram_hilbert_schmidt_identity(N):
+    # trace G = sum_k k (1/pi) int |w|^(2k-2) dA = sum_k ||chi^k||^2 / k
+    ks = np.arange(1, N + 1)
+    hs = np.sum(region_gram_singular_values(N) ** 2)
+    assert hs == pytest.approx(np.sum(region_power_norms(ks) ** 2 / ks), rel=1e-12, abs=0.0)
 
 
 def test_region_gram_monotone_and_dominates_matrix(cusp_spectra):

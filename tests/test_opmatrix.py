@@ -78,15 +78,26 @@ def test_cusp_hs_tail_vs_svd_estimate():
 
 
 def test_divergent_row_tails_count_as_infinite():
-    # -cusp has the cusp's singular values, but on the coefficient route most
-    # of its rows show no decay by degree M: their mass beyond M is unknown,
-    # so nothing may be certified
-    m = assemble(parse_symbol("compose(moebius:u=0+0i,cusp)"), 64)
+    # the Moebius involution applied twice is the cusp, with the cusp's
+    # singular values, but the image normal form does not see through it: on
+    # the coefficient route most of its rows show no decay by degree M, their
+    # mass beyond M is unknown, so nothing may be certified
+    twice = "compose(moebius:u=0.5+0i,compose(moebius:u=0.5+0i,cusp))"
+    m = assemble(parse_symbol(twice), 64)
     assert m.row_tail == math.inf
     spec = singular_spectrum(m)
     assert not spec.certified.any()
     cusp = singular_spectrum(assemble(CuspMap(), 64))
     assert spec.values[:4] == pytest.approx(cusp.values[:4], rel=1e-9)
+
+
+def test_negated_cusp_tails_equal_cusp_tails():
+    # moebius:u=0 is z -> -z: -cusp's image is the cusp region turned by pi,
+    # with the cusp's power norms, so its exact tails are the cusp's
+    neg = assemble(parse_symbol("compose(moebius:u=0+0i,cusp)"), 64)
+    cusp = assemble(CuspMap(), 64)
+    assert neg.hs_tail == cusp.hs_tail
+    assert neg.row_tail == cusp.row_tail
 
 
 def test_star_basis_requires_fixed_origin():
