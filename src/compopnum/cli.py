@@ -290,6 +290,7 @@ def _cmd_an(cfg: RunConfig) -> int:
     payload["hs_tail"] = _sanitize(m.hs_tail)
     payload["row_tail"] = m.row_tail
     payload["assembly_error"] = m.assembly_error
+    payload["column_tail"] = {"model": m.column_tail_fit.model, "rmse": m.column_tail_fit.rmse}
     payload["certification_floor"] = _sanitize(spec.certification_floor)
     payload["stable_entries"] = int(spec.stable.sum())
     _write_report(cfg.report, payload)
@@ -330,14 +331,22 @@ def _cmd_area(cfg: RunConfig) -> int:
     s = parse_symbol(cfg.symbol)
     if cfg.t is None:
         raise ConfigError("area needs --t")
-    if cfg.method in ("monte-carlo", "auto"):
+    method = cfg.method
+    if method == "auto":
+        # auto samples only where no exact route answers
+        method = "exact-arcs" if geometry.has_known_image(s) else "monte-carlo"
+    if method == "monte-carlo":
         _require_seed(cfg)
-    meas = geometry.annulus_area(
-        s, cfg.t, method=cfg.method, samples=cfg.samples, seed=cfg.seed or 0
-    )
+    meas = geometry.annulus_area(s, cfg.t, method=method, samples=cfg.samples, seed=cfg.seed or 0)
     payload = _report_envelope(cfg, [])
     payload.update(
-        {"value": meas.value, "std_error": meas.std_error, "method": meas.method, "t": cfg.t}
+        {
+            "value": meas.value,
+            "std_error": meas.std_error,
+            "method": meas.method,
+            "t": cfg.t,
+            "flagged": meas.flagged,
+        }
     )
     _write_report(cfg.report, payload)
     return 0

@@ -43,6 +43,8 @@ __all__ = [
     "blaschke_certificate",
     "region_power_norms",
     "exact_power_norms",
+    "exact_column_tail",
+    "has_known_image",
     "region_gram_singular_values",
 ]
 
@@ -125,6 +127,7 @@ class CuspRegion:
     """
 
     diameter: float = CUSP_DIAMETER
+    name = "cusp"  # a class attribute, not a field
 
     @property
     def inner_center(self) -> float:
@@ -172,10 +175,13 @@ class CuspRegion:
         return alpha, lo, hi
 
     def angular_measure(self, u):
-        """Total angle of {|w| = 1-u} inside the region; ~ 2u^2/a near u=0."""
+        """Total angle of {|w| = 1-u} inside the region; ~ 2u^2/a near u=0.
+
+        The arc (-alpha, alpha) less the exclusion arcs +/-(lo, hi), written
+        without the difference alpha - (alpha - lo), which loses every digit
+        of the ~2u^2/a result below depths u ~ 1e-10."""
         alpha, lo, hi = self.arc_data(u)
-        cut = np.maximum(0.0, np.minimum(alpha, hi) - np.minimum(alpha, lo))
-        return np.maximum(0.0, 2.0 * (alpha - cut))
+        return 2.0 * (np.minimum(alpha, lo) + np.maximum(0.0, alpha - hi))
 
     def breakpoints(self):
         """Depths u where the slice structure changes (quadrature panel edges)."""
@@ -226,6 +232,28 @@ class CuspRegion:
         expo = np.exp(np.outer(2.0 * ks - 1.0, logs))
         return (expo @ (w * theta)) / math.pi
 
+    def power_norms(self, ks) -> np.ndarray:
+        """Dirichlet norms k sqrt(moment_k) of w^k on the region."""
+        ks = np.asarray(ks, dtype=float)
+        return ks * np.sqrt(self.power_moments(ks))
+
+    def column_tail_sq(self, n: int, r2: float, n_nodes: int = 20) -> float:
+        """sum_{k >= n} r2^k ||w^k||^2 / k over the region, r2 <= 1.
+
+        ||w^k||^2 / k = (1/pi) sum_i w_i theta_i s_i k s_i^(2k-2), so with
+        x = r2 s^2 the sum over k closes under the integral:
+        sum_{k >= n} k x^(k-1) = x^(n-1) (1 + (n-1)(1-x)) / (1-x)^2.
+        1-x comes from expm1 of log x, accurate at depths ~1e-14, where
+        theta ~ 2u^2/a against (1-x)^2 ~ 4u^2 keeps the integrand bounded.
+        n_nodes selects the radial rule, as in `radial_nodes`.
+        """
+        u, w, logs = self.radial_nodes(n_nodes)
+        theta = self.angular_measure(u)
+        log_x = math.log(r2) + 2.0 * logs
+        gap = -np.expm1(log_x)  # 1 - x
+        series = np.exp((n - 1) * log_x) * (1.0 + (n - 1) * gap) / gap**2
+        return r2 * float(np.dot(w * theta * np.exp(logs), series)) / math.pi
+
     def tip_angular_measure(self, sigma):
         """Angle of {|w - 1| = sigma} inside the region; ~ 2 sigma/a near 0."""
         sigma = np.asarray(sigma, dtype=float)
@@ -269,6 +297,8 @@ class _UnitDisk:
     """The unit disk as an image base: affine maps scale it, disk
     automorphisms fill it."""
 
+    name = "disk"
+
     def contains(self, w):
         return np.abs(w) < 1.0
 
@@ -277,6 +307,15 @@ class _UnitDisk:
 
     def box_angle(self, t: float) -> float:
         return math.pi
+
+    def power_norms(self, ks) -> np.ndarray:
+        """Dirichlet norms of w^k on the disk: k^2 (1/pi) int |w|^(2k-2) dA = k."""
+        return np.sqrt(ks)
+
+    def column_tail_sq(self, n: int, r2: float) -> float:
+        """sum_{k >= n} r2^k ||w^k||^2 / k = r2^n / (1 - r2); infinite for the
+        automorphisms (r2 = 1), which are not compact."""
+        return r2**n / (1.0 - r2) if r2 < 1.0 else math.inf
 
 
 _CUSP_REGION = CuspRegion()
@@ -365,9 +404,23 @@ def image_contains(s: SymbolMap, w):
     return base.contains(w if factor == 1.0 else w / factor)
 
 
-def _winding_contains(s: SymbolMap, w, n_boundary: int = 4096):
-    t = 2.0 * np.pi * (np.arange(n_boundary) + 0.5) / n_boundary
-    curve = np.asarray(s.evaluate((1.0 - 1e-7) * np.exp(1j * t)))
+def has_known_image(s: SymbolMap) -> bool:
+    """True when phi(D) = factor * base for a known base: exact areas, power
+    norms and column tails, no sampling of the boundary curve."""
+    return _image(s)[0] is not None
+
+
+_BOUNDARY_SAMPLES = 4096
+
+
+def _boundary_curve(s: SymbolMap, offset: float):
+    """phi on the circle of radius 1 - 1e-7 at angles 2 pi (j + offset) / n."""
+    t = 2.0 * np.pi * (np.arange(_BOUNDARY_SAMPLES) + offset) / _BOUNDARY_SAMPLES
+    return np.asarray(s.evaluate((1.0 - 1e-7) * np.exp(1j * t)))
+
+
+def _winding_contains(s: SymbolMap, w):
+    curve = _boundary_curve(s, 0.5)
     w = np.atleast_1d(np.asarray(w, dtype=complex))
     out = np.empty(w.shape, dtype=bool)
     for i in range(0, w.size, 256):
@@ -379,6 +432,29 @@ def _winding_contains(s: SymbolMap, w, n_boundary: int = 4096):
         wind = np.abs(inc.sum(axis=1)) / (2.0 * np.pi)
         out.reshape(-1)[i : i + 256] = wind > 0.5
     return out.reshape(np.asarray(w).shape)
+
+
+def _unresolved(s: SymbolMap, t: float) -> bool:
+    """True when membership sampling cannot resolve the image at depth t: the
+    image has no known base and the sampled curve of the winding test is
+    too coarse near the annulus {|w| >= 1-t}.
+
+    At each gap between adjacent samples, phi at the middle angle leaves the
+    chord by the sagitta; the gap is unresolved when the sagitta exceeds t/8
+    and the gap, widened by twice its sagitta, reaches the annulus.  A cusp
+    tip reached only logarithmically fast as |z| -> 1 shows up this way:
+    the sampled curve cuts it off.
+    """
+    if has_known_image(s):
+        return False
+    b = _boundary_curve(s, 0.5)
+    a = np.roll(b, 1)
+    mid = _boundary_curve(s, 0.0)  # between a[j] and b[j]
+    d = b - a
+    along = np.clip(((mid - a) * np.conj(d)).real / np.maximum(np.abs(d) ** 2, 1e-300), 0.0, 1.0)
+    sag = np.abs(mid - (a + along * d))
+    reach = np.maximum(np.maximum(np.abs(a), np.abs(b)), np.abs(mid)) + 2.0 * sag
+    return bool(np.any((sag > t / 8.0) & (reach >= 1.0 - t)))
 
 
 def _exact_annulus_area(s: SymbolMap, t: float) -> float | None:
@@ -436,7 +512,9 @@ def _polar_annulus_area(s: SymbolMap, t: float, n_r: int = 400, n_th: int = 1024
     rr = np.sqrt(lo2 + (1.0 - lo2) * (np.arange(n_r)[:, None] + 0.5) / n_r)
     th = centre + theta0 * ((2.0 * np.arange(n_th) + 1.0) / n_th - 1.0)
     inside = image_contains(s, rr * np.exp(1j * th))
-    return RegionMeasure(s, box * float(inside.mean()), 0.0, "polar", samples=n_r * n_th)
+    return RegionMeasure(
+        s, box * float(inside.mean()), 0.0, "polar", n_r * n_th, _unresolved(s, t)
+    )
 
 
 def _mc_annulus_area(s: SymbolMap, t: float, samples: int, seed: int):
@@ -449,7 +527,7 @@ def _mc_annulus_area(s: SymbolMap, t: float, samples: int, seed: int):
     hits = image_contains(s, rr * np.exp(1j * th))
     value = box * hits.mean()
     std = box * hits.std(ddof=1) / math.sqrt(samples)
-    return RegionMeasure(s, float(value), float(std), "monte-carlo", samples=samples)
+    return RegionMeasure(s, float(value), float(std), "monte-carlo", samples, _unresolved(s, t))
 
 
 def m_functional(s: SymbolMap, t: float) -> RegionMeasure:
@@ -470,11 +548,12 @@ def M_functional(s: SymbolMap, t: float) -> RegionMeasure:
     decay (alpha > 0.2) for the truncation to be accepted.
     """
     k_max = _DYADIC_TERMS
-    terms, errs = [], []
+    terms, errs, flagged = [], [], False
     for k in range(k_max + 1):
         mk = m_functional(s, t * 2.0**-k)
         terms.append(mk.value)
         errs.append(mk.std_error)
+        flagged |= mk.flagged
     terms = np.array(terms)
     total = float(terms.sum())
     std = float(math.hypot(*errs)) if any(errs) else 0.0
@@ -493,7 +572,7 @@ def M_functional(s: SymbolMap, t: float) -> RegionMeasure:
             )
         c = 2.0**inter
         remainder = c * 2.0 ** (slope * (k_max + 1)) / (1.0 - 2.0**slope)
-    return RegionMeasure(s, total + remainder, std, f"dyadic-sum[{k_max}]")
+    return RegionMeasure(s, total + remainder, std, f"dyadic-sum[{k_max}]", flagged=flagged)
 
 
 # elementwise math.pow, the power of Python and numpy scalars; numpy's
@@ -675,7 +754,9 @@ def blaschke_certificate(
         else:
             w = _window_samples(rng, complex(xi), h, samples)
             ok = (np.abs(w) < 1.0) & _CUSP_REGION.contains(w)
-            val = float(h**2 * np.where(ok, b.abs2(w), 0.0).mean())
+            vals = np.zeros(samples)
+            vals[ok] = b.abs2(w[ok])
+            val = float(h**2 * vals.mean())
         best = max(best, val / h)
     return best
 
@@ -688,19 +769,32 @@ def region_power_norms(ks) -> np.ndarray:
     """Dirichlet norms of the k-th powers of the cusp map, k in ks, from the
     exact change-of-variable integral k^2 (1/pi) int |w|^(2k-2) dA over the
     image region."""
-    ks = np.asarray(ks, dtype=float)
-    return ks * np.sqrt(_CUSP_REGION.power_moments(ks))
+    return _CUSP_REGION.power_norms(ks)
 
 
 def exact_power_norms(s: SymbolMap, n_max: int) -> np.ndarray | None:
     """Dirichlet norms of phi^k, k = 1..n_max, from the image integral when
-    phi(D) is a scaled cusp region (|f|^k times the cusp norms); None for
-    every other symbol."""
+    phi(D) = factor * base for a known base: |f|^k sqrt(k) on a disk,
+    |f|^k times the region norms on a cusp region.  None when the image is
+    only known through its boundary curve."""
     base, factor = _image(s)
-    if not isinstance(base, CuspRegion):
+    if base is None:
         return None
     ks = np.arange(1, n_max + 1)
-    return abs(factor) ** ks * region_power_norms(ks)
+    return abs(factor) ** ks * base.power_norms(ks)
+
+
+def exact_column_tail(s: SymbolMap, n: int) -> tuple[float, str] | None:
+    """(sqrt(sum_{k >= n} ||phi^k||_D^2 / k), base name) in closed form when
+    phi(D) = factor * base for a known base, None otherwise.
+
+    The sum over k is taken inside the image integral, so there is neither a
+    cut-off nor a fitted remainder; it is infinite when |f| = 1 on the disk.
+    """
+    base, factor = _image(s)
+    if base is None:
+        return None
+    return math.sqrt(base.column_tail_sq(n, abs(factor) ** 2)), base.name
 
 
 def region_gram_singular_values(N: int) -> np.ndarray:

@@ -8,6 +8,13 @@ N toward the approximation numbers; the distance to the full operator is
 controlled by two Hilbert-Schmidt tails (discarded columns and discarded
 rows) plus the coefficient-extraction noise.
 
+When the image is factor * base for a known base (the unit disk or the
+cusp region, see `geometry._image`), the column tail is a closed form of
+the image integral and the row tail compares the retained mass with the
+exact power norms: no power beyond N is extracted and nothing is fitted.
+Other symbols take the power norms from the coefficients up to 4N and fit
+the remainders (`tails.tail_remainder`).
+
 Two certificates are attached to every spectrum:
 
 * a rigorous perturbation radius, hs_tail + row_tail + assembly_error,
@@ -53,6 +60,7 @@ class OperatorMatrix:
     row_tail: float
     assembly_error: float
     aliasing_suspect: bool
+    column_tail_fit: tails.TailFit  # the closed form or fit behind hs_tail
 
     @property
     def truncation_norm_bound(self) -> float:
@@ -97,29 +105,32 @@ class SingularSpectrum:
 
 
 def _column_tail(s: SymbolMap, n: int, k_max: int, params: SeriesParams):
-    """(sqrt(sum_{k >= n} ||phi^k||_D^2 / k), exact norms or None).
+    """(sqrt(sum_{k >= n} ||phi^k||_D^2 / k), how its remainder was found).
 
-    The sum runs over k <= k_max plus the remainder fitted beyond, and is
-    infinite when the fit shows no summable decay.  The norms come from the
-    image integral when it is exact (and are returned for reuse), else from
-    the coefficients.
+    A known image base gives the whole sum in closed form (model
+    "closed-form:<base>").  Otherwise the norms come from the coefficients,
+    the sum runs over k <= k_max and the remainder beyond is fitted; it is
+    infinite when the fit shows no summable decay.
     """
-    exact = geometry.exact_power_norms(s, k_max)
-    norms = exact
-    if norms is None:
-        # the k-th power needs retained degrees well past k
-        M_tail = max(params.M, 2 * k_max)
-        norms, _ = dirichlet_power_norms(s, k_max, M=M_tail, method="coefficients")
+    exact = geometry.exact_column_tail(s, n)
+    if exact is not None:
+        tail, base = exact
+        return tail, tails.TailFit(f"closed-form:{base}", 0.0, 0.0)
+    # the k-th power needs retained degrees well past k
+    M_tail = max(params.M, 2 * k_max)
+    norms, _ = dirichlet_power_norms(s, k_max, M=M_tail, method="coefficients")
     t = norms**2 / np.arange(1, k_max + 1)
-    return math.sqrt(float(t[n - 1 :].sum()) + tails.tail_remainder(t).remainder), exact
+    fit = tails.tail_remainder(t)
+    return math.sqrt(float(t[n - 1 :].sum()) + fit.remainder), fit
 
 
 def hs_tail_bound(s: SymbolMap, n: int) -> float:
-    """sqrt(sum_{k >= n} ||phi^k||_D^2 / k) with an extrapolated remainder.
+    """sqrt(sum_{k >= n} ||phi^k||_D^2 / k), in closed form for a known image
+    base and otherwise summed to 4 max(n, 16) with a fitted remainder.
 
     Bounds the n-th approximation number from above (rank n-1 truncation of
-    the coefficient expansion).  Returns math.inf for non-compact symbols
-    whose power norms do not decay (tail fit divergent).
+    the coefficient expansion).  Returns math.inf for non-compact symbols:
+    disk automorphisms, and power norms whose tail fit diverges.
     """
     if n < 1:
         raise ValueError("index must be >= 1")
@@ -163,15 +174,19 @@ def assemble(
     else:
         A = core
 
-    # column tail: discarded basis vectors k > N, summed exactly to 4N
-    hs_tail, exact = _column_tail(s, N + 1, 4 * N, params)
+    # column tail: discarded basis vectors k > N
+    hs_tail, column_fit = _column_tail(s, N + 1, 4 * N, params)
 
     # row tail: mass of phi^k, k <= N, above the retained rows
     jj = np.arange(M + 1, dtype=float)
     mass = jj[None, :] * np.abs(table) ** 2  # [k, j]
     above_N = mass[:, N + 1 :].sum(axis=1)
+    exact = geometry.exact_power_norms(s, N)
     if exact is not None:
-        deficit = np.maximum(exact[:N] ** 2 - mass.sum(axis=1), 0.0)
+        # mass beyond degree M.  A disk's powers end below M, so there it is
+        # the roundoff of the two sums: not provably zero, it stays in
+        # row_tail and with it in the rigorous radius
+        deficit = np.maximum(exact**2 - mass.sum(axis=1), 0.0)
     else:
         # a row whose mass shows no decay has unknown mass beyond M: infinite
         deficit = np.array([tails.tail_remainder(row).remainder for row in mass])
@@ -189,6 +204,7 @@ def assemble(
         row_tail=row_tail,
         assembly_error=assembly_error,
         aliasing_suspect=bool(alias.any()),
+        column_tail_fit=column_fit,
     )
 
 

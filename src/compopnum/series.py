@@ -185,9 +185,11 @@ def dirichlet_power_norms(
 
     method "coefficients" sums j |c_j|^2 from the extracted series (error
     bounds propagated from the extraction certificates); "auto" uses instead
-    the exact change-of-variable integral over the image region when the
-    image is a scaled cusp region, where power norms carry Taylor mass far
-    beyond any practical truncation degree.
+    the exact change-of-variable integral over the image whenever the image
+    is factor * base for a known base (a disk or the cusp region; see
+    `geometry.exact_power_norms`), with no extraction at all.  For the cusp
+    region this also reaches the Taylor mass far beyond any practical
+    truncation degree.
 
     Returns (norms, error_bounds) as arrays of length n_max.
     """

@@ -7,6 +7,7 @@ import pytest
 
 from compopnum import geometry
 from compopnum.cli import main
+from compopnum.symbols import CuspMap
 
 
 def run(args):
@@ -27,6 +28,8 @@ def test_an_diagonal_csv(tmp_path):
     payload = json.loads(rep.read_text())
     assert payload["version"]
     assert payload["config_hash"]
+    # the disk's column tail is a closed form: no fit, no residual
+    assert payload["column_tail"] == {"model": "closed-form:disk", "rmse": 0.0}
 
 
 def _an_report(tmp_path, tag):
@@ -71,6 +74,18 @@ def test_mc_determinism_same_seed(tmp_path):
 def test_area_requires_seed_for_mc(tmp_path):
     assert run(["area", "--symbol", "cusp", "--t", "0.125",
                 "--method", "monte-carlo"]) == 2
+
+
+def test_area_auto_exact_needs_no_seed(tmp_path):
+    rep = tmp_path / "rep.json"
+    assert run(["area", "--symbol", "cusp", "--t", "0.1", "--report", str(rep)]) == 0
+    payload = json.loads(rep.read_text())
+    assert payload["method"] == "exact-arcs"
+    assert payload["value"] == geometry.annulus_area(CuspMap(), 0.1, "exact-arcs").value
+    assert payload["flagged"] is False
+    # without an exact route, auto samples and the seed is mandatory again
+    twice = "compose(moebius:u=0.5+0i,compose(moebius:u=0.5+0i,cusp))"
+    assert run(["area", "--symbol", twice, "--t", "0.1"]) == 2
 
 
 def test_area_exact(tmp_path):

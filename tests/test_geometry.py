@@ -23,7 +23,14 @@ from compopnum.geometry import (
     zinc_upper_bound,
 )
 from compopnum.series import dirichlet_power_norms
-from compopnum.symbols import CUSP_DIAMETER, AffineMap, ComposedMap, CuspMap, MoebiusMap
+from compopnum.symbols import (
+    CUSP_DIAMETER,
+    AffineMap,
+    ComposedMap,
+    CuspMap,
+    MoebiusMap,
+    parse_symbol,
+)
 
 REGION = CuspRegion()
 CUSP = CuspMap()
@@ -51,6 +58,12 @@ def test_angular_measure_matches_monte_carlo():
         frac = REGION.contains(s * np.exp(1j * th)).mean()
         exact = float(REGION.angular_measure(1.0 - s)) / (2 * np.pi)
         assert frac == pytest.approx(exact, abs=4.0 * math.sqrt(exact / 1_000_000) + 1e-6)
+
+
+def test_angular_measure_accurate_at_the_tip():
+    # ~ 2u^2/a (1 + O(u)); the slice's arcs must not cancel to 0 at tiny depths
+    u = np.array([1e-15, 1e-12, 1e-10, 1e-8])
+    assert REGION.angular_measure(u) == pytest.approx(2.0 * u**2 / CUSP_DIAMETER, rel=1e-7, abs=0.0)
 
 
 def test_annulus_area_cubic_law():
@@ -99,6 +112,22 @@ def test_monte_carlo_within_five_sigma_of_exact(kind, r, theta, u):
     mc = annulus_area(s, t, method="monte-carlo", samples=100_000, seed=17)
     # when every sample hits, the estimate is the box area: exact up to roundoff
     assert abs(mc.value - exact) <= 5.0 * mc.std_error + 1e-15
+
+
+def test_winding_membership_flags_an_unresolved_tip():
+    # the Moebius involution twice is the cusp, but only its boundary curve is
+    # known; at |z| = 1 - 1e-7 the curve reaches |w| = 0.81, short of the tip,
+    # so every annulus sample at depth 0.1 tests outside
+    twice = parse_symbol("compose(moebius:u=0.5+0i,compose(moebius:u=0.5+0i,cusp))")
+    mc = annulus_area(twice, 0.1, method="monte-carlo", samples=2000, seed=1)
+    assert mc.value == 0.0 and mc.flagged
+    # a boundary the samples resolve is not flagged, and its estimate holds
+    smooth = parse_symbol("compose(moebius:u=0.5+0i,compose(moebius:u=0.5+0i,affine:r=0.9))")
+    for t in (0.2, 1e-3):
+        mc = annulus_area(smooth, t, method="monte-carlo", samples=2000, seed=1)
+        assert not mc.flagged
+        assert abs(mc.value - max(0.0, 0.81 - (1.0 - t) ** 2)) <= 5.0 * mc.std_error
+    assert not annulus_area(CUSP, 0.1, method="monte-carlo", samples=2000, seed=1).flagged
 
 
 def test_annulus_area_affine_disjoint():
@@ -244,6 +273,25 @@ def test_blaschke_certificate_monte_carlo_matches_quadrature():
     assert mc == pytest.approx(blaschke_certificate(0), rel=0.03)
 
 
+def test_blaschke_monte_carlo_evaluates_kept_points_only(monkeypatch):
+    # reference: |B|^2 on every sample, zeroed outside the region by np.where
+    r, samples, seed = 3, 2000, 5
+    b = BlaschkeProduct(unit_interval_dyadic_zeros(r), power=r)
+    rng = np.random.default_rng(seed)
+    best, kept = 0.0, 0
+    for xi, h in geometry.default_window_grid():
+        w = geometry._window_samples(rng, complex(xi), h, samples)
+        ok = (np.abs(w) < 1.0) & REGION.contains(w)
+        best = max(best, float(h**2 * np.where(ok, b.abs2(w), 0.0).mean()) / h)
+        kept += int(ok.sum())
+    points = []
+    abs2 = BlaschkeProduct.abs2
+    monkeypatch.setattr(BlaschkeProduct, "abs2", lambda self, w: points.append(w.size) or abs2(self, w))
+    got = blaschke_certificate(r, method="monte-carlo", samples=samples, seed=seed)
+    assert got == pytest.approx(best, rel=1e-12, abs=0.0)
+    assert sum(points) == kept
+
+
 def test_tip_window_matches_node_loop():
     # reference: one 48-point angular rule per radial node, summed in a loop
     b = BlaschkeProduct(unit_interval_dyadic_zeros(4), power=4)
@@ -321,3 +369,21 @@ def test_region_gram_monotone_and_dominates_matrix(cusp_spectra):
     _, spec = cusp_spectra[512]
     top = slice(0, 12)
     assert np.all(g512[top] >= spec.values[top] - 1e-9)
+
+
+@pytest.mark.parametrize("r2", [1.0, 0.81])
+def test_cusp_column_tail_node_rules_agree(r2):
+    for n in (1, 65, 1025, 100_000):
+        assert REGION.column_tail_sq(n, r2) == pytest.approx(
+            REGION.column_tail_sq(n, r2, 24), rel=1e-8, abs=0.0
+        )
+
+
+@pytest.mark.parametrize(
+    ("base", "r2"), [(REGION, 1.0), (REGION, 0.81), (geometry._UNIT_DISK, 0.81)]
+)
+def test_column_tails_telescope_to_power_norms(base, r2):
+    # tau_k^2 - tau_(k+1)^2 = r2^k ||w^k||^2 / k: the closed form sums the norms
+    ks = np.arange(1, 100)
+    steps = [base.column_tail_sq(k, r2) - base.column_tail_sq(k + 1, r2) for k in ks]
+    assert steps == pytest.approx(r2**ks * base.power_norms(ks) ** 2 / ks, rel=1e-11, abs=0.0)

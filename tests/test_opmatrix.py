@@ -26,8 +26,13 @@ def test_identity_assembles_identity():
 def test_affine_hs_tail_closed_form():
     m = assemble(AffineMap(0.5), 8)
     exact = 0.25**4.5 / math.sqrt(0.75)
-    assert m.hs_tail == pytest.approx(exact, rel=0.05)
-    assert m.row_tail == 0.0
+    assert m.hs_tail == pytest.approx(exact, rel=1e-14)
+    # phi^k = (z/2)^k has no mass beyond its retained degree: the deficit
+    # exact^2 - sum j |c_j|^2 of each row is the roundoff of the two sums,
+    # a few ulps of the row's mass ||phi^k||^2 = k 4^-k, weighted by 1/k
+    ks = np.arange(1, 9)
+    roundoff = math.sqrt(4.0 * np.finfo(float).eps * float(np.sum(0.25**ks)))
+    assert 0.0 <= m.row_tail <= roundoff
 
 
 def test_rotated_affine_diagonal_modulus():
@@ -62,6 +67,65 @@ def test_hs_tail_bound_closed_form_and_ordering():
 
 def test_hs_tail_bound_identity_divergent():
     assert hs_tail_bound(AffineMap(1.0), 3) == math.inf
+
+
+def test_automorphism_column_tails_infinite():
+    # the disk automorphisms fill the disk: ||phi^k||^2 / k = 1 for every k
+    assert hs_tail_bound(MoebiusMap(0.3), 3) == math.inf
+    assert hs_tail_bound(parse_symbol("compose(moebius:u=0+0i,moebius:u=0.5+0.5i)"), 7) == math.inf
+    m = assemble(MoebiusMap(0.3), 16, Space.DIRICHLET)
+    assert m.hs_tail == math.inf
+    assert m.column_tail_fit.model == "closed-form:disk"
+
+
+@pytest.mark.parametrize("r", [0.3, 0.5, 0.9])
+def test_disk_column_tail_closed_form(r):
+    # tau_n^2 = sum_{k >= n} r^(2k) = r^(2n) / (1 - r^2)
+    for n in (1, 2, 5, 17, 30):
+        assert hs_tail_bound(AffineMap(r), n) ** 2 == pytest.approx(
+            r ** (2 * n) / (1 - r * r), rel=1e-14, abs=0.0
+        )
+
+
+# hs_tail_bound(cusp, N + 1) by the fitted route: norms summed to 4(N + 1)
+# plus the tails.py remainder, which over-estimates by 2.3e-4, 6.0e-5, 1.5e-5
+_FITTED_CUSP_TAILS = {64: 0.03976818371423576, 256: 0.01993785710775405, 1024: 0.009975747046290357}
+
+
+@pytest.mark.parametrize(
+    ("N", "closed"), [(64, 0.0397591), (256, 0.0199367), (1024, 0.0099756)]
+)
+def test_cusp_column_tail_below_fitted_tail(N, closed):
+    tau = hs_tail_bound(CuspMap(), N + 1)
+    assert tau == pytest.approx(closed, abs=5e-8)  # to the quoted digits
+    fitted = _FITTED_CUSP_TAILS[N]
+    assert tau <= fitted <= tau * (1.0 + 2.5e-4)
+
+
+@pytest.mark.parametrize("theta", [0.3, 1.0, 2.5, 4.0, -1.2])
+@pytest.mark.parametrize("inner", ["", ",cusp"])
+def test_column_tail_rotation_invariant_and_decreasing(theta, inner):
+    # |r e^{i theta}| carries the last bit of the rotation: r^n moves by ~n ulps
+    def spec(t):
+        affine = f"affine:r=0.9,theta={t!r}"
+        return f"compose({affine}{inner})" if inner else affine
+
+    taus = [hs_tail_bound(parse_symbol(spec(theta)), n) for n in range(1, 41)]
+    plain = [hs_tail_bound(parse_symbol(spec(0.0)), n) for n in range(1, 41)]
+    assert taus == pytest.approx(plain, rel=1e-13, abs=0.0)
+    assert np.all(np.diff(taus) < 0.0)
+
+
+def test_known_bases_fit_nothing(monkeypatch):
+    # a known image base gives both tails from the image integral
+    def no_fit(t):
+        raise AssertionError("tail fit on a known image base")
+
+    monkeypatch.setattr("compopnum.tails.tail_remainder", no_fit)
+    for s in (AffineMap(0.7, theta=1.0), CuspMap(), parse_symbol("compose(affine:r=0.9,cusp)")):
+        m = assemble(s, 32)
+        assert math.isfinite(m.hs_tail) and math.isfinite(m.row_tail)
+        assert m.column_tail_fit.model.startswith("closed-form:")
 
 
 def test_hs_tail_nonincreasing_in_truncation():
