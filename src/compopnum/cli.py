@@ -331,13 +331,12 @@ def _cmd_area(cfg: RunConfig) -> int:
     s = parse_symbol(cfg.symbol)
     if cfg.t is None:
         raise ConfigError("area needs --t")
-    method = cfg.method
-    if method == "auto":
-        # auto samples only where no exact route answers
-        method = "exact-arcs" if geometry.has_known_image(s) else "monte-carlo"
-    if method == "monte-carlo":
+    # auto samples only where no exact route answers
+    if cfg.method == "monte-carlo" or (cfg.method == "auto" and not geometry.has_known_image(s)):
         _require_seed(cfg)
-    meas = geometry.annulus_area(s, cfg.t, method=method, samples=cfg.samples, seed=cfg.seed or 0)
+    meas = geometry.annulus_area(
+        s, cfg.t, method=cfg.method, samples=cfg.samples, seed=cfg.seed or 0
+    )
     payload = _report_envelope(cfg, [])
     payload.update(
         {

@@ -41,7 +41,6 @@ __all__ = [
     "cusp_imaginary_law",
     "cusp_inscribed_disk_radius",
     "blaschke_certificate",
-    "region_power_norms",
     "exact_power_norms",
     "exact_column_tail",
     "has_known_image",
@@ -54,6 +53,9 @@ __all__ = [
 
 # Gauss-Legendre rules for the node counts in use, computed once
 _LEGGAUSS = {n: np.polynomial.legendre.leggauss(n) for n in (20, 24, 48)}
+
+# nodes per panel of the radial rule behind the cusp power moments and tails
+_RADIAL_NODES = 20
 
 
 def _gauss_panels(
@@ -226,7 +228,7 @@ class CuspRegion:
         """(1/pi) * integral over the region of |w|^(2k-2) dA, for each k,
         as a radial integral of the arc measure."""
         ks = np.asarray(ks, dtype=float)
-        u, w, logs = self.radial_nodes(20)
+        u, w, logs = self.radial_nodes(_RADIAL_NODES)
         theta = self.angular_measure(u)
         # moment_k = sum_i w_i theta_i s_i^(2k-1)
         expo = np.exp(np.outer(2.0 * ks - 1.0, logs))
@@ -237,7 +239,7 @@ class CuspRegion:
         ks = np.asarray(ks, dtype=float)
         return ks * np.sqrt(self.power_moments(ks))
 
-    def column_tail_sq(self, n: int, r2: float, n_nodes: int = 20) -> float:
+    def column_tail_sq(self, n: int, r2: float) -> float:
         """sum_{k >= n} r2^k ||w^k||^2 / k over the region, r2 <= 1.
 
         ||w^k||^2 / k = (1/pi) sum_i w_i theta_i s_i k s_i^(2k-2), so with
@@ -245,9 +247,8 @@ class CuspRegion:
         sum_{k >= n} k x^(k-1) = x^(n-1) (1 + (n-1)(1-x)) / (1-x)^2.
         1-x comes from expm1 of log x, accurate at depths ~1e-14, where
         theta ~ 2u^2/a against (1-x)^2 ~ 4u^2 keeps the integrand bounded.
-        n_nodes selects the radial rule, as in `radial_nodes`.
         """
-        u, w, logs = self.radial_nodes(n_nodes)
+        u, w, logs = self.radial_nodes(_RADIAL_NODES)
         theta = self.angular_measure(u)
         log_x = math.log(r2) + 2.0 * logs
         gap = -np.expm1(log_x)  # 1 - x
@@ -351,6 +352,16 @@ def _base_depth(t: float, factor) -> float:
     return t if r == 1.0 else 1.0 - (1.0 - t) / r
 
 
+def _power_modulus(factor) -> float:
+    """|factor| for the power norms and column tails, with values within a
+    few ulps of 1 taken as 1: abs() of a rotation e^{i theta} can miss 1 by
+    two ulps, which would turn a rotated automorphism, not compact, into a
+    contraction with a finite tail of ~1e8.  Rounding up is the safe side:
+    every norm and tail grows with |f|."""
+    r = abs(factor)
+    return 1.0 if r >= 1.0 - 8.0 * np.finfo(float).eps else r
+
+
 # ---------------------------------------------------------------------------
 # measures and windows
 
@@ -398,7 +409,7 @@ def image_contains(s: SymbolMap, w):
     base, factor = _image(s)
     if base is None:
         # generic univalent fallback: winding number of the near-boundary curve
-        return _winding_contains(s, w)
+        return _winding_contains(_boundary_curve(s, 0.5), w)
     w = np.asarray(w, dtype=complex)
     # dividing by a unit factor would only copy the points
     return base.contains(w if factor == 1.0 else w / factor)
@@ -419,8 +430,8 @@ def _boundary_curve(s: SymbolMap, offset: float):
     return np.asarray(s.evaluate((1.0 - 1e-7) * np.exp(1j * t)))
 
 
-def _winding_contains(s: SymbolMap, w):
-    curve = _boundary_curve(s, 0.5)
+def _winding_contains(curve, w):
+    """w inside the closed sampled curve, by its winding number about w."""
     w = np.atleast_1d(np.asarray(w, dtype=complex))
     out = np.empty(w.shape, dtype=bool)
     for i in range(0, w.size, 256):
@@ -434,10 +445,23 @@ def _winding_contains(s: SymbolMap, w):
     return out.reshape(np.asarray(w).shape)
 
 
-def _unresolved(s: SymbolMap, t: float) -> bool:
-    """True when membership sampling cannot resolve the image at depth t: the
-    image has no known base and the sampled curve of the winding test is
-    too coarse near the annulus {|w| >= 1-t}.
+def _sampling_membership(s: SymbolMap, t: float):
+    """(w -> w in phi(D), flagged) for sampling phi(D) near depth t.
+
+    A known base gives the exact test.  Otherwise one boundary curve is
+    sampled and serves both the winding test and the flag, which is set
+    when that curve cannot resolve the image at depth t (`_unresolved`).
+    """
+    if has_known_image(s):
+        return (lambda w: image_contains(s, w)), False
+    _require_univalent(s)
+    curve = _boundary_curve(s, 0.5)
+    return (lambda w: _winding_contains(curve, w)), _unresolved(s, curve, t)
+
+
+def _unresolved(s: SymbolMap, b, t: float) -> bool:
+    """True when b, the boundary curve of the winding test, is too coarse to
+    resolve phi(D) near the annulus {|w| >= 1-t}.
 
     At each gap between adjacent samples, phi at the middle angle leaves the
     chord by the sagitta; the gap is unresolved when the sagitta exceeds t/8
@@ -445,9 +469,6 @@ def _unresolved(s: SymbolMap, t: float) -> bool:
     tip reached only logarithmically fast as |z| -> 1 shows up this way:
     the sampled curve cuts it off.
     """
-    if has_known_image(s):
-        return False
-    b = _boundary_curve(s, 0.5)
     a = np.roll(b, 1)
     mid = _boundary_curve(s, 0.0)  # between a[j] and b[j]
     d = b - a
@@ -511,10 +532,9 @@ def _polar_annulus_area(s: SymbolMap, t: float, n_r: int = 400, n_th: int = 1024
     # midpoint grid of the box, equal-area in the radius
     rr = np.sqrt(lo2 + (1.0 - lo2) * (np.arange(n_r)[:, None] + 0.5) / n_r)
     th = centre + theta0 * ((2.0 * np.arange(n_th) + 1.0) / n_th - 1.0)
-    inside = image_contains(s, rr * np.exp(1j * th))
-    return RegionMeasure(
-        s, box * float(inside.mean()), 0.0, "polar", n_r * n_th, _unresolved(s, t)
-    )
+    contains, flagged = _sampling_membership(s, t)
+    inside = contains(rr * np.exp(1j * th))
+    return RegionMeasure(s, box * float(inside.mean()), 0.0, "polar", n_r * n_th, flagged)
 
 
 def _mc_annulus_area(s: SymbolMap, t: float, samples: int, seed: int):
@@ -524,10 +544,11 @@ def _mc_annulus_area(s: SymbolMap, t: float, samples: int, seed: int):
     # uniform on the box
     rr = np.sqrt(lo2 + (1.0 - lo2) * rng.random(samples))
     th = centre + theta0 * (2.0 * rng.random(samples) - 1.0)
-    hits = image_contains(s, rr * np.exp(1j * th))
+    contains, flagged = _sampling_membership(s, t)
+    hits = contains(rr * np.exp(1j * th))
     value = box * hits.mean()
     std = box * hits.std(ddof=1) / math.sqrt(samples)
-    return RegionMeasure(s, float(value), float(std), "monte-carlo", samples, _unresolved(s, t))
+    return RegionMeasure(s, float(value), float(std), "monte-carlo", samples, flagged)
 
 
 def m_functional(s: SymbolMap, t: float) -> RegionMeasure:
@@ -765,13 +786,6 @@ def blaschke_certificate(
 # region-side spectral data (independent of any Taylor expansion)
 
 
-def region_power_norms(ks) -> np.ndarray:
-    """Dirichlet norms of the k-th powers of the cusp map, k in ks, from the
-    exact change-of-variable integral k^2 (1/pi) int |w|^(2k-2) dA over the
-    image region."""
-    return _CUSP_REGION.power_norms(ks)
-
-
 def exact_power_norms(s: SymbolMap, n_max: int) -> np.ndarray | None:
     """Dirichlet norms of phi^k, k = 1..n_max, from the image integral when
     phi(D) = factor * base for a known base: |f|^k sqrt(k) on a disk,
@@ -781,7 +795,7 @@ def exact_power_norms(s: SymbolMap, n_max: int) -> np.ndarray | None:
     if base is None:
         return None
     ks = np.arange(1, n_max + 1)
-    return abs(factor) ** ks * base.power_norms(ks)
+    return _power_modulus(factor) ** ks * base.power_norms(ks)
 
 
 def exact_column_tail(s: SymbolMap, n: int) -> tuple[float, str] | None:
@@ -794,7 +808,7 @@ def exact_column_tail(s: SymbolMap, n: int) -> tuple[float, str] | None:
     base, factor = _image(s)
     if base is None:
         return None
-    return math.sqrt(base.column_tail_sq(n, abs(factor) ** 2)), base.name
+    return math.sqrt(base.column_tail_sq(n, _power_modulus(factor) ** 2)), base.name
 
 
 def region_gram_singular_values(N: int) -> np.ndarray:

@@ -17,7 +17,6 @@ from compopnum.geometry import (
     cusp_inscribed_disk_radius,
     m_functional,
     region_gram_singular_values,
-    region_power_norms,
     unit_interval_dyadic_zeros,
     window_area,
     zinc_upper_bound,
@@ -315,7 +314,7 @@ def test_dyadic_zeros():
 def test_region_power_norms_paper_scale():
     # ||chi^n|| * sqrt(n) / (log n)^{3/2} stays bounded over two decades
     ns = np.arange(10, 1001)
-    norms = region_power_norms(ns)
+    norms = REGION.power_norms(ns)
     scaled = norms * np.sqrt(ns) / np.log(ns) ** 1.5
     running_max = np.maximum.accumulate(scaled)
     assert running_max[-1] / running_max[0] < 3.0
@@ -357,7 +356,7 @@ def test_region_gram_hilbert_schmidt_identity(N):
     # trace G = sum_k k (1/pi) int |w|^(2k-2) dA = sum_k ||chi^k||^2 / k
     ks = np.arange(1, N + 1)
     hs = np.sum(region_gram_singular_values(N) ** 2)
-    assert hs == pytest.approx(np.sum(region_power_norms(ks) ** 2 / ks), rel=1e-12, abs=0.0)
+    assert hs == pytest.approx(np.sum(REGION.power_norms(ks) ** 2 / ks), rel=1e-12, abs=0.0)
 
 
 def test_region_gram_monotone_and_dominates_matrix(cusp_spectra):
@@ -372,11 +371,14 @@ def test_region_gram_monotone_and_dominates_matrix(cusp_spectra):
 
 
 @pytest.mark.parametrize("r2", [1.0, 0.81])
-def test_cusp_column_tail_node_rules_agree(r2):
-    for n in (1, 65, 1025, 100_000):
-        assert REGION.column_tail_sq(n, r2) == pytest.approx(
-            REGION.column_tail_sq(n, r2, 24), rel=1e-8, abs=0.0
-        )
+def test_cusp_column_tail_node_rules_agree(r2, monkeypatch):
+    ns = (1, 65, 1025, 100_000)
+    rule20 = [REGION.column_tail_sq(n, r2) for n in ns]
+    radial_nodes = CuspRegion.radial_nodes
+    monkeypatch.setattr(CuspRegion, "radial_nodes", lambda self, n: radial_nodes(self, 24))
+    rule24 = [REGION.column_tail_sq(n, r2) for n in ns]
+    assert rule20 == pytest.approx(rule24, rel=1e-8, abs=0.0)
+    assert rule20 != rule24  # the patch took effect
 
 
 @pytest.mark.parametrize(

@@ -73,6 +73,11 @@ def test_automorphism_column_tails_infinite():
     # the disk automorphisms fill the disk: ||phi^k||^2 / k = 1 for every k
     assert hs_tail_bound(MoebiusMap(0.3), 3) == math.inf
     assert hs_tail_bound(parse_symbol("compose(moebius:u=0+0i,moebius:u=0.5+0.5i)"), 7) == math.inf
+    # rotations: |e^{i theta}|^2 comes out 2 ulps below 1 at theta = 0.77
+    assert hs_tail_bound(AffineMap(1.0, theta=1.0), 3) == math.inf
+    assert hs_tail_bound(AffineMap(1.0, theta=0.77), 3) == math.inf
+    rotated = "compose(affine:r=1.0,theta=0.77,moebius:u=0.3+0i)"
+    assert hs_tail_bound(parse_symbol(rotated), 3) == math.inf
     m = assemble(MoebiusMap(0.3), 16, Space.DIRICHLET)
     assert m.hs_tail == math.inf
     assert m.column_tail_fit.model == "closed-form:disk"
