@@ -58,61 +58,44 @@ _LEGGAUSS = {n: np.polynomial.legendre.leggauss(n) for n in (20, 24, 48)}
 _RADIAL_NODES = 20
 
 
-def _gauss_panels(
-    u_lo: float,
-    u_hi: float,
-    n_nodes: int = 20,
-    min_panel: float = 1e-14,
-    refine_hi: bool = False,
-):
-    """Gauss-Legendre nodes on dyadically refined panels of [u_lo, u_hi].
+# width at which the dyadic refinement toward a panel set's end stops
+_PANEL_STOP = 1e-14
 
-    Panels shrink geometrically toward u_lo (and toward u_hi when asked), so
-    integrands with endpoint mass or square-root kinks at the edges are
-    resolved to near machine precision.  Returns (nodes, weights).
-    """
+
+def _dyadic_offsets(width: float) -> np.ndarray:
+    """width * 2^-j for j = 0, 1, ... down to the first at or below
+    _PANEL_STOP, then 0: panel edges accumulating at one end."""
+    d = width * 0.5 ** np.arange(64)
+    return np.append(d[: np.argmax(d <= _PANEL_STOP) + 1], 0.0)
+
+
+def _panel_rule(a, b, n_nodes: int):
+    """Gauss-Legendre nodes and weights on the panels between edges a[i] and
+    b[i], panel by panel."""
     x, w = _LEGGAUSS[n_nodes]
+    mid, half = 0.5 * (a + b)[:, None], 0.5 * np.abs(a - b)[:, None]
+    return (mid + half * x).ravel(), (half * w).ravel()
 
-    def edges_toward(lo, hi):
-        # dyadic edges accumulating at lo
-        out = [hi]
-        while out[-1] - lo > max(min_panel, 1e-15 * max(1.0, abs(lo))):
-            out.append(lo + (out[-1] - lo) / 2.0)
-            if len(out) > 120:
-                break
-        out.append(lo)
-        return out
 
-    if refine_hi:
-        mid = 0.5 * (u_lo + u_hi)
-        lo_edges = edges_toward(u_lo, mid)
-        hi_edges = [u_lo + u_hi - e for e in edges_toward(u_lo, mid)]
-        pairs = list(zip(lo_edges[:-1], lo_edges[1:])) + list(zip(hi_edges[1:], hi_edges[:-1]))
-    else:
-        e = edges_toward(u_lo, u_hi)
-        pairs = list(zip(e[:-1], e[1:]))
-    nodes, weights = [], []
-    for hi, lo in pairs:
-        hi, lo = max(hi, lo), min(hi, lo)
-        if hi <= lo:
-            continue
-        mid, half = 0.5 * (hi + lo), 0.5 * (hi - lo)
-        nodes.append(mid + half * x)
-        weights.append(half * w)
-    return np.concatenate(nodes), np.concatenate(weights)
+def _gauss_panels(h: float):
+    """20-point Gauss-Legendre nodes on [0, h], on dyadic panels shrinking
+    toward 0, so integrands with their mass or a kink at 0 are resolved to
+    near machine precision.  Returns (nodes, weights)."""
+    e = _dyadic_offsets(h)
+    return _panel_rule(e[:-1], e[1:], 20)
 
 
 def _panels_with_breakpoints(u_hi: float, breakpoints, n_nodes: int = 20):
-    """Panel nodes on [0, u_hi] split at interior breakpoints, refined toward
-    0 and toward every breakpoint (square-root kinks live there)."""
-    cuts = sorted(b for b in breakpoints if 0.0 < b < u_hi)
-    segs = list(zip([0.0] + cuts, cuts + [u_hi]))
-    nodes, weights = [], []
-    for lo, hi in segs:
-        n, w = _gauss_panels(lo, hi, n_nodes=n_nodes, min_panel=1e-300, refine_hi=True)
-        nodes.append(n)
-        weights.append(w)
-    return np.concatenate(nodes), np.concatenate(weights)
+    """Panel nodes on [0, u_hi] split at interior breakpoints, each segment
+    refined dyadically toward both of its ends (square-root kinks live at
+    the breakpoints)."""
+    ends = [0.0] + sorted(b for b in breakpoints if 0.0 < b < u_hi) + [u_hi]
+    a, b = [], []
+    for lo, hi in zip(ends[:-1], ends[1:]):
+        d = _dyadic_offsets(0.5 * (hi - lo))
+        a += [lo + d[:-1], hi - d[:-1]]
+        b += [lo + d[1:], hi - d[1:]]
+    return _panel_rule(np.concatenate(a), np.concatenate(b), n_nodes)
 
 
 # ---------------------------------------------------------------------------
@@ -658,17 +641,19 @@ def window_area(
     if method == "exact-arcs":
         if not at_tip:
             raise _UnsupportedRegion("exact window arcs only at the cusp tip")
-        u, wts = _gauss_panels(0.0, h)
+        u, wts = _gauss_panels(h)
         vals = _CUSP_REGION.tip_angular_measure(u) * u
         return RegionMeasure(s, float(np.dot(wts, vals)) / math.pi, 0.0, "exact-arcs")
+    # S(xi, h) lies in the annulus {|w| > 1-h}: the depth-h flag covers it
+    contains, flagged = _sampling_membership(s, h)
     w = _window_samples(np.random.default_rng(seed), xi, h, samples)
     ok = np.abs(w) < 1.0
     hits = np.zeros(samples, dtype=bool)
     if ok.any():
-        hits[ok] = image_contains(s, w[ok])
+        hits[ok] = contains(w[ok])
     value = h**2 * hits.mean()
     std = h**2 * hits.std(ddof=1) / math.sqrt(samples)
-    return RegionMeasure(s, float(value), float(std), "monte-carlo", samples=samples)
+    return RegionMeasure(s, float(value), float(std), "monte-carlo", samples, flagged)
 
 
 def cusp_imaginary_law(h: float) -> float:
@@ -734,7 +719,7 @@ def default_window_grid():
 def _window_mean_quadrature(b: BlaschkeProduct, xi: complex, h: float):
     """(1/pi) integral of |B|^2 over S(xi,h) n cusp region, by arcs at the tip
     (xi = 1) or by polar quadrature about xi with membership weights."""
-    u, wts = _gauss_panels(0.0, h)
+    u, wts = _gauss_panels(h)
     if xi == 1.0:
         x_leg, w_leg = _LEGGAUSS[48]
         # arcs of radius sigma < h < 1 < a about the tip, none empty: pi + (-half, half)
@@ -827,7 +812,7 @@ def region_gram_singular_values(N: int) -> np.ndarray:
     # updated in place: the [q, node] arrays dominate the memory
     q = np.arange(1, N)[:, None]
     ang = np.empty((N, u.size))
-    ang[0] = 2.0 * (alpha - (hi - lo))
+    ang[0] = _CUSP_REGION.angular_measure(u)
     ang[1:] = np.sin(q * alpha)
     ang[1:] -= np.sin(q * hi)
     ang[1:] += np.sin(q * lo)

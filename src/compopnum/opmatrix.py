@@ -176,6 +176,12 @@ def assemble(
 
     # column tail: discarded basis vectors k > N
     hs_tail, column_fit = _column_tail(s, N + 1, 4 * N, params)
+    if space is Space.DIRICHLET:
+        # each discarded column k also has |phi(0)|^(2k)/k in the constant
+        # row: sum_{k > N} x^k / k <= x^(N+1) / ((N+1)(1-x)), x = |phi(0)|^2
+        x = abs(complex(s.evaluate(0.0))) ** 2
+        const = x ** (N + 1) / ((N + 1) * (1.0 - x)) if x < 1.0 else math.inf
+        hs_tail = math.sqrt(hs_tail**2 + const)
 
     # row tail: mass of phi^k, k <= N, above the retained rows
     jj = np.arange(M + 1, dtype=float)

@@ -39,8 +39,6 @@ __all__ = [
 # passing through 1.  Chosen so the cusp map sends 0 to 0.
 CUSP_DIAMETER = 1.0 - (2.0 / math.pi) * math.log(math.sqrt(2.0) - 1.0)
 
-_BOUNDARY_RHO = 1.0 - 1e-9  # radial-limit fallback radius
-
 
 class DomainError(ValueError):
     """Evaluation requested outside the open unit disk."""
@@ -51,9 +49,19 @@ def _check_in_disk(z):
         raise DomainError("evaluation point must satisfy |z| < 1")
 
 
+def _scalar_or_array(out):
+    out = np.asarray(out)
+    return out[()] if out.ndim == 0 else out
+
+
 @dataclass(frozen=True)
 class SymbolMap:
-    """Base for all symbols.  Instances are immutable and thread-safe."""
+    """Base for all symbols.  Instances are immutable and thread-safe.
+
+    Each kind writes its closed form once, as `_map` and `_map_derivative`
+    on complex arrays of the closed disk; `evaluate` and `derivative` add
+    the open-disk check and `evaluate_boundary` the check |xi| = 1.
+    """
 
     is_univalent: bool = field(default=False, init=False)
     sup_norm_hint: float | None = field(default=None, init=False)
@@ -63,9 +71,17 @@ class SymbolMap:
         return self.evaluate(z)
 
     def evaluate(self, z):
-        raise NotImplementedError
+        _check_in_disk(z)
+        return _scalar_or_array(self._map(np.asarray(z, dtype=complex)))
 
     def derivative(self, z):
+        _check_in_disk(z)
+        return _scalar_or_array(self._map_derivative(np.asarray(z, dtype=complex)))
+
+    def _map(self, z):
+        raise NotImplementedError
+
+    def _map_derivative(self, z):
         raise NotImplementedError
 
     def spec_string(self) -> str:
@@ -90,13 +106,11 @@ class AffineMap(SymbolMap):
     def factor(self) -> complex:
         return self.r * complex(math.cos(self.theta), math.sin(self.theta))
 
-    def evaluate(self, z):
-        _check_in_disk(z)
-        return self.factor * np.asarray(z, dtype=complex)
+    def _map(self, z):
+        return self.factor * z
 
-    def derivative(self, z):
-        _check_in_disk(z)
-        return np.full_like(np.asarray(z, dtype=complex), self.factor)
+    def _map_derivative(self, z):
+        return np.full_like(z, self.factor)
 
     def spec_string(self):
         return f"affine:r={self.r!r},theta={self.theta!r}"
@@ -115,14 +129,10 @@ class MoebiusMap(SymbolMap):
         object.__setattr__(self, "sup_norm_hint", 1.0)
         object.__setattr__(self, "fixes_origin", self.u == 0)
 
-    def evaluate(self, z):
-        _check_in_disk(z)
-        z = np.asarray(z, dtype=complex)
+    def _map(self, z):
         return (self.u - z) / (1.0 - np.conj(self.u) * z)
 
-    def derivative(self, z):
-        _check_in_disk(z)
-        z = np.asarray(z, dtype=complex)
+    def _map_derivative(self, z):
         return (abs(self.u) ** 2 - 1.0) / (1.0 - np.conj(self.u) * z) ** 2
 
     def spec_string(self):
@@ -130,56 +140,36 @@ class MoebiusMap(SymbolMap):
         return f"moebius:u={u.real!r}{u.imag:+}i"
 
 
+def _cusp_stages(z):
+    """Stages of the cusp chain on the closed disk: (den, w, h0, h2) with
+    den = iz - 1, w = sqrt((z - i)/den), the half-disk value
+    h0 = (w - i)/(1 - iw) and h2 = 1 - (2/pi) log h0.
+
+    The pole z = -i of the half-disk stage takes its limit h0 = i, and the
+    corner z = 1, where h0 = 0, gets h2 = inf.  The quotient q = w^2 maps the
+    open disk onto the open upper half-plane; on the circle roundoff can put
+    it just below the real axis, where sqrt would take the reflected branch,
+    so Im q is taken by its modulus.
+    """
+    den = 1j * z - 1.0
+    pole = np.abs(den) < 1e-300
+    with np.errstate(divide="ignore", invalid="ignore"):
+        q = (z - 1j) / np.where(pole, 1.0, den)
+        w = np.sqrt(q.real + 1j * np.abs(q.imag))
+        h0 = np.where(pole, 1j, (w - 1j) / (-1j * w + 1.0))
+        tip = np.abs(h0) < 1e-300
+        h2 = np.where(tip, np.inf, 1.0 - (2.0 / math.pi) * np.log(np.where(tip, 1.0, h0)))
+    return den, w, h0, h2
+
+
 def cusp_halfdisk_map(z):
     """First stage of the cusp chain: conformal map of the disk onto the
     right half-disk {|w| < 1, Re w > 0}.
 
-    Sends 1 -> 0, -1 -> 1, i -> -i, -i -> i and 0 -> sqrt(2) - 1.  Safe on
-    the closed disk; the pole at z = -i is special-cased to its limit value
-    i, and boundary points landing exactly on the sqrt branch cut are
-    regularized toward the interior side (the image of the open disk is the
-    open upper half-plane, so +0 imaginary part is the correct limit).
+    Sends 1 -> 0, -1 -> 1, i -> -i, -i -> i and 0 -> sqrt(2) - 1; valid on
+    the closed disk (see `_cusp_stages`).
     """
-    z = np.asarray(z, dtype=complex)
-    num = z - 1j
-    den = 1j * z - 1.0
-    pole = np.abs(den) < 1e-300
-    with np.errstate(divide="ignore", invalid="ignore"):
-        q = num / np.where(pole, 1.0, den)
-        q = q + 0.0  # -0.0 imag -> +0.0: take the branch continuous from above
-        w = np.sqrt(q)
-        out = (w - 1j) / (-1j * w + 1.0)
-    out = np.where(pole, 1j, out)
-    return out[()] if out.ndim == 0 else out
-
-
-def _cusp_eval(z):
-    """Full cusp chain; valid on the closed disk minus the corner z = 1."""
-    z = np.asarray(z, dtype=complex)
-    h0 = np.asarray(cusp_halfdisk_map(z))
-    tip = np.abs(h0) < 1e-300  # z = 1 maps to the cusp point w = 1
-    with np.errstate(divide="ignore", invalid="ignore"):
-        h1 = np.log(np.where(tip, 1.0, h0))
-        h2 = 1.0 - (2.0 / math.pi) * h1
-        out = 1.0 - CUSP_DIAMETER / h2
-    out = np.where(tip, 1.0, out)
-    return out[()] if out.ndim == 0 else out
-
-
-def _cusp_derivative(z):
-    z = np.asarray(z, dtype=complex)
-    num = z - 1j
-    den = 1j * z - 1.0
-    q = num / den
-    w = np.sqrt(q)
-    h0 = (w - 1j) / (-1j * w + 1.0)
-    h2 = 1.0 - (2.0 / math.pi) * np.log(h0)
-    # chain rule through q -> sqrt -> Moebius -> log -> inversion
-    dq = -2.0 / den**2
-    dw = dq / (2.0 * w)
-    dh0 = 2.0 * dw / (1.0 - 1j * w) ** 2
-    dh2 = -(2.0 / math.pi) * dh0 / h0
-    return CUSP_DIAMETER * dh2 / h2**2
+    return _scalar_or_array(_cusp_stages(np.asarray(z, dtype=complex))[2])
 
 
 @dataclass(frozen=True)
@@ -196,13 +186,19 @@ class CuspMap(SymbolMap):
         object.__setattr__(self, "sup_norm_hint", 1.0)
         object.__setattr__(self, "fixes_origin", True)
 
-    def evaluate(self, z):
-        _check_in_disk(z)
-        return _cusp_eval(z)
+    def _map(self, z):
+        h2 = _cusp_stages(z)[3]
+        with np.errstate(invalid="ignore"):
+            return np.where(np.isinf(h2), 1.0, 1.0 - CUSP_DIAMETER / h2)
 
-    def derivative(self, z):
-        _check_in_disk(z)
-        return _cusp_derivative(np.asarray(z, dtype=complex))
+    def _map_derivative(self, z):
+        den, w, h0, h2 = _cusp_stages(z)
+        # chain rule through q -> sqrt -> Moebius -> log -> inversion
+        dq = -2.0 / den**2
+        dw = dq / (2.0 * w)
+        dh0 = 2.0 * dw / (1.0 - 1j * w) ** 2
+        dh2 = -(2.0 / math.pi) * dh0 / h0
+        return CUSP_DIAMETER * dh2 / h2**2
 
     def spec_string(self):
         return "cusp"
@@ -233,12 +229,18 @@ class ComposedMap(SymbolMap):
                 fixes = False
         object.__setattr__(self, "fixes_origin", fixes)
 
-    def evaluate(self, z):
-        return self.outer.evaluate(self.inner.evaluate(z))
+    def _inner_values(self, z):
+        # the outer closed form is only valid on the closed disk
+        w = self.inner._map(z)
+        if np.any(np.abs(w) > 1.0 + 1e-12):
+            raise DomainError("inner factor leaves the closed unit disk")
+        return w
 
-    def derivative(self, z):
-        w = self.inner.evaluate(z)
-        return self.outer.derivative(w) * self.inner.derivative(z)
+    def _map(self, z):
+        return self.outer._map(self._inner_values(z))
+
+    def _map_derivative(self, z):
+        return self.outer._map_derivative(self._inner_values(z)) * self.inner._map_derivative(z)
 
     def spec_string(self):
         return f"compose({self.outer.spec_string()},{self.inner.spec_string()})"
@@ -263,14 +265,10 @@ class CoefficientMap(SymbolMap):
         object.__setattr__(self, "sup_norm_hint", self.sup_norm)
         object.__setattr__(self, "fixes_origin", abs(coeffs[0]) <= 1e-12 if coeffs else True)
 
-    def evaluate(self, z):
-        _check_in_disk(z)
-        z = np.asarray(z, dtype=complex)
+    def _map(self, z):
         return np.polynomial.polynomial.polyval(z, np.asarray(self.coeffs))
 
-    def derivative(self, z):
-        _check_in_disk(z)
-        z = np.asarray(z, dtype=complex)
+    def _map_derivative(self, z):
         d = np.polynomial.polynomial.polyder(np.asarray(self.coeffs))
         return np.polynomial.polynomial.polyval(z, d)
 
@@ -295,42 +293,14 @@ def derivative(s: SymbolMap, z):
     return s.derivative(z)
 
 
-def evaluate_boundary(s: SymbolMap, xi, mode: str = "direct"):
-    """Boundary value at |xi| = 1, for diagnostics only.
-
-    mode="direct" evaluates the closed-form chain on the circle, where every
-    built-in kind extends continuously (cusp corners are special-cased, so
-    e.g. the half-disk stage takes the exact values -i and i at +/-i).
-    mode="radial" evaluates at (1 - 1e-9) xi instead.
-    """
+def evaluate_boundary(s: SymbolMap, xi):
+    """Boundary value at |xi| = 1, for diagnostics only: every kind's closed
+    form extends continuously to the circle (the cusp corner z = 1 maps to
+    the tip 1, the half-disk pole z = -i to its limit)."""
     xi = np.asarray(xi, dtype=complex)
     if np.any(np.abs(np.abs(xi) - 1.0) > 1e-12):
         raise ValueError("boundary evaluation requires |xi| = 1")
-    if mode == "radial":
-        return s.evaluate(_BOUNDARY_RHO * xi)
-    if isinstance(s, CuspMap):
-        return _cusp_eval(xi)
-    if isinstance(s, ComposedMap):
-        w = evaluate_boundary(s.inner, xi) if s.inner.sup_norm_hint == 1.0 else None
-        if w is None:
-            return s.evaluate(_BOUNDARY_RHO * xi)
-        w = np.asarray(w)
-        inside = np.abs(w) < 1.0
-        out = np.empty_like(w)
-        if np.any(inside):
-            out[inside] = s.outer.evaluate(w[inside])
-        if np.any(~inside):
-            out[~inside] = evaluate_boundary(s.outer, w[~inside] / np.abs(w[~inside]))
-        return out[()] if out.ndim == 0 else out
-    # affine / moebius / polynomial formulas are regular on the closed disk
-    z = xi
-    if isinstance(s, AffineMap):
-        return s.factor * z
-    if isinstance(s, MoebiusMap):
-        return (s.u - z) / (1.0 - np.conj(s.u) * z)
-    if isinstance(s, CoefficientMap):
-        return np.polynomial.polynomial.polyval(z, np.asarray(s.coeffs))
-    return s.evaluate(_BOUNDARY_RHO * xi)
+    return _scalar_or_array(s._map(xi))
 
 
 @dataclass(frozen=True)

@@ -129,6 +129,18 @@ def test_winding_membership_flags_an_unresolved_tip():
     assert not annulus_area(CUSP, 0.1, method="monte-carlo", samples=2000, seed=1).flagged
 
 
+def test_monte_carlo_window_flags_an_unresolved_tip():
+    # same curve as above: S(1, 0.1) holds 1.36e-4 of the cusp, none of
+    # which the sampled boundary reaches
+    window = CarlesonWindow(1.0, 0.1)
+    twice = parse_symbol("compose(moebius:u=0.5+0i,compose(moebius:u=0.5+0i,cusp))")
+    mc = window_area(twice, window, method="monte-carlo", samples=5000, seed=1)
+    assert mc.value == 0.0 and mc.flagged
+    assert not window_area(CUSP, window, method="monte-carlo", samples=5000, seed=1).flagged
+    inside = parse_symbol("compose(moebius:u=0.5+0i,affine:r=0.5)")
+    assert not window_area(inside, window, method="monte-carlo", samples=5000, seed=1).flagged
+
+
 def test_annulus_area_affine_disjoint():
     assert annulus_area(AffineMap(0.5), 0.25).value == 0.0
     assert annulus_area(MoebiusMap(0.3), 0.25).value == pytest.approx(1 - 0.75**2)
@@ -295,7 +307,7 @@ def test_tip_window_matches_node_loop():
     # reference: one 48-point angular rule per radial node, summed in a loop
     b = BlaschkeProduct(unit_interval_dyadic_zeros(4), power=4)
     h = 0.25
-    u, wts = geometry._gauss_panels(0.0, h)
+    u, wts = geometry._gauss_panels(h)
     x_leg, w_leg = geometry._LEGGAUSS[48]
     acc = 0.0
     for sigma, wt in zip(u, wts):

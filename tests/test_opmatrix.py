@@ -169,6 +169,17 @@ def test_negated_cusp_tails_equal_cusp_tails():
     assert neg.row_tail == cusp.row_tail
 
 
+def test_full_dirichlet_column_tail_counts_the_constant_row():
+    # discarded column k carries |phi(0)|^(2k)/k in the constant row on top
+    # of the seminorm part |f|^(2k)/k summed by the disk's closed form
+    m = assemble(parse_symbol("compose(affine:r=0.95,moebius:u=0.9+0i)"), 16, Space.DIRICHLET)
+    seminorm = 0.9025**17 / (1.0 - 0.9025)
+    x = 0.855**2
+    const = sum(x**k / k for k in range(17, 2000))
+    assert m.hs_tail**2 >= seminorm + const
+    assert m.hs_tail**2 <= seminorm + x**17 / (17 * (1.0 - x)) + 1e-12
+
+
 def test_star_basis_requires_fixed_origin():
     with pytest.raises(ValueError):
         assemble(MoebiusMap(0.3), 8, Space.DIRICHLET_STAR)

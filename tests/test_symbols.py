@@ -63,6 +63,41 @@ def test_cusp_at_minus_one():
     assert val == pytest.approx(-0.56109985, abs=1e-8)
 
 
+# the catalog with compositions whose boundary values chain closed forms
+BOUNDARY_SYMBOLS = ALL_SYMBOLS + [s for s in builtin_contractions() if s not in ALL_SYMBOLS] + [
+    parse_symbol(spec)
+    for spec in (
+        "compose(moebius:u=0.5+0i,compose(moebius:u=0.5+0i,cusp))",
+        "compose(affine:r=0.95,theta=2,cusp)",
+        "compose(moebius:u=0.3+0.1i,cusp)",
+        "compose(cusp,moebius:u=0.3+0.1i)",
+    )
+]
+
+
+@pytest.mark.parametrize("s", BOUNDARY_SYMBOLS, ids=lambda s: s.spec_string())
+def test_boundary_values_are_radial_limits(s):
+    # every closed form extends to the circle; the cusp's half-disk stage
+    # must keep its sqrt branch there (roundoff puts q just below the cut)
+    th = 2.0 * np.pi * np.arange(200_000) / 200_000
+    xi = np.exp(1j * th)
+    b = evaluate_boundary(s, xi)
+    assert np.abs(b).max() <= 1.0 + 1e-12
+    away = np.abs(xi - 1.0) > 1e-3  # the cusp corner: phi' blows up at z = 1
+    radial = evaluate(s, (1.0 - 1e-12) * xi[away])
+    assert np.abs(b[away] - radial).max() <= 1e-5
+
+
+def test_composition_leaving_the_closed_disk_raises():
+    # the inner polynomial sends 0.9 to 1.35; the outer closed form must not
+    # be evaluated there
+    s = parse_symbol("compose(cusp,coeffs:[0,1.5])")
+    with pytest.raises(DomainError):
+        s.evaluate(0.9)
+    with pytest.raises(DomainError):
+        s.derivative(0.9)
+
+
 def test_affine_evaluate():
     assert evaluate(AffineMap(0.5), 0.2) == pytest.approx(0.1)
 
