@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .opmatrix import SingularSpectrum
-from .symbols import GridSpec, SymbolMap, pseudo_hyperbolic_sup
+from .symbols import SymbolMap, pseudo_hyperbolic_sup
 
 __all__ = [
     "DecayFit",
@@ -104,7 +104,6 @@ def fit_decay(
     spec: SingularSpectrum | np.ndarray,
     models=("geometric", "rootn", "nlogn"),
     ns: np.ndarray | None = None,
-    mode: str = "auto",
     min_entries: int = 20,
 ) -> list[DecayFit]:
     """Least-squares fits of log a_n for each model, sorted by rmse.
@@ -117,7 +116,7 @@ def fit_decay(
     """
     if isinstance(spec, SingularSpectrum):
         if ns is None:
-            ns = spec.reliable_range(mode)
+            ns = spec.reliable_range()
             ns = ns[ns >= 2]
         ns = np.asarray(ns)
         values = spec.values[ns - 1]
@@ -147,18 +146,18 @@ class BetaEstimate:
     from_uncertified: bool = False
 
 
-def beta_estimate(spec: SingularSpectrum, min_entries: int = 10) -> BetaEstimate:
+def beta_estimate(spec: SingularSpectrum) -> BetaEstimate:
     """Minimum of a_n^(1/n) over the last reliable decade.
 
     Non-compact symbols have no certified entries (infinite tails); the
     estimate then falls back to every computed value above the floor and the
     result is flagged.
     """
-    ns = spec.reliable_range("auto")
-    fallback = len(ns) < min_entries
+    ns = spec.reliable_range()
+    fallback = len(ns) < 10
     if fallback:
         ns = np.nonzero(spec.values >= 1e-13)[0] + 1
-    if len(ns) < min_entries:
+    if len(ns) < 10:
         raise ValueError("not enough reliable entries for a rate estimate")
     roots = spec.values[ns - 1] ** (1.0 / ns)
     n_hi = int(ns[-1])
@@ -176,10 +175,9 @@ def sandwich_check(
     s: SymbolMap,
     spec: SingularSpectrum,
     tol: float = 0.02,
-    grid: GridSpec | None = None,
 ) -> Report:
     """Checks the rate sandwich: [phi]^2 - tol <= beta <= sup|phi| + tol."""
-    bracket = pseudo_hyperbolic_sup(s, grid)
+    bracket = pseudo_hyperbolic_sup(s)
     beta = beta_estimate(spec)
     sup = s.sup_norm_hint if s.sup_norm_hint is not None else 1.0
     lower_ok = bracket**2 - tol <= beta.value
@@ -199,17 +197,14 @@ def sandwich_check(
     )
 
 
-def s_of_r(r: float, squared: bool = False) -> float:
-    """Rate s(r) = exp(-eps pi / 2), eps = 2 pi / log((1+r)/(1-r)).
-
-    squared=True returns s^2, the variant appearing in the slow-decay lower
-    bound for symbols with sup norm exceeding r.
-    """
+def s_of_r(r: float) -> float:
+    """Rate s(r) = exp(-eps pi / 2), eps = 2 pi / log((1+r)/(1-r)); its
+    square is the rate of the slow-decay lower bound for symbols with sup
+    norm exceeding r."""
     if not 0.0 < r < 1.0:
         raise ValueError("r must lie in (0, 1)")
     eps = 2.0 * math.pi / math.log((1.0 + r) / (1.0 - r))
-    s = math.exp(-eps * math.pi / 2.0)
-    return s * s if squared else s
+    return math.exp(-eps * math.pi / 2.0)
 
 
 def lower_law_probe(spec: SingularSpectrum, r: float, sup_norm: float) -> Report:
@@ -221,7 +216,7 @@ def lower_law_probe(spec: SingularSpectrum, r: float, sup_norm: float) -> Report
     """
     if sup_norm <= r:
         raise ValueError("probe requires sup|phi| > r")
-    ns = spec.reliable_range("auto")
+    ns = spec.reliable_range()
     if len(ns) < 10:
         raise ValueError("not enough reliable entries for the probe")
     s = s_of_r(r)

@@ -442,9 +442,10 @@ def run_pipeline(cfg: RunConfig) -> int:
     if cfg.command not in _COMMANDS:
         raise ConfigError(f"unknown command {cfg.command!r}")
     try:
-        parse_symbol(cfg.symbol)  # validate early, before touching the disk
+        s = parse_symbol(cfg.symbol)  # validate early, before touching the disk
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
+    cfg.resolved_space(s)  # a config file is not checked by the parser's choices
     if cfg.N < 1 or cfg.samples < 1:
         raise ConfigError("N and samples must be positive")
     return _COMMANDS[cfg.command](cfg)

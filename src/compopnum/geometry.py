@@ -18,6 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import tails
 from .symbols import (
     CUSP_DIAMETER,
     AffineMap,
@@ -545,38 +546,23 @@ def m_functional(s: SymbolMap, t: float) -> RegionMeasure:
 _DYADIC_TERMS = 40  # M(t) sums m(2^-k t) for k = 0.._DYADIC_TERMS
 
 
-def M_functional(s: SymbolMap, t: float) -> RegionMeasure:
-    """Dyadic sum M(t) = sum_k m(2^-k t), truncated with a fitted power-law tail.
+def M_functional(s: SymbolMap, t: float) -> float:
+    """Dyadic sum M(t) = sum_k m(2^-k t) of exact annulus masses.
 
-    The last five dyadic terms are fit to c 2^(-alpha k); the fit must show
-    decay (alpha > 0.2) for the truncation to be accepted.
+    The terms k = 0.._DYADIC_TERMS are the closed forms of `m_functional`;
+    `tails.tail_remainder` extrapolates the rest, infinitely when the terms
+    show no summable decay (the disk automorphisms).  A symbol without a
+    known image base raises: it would need 41 Monte Carlo areas per t.
     """
-    k_max = _DYADIC_TERMS
-    terms, errs, flagged = [], [], False
-    for k in range(k_max + 1):
-        mk = m_functional(s, t * 2.0**-k)
-        terms.append(mk.value)
-        errs.append(mk.std_error)
-        flagged |= mk.flagged
-    terms = np.array(terms)
-    total = float(terms.sum())
-    std = float(math.hypot(*errs)) if any(errs) else 0.0
-    tail = terms[-5:]
-    if np.all(tail == 0.0):
-        remainder = 0.0
-    else:
-        if np.any(tail <= 0.0):
-            raise ArithmeticError("dyadic tail not strictly positive; M(t) not certifiable")
-        ks = np.arange(k_max - 4, k_max + 1, dtype=float)
-        slope, inter = np.polyfit(ks, np.log2(tail), 1)
-        alpha = -slope
-        if alpha <= 0.2:
-            raise ArithmeticError(
-                f"dyadic tail decays too slowly (alpha={alpha:.3f} <= 0.2); M(t) diverges numerically"
-            )
-        c = 2.0**inter
-        remainder = c * 2.0 ** (slope * (k_max + 1)) / (1.0 - 2.0**slope)
-    return RegionMeasure(s, total + remainder, std, f"dyadic-sum[{k_max}]", flagged=flagged)
+    if not 0.0 < t <= 1.0:
+        raise ValueError("annulus depth must lie in (0, 1]")
+    if not has_known_image(s):
+        raise _UnsupportedRegion(
+            f"M(t) needs a known image base (disk or cusp region); {s.spec_string()} has none"
+        )
+    ts = [t * 2.0**-k for k in range(_DYADIC_TERMS + 1)]
+    terms = np.array([_exact_annulus_area(s, tk) / tk**2 for tk in ts])
+    return float(terms.sum()) + tails.tail_remainder(terms).remainder
 
 
 # elementwise math.pow, the power of Python and numpy scalars; numpy's
@@ -596,12 +582,8 @@ def zinc_upper_bound(s: SymbolMap, n):
     if s.sup_norm_hint is not None and s.sup_norm_hint < 1.0:
         grid.append(1.0 - s.sup_norm_hint)  # largest t with empty annulus
     ts = np.array(sorted(grid))
-    root_M = np.full(len(ts), math.inf)  # grid points without a convergent M(t) never win
-    for i, t in enumerate(ts):
-        try:
-            root_M[i] = math.sqrt(max(M_functional(s, float(t)).value, 0.0))
-        except ArithmeticError:
-            pass
+    # an infinite M(t) never wins the minimum
+    root_M = np.sqrt([M_functional(s, float(t)) for t in ts])
     if np.all(np.isinf(root_M)):
         raise ArithmeticError("no grid point admitted a convergent M(t)")
     ns = np.asarray(n)[..., None]

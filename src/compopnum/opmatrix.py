@@ -87,20 +87,15 @@ class SingularSpectrum:
         """Entries whose halved-truncation change is below 5 percent."""
         if self.stability_radii is None:
             return self.certified
-        ok = self.values >= max(_SVD_FLOOR, 1e-12)
+        ok = self.values >= 1e-12
         return ok & (self.stability_radii <= 0.05 * self.values)
 
-    def reliable_range(self, mode: str = "auto") -> np.ndarray:
-        """Indices n (1-based) usable for fits/probes under the given mode."""
-        if mode == "certified":
-            mask = self.certified & (self.values >= 10.0 * self.certification_floor)
-        elif mode == "stable":
-            mask = self.stable
-        elif mode == "auto":
-            cert = self.certified & (self.values >= 10.0 * self.certification_floor)
-            mask = cert if cert.sum() >= 20 else self.stable
-        else:
-            raise ValueError(f"unknown mode {mode!r}")
+    def reliable_range(self) -> np.ndarray:
+        """Indices n (1-based) usable for fits and probes: the entries
+        certified with a tenfold margin when there are at least 20 of them,
+        else the stable tier."""
+        cert = self.certified & (self.values >= 10.0 * self.certification_floor)
+        mask = cert if cert.sum() >= 20 else self.stable
         return np.nonzero(mask)[0] + 1
 
 
@@ -118,7 +113,7 @@ def _column_tail(s: SymbolMap, n: int, k_max: int, params: SeriesParams):
         return tail, tails.TailFit(f"closed-form:{base}", 0.0, 0.0)
     # the k-th power needs retained degrees well past k
     M_tail = max(params.M, 2 * k_max)
-    norms, _ = dirichlet_power_norms(s, k_max, M=M_tail, method="coefficients")
+    norms, _ = dirichlet_power_norms(s, k_max, M=M_tail)
     t = norms**2 / np.arange(1, k_max + 1)
     fit = tails.tail_remainder(t)
     return math.sqrt(float(t[n - 1 :].sum()) + fit.remainder), fit
@@ -154,8 +149,6 @@ def assemble(
         raise ValueError("need N >= 1")
     if space is Space.DIRICHLET_STAR and not s.fixes_origin:
         raise ValueError("origin-fixed basis needs phi(0) = 0; use the Dirichlet space")
-    if space not in (Space.DIRICHLET_STAR, Space.DIRICHLET):
-        raise ValueError("matrix assembly is implemented for the Dirichlet family")
     params = series_params or SeriesParams(M=2 * N)
     M, rho, Q = params.resolved()
     if M < N:

@@ -1,5 +1,5 @@
-"""Power-series arithmetic: Taylor coefficients of symbol powers and
-space-tagged norms.
+"""Power-series arithmetic: Taylor coefficients of symbol powers and their
+Dirichlet norms.
 
 Coefficients of phi^k are recovered by sampling phi on a circle |z| = rho,
 taking pointwise powers and inverting the discrete Fourier transform.  The
@@ -27,7 +27,6 @@ __all__ = [
     "PowerSeries",
     "SeriesParams",
     "coefficients_of_power",
-    "space_norm",
     "dirichlet_power_norms",
     "power_coefficient_table",
 ]
@@ -37,10 +36,10 @@ _FLUSH_SAFETY = 64.0
 
 
 class Space(enum.Enum):
+    """The Dirichlet space and its origin-fixed subspace {f(0) = 0}."""
+
     DIRICHLET = "dirichlet"
     DIRICHLET_STAR = "dirichlet-star"
-    HARDY = "hardy"
-    BERGMAN = "bergman"
 
 
 @dataclass(frozen=True)
@@ -154,25 +153,6 @@ def coefficients_of_power(
         aliasing_suspect=bool(alias[k - 1]),
         flushed=int(flushed[k - 1]),
     )
-
-
-def space_norm(f: PowerSeries | np.ndarray, space: Space) -> float:
-    """Coefficient-formula norm in the requested space."""
-    coeffs = f.coeffs if isinstance(f, PowerSeries) else np.asarray(f)
-    mags = np.abs(coeffs) ** 2
-    n = np.arange(len(coeffs))
-    if space in (Space.DIRICHLET, Space.DIRICHLET_STAR):
-        if space is Space.DIRICHLET_STAR and isinstance(f, PowerSeries):
-            if abs(coeffs[0]) > max(f.error_bound, 1e-12):
-                raise ValueError("origin-fixed space requires a vanishing constant term")
-        w = n.astype(float)
-        w[0] = 1.0  # |c_0|^2 term
-        return math.sqrt(float(np.dot(w, mags)))
-    if space is Space.HARDY:
-        return math.sqrt(float(mags.sum()))
-    if space is Space.BERGMAN:
-        return math.sqrt(float((mags / (n + 1.0)).sum()))
-    raise ValueError(f"unknown space {space}")
 
 
 def dirichlet_power_norms(

@@ -103,6 +103,19 @@ def test_malformed_symbol_exits_2_without_artifacts(tmp_path):
     assert not out.exists()
 
 
+def test_config_space_outside_the_dirichlet_family_exits_2(tmp_path):
+    # a config file gets the same answer as the flag's choices
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"space": "hardy"}))
+    out, rep = tmp_path / "never.csv", tmp_path / "never.json"
+    assert run(["--config", str(cfg), "an", "--symbol", "affine:r=0.5", "--N", "8",
+                "--out", str(out), "--report", str(rep)]) == 2
+    assert not out.exists() and not rep.exists()
+    with pytest.raises(SystemExit) as exc:
+        run(["an", "--space", "hardy"])
+    assert exc.value.code == 2
+
+
 def test_series_subcommand(tmp_path):
     out = tmp_path / "series.csv"
     assert run(["series", "--symbol", "cusp", "--k", "32", "--deg", "128",
@@ -186,6 +199,20 @@ def test_zinc_subcommand(tmp_path):
     assert run(["zinc", "--symbol", "affine:r=0.5", "--n", "10", "--report", str(rep)]) == 0
     payload = json.loads(rep.read_text())
     assert payload["value"] <= 10 * 0.5**10 + 1e-12
+
+
+def test_zinc_without_known_image_exits_1_fast(tmp_path, capsys, monkeypatch):
+    # M(t) would need 41 Monte Carlo areas per grid point: it refuses instead
+    def no_sampling(*args, **kwargs):
+        raise AssertionError("zinc must not sample")
+
+    monkeypatch.setattr(geometry, "_mc_annulus_area", no_sampling)
+    rep = tmp_path / "z.json"
+    code = run(["zinc", "--symbol", "compose(cusp,affine:r=0.5)", "--n", "10",
+                "--report", str(rep)])
+    assert code == 1
+    assert "known image base" in capsys.readouterr().err
+    assert not rep.exists()
 
 
 def test_blaschke_subcommand(tmp_path):

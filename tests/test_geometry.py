@@ -161,14 +161,31 @@ def test_m_functional_near_linear_for_cusp():
 
 def test_m_functional_affine_zero():
     assert m_functional(AffineMap(0.5), 0.25).value == 0.0
-    assert M_functional(AffineMap(0.5), 0.25).value == 0.0
+    assert M_functional(AffineMap(0.5), 0.25) == 0.0
 
 
 def test_M_functional_dyadic_sum_bounded():
     for t in (0.125, 0.03125):
         m = m_functional(CUSP, t).value
-        M = M_functional(CUSP, t).value
+        M = M_functional(CUSP, t)
         assert m < M <= 2.5 * m
+
+
+def test_M_functional_needs_known_image(monkeypatch):
+    # the dyadic sum refuses before sampling a single annulus
+    def no_sampling(*args, **kwargs):
+        raise AssertionError("M(t) must not sample")
+
+    monkeypatch.setattr(geometry, "_mc_annulus_area", no_sampling)
+    with pytest.raises(ValueError, match="known image base"):
+        M_functional(parse_symbol("compose(cusp,affine:r=0.5)"), 0.5)
+
+
+def test_M_functional_infinite_for_automorphism():
+    # m(t) ~ 2/t grows along the dyadic terms: no summable remainder
+    assert M_functional(MoebiusMap(0.3), 0.1) == math.inf
+    with pytest.raises(ArithmeticError):
+        zinc_upper_bound(MoebiusMap(0.3), 10)
 
 
 def test_zinc_upper_bound_affine_closed_form():
@@ -199,7 +216,7 @@ def test_zinc_array_call_matches_scalar_calls():
         root_M = {}
         for n, val, t in zip(ns.flat, vals.flat, ts.flat):
             if t not in root_M:
-                root_M[t] = math.sqrt(M_functional(s, float(t)).value)
+                root_M[t] = math.sqrt(M_functional(s, float(t)))
             assert val == int(n) * (1.0 - t) ** int(n) + root_M[t]
 
 

@@ -1,21 +1,8 @@
-import math
-
 import numpy as np
 import pytest
 
-from compopnum.series import (
-    PowerSeries,
-    SeriesParams,
-    Space,
-    coefficients_of_power,
-    dirichlet_power_norms,
-    space_norm,
-)
+from compopnum.series import SeriesParams, coefficients_of_power, dirichlet_power_norms
 from compopnum.symbols import AffineMap, ComposedMap, CoefficientMap, CuspMap, MoebiusMap
-
-
-def series(coeffs):
-    return PowerSeries(np.asarray(coeffs, dtype=complex), 0.5, 0.0)
 
 
 def test_affine_cube_is_exact():
@@ -38,43 +25,6 @@ def test_moebius_coefficients_geometric_series():
     ps = coefficients_of_power(MoebiusMap(u), 1, 12)
     exact = np.array([u] + [-(1 - u * u) * u ** (j - 1) for j in range(1, 13)])
     assert np.abs(ps.coeffs - exact).max() <= 1e-12
-
-
-def test_space_norm_examples():
-    assert space_norm(series([0, 1]), Space.DIRICHLET) == pytest.approx(1.0)
-    assert space_norm(series([0, 0, 0, 0.125]), Space.DIRICHLET) == pytest.approx(
-        0.21650635, abs=1e-8
-    )
-    assert space_norm(series([1, 1]), Space.BERGMAN) == pytest.approx(1.22474487, abs=1e-8)
-    assert space_norm(series([1, 1]), Space.HARDY) == pytest.approx(math.sqrt(2.0))
-
-
-def test_star_space_requires_vanishing_constant():
-    with pytest.raises(ValueError):
-        space_norm(series([1.0, 1.0]), Space.DIRICHLET_STAR)
-
-
-def test_norm_truncation_monotone():
-    g = np.random.default_rng(0)
-    coeffs = g.normal(size=12) * 0.3 ** np.arange(12)
-    full = series(coeffs)
-    for space in Space:
-        if space is Space.DIRICHLET_STAR:
-            continue
-        norms = [space_norm(series(coeffs[: n + 1]), space) for n in range(1, 12)]
-        assert all(a <= b + 1e-15 for a, b in zip(norms, norms[1:]))
-        assert norms[-1] == pytest.approx(space_norm(full, space), rel=1e-12)
-
-
-def test_hardy_parseval_consistency():
-    # mean of |f|^2 on a circle near the boundary approximates the Hardy norm
-    coeffs = np.array([0.0, 0.5, 0.25, -0.1])
-    f = series(coeffs)
-    rho = 1 - 1e-8
-    th = 2 * np.pi * np.arange(512) / 512
-    vals = np.polynomial.polynomial.polyval(rho * np.exp(1j * th), coeffs)
-    mean_sq = float(np.mean(np.abs(vals) ** 2))
-    assert mean_sq == pytest.approx(space_norm(f, Space.HARDY) ** 2, rel=1e-6)
 
 
 @pytest.mark.parametrize(
