@@ -287,11 +287,11 @@ def _cmd_an(cfg: RunConfig) -> int:
     _write_spectrum_csv(out, spec)
     payload = _report_envelope(cfg, [])
     payload["spectrum_csv"] = out
-    payload["hs_tail"] = _sanitize(m.hs_tail)
+    payload["hs_tail"] = m.hs_tail
     payload["row_tail"] = m.row_tail
     payload["assembly_error"] = m.assembly_error
     payload["column_tail"] = {"model": m.column_tail_fit.model, "rmse": m.column_tail_fit.rmse}
-    payload["certification_floor"] = _sanitize(spec.certification_floor)
+    payload["certification_floor"] = spec.certification_floor
     payload["stable_entries"] = int(spec.stable.sum())
     _write_report(cfg.report, payload)
     return 0

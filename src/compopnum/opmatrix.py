@@ -10,10 +10,10 @@ rows) plus the coefficient-extraction noise.
 
 When the image is factor * base for a known base (the unit disk or the
 cusp region, see `geometry._image`), the column tail is a closed form of
-the image integral and the row tail compares the retained mass with the
-exact power norms: no power beyond N is extracted and nothing is fitted.
-Other symbols take the power norms from the coefficients up to 4N and fit
-the remainders (`tails.tail_remainder`).
+the image integral and no power beyond N is extracted.  The row tail takes
+each power's mass beyond the retained degree from `series.power_mass`,
+exact for a known base; other symbols' column tails sum the power norms plus
+their bounds (`dirichlet_power_norms`) to 4N and fit the remainder.
 
 Two certificates are attached to every spectrum:
 
@@ -35,7 +35,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import geometry, tails
-from .series import Space, SeriesParams, dirichlet_power_norms, power_coefficient_table
+from .series import Space, SeriesParams, dirichlet_power_norms
+from .series import power_coefficient_table, power_mass
 from .symbols import SymbolMap
 
 __all__ = [
@@ -103,9 +104,10 @@ def _column_tail(s: SymbolMap, n: int, k_max: int, params: SeriesParams):
     """(sqrt(sum_{k >= n} ||phi^k||_D^2 / k), how its remainder was found).
 
     A known image base gives the whole sum in closed form (model
-    "closed-form:<base>").  Otherwise the norms come from the coefficients,
-    the sum runs over k <= k_max and the remainder beyond is fitted; it is
-    infinite when the fit shows no summable decay.
+    "closed-form:<base>").  Otherwise each norm is taken at the top of its
+    error bound (`dirichlet_power_norms`: the mass beyond the retained
+    degree included), the sum runs over k <= k_max and the remainder beyond
+    is fitted; it is infinite when the fit shows no summable decay.
     """
     exact = geometry.exact_column_tail(s, n)
     if exact is not None:
@@ -113,8 +115,8 @@ def _column_tail(s: SymbolMap, n: int, k_max: int, params: SeriesParams):
         return tail, tails.TailFit(f"closed-form:{base}", 0.0, 0.0)
     # the k-th power needs retained degrees well past k
     M_tail = max(params.M, 2 * k_max)
-    norms, _ = dirichlet_power_norms(s, k_max, M=M_tail)
-    t = norms**2 / np.arange(1, k_max + 1)
+    norms, bounds = dirichlet_power_norms(s, k_max, M=M_tail)
+    t = (norms + bounds) ** 2 / np.arange(1, k_max + 1)
     fit = tails.tail_remainder(t)
     return math.sqrt(float(t[n - 1 :].sum()) + fit.remainder), fit
 
@@ -168,7 +170,7 @@ def assemble(
         A = core
 
     # column tail: discarded basis vectors k > N
-    hs_tail, column_fit = _column_tail(s, N + 1, 4 * N, params)
+    hs_tail, column_fit = _column_tail(s, N + 1, max(4 * N, tails.MIN_TERMS), params)
     if space is Space.DIRICHLET:
         # each discarded column k also has |phi(0)|^(2k)/k in the constant
         # row: sum_{k > N} x^k / k <= x^(N+1) / ((N+1)(1-x)), x = |phi(0)|^2
@@ -177,22 +179,12 @@ def assemble(
         hs_tail = math.sqrt(hs_tail**2 + const)
 
     # row tail: mass of phi^k, k <= N, above the retained rows
-    jj = np.arange(M + 1, dtype=float)
-    mass = jj[None, :] * np.abs(table) ** 2  # [k, j]
-    above_N = mass[:, N + 1 :].sum(axis=1)
-    exact = geometry.exact_power_norms(s, N)
-    if exact is not None:
-        # mass beyond degree M.  A disk's powers end below M, so there it is
-        # the roundoff of the two sums: not provably zero, it stays in
-        # row_tail and with it in the rigorous radius
-        deficit = np.maximum(exact**2 - mass.sum(axis=1), 0.0)
-    else:
-        # a row whose mass shows no decay has unknown mass beyond M: infinite
-        deficit = np.array([tails.tail_remainder(row).remainder for row in mass])
-    row_tail = math.sqrt(float(((above_N + deficit) / k).sum()))
+    mass, beyond = power_mass(s, table)  # [k, j], [k]
+    row_tail = math.sqrt(float(((mass[:, N + 1 :].sum(axis=1) + beyond) / k).sum()))
 
-    # coefficient-noise aggregate: per-entry error sqrt(j/k) err_k, Frobenius
-    w_rows = float((j).sum())
+    # coefficient-noise aggregate: per-entry error sqrt(j/k) err_k, Frobenius;
+    # the constant row's entries c_0(phi^k)/sqrt(k) carry err_k/sqrt(k)
+    w_rows = float(j.sum()) + (space is Space.DIRICHLET)
     assembly_error = math.sqrt(float(((errs**2) * w_rows / k).sum()))
 
     return OperatorMatrix(

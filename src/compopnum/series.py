@@ -1,5 +1,5 @@
 """Power-series arithmetic: Taylor coefficients of symbol powers and their
-Dirichlet norms.
+Dirichlet mass, the one place that takes it exactly or fits its remainder.
 
 Coefficients of phi^k are recovered by sampling phi on a circle |z| = rho,
 taking pointwise powers and inverting the discrete Fourier transform.  The
@@ -29,6 +29,7 @@ __all__ = [
     "coefficients_of_power",
     "dirichlet_power_norms",
     "power_coefficient_table",
+    "power_mass",
 ]
 
 _LOG_EPS_BUDGET = math.log(1e16)  # digits spent between amplification and aliasing
@@ -155,42 +156,37 @@ def coefficients_of_power(
     )
 
 
-def dirichlet_power_norms(
-    s: SymbolMap,
-    n_max: int,
-    M: int | None = None,
-    method: str = "auto",
-):
-    """Dirichlet norms of phi^k, k = 1..n_max.
-
-    method "coefficients" sums j |c_j|^2 from the extracted series (error
-    bounds propagated from the extraction certificates); "auto" uses instead
-    the exact change-of-variable integral over the image whenever the image
-    is factor * base for a known base (a disk or the cusp region; see
-    `geometry.exact_power_norms`), with no extraction at all.  For the cusp
-    region this also reaches the Taylor mass far beyond any practical
-    truncation degree.
-
-    Returns (norms, error_bounds) as arrays of length n_max.
+def power_mass(s: SymbolMap, table: np.ndarray):
+    """(mass, beyond) of the powers phi^k whose coefficients 0..M are the rows
+    of `table`: mass[k-1, j] = j |c_j|^2 and beyond[k-1] the Dirichlet mass of
+    phi^k above degree M.  For a known image base that is the exact norm^2
+    minus the retained mass (roundoff for a disk, whose powers end below M);
+    otherwise the row's fitted remainder, infinite without summable decay or
+    when the row is too short to fit.
     """
-    if method not in ("auto", "coefficients"):
-        raise ValueError(f"unknown method {method!r}")
-    if method == "auto":
-        norms = geometry.exact_power_norms(s, n_max)
-        if norms is not None:
-            return norms, np.full(n_max, 1e-13)
-    params = SeriesParams(M if M is not None else max(64, 4 * n_max))
-    Mr, _, _ = params.resolved()
-    table, err, alias, _ = power_coefficient_table(s, n_max, params)
-    j = np.arange(Mr + 1, dtype=float)
-    mass = j[None, :] * np.abs(table) ** 2
-    norms = np.sqrt(np.maximum(mass.sum(axis=1), 0.0))
-    # per-entry error: coefficient noise through the quadratic form, plus the
-    # extrapolated Dirichlet mass above the retained degree (infinite when
-    # no decay is visible)
-    bound = np.empty(n_max)
-    for k in range(n_max):
-        noise = err[k] * math.sqrt(float(j.sum()))
-        tail = tails.tail_remainder(mass[k]).remainder
-        bound[k] = noise + math.sqrt(max(tail, 0.0))
-    return norms, bound
+    j = np.arange(table.shape[1], dtype=float)
+    mass = j * np.abs(table) ** 2
+    exact = geometry.exact_power_norms(s, len(table))
+    if exact is not None:
+        return mass, np.maximum(exact**2 - mass.sum(axis=1), 0.0)
+    if table.shape[1] < tails.MIN_TERMS:
+        return mass, np.full(len(table), math.inf)
+    return mass, np.array([tails.tail_remainder(row).remainder for row in mass])
+
+
+def dirichlet_power_norms(s: SymbolMap, n_max: int, M: int | None = None):
+    """Dirichlet norms of phi^k, k = 1..n_max, and their error bounds.
+
+    A known image base gives them exactly (`geometry.exact_power_norms`, no
+    extraction; for the cusp region this reaches mass far beyond any
+    practical degree).  Otherwise the norms are sqrt(sum_j j |c_j|^2) up to
+    degree M, and the bounds carry the extraction noise through that form
+    plus the root of the mass beyond M (`power_mass`).
+    """
+    norms = geometry.exact_power_norms(s, n_max)
+    if norms is not None:
+        return norms, np.full(n_max, 1e-13)
+    M = M if M is not None else max(64, 4 * n_max)
+    table, err, _, _ = power_coefficient_table(s, n_max, SeriesParams(M))
+    mass, beyond = power_mass(s, table)
+    return np.sqrt(mass.sum(axis=1)), err * math.sqrt(M * (M + 1) / 2) + np.sqrt(beyond)

@@ -32,6 +32,21 @@ def test_an_diagonal_csv(tmp_path):
     assert payload["column_tail"] == {"model": "closed-form:disk", "rmse": 0.0}
 
 
+@pytest.mark.parametrize("N", [1, 2, 3])
+def test_an_small_truncation_without_known_base(tmp_path, N):
+    # rows of 2N+1 < 8 degrees are too short for a tail fit: their mass
+    # beyond the table is unknown, so nothing is certified
+    out, rep = tmp_path / "spec.csv", tmp_path / "rep.json"
+    assert run(["an", "--symbol", "coeffs:[0,0.5,0.25]", "--N", str(N),
+                "--out", str(out), "--report", str(rep)]) == 0
+    payload = json.loads(rep.read_text())
+    assert payload["row_tail"] == "inf"
+    assert payload["certification_floor"] == "inf"
+    rows = list(csv.DictReader(open(out)))
+    assert len(rows) == N
+    assert all(row["certified"] == "false" for row in rows)
+
+
 def _an_report(tmp_path, tag):
     rep = tmp_path / f"{tag}.json"
     assert run(["an", "--symbol", "affine:r=0.5", "--N", "16",

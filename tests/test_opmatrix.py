@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from compopnum.opmatrix import assemble, hs_tail_bound, singular_spectrum
-from compopnum.series import SeriesParams, Space
+from compopnum.series import SeriesParams, Space, power_coefficient_table
 from compopnum.symbols import AffineMap, CuspMap, MoebiusMap, builtin_contractions, parse_symbol
 
 
@@ -158,6 +158,46 @@ def test_divergent_row_tails_count_as_infinite():
     assert not spec.certified.any()
     cusp = singular_spectrum(assemble(CuspMap(), 64))
     assert spec.values[:4] == pytest.approx(cusp.values[:4], rel=1e-9)
+
+
+def test_unknown_base_column_tail_keeps_the_mass_beyond_M():
+    # the same symbol's column tail sums each power norm with its error
+    # bound, which holds the mass beyond the retained degree: rows with no
+    # visible decay make it infinite, where the retained mass alone gave
+    # 7.6e-8 against the cusp's closed form 0.0398
+    twice = "compose(moebius:u=0.5+0i,compose(moebius:u=0.5+0i,cusp))"
+    m = assemble(parse_symbol(twice), 64)
+    assert m.hs_tail == math.inf
+    assert m.column_tail_fit.model == "divergent"
+
+
+@pytest.mark.parametrize("theta", [0.0, 1.0])
+@pytest.mark.parametrize("r", [0.7, 0.9])
+def test_affine_behind_the_involution_pair_matches_closed_form(r, theta):
+    # the fitted route on a symbol whose image base is hidden: its powers are
+    # monomials, so the row tail vanishes and the column tail is the disk's
+    affine = f"affine:r={r},theta={theta}"
+    hidden = f"compose(moebius:u=0.5+0i,compose(moebius:u=0.5+0i,{affine}))"
+    m = assemble(parse_symbol(hidden), 64)
+    assert m.column_tail_fit.model == "geometric"
+    assert m.hs_tail == pytest.approx(hs_tail_bound(parse_symbol(affine), 65), rel=1e-9, abs=0.0)
+    assert m.row_tail == 0.0
+
+
+def test_full_dirichlet_assembly_error_counts_the_constant_row():
+    # entry (j, k) carries sqrt(j/k) err_k and the constant row err_k/sqrt(k):
+    # Frobenius sum_k err_k^2 (1 + N(N+1)/2) / k
+    s = parse_symbol("compose(affine:r=0.7,moebius:u=0.3+0i)")
+    N = 32
+    m = assemble(s, N, Space.DIRICHLET)
+    _, errs, _, _ = power_coefficient_table(s, N, SeriesParams(M=2 * N))
+    k = np.arange(1, N + 1)
+    expected = math.sqrt(float((errs**2 * (1 + N * (N + 1) / 2) / k).sum()))
+    assert m.assembly_error == pytest.approx(expected, rel=1e-14, abs=0.0)
+    star = assemble(AffineMap(0.5), N)
+    _, errs, _, _ = power_coefficient_table(AffineMap(0.5), N, SeriesParams(M=2 * N))
+    expected = math.sqrt(float((errs**2 * (N * (N + 1) / 2) / k).sum()))
+    assert star.assembly_error == pytest.approx(expected, rel=1e-14, abs=0.0)
 
 
 def test_negated_cusp_tails_equal_cusp_tails():

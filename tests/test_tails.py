@@ -33,6 +33,15 @@ def test_divergent_flagged():
     assert math.isinf(tail_remainder(t).remainder)
 
 
+def test_infinite_term_is_divergent_without_a_fit():
+    # log(inf) would leave the fit's rmse nan; an infinite term is unbounded mass
+    t = np.concatenate([0.5 ** np.arange(1, 16), [math.inf]])
+    fit = tail_remainder(t)
+    assert fit.model == "divergent"
+    assert math.isinf(fit.remainder)
+    assert fit.rmse == 0.0
+
+
 def test_too_short():
     with pytest.raises(ValueError):
         tail_remainder(np.ones(4))
