@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .opmatrix import SingularSpectrum
+from .opmatrix import VALUE_FLOOR, SingularSpectrum
 from .symbols import SymbolMap, pseudo_hyperbolic_sup
 
 __all__ = [
@@ -103,28 +103,24 @@ def _fit_one(model: str, ns: np.ndarray, values: np.ndarray) -> DecayFit:
 def fit_decay(
     spec: SingularSpectrum | np.ndarray,
     models=("geometric", "rootn", "nlogn"),
-    ns: np.ndarray | None = None,
     min_entries: int = 20,
 ) -> list[DecayFit]:
     """Least-squares fits of log a_n for each model, sorted by rmse.
 
-    When a SingularSpectrum is passed, the range is its reliable range
-    (rigorous certification when rich enough, else the stability tier);
-    a raw array uses all positive entries or the explicit ns.  min_entries
-    guards against meaningless fits; experiments on symbols whose reliable
-    range is structurally short may lower it, which the report should state.
+    A SingularSpectrum is fitted on its reliable range (rigorous
+    certification when rich enough, else the stability tier); a raw array
+    a_1, a_2, ... on all its entries.  Either way only n >= 2 with a_n at or
+    above VALUE_FLOOR enter.  min_entries guards against meaningless fits;
+    experiments on symbols whose reliable range is structurally short may
+    lower it, which the report should state.
     """
     if isinstance(spec, SingularSpectrum):
-        if ns is None:
-            ns = spec.reliable_range()
-            ns = ns[ns >= 2]
-        ns = np.asarray(ns)
+        ns = spec.reliable_range()
         values = spec.values[ns - 1]
     else:
         values = np.asarray(spec, dtype=float)
-        ns = np.arange(2, len(values) + 1) if ns is None else np.asarray(ns)
-        values = values[ns - 1]
-    keep = values > 0.0
+        ns = np.arange(1, len(values) + 1)
+    keep = (ns >= 2) & (values >= VALUE_FLOOR)
     ns, values = ns[keep], values[keep]
     if len(ns) < min_entries:
         raise ValueError(f"need at least {min_entries} usable entries to fit, have {len(ns)}")
@@ -134,6 +130,12 @@ def fit_decay(
 
 # ---------------------------------------------------------------------------
 # spectral rate and sandwich
+
+
+def _last_decade_start(ns: np.ndarray) -> int:
+    """Start of the last decade [ceil(n_hi / 10), n_hi] of a range, never
+    before the range's own start."""
+    return max(int(ns[0]), math.ceil(int(ns[-1]) / 10))
 
 
 @dataclass(frozen=True)
@@ -150,23 +152,21 @@ def beta_estimate(spec: SingularSpectrum) -> BetaEstimate:
     """Minimum of a_n^(1/n) over the last reliable decade.
 
     Non-compact symbols have no certified entries (infinite tails); the
-    estimate then falls back to every computed value above the floor and the
-    result is flagged.
+    estimate then falls back to every computed value at or above VALUE_FLOOR
+    and the result is flagged.
     """
     ns = spec.reliable_range()
     fallback = len(ns) < 10
     if fallback:
-        ns = np.nonzero(spec.values >= 1e-13)[0] + 1
+        ns = np.nonzero(spec.values >= VALUE_FLOOR)[0] + 1
     if len(ns) < 10:
         raise ValueError("not enough reliable entries for a rate estimate")
     roots = spec.values[ns - 1] ** (1.0 / ns)
-    n_hi = int(ns[-1])
-    lo = max(int(ns[0]), int(math.ceil(n_hi / 10)))
-    decade = (ns >= lo) & (ns <= n_hi)
+    lo = _last_decade_start(ns)
     return BetaEstimate(
-        value=float(roots[decade].min()),
+        value=float(roots[ns >= lo].min()),
         roots=roots,
-        decade=(lo, n_hi),
+        decade=(lo, int(ns[-1])),
         from_uncertified=fallback,
     )
 
@@ -224,7 +224,7 @@ def lower_law_probe(spec: SingularSpectrum, r: float, sup_norm: float) -> Report
     log_q = np.log(vals) - 2.0 * ns * math.log(s) + 0.5 * np.log(ns)
     n_lo, n_hi = int(ns[0]), int(ns[-1])
     first = ns <= min(10 * n_lo, n_hi)
-    last = ns >= max(n_hi // 10, n_lo)
+    last = ns >= _last_decade_start(ns)
     min_first = float(log_q[first].min())
     min_last = float(log_q[last].min())
     passed = min_last >= min_first + math.log(0.5)

@@ -22,7 +22,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from . import __version__, analysis, geometry
-from .opmatrix import assemble, singular_spectrum
+from .opmatrix import VALUE_FLOOR, assemble, singular_spectrum
 from .series import SeriesParams, Space, coefficients_of_power
 from .symbols import SymbolMap, parse_symbol
 
@@ -187,7 +187,7 @@ def _verify_window_bound(cfg: RunConfig) -> list[analysis.Report]:
     s = parse_symbol(cfg.symbol)
     spec, _ = _spectrum_for(cfg, s, cfg.N)
     all_ns = np.arange(1, len(spec.values) + 1)
-    ns = all_ns[(all_ns >= 20) & (all_ns <= 200) & (spec.values >= 1e-12)]
+    ns = all_ns[(all_ns >= 20) & (all_ns <= 200) & (spec.values >= VALUE_FLOOR)]
     if len(ns) < 5:
         raise ValueError("not enough usable entries in [20, 200] for the bound check")
     ratios = spec.values[ns - 1] / geometry.zinc_upper_bound(s, ns)[0]
@@ -215,32 +215,21 @@ def _verify_headline(cfg: RunConfig) -> list[analysis.Report]:
     s = parse_symbol(cfg.symbol)
     checks = []
     cs = {}
+    # lowered for the cusp's structurally short reliable range; reported
+    min_entries = 8
     for N in (cfg.N // 2, cfg.N):
         spec, m = _spectrum_for(cfg, s, N)
+        details = {"min_entries": min_entries}
         try:
-            fits = analysis.fit_decay(spec, models=cfg.models, min_entries=8)
+            fits = analysis.fit_decay(spec, models=cfg.models, min_entries=min_entries)
         except ValueError as exc:
-            checks.append(
-                analysis.Report(
-                    name=f"rootn-fit[N={N}]",
-                    passed=False,
-                    details={"error": str(exc), "truncation_norm_bound": m.truncation_norm_bound},
-                )
-            )
+            details.update(error=str(exc), truncation_norm_bound=m.truncation_norm_bound)
+            checks.append(analysis.Report(f"rootn-fit[N={N}]", False, details))
             continue
-        best = fits[0]
-        rootn = next(f for f in fits if f.model == "rootn")
-        cs[N] = rootn.c
-        checks.append(
-            analysis.Report(
-                name=f"rootn-fit[N={N}]",
-                passed=bool(best.model == "rootn"),
-                details={
-                    "best_model": best.model,
-                    "fits": {f.model: {"c": f.c, "rmse": f.rmse, "range": f.fit_range} for f in fits},
-                },
-            )
-        )
+        cs[N] = next(f.c for f in fits if f.model == "rootn")
+        details["best_model"] = fits[0].model
+        details["fits"] = {f.model: {"c": f.c, "rmse": f.rmse, "range": f.fit_range} for f in fits}
+        checks.append(analysis.Report(f"rootn-fit[N={N}]", fits[0].model == "rootn", details))
     if len(cs) == 2:
         c_half, c_full = cs[cfg.N // 2], cs[cfg.N]
         stable = abs(c_full - c_half) <= 0.2 * abs(c_half)
@@ -293,6 +282,7 @@ def _cmd_an(cfg: RunConfig) -> int:
     payload["column_tail"] = {"model": m.column_tail_fit.model, "rmse": m.column_tail_fit.rmse}
     payload["certification_floor"] = spec.certification_floor
     payload["stable_entries"] = int(spec.stable.sum())
+    payload["reliable_entries"] = len(spec.reliable_range())
     _write_report(cfg.report, payload)
     return 0
 
@@ -382,17 +372,12 @@ def _cmd_blaschke(cfg: RunConfig) -> int:
 def _cmd_fit(cfg: RunConfig) -> int:
     if not cfg.infile:
         raise ConfigError("fit needs --in (spectrum CSV)")
-    rows = []
     with open(cfg.infile) as fh:
-        for row in csv.DictReader(fh):
-            rows.append((int(row["n"]), float(row["a_n"])))
-    rows.sort()
+        rows = [(int(row["n"]), float(row["a_n"])) for row in csv.DictReader(fh)]
     ns = np.asarray([n for n, _ in rows])
-    values = np.asarray([v for _, v in rows])
-    keep = (values > 1e-12) & (ns >= 2)
-    values_full = np.zeros(int(ns.max()))
-    values_full[ns - 1] = values
-    fits = analysis.fit_decay(values_full, models=cfg.models, ns=ns[keep])
+    values = np.zeros(int(ns.max()))  # a missing n reads as 0, below every floor
+    values[ns - 1] = [v for _, v in rows]
+    fits = analysis.fit_decay(values, models=cfg.models)
     payload = _report_envelope(cfg, [])
     payload["fits"] = [
         {"model": f.model, "alpha": f.alpha, "c": f.c, "rmse": f.rmse, "range": f.fit_range}

@@ -25,6 +25,9 @@ Two certificates are attached to every spectrum:
   the rigorous radius.  For symbols whose power norms decay slowly (the
   cusp), the rigorous radius is honest but large, and the stability radius
   is what delimits the usable range; both are reported, neither is guessed.
+
+`SingularSpectrum` owns every rule about usable entries: `VALUE_FLOOR`, the
+certification floor max(VALUE_FLOOR, 2 radius) and the reliable range.
 """
 
 from __future__ import annotations
@@ -45,9 +48,11 @@ __all__ = [
     "assemble",
     "singular_spectrum",
     "hs_tail_bound",
+    "VALUE_FLOOR",
 ]
 
-_SVD_FLOOR = 1e-13
+# smallest singular value any consumer reads; every tier lies above it
+VALUE_FLOOR = 1e-12
 
 
 @dataclass(frozen=True)
@@ -72,12 +77,21 @@ class OperatorMatrix:
 
 @dataclass(frozen=True)
 class SingularSpectrum:
-    """Nonincreasing singular values with two error tiers per entry."""
+    """Nonincreasing singular values, one rigorous error radius for all and
+    per-entry stability radii (the change under halved truncation)."""
 
     values: np.ndarray
-    error_radii: np.ndarray
-    certification_floor: float
+    radius: float
     stability_radii: np.ndarray | None = None
+
+    @property
+    def error_radii(self) -> np.ndarray:
+        return np.full(len(self.values), self.radius)
+
+    @property
+    def certification_floor(self) -> float:
+        """Values at or above it exceed twice their rigorous error."""
+        return max(VALUE_FLOOR, 2.0 * self.radius) if math.isfinite(self.radius) else math.inf
 
     @property
     def certified(self) -> np.ndarray:
@@ -85,10 +99,10 @@ class SingularSpectrum:
 
     @property
     def stable(self) -> np.ndarray:
-        """Entries whose halved-truncation change is below 5 percent."""
+        """Entries above the floor changing under 5 percent when halved."""
         if self.stability_radii is None:
             return self.certified
-        ok = self.values >= 1e-12
+        ok = self.values >= VALUE_FLOOR
         return ok & (self.stability_radii <= 0.05 * self.values)
 
     def reliable_range(self) -> np.ndarray:
@@ -215,16 +229,13 @@ def _values_of(A: np.ndarray) -> np.ndarray:
 def singular_spectrum(m: OperatorMatrix, stability: bool = True) -> SingularSpectrum:
     """Singular values of the truncation with both certificate tiers.
 
-    error_radii is the rigorous uniform radius (perturbation bound by the
+    The radius is the rigorous uniform one (perturbation bound by the
     truncation norm); stability_radii compares against the half-size
     compression, a sharp empirical indicator of truncation bias.
     """
     if m.aliasing_suspect:
         raise ArithmeticError("assembly carries an aliasing flag; refusing to certify")
     values = _values_of(m.entries)
-    radius = m.truncation_norm_bound
-    radii = np.full(len(values), radius)
-    floor = max(_SVD_FLOOR, 2.0 * radius) if math.isfinite(radius) else math.inf
     stab = None
     if stability and m.N >= 8:
         half = m.entries[: m.entries.shape[0] - m.N // 2, : m.entries.shape[1] - m.N // 2]
@@ -232,9 +243,4 @@ def singular_spectrum(m: OperatorMatrix, stability: bool = True) -> SingularSpec
         stab = np.full(len(values), np.inf)
         L = len(vals_half)
         stab[:L] = np.abs(values[:L] - vals_half)
-    return SingularSpectrum(
-        values=values,
-        error_radii=radii,
-        certification_floor=floor,
-        stability_radii=stab,
-    )
+    return SingularSpectrum(values=values, radius=m.truncation_norm_bound, stability_radii=stab)

@@ -12,7 +12,7 @@ from compopnum.analysis import (
     sandwich_check,
     upper_law_constant,
 )
-from compopnum.opmatrix import assemble, singular_spectrum
+from compopnum.opmatrix import VALUE_FLOOR, SingularSpectrum, assemble, singular_spectrum
 from compopnum.symbols import AffineMap, CuspMap, builtin_contractions
 
 
@@ -99,6 +99,19 @@ def test_probe_affine_above_threshold():
     assert rep.details["log10_q_min_last_decade"] >= rep.details["log10_q_min_first_decade"]
 
 
+def test_probe_and_beta_share_the_last_decade():
+    # n_hi = 47: the last decade is [ceil(47/10), 47] = [5, 47] for both
+    spec = spectrum_of(AffineMap(0.95), N=128)
+    ns = spec.reliable_range()
+    assert (int(ns[0]), int(ns[-1])) == (1, 47)
+    rep = lower_law_probe(spec, 0.9, 0.95)
+    s = s_of_r(0.9)
+    last = ns[ns >= 5]
+    log_q = np.log(spec.values[last - 1]) - 2.0 * last * math.log(s) + 0.5 * np.log(last)
+    assert rep.details["log10_q_min_last_decade"] == pytest.approx(log_q.min() / math.log(10.0))
+    assert beta_estimate(spec).decade == (5, 47)
+
+
 def test_probe_cusp_trivially_passes(cusp_spectra):
     _, spec = cusp_spectra[512]
     rep = lower_law_probe(spec, 0.9, 1.0)
@@ -109,6 +122,40 @@ def test_probe_guards_sup_norm():
     spec = spectrum_of(AffineMap(0.5))
     with pytest.raises(ValueError):
         lower_law_probe(spec, 0.6, 0.5)
+
+
+# ---------------------------------------------------------------------------
+# the value floor
+
+
+def _straddling(radius, stability_radii):
+    # 29 entries above the floor and one below it
+    values = np.append(0.5 ** np.arange(1.0, 30.0), 0.5 * VALUE_FLOOR)
+    return SingularSpectrum(values, radius, stability_radii)
+
+
+def test_certification_floor_from_the_radius():
+    assert _straddling(1e-14, None).certification_floor == VALUE_FLOOR
+    assert _straddling(0.1, None).certification_floor == 0.2
+    assert _straddling(math.inf, None).certification_floor == math.inf
+    assert np.array_equal(_straddling(0.1, None).error_radii, np.full(30, 0.1))
+
+
+def test_every_consumer_drops_entries_below_the_floor():
+    above = np.arange(1, 30)
+    for radius in (1e-14, math.inf):
+        spec = _straddling(radius, np.zeros(30))
+        assert np.array_equal(spec.stable, np.arange(30) < 29)
+        assert np.array_equal(spec.reliable_range(), above)
+    assert not _straddling(1e-14, None).certified[-1]
+    spec = _straddling(math.inf, np.zeros(30))
+    assert fit_decay(spec)[0].fit_range == (2, 29)
+    assert fit_decay(spec.values)[0].fit_range == (2, 29)
+    # nothing certified and no stability tier: the rate estimate falls back
+    est = beta_estimate(_straddling(math.inf, None))
+    assert est.from_uncertified
+    assert est.decade == (3, 29)
+    assert len(est.roots) == 29
 
 
 # ---------------------------------------------------------------------------

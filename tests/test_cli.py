@@ -1,13 +1,16 @@
 import csv
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from compopnum import geometry
+from compopnum.analysis import fit_decay
 from compopnum.cli import main
-from compopnum.symbols import CuspMap
+from compopnum.opmatrix import assemble, singular_spectrum
+from compopnum.symbols import AffineMap, CuspMap
 
 
 def run(args):
@@ -30,6 +33,8 @@ def test_an_diagonal_csv(tmp_path):
     assert payload["config_hash"]
     # the disk's column tail is a closed form: no fit, no residual
     assert payload["column_tail"] == {"model": "closed-form:disk", "rmse": 0.0}
+    spec = singular_spectrum(assemble(AffineMap(0.5), 32))
+    assert payload["reliable_entries"] == len(spec.reliable_range()) > 0
 
 
 @pytest.mark.parametrize("N", [1, 2, 3])
@@ -155,6 +160,24 @@ def test_fit_subcommand_roundtrip(tmp_path):
     assert rootn["c"] == pytest.approx(2.0, abs=0.01)
 
 
+# values the benchmark's oracle pins: a change of the value floor or of the
+# tiers must not move them unseen
+ORACLE = json.loads((Path(__file__).parents[1] / "perfbench" / "oracle.json").read_text())
+
+
+def test_fit_on_an_csv_fits_every_entry_above_the_floor(tmp_path):
+    out, an, rep = tmp_path / "spec.csv", tmp_path / "an.json", tmp_path / "fit.json"
+    assert run(["an", "--symbol", "cusp", "--N", "64", "--out", str(out), "--report", str(an)]) == 0
+    assert json.loads(an.read_text())["stable_entries"] == ORACLE["an cusp N=64"]["stable_entries"] == 4
+    assert run(["fit", "--in", str(out), "--report", str(rep)]) == 0
+    got = {f["model"]: f for f in json.loads(rep.read_text())["fits"]}
+    spec = singular_spectrum(assemble(CuspMap(), 64))
+    for f in fit_decay(spec.values):
+        assert (got[f.model]["alpha"], got[f.model]["c"], got[f.model]["rmse"]) == (f.alpha, f.c, f.rmse)
+        assert tuple(got[f.model]["range"]) == f.fit_range
+        assert got[f.model]["range"] == ORACLE["fit an cusp N=64"][f"{f.model}.range"] == [2, 49]
+
+
 def test_verify_bound_calculus(tmp_path):
     rep = tmp_path / "v.json"
     assert run(["verify", "--theorem", "4.1", "--report", str(rep)]) == 0
@@ -190,6 +213,9 @@ def test_verify_headline_reports_failure(tmp_path):
     assert not payload["passed"]
     names = [c["name"] for c in payload["checks"]]
     assert any(name.startswith("rootn-fit") for name in names)
+    # the lowered fit-length guard is stated in every fit report
+    fit_checks = [c for c in payload["checks"] if c["name"].startswith("rootn-fit")]
+    assert all(c["details"]["min_entries"] == 8 for c in fit_checks)
 
 
 def test_window_bound_ordering_is_computed(tmp_path, monkeypatch):
@@ -199,6 +225,7 @@ def test_window_bound_ordering_is_computed(tmp_path, monkeypatch):
     details = json.loads(rep.read_text())["checks"][0]["details"]
     assert details["C_full"] <= 1.0
     assert details["ordering_holds"] is True
+    assert details["range"] == ORACLE["verify 2.4 cusp N=128"]["window-upper-bound.range"] == [20, 56]
     # bounds a million times too small break the ordering but not the
     # stability of the constant, which alone decides "passed"
     zinc = geometry.zinc_upper_bound
