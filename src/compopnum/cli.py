@@ -212,6 +212,8 @@ def _verify_window_bound(cfg: RunConfig) -> list[analysis.Report]:
 def _verify_headline(cfg: RunConfig) -> list[analysis.Report]:
     """Root-n law: RootN must beat Geometric and NOverLogN on the reliable
     range, with the fitted rate stable between half and full truncation."""
+    if "rootn" not in cfg.models:
+        raise ConfigError("theorem 3.1 fits the rootn model: models must include it")
     s = parse_symbol(cfg.symbol)
     checks = []
     cs = {}

@@ -19,7 +19,7 @@ Two certificates are attached to every spectrum:
 
 * a rigorous perturbation radius, hs_tail + row_tail + assembly_error,
   valid for every entry (singular values are 1-Lipschitz in the operator
-  norm);
+  norm; `series` proves assembly_error but for the evaluation accuracy);
 * an empirical stability radius per entry, the change of the value when the
   truncation is halved, which tracks the actual truncation bias far below
   the rigorous radius.  For symbols whose power norms decay slowly (the
@@ -169,7 +169,7 @@ def assemble(
     M, rho, Q = params.resolved()
     if M < N:
         raise ValueError("retained degree must reach the truncation size")
-    table, errs, alias, _ = power_coefficient_table(s, N, params)
+    table, peaks = power_coefficient_table(s, N, params)
 
     j = np.arange(1, N + 1, dtype=float)
     k = np.arange(1, N + 1, dtype=float)
@@ -199,7 +199,7 @@ def assemble(
     # coefficient-noise aggregate: per-entry error sqrt(j/k) err_k, Frobenius;
     # the constant row's entries c_0(phi^k)/sqrt(k) carry err_k/sqrt(k)
     w_rows = float(j.sum()) + (space is Space.DIRICHLET)
-    assembly_error = math.sqrt(float(((errs**2) * w_rows / k).sum()))
+    assembly_error = math.sqrt(float((params.error_bounds(peaks) ** 2 * w_rows / k).sum()))
 
     return OperatorMatrix(
         entries=A,
@@ -208,7 +208,7 @@ def assemble(
         hs_tail=hs_tail,
         row_tail=row_tail,
         assembly_error=assembly_error,
-        aliasing_suspect=bool(alias.any()),
+        aliasing_suspect=params.aliasing_suspect,
         column_tail_fit=column_fit,
     )
 

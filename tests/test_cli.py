@@ -10,6 +10,7 @@ from compopnum import geometry
 from compopnum.analysis import fit_decay
 from compopnum.cli import main
 from compopnum.opmatrix import assemble, singular_spectrum
+from compopnum.series import coefficients_of_power
 from compopnum.symbols import AffineMap, CuspMap
 
 
@@ -145,6 +146,19 @@ def test_series_subcommand(tmp_path):
     assert {"index", "re", "im"} <= set(rows[0])
 
 
+def test_series_report_carries_the_a_priori_bound(tmp_path):
+    rep = tmp_path / "r.json"
+    assert run(["series", "--symbol", "cusp", "--M", "64",
+                "--out", str(tmp_path / "s.csv"), "--report", str(rep)]) == 0
+    payload = json.loads(rep.read_text())
+    assert payload["error_bound"] == coefficients_of_power(CuspMap(), 1, 64).error_bound
+    assert payload["aliasing_suspect"] is False
+    # a user-chosen radius this close to 1 lets aliasing dominate
+    assert run(["series", "--symbol", "cusp", "--M", "16", "--rho", "0.9999", "--Q", "128",
+                "--out", str(tmp_path / "s.csv"), "--report", str(rep)]) == 0
+    assert json.loads(rep.read_text())["aliasing_suspect"] is True
+
+
 def test_fit_subcommand_roundtrip(tmp_path):
     src = tmp_path / "synthetic.csv"
     with open(src, "w", newline="") as fh:
@@ -216,6 +230,16 @@ def test_verify_headline_reports_failure(tmp_path):
     # the lowered fit-length guard is stated in every fit report
     fit_checks = [c for c in payload["checks"] if c["name"].startswith("rootn-fit")]
     assert all(c["details"]["min_entries"] == 8 for c in fit_checks)
+
+
+def test_verify_headline_needs_the_rootn_model(tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"models": ["geometric", "nlogn"]}))
+    rep = tmp_path / "never.json"
+    # a symbol whose fits succeed, so the missing model is what stops the run
+    assert run(["--config", str(cfg), "verify", "--theorem", "3.1", "--symbol", "affine:r=0.5",
+                "--N", "32", "--report", str(rep)]) == 2
+    assert not rep.exists()
 
 
 def test_window_bound_ordering_is_computed(tmp_path, monkeypatch):

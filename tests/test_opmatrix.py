@@ -190,12 +190,14 @@ def test_full_dirichlet_assembly_error_counts_the_constant_row():
     s = parse_symbol("compose(affine:r=0.7,moebius:u=0.3+0i)")
     N = 32
     m = assemble(s, N, Space.DIRICHLET)
-    _, errs, _, _ = power_coefficient_table(s, N, SeriesParams(M=2 * N))
+    _, peaks = power_coefficient_table(s, N, SeriesParams(M=2 * N))
+    errs = SeriesParams(M=2 * N).error_bounds(peaks)
     k = np.arange(1, N + 1)
     expected = math.sqrt(float((errs**2 * (1 + N * (N + 1) / 2) / k).sum()))
     assert m.assembly_error == pytest.approx(expected, rel=1e-14, abs=0.0)
     star = assemble(AffineMap(0.5), N)
-    _, errs, _, _ = power_coefficient_table(AffineMap(0.5), N, SeriesParams(M=2 * N))
+    _, peaks = power_coefficient_table(AffineMap(0.5), N, SeriesParams(M=2 * N))
+    errs = SeriesParams(M=2 * N).error_bounds(peaks)
     expected = math.sqrt(float((errs**2 * (N * (N + 1) / 2) / k).sum()))
     assert star.assembly_error == pytest.approx(expected, rel=1e-14, abs=0.0)
 
@@ -266,9 +268,15 @@ def test_cusp_values_decrease_and_certified_lower_bounds(cusp_spectra):
 
 
 def test_aliasing_flag_refuses_certification():
-    m = assemble(CuspMap(), 16, series_params=SeriesParams(M=16, rho=0.9999, Q=128))
-    if m.aliasing_suspect:
-        with pytest.raises(ArithmeticError):
-            singular_spectrum(m)
-    else:
-        pytest.skip("parameters did not trigger the aliasing guard")
+    # the aliasing bound is rho^Q/(1 - rho^Q), about 78 here
+    params = SeriesParams(M=16, rho=0.9999, Q=128)
+    assert params.aliasing_bound == pytest.approx(0.9999**128 / (1 - 0.9999**128))
+    m = assemble(CuspMap(), 16, series_params=params)
+    assert m.aliasing_suspect
+    with pytest.raises(ArithmeticError):
+        singular_spectrum(m)
+
+
+def test_default_plans_are_not_flagged():
+    for M in range(4097):
+        assert not SeriesParams(M).aliasing_suspect, M

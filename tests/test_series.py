@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from compopnum.series import (
+    _EVAL_ULPS,
     SeriesParams,
     coefficients_of_power,
     dirichlet_power_norms,
@@ -25,6 +26,7 @@ def test_affine_cube_is_exact():
     assert np.abs(ps.coeffs - expected).max() <= 1e-14
     # exact zeros, not merely small: flushed against the roundoff floor
     assert np.count_nonzero(ps.coeffs) == 1
+    assert ps.flushed == 8
 
 
 def test_cusp_constant_term_vanishes():
@@ -101,7 +103,7 @@ def test_cusp_region_vs_coefficients_at_low_powers():
 def test_power_mass_beyond_the_table():
     # a known base: the exact norm minus the retained mass, which for z/2
     # (one coefficient per row) is roundoff
-    table, _, _, _ = power_coefficient_table(AffineMap(0.5), 4, SeriesParams(8))
+    table, _ = power_coefficient_table(AffineMap(0.5), 4, SeriesParams(8))
     mass, beyond = power_mass(AffineMap(0.5), table)
     assert mass.shape == (4, 9)
     ks = np.arange(1, 5)
@@ -110,9 +112,9 @@ def test_power_mass_beyond_the_table():
     # without a known base a row too short for a tail fit has unknown mass
     # beyond it; a polynomial's dead rows have none
     poly = parse_symbol("coeffs:[0,0.5,0.25]")
-    short, _, _, _ = power_coefficient_table(poly, 2, SeriesParams(4))
+    short, _ = power_coefficient_table(poly, 2, SeriesParams(4))
     assert np.all(np.isinf(power_mass(poly, short)[1]))
-    table, _, _, _ = power_coefficient_table(poly, 2, SeriesParams(16))
+    table, _ = power_coefficient_table(poly, 2, SeriesParams(16))
     assert np.all(power_mass(poly, table)[1] == 0.0)
 
 
@@ -123,3 +125,69 @@ def test_series_params_validation():
         SeriesParams(8, rho=1.5).resolved()
     with pytest.raises(ValueError):
         coefficients_of_power(AffineMap(0.5), 0, 8)
+
+
+@pytest.fixture(scope="module")
+def mp():
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(40):
+        yield mpmath
+
+
+def _mp_map(mp, s, z):
+    """Each catalog kind's closed form in mpmath arithmetic."""
+    if isinstance(s, CuspMap):
+        w = mp.sqrt((z - 1j) / (1j * z - 1))  # q lies in the upper half-plane
+        h2 = 1 - 2 / mp.pi * mp.log((w - 1j) / (1 - 1j * w))
+        return 1 - (1 - 2 / mp.pi * mp.log(mp.sqrt(2) - 1)) / h2
+    if isinstance(s, AffineMap):
+        return s.r * mp.expj(s.theta) * z
+    if isinstance(s, MoebiusMap):
+        u = mp.mpc(s.u)
+        return (u - z) / (1 - mp.conj(u) * z)
+    if isinstance(s, CoefficientMap):
+        return mp.polyval([mp.mpc(c) for c in reversed(s.coeffs)], z)
+    return _mp_map(mp, s.outer, _mp_map(mp, s.inner, z))
+
+
+def _exact_point(mp, rho, q, Q):
+    return mp.mpf(rho) * mp.expj(2 * mp.pi * q / Q)
+
+
+@pytest.mark.parametrize("M", [64, 2048])
+@pytest.mark.parametrize(
+    "spec",
+    ["cusp", "affine:r=0.7,theta=1.3", "moebius:u=0.3+0.2i", "coeffs:[0,0.5,0.25]",
+     "compose(moebius:u=0.5+0i,compose(moebius:u=0.5+0i,cusp))"],
+)
+def test_samples_meet_the_evaluation_constant(mp, spec, M):
+    # the samples of the plan, at rounded points, against the map at the
+    # exact angles: every 128th point plus the 64 nearest z = 1, where the
+    # cusp's tip makes the rounding of the angle count most
+    s = parse_symbol(spec)
+    _, rho, Q = SeriesParams(M).resolved()
+    samples = s.evaluate(rho * np.exp(1j * (2.0 * np.pi * np.arange(Q) / Q)))
+    qs = np.unique(np.r_[0:Q:Q // 128, 0:32, Q - 32:Q])
+    for q in qs:
+        ref = _mp_map(mp, s, _exact_point(mp, rho, int(q), Q))
+        rel = abs(mp.mpc(samples[q]) - ref) / abs(ref)
+        assert rel <= _EVAL_ULPS * np.finfo(float).eps
+
+
+def test_cusp_power_coefficients_within_the_a_priori_bound(mp):
+    # a 40-digit DFT of the cusp's powers at the plan's exact angles carries
+    # the same aliasing as the double one, so the two differ by roundoff,
+    # flushing and evaluation alone
+    params = SeriesParams(64)
+    M, rho, Q = params.resolved()
+    table, peaks = power_coefficient_table(CuspMap(), 8, params)
+    err = params.error_bounds(peaks)
+    phi = [_mp_map(mp, CuspMap(), _exact_point(mp, rho, q, Q)) for q in range(Q)]
+    roots = [mp.expj(-2 * mp.pi * q / Q) for q in range(Q)]
+    rows = [[roots[j * q % Q] for q in range(Q)] for j in range(M + 1)]
+    g = [mp.mpc(1)] * Q
+    for k in range(1, 9):
+        g = [a * b for a, b in zip(g, phi)]
+        for j in range(M + 1):
+            ref = mp.fdot(g, rows[j]) / (Q * mp.mpf(rho) ** j)
+            assert abs(mp.mpc(table[k - 1, j]) - ref) <= err[k - 1] - params.aliasing_bound
