@@ -314,31 +314,29 @@ def _cmd_series(cfg: RunConfig) -> int:
     return 0
 
 
-def _require_seed(cfg: RunConfig):
-    if cfg.seed is None:
+def _route(cfg: RunConfig, resolve) -> str:
+    """geometry's route for cfg.method: an unknown name is a config error, an
+    exact route that does not hold exits 1, and Monte Carlo needs a seed."""
+    try:
+        route = resolve(cfg.method)
+    except geometry._UnsupportedRegion:
+        raise
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
+    if route == "monte-carlo" and cfg.seed is None:
         raise ConfigError("--seed is mandatory for Monte Carlo paths")
+    return route
 
 
 def _cmd_area(cfg: RunConfig) -> int:
     s = parse_symbol(cfg.symbol)
     if cfg.t is None:
         raise ConfigError("area needs --t")
-    # auto samples only where no exact route answers
-    if cfg.method == "monte-carlo" or (cfg.method == "auto" and not geometry.has_known_image(s)):
-        _require_seed(cfg)
-    meas = geometry.annulus_area(
-        s, cfg.t, method=cfg.method, samples=cfg.samples, seed=cfg.seed or 0
-    )
+    route = _route(cfg, lambda method: geometry._annulus_route(s, method))
+    meas = geometry.annulus_area(s, cfg.t, method=route, samples=cfg.samples, seed=cfg.seed or 0)
     payload = _report_envelope(cfg, [])
-    payload.update(
-        {
-            "value": meas.value,
-            "std_error": meas.std_error,
-            "method": meas.method,
-            "t": cfg.t,
-            "flagged": meas.flagged,
-        }
-    )
+    payload.update({"value": meas.value, "std_error": meas.std_error, "method": meas.method,
+                    "t": cfg.t, "flagged": meas.flagged})
     _write_report(cfg.report, payload)
     return 0
 
@@ -357,13 +355,9 @@ def _cmd_zinc(cfg: RunConfig) -> int:
 def _cmd_blaschke(cfg: RunConfig) -> int:
     if cfg.r is None:
         raise ConfigError("blaschke-cert needs --r")
-    if cfg.method == "monte-carlo":
-        _require_seed(cfg)
+    route = _route(cfg, lambda method: geometry._route(method, "quadrature", True))
     value = geometry.blaschke_certificate(
-        int(cfg.r),
-        method="quadrature" if cfg.method in ("auto", "quadrature") else "monte-carlo",
-        samples=cfg.samples,
-        seed=cfg.seed or 0,
+        int(cfg.r), method=route, samples=cfg.samples, seed=cfg.seed or 0
     )
     payload = _report_envelope(cfg, [])
     payload.update({"r": cfg.r, "value": value})
@@ -486,6 +480,22 @@ def _build_parser() -> argparse.ArgumentParser:
     return p
 
 
+# keys whose flags parse to int, and to int or float; `models` is a list of str, the rest str
+_INT_KEYS = ("N", "M", "Q", "samples", "seed", "n", "k", "n_max")
+_REAL_KEYS = ("rho", "t", "r", "h")
+
+
+def _config_type_ok(key: str, value) -> bool:
+    """A config-file value has the type its flag parses to; null only where
+    the default is None."""
+    if value is None or isinstance(value, bool):
+        return value is None and getattr(RunConfig, key) is None
+    if key == "models":
+        return isinstance(value, list) and all(isinstance(m, str) for m in value)
+    kind = int if key in _INT_KEYS else (int, float) if key in _REAL_KEYS else str
+    return isinstance(value, kind)
+
+
 def _merge_config(args) -> RunConfig:
     base: dict = {}
     if args.config:
@@ -500,6 +510,8 @@ def _merge_config(args) -> RunConfig:
     for key, value in base.items():
         if not hasattr(cfg, key) or key == "command":
             raise ConfigError(f"unknown config key {key!r}")
+        if not _config_type_ok(key, value):
+            raise ConfigError(f"config key {key!r} has a value of the wrong type: {value!r}")
         setattr(cfg, key, value)
     for key, value in vars(args).items():
         if key in ("config", "command", "what") or value is None:

@@ -14,7 +14,7 @@ All areas are normalized: dA = dx dy / pi, so the unit disk has area 1.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -354,11 +354,9 @@ def _power_modulus(factor) -> float:
 class RegionMeasure:
     """A computed region mass with its method and uncertainty."""
 
-    symbol: SymbolMap
     value: float
     std_error: float
     method: str
-    samples: int = 0
     flagged: bool = False
 
 
@@ -380,11 +378,23 @@ class _UnsupportedRegion(ValueError):
     pass
 
 
+def _route(method: str, exact: str, holds: bool) -> str:
+    """The route a region measure runs: "auto" takes the exact route where it
+    holds, else "monte-carlo"; an exact request where it does not hold raises
+    _UnsupportedRegion, a name other than the three ValueError."""
+    names = ("auto", exact, "monte-carlo")
+    if method not in names:
+        raise ValueError(f"unknown method {method!r}; choose from {list(names)}")
+    if method == "auto":
+        return exact if holds else "monte-carlo"
+    if method == exact and not holds:
+        raise _UnsupportedRegion(f"no {exact} route for this region; use monte-carlo")
+    return method
+
+
 def _require_univalent(s: SymbolMap):
     if not s.is_univalent:
-        raise _UnsupportedRegion(
-            "region measures need a univalent symbol (counting function = indicator)"
-        )
+        raise _UnsupportedRegion("region measures need a univalent symbol (n_phi = indicator)")
 
 
 def image_contains(s: SymbolMap, w):
@@ -462,12 +472,15 @@ def _unresolved(s: SymbolMap, b, t: float) -> bool:
     return bool(np.any((sag > t / 8.0) & (reach >= 1.0 - t)))
 
 
-def _exact_annulus_area(s: SymbolMap, t: float) -> float | None:
-    """Closed-form A[phi(D) n {|w| >= 1-t}] when the image is known exactly."""
+def _exact_annulus_area(s: SymbolMap, t: float) -> float:
+    """Closed-form A[phi(D) n {|w| >= 1-t}] for a known image base."""
     base, factor = _image(s)
-    if base is None:
-        return None
     return abs(factor) ** 2 * base.annulus_area(_base_depth(t, factor))
+
+
+def _annulus_route(s: SymbolMap, method: str) -> str:
+    """The route `annulus_area` runs: exact arcs wherever the base is known."""
+    return _route(method, "exact-arcs", has_known_image(s))
 
 
 def annulus_area(
@@ -480,24 +493,14 @@ def annulus_area(
     """Normalized area of phi(D) intersected with {|w| >= 1-t}.
 
     method: "exact-arcs" (closed forms / arc quadrature), "monte-carlo"
-    (stratified membership sampling), "polar" (membership on a deterministic
-    polar grid), or "auto".
+    (stratified membership sampling), or "auto".
     """
     _require_univalent(s)
     if not 0.0 < t <= 1.0:
         raise ValueError("annulus depth must lie in (0, 1]")
-    if method in ("auto", "exact-arcs"):
-        val = _exact_annulus_area(s, t)
-        if val is not None:
-            return RegionMeasure(s, val, 0.0, "exact-arcs")
-        if method == "exact-arcs":
-            raise _UnsupportedRegion("no exact arcs for this symbol; use monte-carlo")
-        method = "monte-carlo"
-    if method == "polar":
-        return _polar_annulus_area(s, t)
-    if method == "monte-carlo":
-        return _mc_annulus_area(s, t, samples, seed)
-    raise ValueError(f"unknown method {method!r}")
+    if _annulus_route(s, method) == "exact-arcs":
+        return RegionMeasure(_exact_annulus_area(s, t), 0.0, "exact-arcs")
+    return _mc_annulus_area(s, t, samples, seed)
 
 
 def _annulus_box(s: SymbolMap, t: float):
@@ -508,17 +511,6 @@ def _annulus_box(s: SymbolMap, t: float):
     if base is not None:
         centre, theta0 = np.angle(factor), base.box_angle(_base_depth(t, factor))
     return centre, theta0, (1.0 - (1.0 - t) ** 2) * (theta0 / np.pi)
-
-
-def _polar_annulus_area(s: SymbolMap, t: float, n_r: int = 400, n_th: int = 1024):
-    centre, theta0, box = _annulus_box(s, t)
-    lo2 = (1.0 - t) ** 2
-    # midpoint grid of the box, equal-area in the radius
-    rr = np.sqrt(lo2 + (1.0 - lo2) * (np.arange(n_r)[:, None] + 0.5) / n_r)
-    th = centre + theta0 * ((2.0 * np.arange(n_th) + 1.0) / n_th - 1.0)
-    contains, flagged = _sampling_membership(s, t)
-    inside = contains(rr * np.exp(1j * th))
-    return RegionMeasure(s, box * float(inside.mean()), 0.0, "polar", n_r * n_th, flagged)
 
 
 def _mc_annulus_area(s: SymbolMap, t: float, samples: int, seed: int):
@@ -532,15 +524,13 @@ def _mc_annulus_area(s: SymbolMap, t: float, samples: int, seed: int):
     hits = contains(rr * np.exp(1j * th))
     value = box * hits.mean()
     std = box * hits.std(ddof=1) / math.sqrt(samples)
-    return RegionMeasure(s, float(value), float(std), "monte-carlo", samples, flagged)
+    return RegionMeasure(float(value), float(std), "monte-carlo", flagged)
 
 
 def m_functional(s: SymbolMap, t: float) -> RegionMeasure:
     """m(t): annulus mass scaled by 1/t^2."""
     area = annulus_area(s, t)
-    return RegionMeasure(
-        s, area.value / t**2, area.std_error / t**2, area.method, area.samples, area.flagged
-    )
+    return replace(area, value=area.value / t**2, std_error=area.std_error / t**2)
 
 
 _DYADIC_TERMS = 40  # M(t) sums m(2^-k t) for k = 0.._DYADIC_TERMS
@@ -607,6 +597,18 @@ def _window_samples(rng, xi: complex, h: float, samples: int):
     return xi + rr * np.exp(1j * th)
 
 
+def _mc_window(contains, weight, xi: complex, h: float, rng, samples: int):
+    """(value, std error) of (1/pi) * integral of weight(w) over the points of
+    S(xi, h) that pass contains, from uniform window samples.  Membership is
+    tested only on the samples in the disk, the weight only on the members."""
+    w = _window_samples(rng, xi, h, samples)
+    kept = np.flatnonzero(np.abs(w) < 1.0)
+    hit = kept[contains(w[kept])]
+    vals = np.zeros(samples)
+    vals[hit] = weight(w[hit])
+    return float(h**2 * vals.mean()), float(h**2 * vals.std(ddof=1) / math.sqrt(samples))
+
+
 def window_area(
     s: SymbolMap,
     window: CarlesonWindow,
@@ -614,28 +616,17 @@ def window_area(
     samples: int = 10**6,
     seed: int = 0,
 ) -> RegionMeasure:
-    """Normalized area of S(xi, h) n phi(D)."""
+    """Normalized area of S(xi, h) n phi(D).  "exact-arcs" holds only at the
+    unscaled cusp's tip xi = 1: the tip quadrature with |B|^2 = 1."""
     _require_univalent(s)
     xi, h = complex(window.xi), window.h
     at_tip = _image(s) == (_CUSP_REGION, 1.0) and xi == 1.0
-    if method == "auto":
-        method = "exact-arcs" if at_tip else "monte-carlo"
-    if method == "exact-arcs":
-        if not at_tip:
-            raise _UnsupportedRegion("exact window arcs only at the cusp tip")
-        u, wts = _gauss_panels(h)
-        vals = _CUSP_REGION.tip_angular_measure(u) * u
-        return RegionMeasure(s, float(np.dot(wts, vals)) / math.pi, 0.0, "exact-arcs")
+    if _route(method, "exact-arcs", at_tip) == "exact-arcs":
+        return RegionMeasure(_window_mean_quadrature(BlaschkeProduct(()), xi, h), 0.0, "exact-arcs")
     # S(xi, h) lies in the annulus {|w| > 1-h}: the depth-h flag covers it
     contains, flagged = _sampling_membership(s, h)
-    w = _window_samples(np.random.default_rng(seed), xi, h, samples)
-    ok = np.abs(w) < 1.0
-    hits = np.zeros(samples, dtype=bool)
-    if ok.any():
-        hits[ok] = contains(w[ok])
-    value = h**2 * hits.mean()
-    std = h**2 * hits.std(ddof=1) / math.sqrt(samples)
-    return RegionMeasure(s, float(value), float(std), "monte-carlo", samples, flagged)
+    value, std = _mc_window(contains, lambda w: 1.0, xi, h, np.random.default_rng(seed), samples)
+    return RegionMeasure(value, std, "monte-carlo", flagged)
 
 
 def cusp_imaginary_law(h: float) -> float:
@@ -720,31 +711,29 @@ def _window_mean_quadrature(b: BlaschkeProduct, xi: complex, h: float):
 def blaschke_certificate(
     r: int,
     n_zeros: int | None = None,
-    method: str = "quadrature",
+    method: str = "auto",
     samples: int = 200_000,
     seed: int = 0,
 ) -> float:
     """sup over Carleson windows of (1/h) * integral of |B|^2 over the window
     intersected with the cusp region, B = (Blaschke with dyadic zeros)^r.
 
-    n_zeros defaults to r (zeros 1-2^-j, j <= r); pass a fixed count to
-    study the pure power mechanism.
+    method: "quadrature" (also what "auto" runs) or "monte-carlo".  n_zeros
+    defaults to r (zeros 1-2^-j, j <= r); pass a fixed count to study the
+    pure power mechanism.
     """
     if r < 0:
         raise ValueError("power must be nonnegative")
+    route = _route(method, "quadrature", True)
     zeros = unit_interval_dyadic_zeros(r if n_zeros is None else n_zeros)
     b = BlaschkeProduct(zeros, power=r)
     best = 0.0
     rng = np.random.default_rng(seed)
     for xi, h in default_window_grid():
-        if method == "quadrature":
+        if route == "quadrature":
             val = _window_mean_quadrature(b, complex(xi), float(h))
         else:
-            w = _window_samples(rng, complex(xi), h, samples)
-            ok = (np.abs(w) < 1.0) & _CUSP_REGION.contains(w)
-            vals = np.zeros(samples)
-            vals[ok] = b.abs2(w[ok])
-            val = float(h**2 * vals.mean())
+            val = _mc_window(_CUSP_REGION.contains, b.abs2, complex(xi), h, rng, samples)[0]
         best = max(best, val / h)
     return best
 

@@ -60,7 +60,6 @@ class OperatorMatrix:
     """N x N (or (N+1) x (N+1) with the constant direction) truncation."""
 
     entries: np.ndarray
-    basis: Space
     N: int
     hs_tail: float
     row_tail: float
@@ -203,7 +202,6 @@ def assemble(
 
     return OperatorMatrix(
         entries=A,
-        basis=space,
         N=N,
         hs_tail=hs_tail,
         row_tail=row_tail,
@@ -226,7 +224,7 @@ def _values_of(A: np.ndarray) -> np.ndarray:
     return np.linalg.svd(A, compute_uv=False)
 
 
-def singular_spectrum(m: OperatorMatrix, stability: bool = True) -> SingularSpectrum:
+def singular_spectrum(m: OperatorMatrix) -> SingularSpectrum:
     """Singular values of the truncation with both certificate tiers.
 
     The radius is the rigorous uniform one (perturbation bound by the
@@ -237,7 +235,7 @@ def singular_spectrum(m: OperatorMatrix, stability: bool = True) -> SingularSpec
         raise ArithmeticError("assembly carries an aliasing flag; refusing to certify")
     values = _values_of(m.entries)
     stab = None
-    if stability and m.N >= 8:
+    if m.N >= 8:
         half = m.entries[: m.entries.shape[0] - m.N // 2, : m.entries.shape[1] - m.N // 2]
         vals_half = _values_of(half)
         stab = np.full(len(values), np.inf)

@@ -36,7 +36,7 @@ def test_criterion_01_diagonal_exactness():
     t0 = time.time()
     worst = 0.0
     for r in (0.3, 0.5, 0.7):
-        spec = singular_spectrum(assemble(AffineMap(r), 64), stability=False)
+        spec = singular_spectrum(assemble(AffineMap(r), 64))
         exact = r ** np.arange(1, 31)
         rel = np.abs(spec.values[:30] - exact) / exact
         worst = max(worst, float(rel.max()))
@@ -67,7 +67,7 @@ def test_criterion_03_upper_law_constant_stability():
     ok = True
     details = []
     for r in (0.3, 0.5, 0.7):
-        spec = singular_spectrum(assemble(AffineMap(r), 160), stability=False)
+        spec = singular_spectrum(assemble(AffineMap(r), 160))
         c_short = analysis.upper_law_constant(spec, r, 5, 40)
         c_long = analysis.upper_law_constant(spec, r, 5, 80)
         ns = np.arange(5, 41)

@@ -288,6 +288,32 @@ def test_blaschke_subcommand(tmp_path):
     assert payload["value"] > 0
 
 
+def test_blaschke_auto_runs_the_quadrature(tmp_path):
+    rep = tmp_path / "b.json"
+    assert run(["blaschke-cert", "--r", "1", "--method", "auto", "--report", str(rep)]) == 0
+    assert json.loads(rep.read_text())["value"] == geometry.blaschke_certificate(1, method="quadrature")
+
+
+@pytest.mark.parametrize("args", [
+    ["area", "--symbol", "cusp", "--t", "0.1", "--method", "polar"],
+    ["area", "--symbol", "cusp", "--t", "0.1", "--method", "quadrature"],
+    # a window method on the certificate: no longer a silent seed-0 Monte Carlo run
+    ["blaschke-cert", "--r", "1", "--method", "exact-arcs", "--samples", "1000"],
+    ["blaschke-cert", "--r", "1", "--method", "monte-carlo"],  # no --seed
+])
+def test_region_methods_checked_before_running(tmp_path, args):
+    rep = tmp_path / "never.json"
+    assert run(args + ["--report", str(rep)]) == 2
+    assert not rep.exists()
+
+
+def test_exact_request_without_exact_route_exits_1(tmp_path):
+    rep = tmp_path / "never.json"
+    assert run(["area", "--symbol", "compose(cusp,affine:r=0.5)", "--t", "0.1",
+                "--method", "exact-arcs", "--report", str(rep)]) == 1
+    assert not rep.exists()
+
+
 def test_config_file_with_flag_override(tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"symbol": "affine:r=0.5", "N": 8}))
@@ -296,6 +322,18 @@ def test_config_file_with_flag_override(tmp_path):
                 "--report", str(tmp_path / "r.json")]) == 0
     rows = list(csv.DictReader(open(out)))
     assert len(rows) == 16  # flag wins over config
+
+
+@pytest.mark.parametrize("config, args", [
+    ({"N": "64"}, ["an", "--symbol", "affine:r=0.5"]),
+    ({"seed": 1.5}, ["area", "--symbol", "cusp", "--t", "0.1", "--method", "monte-carlo"]),
+])
+def test_config_value_of_the_wrong_type_exits_2(tmp_path, config, args):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    out, rep = tmp_path / "never.csv", tmp_path / "never.json"
+    assert run(["--config", str(cfg)] + args + ["--out", str(out), "--report", str(rep)]) == 2
+    assert not out.exists() and not rep.exists()
 
 
 def test_bad_config_rejected(tmp_path):

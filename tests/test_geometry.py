@@ -77,9 +77,27 @@ def test_annulus_area_methods_agree():
     exact = annulus_area(CUSP, 1.0, method="exact-arcs")
     mc = annulus_area(CUSP, 1.0, method="monte-carlo", samples=2_000_000, seed=11)
     assert abs(mc.value - exact.value) <= 3 * mc.std_error
-    for t in (0.25, 2.0**-6):
-        polar = annulus_area(CUSP, t, method="polar")
-        assert polar.value == pytest.approx(annulus_area(CUSP, t).value, rel=5e-2)
+
+
+@pytest.mark.parametrize("method", ["polar", "exactarcs"])
+def test_region_measures_reject_unknown_methods(method):
+    # an unknown name is an error, never a silent Monte Carlo run
+    with pytest.raises(ValueError, match="unknown method"):
+        annulus_area(CUSP, 0.25, method=method)
+    with pytest.raises(ValueError, match="unknown method"):
+        window_area(CUSP, CarlesonWindow(1.0, 0.1), method=method)
+    with pytest.raises(ValueError, match="unknown method"):
+        blaschke_certificate(1, method=method)
+
+
+def test_exact_routes_refuse_where_they_do_not_hold():
+    with pytest.raises(geometry._UnsupportedRegion):
+        annulus_area(parse_symbol("compose(cusp,affine:r=0.5)"), 0.25, method="exact-arcs")
+    with pytest.raises(geometry._UnsupportedRegion):
+        window_area(CUSP, CarlesonWindow(-1.0, 0.1), method="exact-arcs")
+    # quadrature is the certificate's exact route: a window's name is unknown
+    with pytest.raises(ValueError, match="unknown method"):
+        blaschke_certificate(1, method="exact-arcs")
 
 
 @settings(max_examples=30, deadline=None, derandomize=True)
@@ -242,6 +260,32 @@ def test_window_area_tip_methods_agree():
     ex = window_area(CUSP, CarlesonWindow(1.0, h))
     mc = window_area(CUSP, CarlesonWindow(1.0, h), method="monte-carlo", samples=4_000_000, seed=5)
     assert abs(ex.value - mc.value) <= 3 * mc.std_error + 1e-12
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(h=st.floats(2.0**-7, 0.5))
+def test_window_area_tip_monte_carlo_within_five_sigma(h):
+    window = CarlesonWindow(1.0, h)
+    exact = window_area(CUSP, window)
+    assert exact.method == "exact-arcs" and exact.std_error == 0.0
+    mc = window_area(CUSP, window, method="monte-carlo", samples=200_000, seed=23)
+    assert mc.method == "monte-carlo" and mc.std_error > 0.0
+    assert abs(mc.value - exact.value) <= 5.0 * mc.std_error
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(h=st.floats(2.0**-7, 0.5), ratio=st.floats(1.001, 2.0))
+def test_window_area_tip_increases_with_h(h, ratio):
+    smaller = window_area(CUSP, CarlesonWindow(1.0, h / ratio)).value
+    assert 0.0 < smaller < window_area(CUSP, CarlesonWindow(1.0, h)).value
+
+
+def test_window_area_tip_is_the_unit_weight_quadrature():
+    # the tip route is the certificate's tip quadrature with |B|^2 = 1
+    h = 0.125
+    value = window_area(CUSP, CarlesonWindow(1.0, h)).value
+    assert value == geometry._window_mean_quadrature(BlaschkeProduct(()), 1.0, h)
+    assert value == pytest.approx(0.00026566672243968757, rel=1e-15, abs=0.0)
 
 
 def test_carleson_window_validation():

@@ -19,7 +19,7 @@ def test_affine_assembles_diagonal():
 def test_identity_assembles_identity():
     m = assemble(AffineMap(1.0), 4)
     assert np.abs(m.entries - np.eye(4)).max() <= 1e-14
-    spec = singular_spectrum(m, stability=False)
+    spec = singular_spectrum(m)
     assert np.abs(spec.values - 1.0).max() <= 1e-14
 
 
@@ -37,7 +37,7 @@ def test_affine_hs_tail_closed_form():
 
 def test_rotated_affine_diagonal_modulus():
     m = assemble(AffineMap(0.5, theta=1.1), 8)
-    spec = singular_spectrum(m, stability=False)
+    spec = singular_spectrum(m)
     assert np.abs(spec.values - 0.5 ** np.arange(1, 9)).max() <= 1e-14
 
 
@@ -48,7 +48,7 @@ def test_spectrum_diagonal_values():
 
 def test_diagonal_relative_accuracy_deep():
     for r in (0.3, 0.5, 0.7):
-        spec = singular_spectrum(assemble(AffineMap(r), 64), stability=False)
+        spec = singular_spectrum(assemble(AffineMap(r), 64))
         exact = r ** np.arange(1, 31)
         rel = np.abs(spec.values[:30] - exact) / exact
         assert rel.max() <= 1e-10
@@ -231,7 +231,7 @@ def test_moebius_full_dirichlet_space():
     m = assemble(MoebiusMap(0.3), 16, Space.DIRICHLET)
     assert m.entries.shape == (17, 17)
     assert m.entries[0, 0] == 1.0
-    spec = singular_spectrum(m, stability=False)
+    spec = singular_spectrum(m)
     # composition with an automorphism preserves Dirichlet energy: top
     # singular values cluster at/above 1
     assert spec.values[0] >= 1.0 - 1e-9
@@ -241,8 +241,8 @@ def test_monotone_certification_under_refinement():
     # growing the truncation never lowers certified values beyond the radius
     params = SeriesParams(M=128)
     s = builtin_contractions()[3]  # origin-fixed Moebius-composed contraction
-    spec32 = singular_spectrum(assemble(s, 32, series_params=params), stability=False)
-    spec64 = singular_spectrum(assemble(s, 64, series_params=params), stability=False)
+    spec32 = singular_spectrum(assemble(s, 32, series_params=params))
+    spec64 = singular_spectrum(assemble(s, 64, series_params=params))
     assert np.all(spec64.values[:32] >= spec32.values - spec32.error_radii - 1e-12)
     # and compressions only grow with N
     assert np.all(spec64.values[:32] + 1e-12 >= spec32.values)
