@@ -5,8 +5,12 @@ Every report embeds the hash of the resolved configuration and the library
 version; numeric output uses shortest round-trip decimals, so identical
 configurations and seeds reproduce bit-identical artifacts.
 
-Exit codes: 0 all requested checks passed; 1 a numerical check failed;
-2 configuration/schema error (no partial artifacts are written).
+run_pipeline owns each command's lifecycle: it parses the symbol, validates
+the configuration, runs the command, writes the one report and sets the exit
+code. Exit codes: 0 when every check that ran passed or none ran; 1 when a
+check ran and failed, or the computation raised a numerical error; 2 on a
+configuration error, which includes a missing or malformed input file and a
+missing output directory (nothing is written then).
 """
 
 from __future__ import annotations
@@ -16,6 +20,7 @@ import csv
 import hashlib
 import json
 import math
+import os
 import sys
 from dataclasses import asdict, dataclass
 
@@ -128,63 +133,51 @@ def _write_report(path: str | None, payload: dict) -> None:
         print(text)
 
 
-def _report_envelope(cfg: RunConfig, checks: list[analysis.Report]) -> dict:
-    return {
-        "version": __version__,
-        "config_hash": cfg.config_hash(),
-        "config": asdict(cfg),
-        "checks": [c.as_dict() for c in checks],
-        # a command that ran no checks has no verdict
-        "passed": all(c.passed for c in checks) if checks else None,
-    }
-
-
 # ---------------------------------------------------------------------------
-# theorem verifications
+# theorem verifications and subcommands: (cfg, parsed symbol) -> (report fields,
+# checks); run_pipeline owns validation, the report and the exit code
+
+_Outcome = tuple[dict, list[analysis.Report]]
 
 
 def _spectrum_for(cfg: RunConfig, s: SymbolMap, N: int):
-    params = SeriesParams(M=cfg.M or 2 * N, rho=cfg.rho, Q=cfg.Q)
+    params = SeriesParams(M=2 * N if cfg.M is None else cfg.M, rho=cfg.rho, Q=cfg.Q)
     m = assemble(s, N, cfg.resolved_space(s), params)
     return singular_spectrum(m), m
 
 
-def _verify_geometric_upper(cfg: RunConfig) -> list[analysis.Report]:
+def _verify_geometric_upper(cfg: RunConfig, s: SymbolMap) -> _Outcome:
     """Upper decay law a_n <= C sqrt(n) sigma^n for the contraction family."""
     checks = []
     for r in (0.3, 0.5, 0.7):
-        s = parse_symbol(f"affine:r={r}")
-        spec, _ = _spectrum_for(cfg, s, max(cfg.N, 160))
+        spec, _ = _spectrum_for(cfg, parse_symbol(f"affine:r={r}"), max(cfg.N, 160))
         c_short = analysis.upper_law_constant(spec, r, 5, 40)
         c_long = analysis.upper_law_constant(spec, r, 5, 80)
-        stable = c_long <= 1.5 * c_short
         checks.append(
             analysis.Report(
                 name=f"upper-law[r={r}]",
-                passed=bool(stable),
+                passed=bool(c_long <= 1.5 * c_short),
                 details={"C_5_40": c_short, "C_5_80": c_long, "stability_factor": c_long / c_short},
             )
         )
-    return checks
+    return {}, checks
 
 
-def _verify_slow_decay(cfg: RunConfig) -> list[analysis.Report]:
-    s = parse_symbol(cfg.symbol)
+def _verify_slow_decay(cfg: RunConfig, s: SymbolMap) -> _Outcome:
     if s.sup_norm_hint is None:
         raise ConfigError("slow-decay probe needs a symbol with a known sup norm")
     r = cfg.r if cfg.r is not None else 0.9
     spec, _ = _spectrum_for(cfg, s, cfg.N)
-    return [analysis.lower_law_probe(spec, float(r), s.sup_norm_hint)]
+    return {}, [analysis.lower_law_probe(spec, float(r), s.sup_norm_hint)]
 
 
-def _verify_window_bound(cfg: RunConfig) -> list[analysis.Report]:
+def _verify_window_bound(cfg: RunConfig, s: SymbolMap) -> _Outcome:
     """Computed a_n <= C * window upper bound, C stable under range doubling.
 
     Computed singular values are certified lower bounds of the true
     approximation numbers, so this checks a consequence of the inequality;
     the content is the stability of the fitted constant.
     """
-    s = parse_symbol(cfg.symbol)
     spec, _ = _spectrum_for(cfg, s, cfg.N)
     all_ns = np.arange(1, len(spec.values) + 1)
     ns = all_ns[(all_ns >= 20) & (all_ns <= 200) & (spec.values >= VALUE_FLOOR)]
@@ -194,7 +187,7 @@ def _verify_window_bound(cfg: RunConfig) -> list[analysis.Report]:
     split = ns[len(ns) // 2]
     c_short = ratios[ns <= split].max()
     c_full = ratios.max()
-    return [
+    return {}, [
         analysis.Report(
             name="window-upper-bound",
             passed=bool(c_full <= 1.5 * c_short),
@@ -209,14 +202,12 @@ def _verify_window_bound(cfg: RunConfig) -> list[analysis.Report]:
     ]
 
 
-def _verify_headline(cfg: RunConfig) -> list[analysis.Report]:
+def _verify_headline(cfg: RunConfig, s: SymbolMap) -> _Outcome:
     """Root-n law: RootN must beat Geometric and NOverLogN on the reliable
     range, with the fitted rate stable between half and full truncation."""
     if "rootn" not in cfg.models:
         raise ConfigError("theorem 3.1 fits the rootn model: models must include it")
-    s = parse_symbol(cfg.symbol)
-    checks = []
-    cs = {}
+    checks, cs = [], {}
     # lowered for the cusp's structurally short reliable range; reported
     min_entries = 8
     for N in (cfg.N // 2, cfg.N):
@@ -242,7 +233,7 @@ def _verify_headline(cfg: RunConfig) -> list[analysis.Report]:
                 details={"c_half": c_half, "c_full": c_full},
             )
         )
-    return checks
+    return {}, checks
 
 
 def _parse_eps(text: str):
@@ -253,9 +244,9 @@ def _parse_eps(text: str):
     raise ConfigError(f"unknown eps sequence {text!r} (use '1/log(n+2)' or 'n^-0.5')")
 
 
-def _verify_bound_calculus(cfg: RunConfig) -> list[analysis.Report]:
+def _verify_bound_calculus(cfg: RunConfig, s: SymbolMap) -> _Outcome:
     _, rep = analysis.improvement_bound(_parse_eps(cfg.eps), (2, cfg.n_max))
-    return [rep]
+    return {}, [rep]
 
 
 _THEOREM_RUNNERS = {
@@ -267,51 +258,38 @@ _THEOREM_RUNNERS = {
 }
 
 
-# ---------------------------------------------------------------------------
-# subcommands
-
-
-def _cmd_an(cfg: RunConfig) -> int:
-    s = parse_symbol(cfg.symbol)
+def _cmd_an(cfg: RunConfig, s: SymbolMap) -> _Outcome:
     spec, m = _spectrum_for(cfg, s, cfg.N)
     out = cfg.out or "spectrum.csv"
     _write_spectrum_csv(out, spec)
-    payload = _report_envelope(cfg, [])
-    payload["spectrum_csv"] = out
-    payload["hs_tail"] = m.hs_tail
-    payload["row_tail"] = m.row_tail
-    payload["assembly_error"] = m.assembly_error
-    payload["column_tail"] = {"model": m.column_tail_fit.model, "rmse": m.column_tail_fit.rmse}
-    payload["certification_floor"] = spec.certification_floor
-    payload["stable_entries"] = int(spec.stable.sum())
-    payload["reliable_entries"] = len(spec.reliable_range())
-    _write_report(cfg.report, payload)
-    return 0
+    return {
+        "spectrum_csv": out,
+        "hs_tail": m.hs_tail,
+        "row_tail": m.row_tail,
+        "assembly_error": m.assembly_error,
+        "column_tail": {"model": m.column_tail_fit.model, "rmse": m.column_tail_fit.rmse},
+        "certification_floor": spec.certification_floor,
+        "stable_entries": int(spec.stable.sum()),
+        "reliable_entries": len(spec.reliable_range()),
+    }, []
 
 
-def _cmd_series(cfg: RunConfig) -> int:
-    s = parse_symbol(cfg.symbol)
-    k = cfg.k or 1
-    M = cfg.M or 64
-    ps = coefficients_of_power(s, k, M, cfg.rho, cfg.Q)
+def _cmd_series(cfg: RunConfig, s: SymbolMap) -> _Outcome:
+    k = 1 if cfg.k is None else cfg.k
+    ps = coefficients_of_power(s, k, 64 if cfg.M is None else cfg.M, cfg.rho, cfg.Q)
     out = cfg.out or "series.csv"
     with open(out, "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(["index", "re", "im"])
         for j, c in enumerate(ps.coeffs):
             w.writerow([j, _fmt(c.real), _fmt(c.imag)])
-    payload = _report_envelope(cfg, [])
-    payload.update(
-        {
-            "out": out,
-            "error_bound": ps.error_bound,
-            "aliasing_suspect": ps.aliasing_suspect,
-            "flushed": ps.flushed,
-            "sampling_radius": ps.sampling_radius,
-        }
-    )
-    _write_report(cfg.report, payload)
-    return 0
+    return {
+        "out": out,
+        "error_bound": ps.error_bound,
+        "aliasing_suspect": ps.aliasing_suspect,
+        "flushed": ps.flushed,
+        "sampling_radius": ps.sampling_radius,
+    }, []
 
 
 def _route(cfg: RunConfig, resolve) -> str:
@@ -328,78 +306,61 @@ def _route(cfg: RunConfig, resolve) -> str:
     return route
 
 
-def _cmd_area(cfg: RunConfig) -> int:
-    s = parse_symbol(cfg.symbol)
-    if cfg.t is None:
-        raise ConfigError("area needs --t")
+def _cmd_area(cfg: RunConfig, s: SymbolMap) -> _Outcome:
     route = _route(cfg, lambda method: geometry._annulus_route(s, method))
     meas = geometry.annulus_area(s, cfg.t, method=route, samples=cfg.samples, seed=cfg.seed or 0)
-    payload = _report_envelope(cfg, [])
-    payload.update({"value": meas.value, "std_error": meas.std_error, "method": meas.method,
-                    "t": cfg.t, "flagged": meas.flagged})
-    _write_report(cfg.report, payload)
-    return 0
+    return {"value": meas.value, "std_error": meas.std_error, "method": meas.method,
+            "t": cfg.t, "flagged": meas.flagged}, []
 
 
-def _cmd_zinc(cfg: RunConfig) -> int:
-    s = parse_symbol(cfg.symbol)
-    if cfg.n is None:
-        raise ConfigError("zinc needs --n")
+def _cmd_zinc(cfg: RunConfig, s: SymbolMap) -> _Outcome:
     value, t_star = geometry.zinc_upper_bound(s, cfg.n)
-    payload = _report_envelope(cfg, [])
-    payload.update({"n": cfg.n, "value": value, "argmin_t": t_star})
-    _write_report(cfg.report, payload)
-    return 0
+    return {"n": cfg.n, "value": value, "argmin_t": t_star}, []
 
 
-def _cmd_blaschke(cfg: RunConfig) -> int:
-    if cfg.r is None:
-        raise ConfigError("blaschke-cert needs --r")
+def _cmd_blaschke(cfg: RunConfig, s: SymbolMap) -> _Outcome:
+    # a config file may give r as a float (verify's --r is one)
+    if not float(cfg.r).is_integer():
+        raise ConfigError(f"blaschke-cert needs an integral r, not {cfg.r!r}")
     route = _route(cfg, lambda method: geometry._route(method, "quadrature", True))
-    value = geometry.blaschke_certificate(
-        int(cfg.r), method=route, samples=cfg.samples, seed=cfg.seed or 0
-    )
-    payload = _report_envelope(cfg, [])
-    payload.update({"r": cfg.r, "value": value})
-    _write_report(cfg.report, payload)
-    return 0
+    value = geometry.blaschke_certificate(int(cfg.r), method=route, samples=cfg.samples,
+                                          seed=cfg.seed or 0)
+    return {"r": cfg.r, "value": value}, []
 
 
-def _cmd_fit(cfg: RunConfig) -> int:
-    if not cfg.infile:
-        raise ConfigError("fit needs --in (spectrum CSV)")
-    with open(cfg.infile) as fh:
-        rows = [(int(row["n"]), float(row["a_n"])) for row in csv.DictReader(fh)]
+def _read_spectrum_csv(path: str) -> np.ndarray:
+    """a_n by index from a spectrum CSV; a missing n reads as 0, below every floor."""
+    try:
+        with open(path) as fh:
+            rows = [(int(row["n"]), float(row["a_n"])) for row in csv.DictReader(fh)]
+    except (OSError, KeyError, TypeError, ValueError) as exc:
+        raise ConfigError(f"cannot read spectrum CSV {path!r}: {exc!r}") from exc
     ns = np.asarray([n for n, _ in rows])
-    values = np.zeros(int(ns.max()))  # a missing n reads as 0, below every floor
+    if not rows or ns.min() < 1:
+        raise ConfigError(f"spectrum CSV {path!r} needs rows, each with n >= 1")
+    values = np.zeros(int(ns.max()))
     values[ns - 1] = [v for _, v in rows]
-    fits = analysis.fit_decay(values, models=cfg.models)
-    payload = _report_envelope(cfg, [])
-    payload["fits"] = [
-        {"model": f.model, "alpha": f.alpha, "c": f.c, "rmse": f.rmse, "range": f.fit_range}
-        for f in fits
-    ]
-    payload["best"] = fits[0].model
-    _write_report(cfg.report, payload)
-    return 0
+    return values
 
 
-def _cmd_verify(cfg: RunConfig) -> int:
+def _cmd_fit(cfg: RunConfig, s: SymbolMap) -> _Outcome:
+    fits = analysis.fit_decay(_read_spectrum_csv(cfg.infile), models=cfg.models)
+    return {
+        "fits": [
+            {"model": f.model, "alpha": f.alpha, "c": f.c, "rmse": f.rmse, "range": f.fit_range}
+            for f in fits
+        ],
+        "best": fits[0].model,
+    }, []
+
+
+def _cmd_verify(cfg: RunConfig, s: SymbolMap) -> _Outcome:
     if cfg.theorem not in _THEOREM_RUNNERS:
         raise ConfigError(f"unknown theorem {cfg.theorem!r}; choose from {sorted(_THEOREM_RUNNERS)}")
-    checks = _THEOREM_RUNNERS[cfg.theorem](cfg)
-    payload = _report_envelope(cfg, checks)
-    _write_report(cfg.report, payload)
-    ok = payload["passed"]
+    fields, checks = _THEOREM_RUNNERS[cfg.theorem](cfg, s)
+    ok = all(c.passed for c in checks)
     print(("PASS" if ok else "FAIL") + f" theorem {cfg.theorem}", file=sys.stderr)
-    return 0 if ok else 1
-
-
-def _cmd_bound_calculus(cfg: RunConfig) -> int:
-    checks = _verify_bound_calculus(cfg)
-    payload = _report_envelope(cfg, checks)
-    _write_report(cfg.report, payload)
-    return 0 if payload["passed"] else 1
+    return fields, checks
 
 
 _COMMANDS = {
@@ -410,26 +371,44 @@ _COMMANDS = {
     "blaschke-cert": _cmd_blaschke,
     "fit": _cmd_fit,
     "verify": _cmd_verify,
-    "bound-calculus": _cmd_bound_calculus,
+    "bound-calculus": _verify_bound_calculus,  # theorem 4.1 on its own
 }
+
+# command -> the config key it cannot run without, and how to ask for it
+_REQUIRED = {"area": ("t", "--t"), "zinc": ("n", "--n"), "blaschke-cert": ("r", "--r"),
+             "fit": ("infile", "--in (spectrum CSV)")}
 
 
 def run_pipeline(cfg: RunConfig) -> int:
-    """Validates the configuration, runs the subcommand, writes artifacts.
+    """Runs one command: validates the configuration, runs the command,
+    writes the report and returns 1 when a check ran and failed, else 0.
 
     Raises ConfigError before any artifact is written when the configuration
-    is malformed.
+    or an input file is malformed or an output directory is missing.
     """
     if cfg.command not in _COMMANDS:
         raise ConfigError(f"unknown command {cfg.command!r}")
     try:
-        s = parse_symbol(cfg.symbol)  # validate early, before touching the disk
+        s = parse_symbol(cfg.symbol)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
     cfg.resolved_space(s)  # a config file is not checked by the parser's choices
-    if cfg.N < 1 or cfg.samples < 1:
-        raise ConfigError("N and samples must be positive")
-    return _COMMANDS[cfg.command](cfg)
+    if any(v is not None and v < 1 for v in (cfg.N, cfg.M, cfg.k, cfg.n, cfg.samples)):
+        raise ConfigError("N, M, k, n and samples must be positive")
+    if cfg.command in _REQUIRED:
+        key, flag = _REQUIRED[cfg.command]
+        if getattr(cfg, key) is None:
+            raise ConfigError(f"{cfg.command} needs {flag}")
+    for path in (cfg.out, cfg.report):
+        if path and not os.path.isdir(os.path.dirname(path) or "."):
+            raise ConfigError(f"output directory of {path!r} does not exist")
+    fields, checks = _COMMANDS[cfg.command](cfg, s)
+    # a command that ran no checks has no verdict
+    passed = all(c.passed for c in checks) if checks else None
+    _write_report(cfg.report, {
+        "version": __version__, "config_hash": cfg.config_hash(), "config": asdict(cfg),
+        "checks": [c.as_dict() for c in checks], "passed": passed, **fields})
+    return 1 if passed is False else 0
 
 
 def _build_parser() -> argparse.ArgumentParser:

@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from compopnum import geometry
+from compopnum import analysis, geometry
 from compopnum.analysis import fit_decay
 from compopnum.cli import main
 from compopnum.opmatrix import assemble, singular_spectrum
@@ -342,3 +342,116 @@ def test_bad_config_rejected(tmp_path):
     assert run(["--config", str(cfg), "an"]) == 2
     cfg.write_text("not json at all")
     assert run(["--config", str(cfg), "an"]) == 2
+
+
+# top-level report keys of each command; the envelope is shared, the rest
+# is each command's own
+ENVELOPE = {"version", "config_hash", "config", "checks", "passed"}
+REPORT_KEYS = {
+    "an": {"spectrum_csv", "hs_tail", "row_tail", "assembly_error", "column_tail",
+           "certification_floor", "stable_entries", "reliable_entries"},
+    "series": {"out", "error_bound", "aliasing_suspect", "flushed", "sampling_radius"},
+    "area": {"value", "std_error", "method", "t", "flagged"},
+    "zinc": {"n", "value", "argmin_t"},
+    "blaschke-cert": {"r", "value"},
+    "fit": {"best", "fits"},
+    "verify": set(),
+    "bound-calculus": set(),
+}
+
+
+def test_report_keys_of_every_command(tmp_path):
+    csv_path = tmp_path / "s.csv"
+    runs = {
+        "an": ["--symbol", "affine:r=0.5", "--N", "32", "--out", str(csv_path)],
+        "series": ["--symbol", "cusp", "--M", "16", "--out", str(tmp_path / "c.csv")],
+        "area": ["--symbol", "cusp", "--t", "0.1"],
+        "zinc": ["--symbol", "affine:r=0.5", "--n", "10"],
+        "blaschke-cert": ["--r", "1"],
+        "fit": ["--in", str(csv_path)],
+        "verify": ["--theorem", "4.1", "--n-max", "200"],
+        "bound-calculus": ["--n-max", "200"],
+    }
+    assert set(runs) == set(REPORT_KEYS)
+    for command, args in runs.items():
+        rep = tmp_path / f"{command}.json"
+        assert run([command] + args + ["--report", str(rep)]) == 0, command
+        assert set(json.loads(rep.read_text())) == ENVELOPE | REPORT_KEYS[command], command
+
+
+def test_bound_calculus_is_theorem_4_1(tmp_path):
+    reports = []
+    for args in (["bound-calculus"], ["verify", "--theorem", "4.1"]):
+        rep = tmp_path / "r.json"
+        assert run(args + ["--eps", "n^-0.5", "--n-max", "500", "--report", str(rep)]) == 0
+        reports.append(json.loads(rep.read_text()))
+    assert reports[0]["checks"] == reports[1]["checks"] != []
+    assert reports[0]["passed"] is reports[1]["passed"] is True
+
+
+def test_failing_bound_calculus_exits_1(tmp_path, monkeypatch, capsys):
+    failing = analysis.Report("bound-calculus", False, {"why": "patched"})
+    monkeypatch.setattr(analysis, "improvement_bound", lambda eps, n_range: (None, failing))
+    for args in (["bound-calculus"], ["verify", "--theorem", "4.1"]):
+        rep = tmp_path / "r.json"
+        assert run(args + ["--report", str(rep)]) == 1
+        payload = json.loads(rep.read_text())
+        assert payload["passed"] is False
+        assert payload["checks"] == [failing.as_dict()]
+    assert "FAIL theorem 4.1" in capsys.readouterr().err
+
+
+def _exits_2_without_artifacts(tmp_path, args, config=None):
+    if config is not None:
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        args = ["--config", str(cfg)] + args
+    before = set(tmp_path.iterdir())
+    assert run(args) == 2
+    assert set(tmp_path.iterdir()) == before
+
+
+@pytest.mark.parametrize("config, args", [
+    # the certificate is for an integral r: 1.5 would report 1.5 and compute r = 1
+    ({"r": 1.5}, ["blaschke-cert"]),
+    (None, ["series", "--symbol", "cusp", "--k", "0"]),
+    (None, ["series", "--symbol", "cusp", "--deg", "0"]),
+    (None, ["an", "--symbol", "affine:r=0.5", "--N", "8", "--M", "0"]),
+    # the window bound of an index below 1 is meaningless (-3e9 at n = -3)
+    (None, ["zinc", "--symbol", "cusp", "--n", "0"]),
+    (None, ["zinc", "--symbol", "cusp", "--n", "-3"]),
+])
+def test_config_that_would_not_be_what_ran_exits_2(tmp_path, config, args):
+    rep, out = tmp_path / "never.json", tmp_path / "never.csv"
+    _exits_2_without_artifacts(tmp_path, args + ["--out", str(out), "--report", str(rep)], config)
+
+
+@pytest.mark.parametrize("content", [
+    None,  # no such file
+    "n,value\n1,0.5\n",  # no a_n column
+    "n,a_n,error_radius,certified\n",  # header only
+    "n,a_n\n0,0.5\n1,0.25\n",  # n = 0 has no slot
+    "n,a_n\n1,half\n",
+])
+def test_fit_input_errors_exit_2_naming_the_file(tmp_path, capsys, content):
+    src = tmp_path / "in.csv"
+    if content is not None:
+        src.write_text(content)
+    _exits_2_without_artifacts(tmp_path, ["fit", "--in", str(src), "--report",
+                                          str(tmp_path / "never.json")])
+    assert str(src) in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("out, report", [
+    ("missing/s.csv", "rep.json"),
+    # a bad report directory must not leave the CSV behind
+    ("s.csv", "missing/rep.json"),
+])
+def test_missing_output_directory_exits_2_before_running(tmp_path, monkeypatch, out, report):
+    def no_assembly(*args, **kwargs):
+        raise AssertionError("nothing may run")
+
+    monkeypatch.setattr("compopnum.cli.assemble", no_assembly)
+    _exits_2_without_artifacts(tmp_path, ["an", "--symbol", "cusp", "--N", "8",
+                                          "--out", str(tmp_path / out),
+                                          "--report", str(tmp_path / report)])
