@@ -310,8 +310,8 @@ def improvement_bound(eps_seq, n_range=(2, 10_000)) -> tuple[BoundCalculus, Repo
     constant C in inf_h [n e^{-nh} + rho(h)] <= C e^{-n eps_n}.
     """
     n_lo, n_hi = int(n_range[0]), int(n_range[1])
-    if n_lo < 2:
-        raise ValueError("range must start at n >= 2 (log n / n needs n >= 2)")
+    if not 2 <= n_lo <= n_hi:
+        raise ValueError(f"range {n_range} must be nonempty and start at n >= 2 (log n / n)")
     ns = np.arange(n_lo, n_hi + 1)
     if callable(eps_seq):
         eps = np.asarray([float(eps_seq(int(n))) for n in ns])

@@ -377,6 +377,13 @@ _COMMANDS = {
 # command -> the config key it cannot run without, and how to ask for it
 _REQUIRED = {"area": ("t", "--t"), "zinc": ("n", "--n"), "blaschke-cert": ("r", "--r"),
              "fit": ("infile", "--in (spectrum CSV)")}
+# command, or the theorem that verify (or bound-calculus, the 4.1 runner)
+# runs -> a config key it reads, the test its value must pass and the range
+# that test states
+_RANGES = {"area": ("t", lambda t: 0.0 < t <= 1.0, "in (0, 1]"),
+           "blaschke-cert": ("r", lambda r: r >= 0, "at least 0"),
+           "2.2": ("r", lambda r: 0.0 < r < 1.0, "in (0, 1)"),
+           "4.1": ("n_max", lambda n: n >= 2, "at least 2")}
 
 
 def run_pipeline(cfg: RunConfig) -> int:
@@ -399,6 +406,11 @@ def run_pipeline(cfg: RunConfig) -> int:
         key, flag = _REQUIRED[cfg.command]
         if getattr(cfg, key) is None:
             raise ConfigError(f"{cfg.command} needs {flag}")
+    runner = {"verify": cfg.theorem, "bound-calculus": "4.1"}.get(cfg.command, cfg.command)
+    if runner in _RANGES:
+        key, ok, text = _RANGES[runner]
+        if getattr(cfg, key) is not None and not ok(getattr(cfg, key)):
+            raise ConfigError(f"{key} must be {text}, not {getattr(cfg, key)!r}")
     for path in (cfg.out, cfg.report):
         if path and not os.path.isdir(os.path.dirname(path) or "."):
             raise ConfigError(f"output directory of {path!r} does not exist")

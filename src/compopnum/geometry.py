@@ -4,9 +4,10 @@ For a univalent Schur function the counting function of the image is an
 indicator, so annulus masses, Carleson-window masses and weighted integrals
 over the image reduce to area integrals.  The cusp image is bounded by three
 explicit circles, which gives closed-form angular arc measures at every
-radius.  `_image` writes every supported image as factor * base, with the
-unit disk or the cusp region as base; symbols without a known base fall
-back to stratified Monte Carlo with a winding-number membership test.
+radius.  `image_of` writes every supported image as an `Image`, factor *
+base with the unit disk or the cusp region as base, which answers every
+exact measure, power norm and column tail; symbols without a known base
+fall back to stratified Monte Carlo with a winding-number membership test.
 
 All areas are normalized: dA = dx dy / pi, so the unit disk has area 1.
 """
@@ -42,9 +43,8 @@ __all__ = [
     "cusp_imaginary_law",
     "cusp_inscribed_disk_radius",
     "blaschke_certificate",
-    "exact_power_norms",
-    "exact_column_tail",
-    "has_known_image",
+    "Image",
+    "image_of",
     "region_gram_singular_values",
 ]
 
@@ -307,43 +307,75 @@ _CUSP_REGION = CuspRegion()
 _UNIT_DISK = _UnitDisk()
 
 
-def _image(s: SymbolMap):
-    """(base, factor) with phi(D) = factor * base.
+@dataclass(frozen=True)
+class Image:
+    """phi(D) = factor * base for a known base: the unit disk or the cusp
+    region.  Every exact region measure, power norm and column tail is a
+    question to it."""
 
-    The base is the unit disk, the cusp region, or None when the image is
-    only known through the boundary curve of phi.  An outer affine map, or
-    the Moebius map with u = 0 (z -> -z), multiplies the inner factor.
-    """
+    base: CuspRegion | _UnitDisk
+    factor: complex = 1.0
+
+    def depth(self, t: float) -> float:
+        """Depth in the base whose annulus the factor scales onto {|w| >= 1-t}."""
+        r = abs(self.factor)
+        # a unit factor keeps t bit for bit; 1-(1-t)/1 can move it by an ulp
+        return t if r == 1.0 else 1.0 - (1.0 - t) / r
+
+    @property
+    def modulus(self) -> float:
+        """|factor| for the power norms and column tails, with values within a
+        few ulps of 1 taken as 1: abs() of a rotation e^{i theta} can miss 1 by
+        two ulps, which would turn a rotated automorphism, not compact, into a
+        contraction with a finite tail of ~1e8.  Rounding up is the safe side:
+        every norm and tail grows with |f|."""
+        r = abs(self.factor)
+        return 1.0 if r >= 1.0 - 8.0 * np.finfo(float).eps else r
+
+    def contains(self, w):
+        """Membership test w in factor * base (vectorized)."""
+        w = np.asarray(w, dtype=complex)
+        # dividing by a unit factor would only copy the points
+        return self.base.contains(w if self.factor == 1.0 else w / self.factor)
+
+    def annulus_area(self, t: float) -> float:
+        """Closed-form A[phi(D) n {|w| >= 1-t}]."""
+        return abs(self.factor) ** 2 * self.base.annulus_area(self.depth(t))
+
+    def box(self, t: float):
+        """(centre, theta0) of the polar box {1-t <= |w| <= 1, |arg w - centre|
+        <= theta0} that contains phi(D) n {|w| >= 1-t}."""
+        return np.angle(self.factor), self.base.box_angle(self.depth(t))
+
+    def power_norms(self, n_max: int) -> np.ndarray:
+        """Dirichlet norms of phi^k, k = 1..n_max, from the image integral:
+        |f|^k sqrt(k) on a disk, |f|^k times the region norms on a cusp."""
+        ks = np.arange(1, n_max + 1)
+        return self.modulus**ks * self.base.power_norms(ks)
+
+    def column_tail(self, n: int) -> float:
+        """sqrt(sum_{k >= n} ||phi^k||_D^2 / k), the sum over k taken inside
+        the image integral: neither a cut-off nor a fitted remainder.  It is
+        infinite when |f| = 1 on the disk."""
+        return math.sqrt(self.base.column_tail_sq(n, self.modulus**2))
+
+
+def image_of(s: SymbolMap) -> Image | None:
+    """The Image of phi, or None when phi(D) is only known through the
+    boundary curve of phi.  An outer affine map, or the Moebius map with
+    u = 0 (z -> -z), multiplies the inner factor."""
     if isinstance(s, AffineMap):
-        return _UNIT_DISK, s.factor
+        return Image(_UNIT_DISK, s.factor)
     if isinstance(s, MoebiusMap):
-        return _UNIT_DISK, 1.0
+        return Image(_UNIT_DISK)
     if isinstance(s, CuspMap):
-        return _CUSP_REGION, 1.0
-    if isinstance(s, ComposedMap) and isinstance(s.outer, AffineMap):
-        base, factor = _image(s.inner)
-        return base, s.outer.factor * factor
-    if isinstance(s, ComposedMap) and isinstance(s.outer, MoebiusMap) and s.outer.u == 0:
-        base, factor = _image(s.inner)
-        return base, -factor
-    return None, 1.0
-
-
-def _base_depth(t: float, factor) -> float:
-    """Depth in the base whose annulus the factor scales onto {|w| >= 1-t}."""
-    r = abs(factor)
-    # a unit factor keeps t bit for bit; 1-(1-t)/1 can move it by an ulp
-    return t if r == 1.0 else 1.0 - (1.0 - t) / r
-
-
-def _power_modulus(factor) -> float:
-    """|factor| for the power norms and column tails, with values within a
-    few ulps of 1 taken as 1: abs() of a rotation e^{i theta} can miss 1 by
-    two ulps, which would turn a rotated automorphism, not compact, into a
-    contraction with a finite tail of ~1e8.  Rounding up is the safe side:
-    every norm and tail grows with |f|."""
-    r = abs(factor)
-    return 1.0 if r >= 1.0 - 8.0 * np.finfo(float).eps else r
+        return Image(_CUSP_REGION)
+    inner = image_of(s.inner) if isinstance(s, ComposedMap) else None
+    if inner is not None and isinstance(s.outer, AffineMap):
+        return Image(inner.base, s.outer.factor * inner.factor)
+    if inner is not None and isinstance(s.outer, MoebiusMap) and s.outer.u == 0:
+        return Image(inner.base, -inner.factor)
+    return None
 
 
 # ---------------------------------------------------------------------------
@@ -400,19 +432,11 @@ def _require_univalent(s: SymbolMap):
 def image_contains(s: SymbolMap, w):
     """Membership test w in phi(D) for univalent symbols."""
     _require_univalent(s)
-    base, factor = _image(s)
-    if base is None:
+    image = image_of(s)
+    if image is None:
         # generic univalent fallback: winding number of the near-boundary curve
         return _winding_contains(_boundary_curve(s, 0.5), w)
-    w = np.asarray(w, dtype=complex)
-    # dividing by a unit factor would only copy the points
-    return base.contains(w if factor == 1.0 else w / factor)
-
-
-def has_known_image(s: SymbolMap) -> bool:
-    """True when phi(D) = factor * base for a known base: exact areas, power
-    norms and column tails, no sampling of the boundary curve."""
-    return _image(s)[0] is not None
+    return image.contains(w)
 
 
 _BOUNDARY_SAMPLES = 4096
@@ -439,14 +463,15 @@ def _winding_contains(curve, w):
     return out.reshape(np.asarray(w).shape)
 
 
-def _sampling_membership(s: SymbolMap, t: float):
-    """(w -> w in phi(D), flagged) for sampling phi(D) near depth t.
+def _sampling_membership(s: SymbolMap, image: Image | None, t: float):
+    """(w -> w in phi(D), flagged) for sampling phi(D) near depth t, given
+    image = image_of(s).
 
     A known base gives the exact test.  Otherwise one boundary curve is
     sampled and serves both the winding test and the flag, which is set
     when that curve cannot resolve the image at depth t (`_unresolved`).
     """
-    if has_known_image(s):
+    if image is not None:
         return (lambda w: image_contains(s, w)), False
     _require_univalent(s)
     curve = _boundary_curve(s, 0.5)
@@ -472,15 +497,9 @@ def _unresolved(s: SymbolMap, b, t: float) -> bool:
     return bool(np.any((sag > t / 8.0) & (reach >= 1.0 - t)))
 
 
-def _exact_annulus_area(s: SymbolMap, t: float) -> float:
-    """Closed-form A[phi(D) n {|w| >= 1-t}] for a known image base."""
-    base, factor = _image(s)
-    return abs(factor) ** 2 * base.annulus_area(_base_depth(t, factor))
-
-
 def _annulus_route(s: SymbolMap, method: str) -> str:
     """The route `annulus_area` runs: exact arcs wherever the base is known."""
-    return _route(method, "exact-arcs", has_known_image(s))
+    return _route(method, "exact-arcs", image_of(s) is not None)
 
 
 def annulus_area(
@@ -498,29 +517,23 @@ def annulus_area(
     _require_univalent(s)
     if not 0.0 < t <= 1.0:
         raise ValueError("annulus depth must lie in (0, 1]")
-    if _annulus_route(s, method) == "exact-arcs":
-        return RegionMeasure(_exact_annulus_area(s, t), 0.0, "exact-arcs")
-    return _mc_annulus_area(s, t, samples, seed)
+    image = image_of(s)
+    if _route(method, "exact-arcs", image is not None) == "exact-arcs":
+        return RegionMeasure(image.annulus_area(t), 0.0, "exact-arcs")
+    return _mc_annulus_area(s, image, t, samples, seed)
 
 
-def _annulus_box(s: SymbolMap, t: float):
-    """(centre, theta0, normalized area) of the polar box {1-t <= |w| <= 1,
-    |arg w - centre| <= theta0} that contains phi(D) n {|w| >= 1-t}."""
-    base, factor = _image(s)
-    centre, theta0 = 0.0, math.pi
-    if base is not None:
-        centre, theta0 = np.angle(factor), base.box_angle(_base_depth(t, factor))
-    return centre, theta0, (1.0 - (1.0 - t) ** 2) * (theta0 / np.pi)
-
-
-def _mc_annulus_area(s: SymbolMap, t: float, samples: int, seed: int):
+def _mc_annulus_area(s: SymbolMap, image: Image | None, t: float, samples: int, seed: int):
+    """Membership sampling of the image's polar box (`Image.box`), or of the
+    whole annulus when the base is unknown (image None)."""
     rng = np.random.default_rng(seed)
-    centre, theta0, box = _annulus_box(s, t)
+    centre, theta0 = (0.0, math.pi) if image is None else image.box(t)
     lo2 = (1.0 - t) ** 2
+    box = (1.0 - lo2) * (theta0 / np.pi)
     # uniform on the box
     rr = np.sqrt(lo2 + (1.0 - lo2) * rng.random(samples))
     th = centre + theta0 * (2.0 * rng.random(samples) - 1.0)
-    contains, flagged = _sampling_membership(s, t)
+    contains, flagged = _sampling_membership(s, image, t)
     hits = contains(rr * np.exp(1j * th))
     value = box * hits.mean()
     std = box * hits.std(ddof=1) / math.sqrt(samples)
@@ -546,12 +559,13 @@ def M_functional(s: SymbolMap, t: float) -> float:
     """
     if not 0.0 < t <= 1.0:
         raise ValueError("annulus depth must lie in (0, 1]")
-    if not has_known_image(s):
+    image = image_of(s)
+    if image is None:
         raise _UnsupportedRegion(
             f"M(t) needs a known image base (disk or cusp region); {s.spec_string()} has none"
         )
     ts = [t * 2.0**-k for k in range(_DYADIC_TERMS + 1)]
-    terms = np.array([_exact_annulus_area(s, tk) / tk**2 for tk in ts])
+    terms = np.array([image.annulus_area(tk) / tk**2 for tk in ts])
     return float(terms.sum()) + tails.tail_remainder(terms).remainder
 
 
@@ -620,11 +634,12 @@ def window_area(
     unscaled cusp's tip xi = 1: the tip quadrature with |B|^2 = 1."""
     _require_univalent(s)
     xi, h = complex(window.xi), window.h
-    at_tip = _image(s) == (_CUSP_REGION, 1.0) and xi == 1.0
+    image = image_of(s)
+    at_tip = image == Image(_CUSP_REGION) and xi == 1.0
     if _route(method, "exact-arcs", at_tip) == "exact-arcs":
         return RegionMeasure(_window_mean_quadrature(BlaschkeProduct(()), xi, h), 0.0, "exact-arcs")
     # S(xi, h) lies in the annulus {|w| > 1-h}: the depth-h flag covers it
-    contains, flagged = _sampling_membership(s, h)
+    contains, flagged = _sampling_membership(s, image, h)
     value, std = _mc_window(contains, lambda w: 1.0, xi, h, np.random.default_rng(seed), samples)
     return RegionMeasure(value, std, "monte-carlo", flagged)
 
@@ -710,7 +725,6 @@ def _window_mean_quadrature(b: BlaschkeProduct, xi: complex, h: float):
 
 def blaschke_certificate(
     r: int,
-    n_zeros: int | None = None,
     method: str = "auto",
     samples: int = 200_000,
     seed: int = 0,
@@ -718,15 +732,12 @@ def blaschke_certificate(
     """sup over Carleson windows of (1/h) * integral of |B|^2 over the window
     intersected with the cusp region, B = (Blaschke with dyadic zeros)^r.
 
-    method: "quadrature" (also what "auto" runs) or "monte-carlo".  n_zeros
-    defaults to r (zeros 1-2^-j, j <= r); pass a fixed count to study the
-    pure power mechanism.
+    method: "quadrature" (also what "auto" runs) or "monte-carlo".
     """
     if r < 0:
         raise ValueError("power must be nonnegative")
     route = _route(method, "quadrature", True)
-    zeros = unit_interval_dyadic_zeros(r if n_zeros is None else n_zeros)
-    b = BlaschkeProduct(zeros, power=r)
+    b = BlaschkeProduct(unit_interval_dyadic_zeros(r), power=r)
     best = 0.0
     rng = np.random.default_rng(seed)
     for xi, h in default_window_grid():
@@ -740,31 +751,6 @@ def blaschke_certificate(
 
 # ---------------------------------------------------------------------------
 # region-side spectral data (independent of any Taylor expansion)
-
-
-def exact_power_norms(s: SymbolMap, n_max: int) -> np.ndarray | None:
-    """Dirichlet norms of phi^k, k = 1..n_max, from the image integral when
-    phi(D) = factor * base for a known base: |f|^k sqrt(k) on a disk,
-    |f|^k times the region norms on a cusp region.  None when the image is
-    only known through its boundary curve."""
-    base, factor = _image(s)
-    if base is None:
-        return None
-    ks = np.arange(1, n_max + 1)
-    return _power_modulus(factor) ** ks * base.power_norms(ks)
-
-
-def exact_column_tail(s: SymbolMap, n: int) -> tuple[float, str] | None:
-    """(sqrt(sum_{k >= n} ||phi^k||_D^2 / k), base name) in closed form when
-    phi(D) = factor * base for a known base, None otherwise.
-
-    The sum over k is taken inside the image integral, so there is neither a
-    cut-off nor a fitted remainder; it is infinite when |f| = 1 on the disk.
-    """
-    base, factor = _image(s)
-    if base is None:
-        return None
-    return math.sqrt(base.column_tail_sq(n, _power_modulus(factor) ** 2)), base.name
 
 
 def region_gram_singular_values(N: int) -> np.ndarray:

@@ -9,7 +9,7 @@ controlled by two Hilbert-Schmidt tails (discarded columns and discarded
 rows) plus the coefficient-extraction noise.
 
 When the image is factor * base for a known base (the unit disk or the
-cusp region, see `geometry._image`), the column tail is a closed form of
+cusp region, see `geometry.image_of`), the column tail is a closed form of
 the image integral and no power beyond N is extracted.  The row tail takes
 each power's mass beyond the retained degree from `series.power_mass`,
 exact for a known base; other symbols' column tails sum the power norms plus
@@ -122,10 +122,9 @@ def _column_tail(s: SymbolMap, n: int, k_max: int, params: SeriesParams):
     degree included), the sum runs over k <= k_max and the remainder beyond
     is fitted; it is infinite when the fit shows no summable decay.
     """
-    exact = geometry.exact_column_tail(s, n)
-    if exact is not None:
-        tail, base = exact
-        return tail, tails.TailFit(f"closed-form:{base}", 0.0, 0.0)
+    image = geometry.image_of(s)
+    if image is not None:
+        return image.column_tail(n), tails.TailFit(f"closed-form:{image.base.name}", 0.0, 0.0)
     # the k-th power needs retained degrees well past k
     M_tail = max(params.M, 2 * k_max)
     norms, bounds = dirichlet_power_norms(s, k_max, M=M_tail)

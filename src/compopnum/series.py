@@ -1,5 +1,6 @@
 """Power-series arithmetic: Taylor coefficients of symbol powers and their
-Dirichlet mass, the one place that takes it exactly or fits its remainder.
+Dirichlet mass, the one place that takes it exactly (`geometry.image_of`)
+or fits its remainder.
 
 Coefficients of phi^k come from one FFT of the k-th power of samples of phi
 on one circle |z| = rho, chosen to balance roundoff, amplified by rho^-j,
@@ -156,9 +157,9 @@ def power_mass(s: SymbolMap, table: np.ndarray):
     """
     j = np.arange(table.shape[1], dtype=float)
     mass = j * np.abs(table) ** 2
-    exact = geometry.exact_power_norms(s, len(table))
-    if exact is not None:
-        return mass, np.maximum(exact**2 - mass.sum(axis=1), 0.0)
+    image = geometry.image_of(s)
+    if image is not None:
+        return mass, np.maximum(image.power_norms(len(table)) ** 2 - mass.sum(axis=1), 0.0)
     if table.shape[1] < tails.MIN_TERMS:
         return mass, np.full(len(table), math.inf)
     return mass, np.array([tails.tail_remainder(row).remainder for row in mass])
@@ -167,7 +168,7 @@ def power_mass(s: SymbolMap, table: np.ndarray):
 def dirichlet_power_norms(s: SymbolMap, n_max: int, M: int | None = None):
     """Dirichlet norms of phi^k, k = 1..n_max, and their error bounds.
 
-    A known image base gives them exactly (`geometry.exact_power_norms`, no
+    A known image base gives them exactly (`geometry.Image.power_norms`, no
     extraction; for the cusp region this reaches mass far beyond any
     practical degree).  Otherwise the norms are sqrt(sum_j j |c_j|^2) up to
     degree M, and the bounds add the root of the mass beyond M (`power_mass`)
@@ -175,9 +176,9 @@ def dirichlet_power_norms(s: SymbolMap, n_max: int, M: int | None = None):
     sqrt(M) rho^-M times their l2 bounds, flushing at sqrt(j) times each
     floor, aliasing of the mass above Q at A/2 times that root (Cauchy-Schwarz).
     """
-    norms = geometry.exact_power_norms(s, n_max)
-    if norms is not None:
-        return norms, np.full(n_max, 1e-13)
+    image = geometry.image_of(s)
+    if image is not None:
+        return image.power_norms(n_max), np.full(n_max, 1e-13)
     M = M if M is not None else max(64, 4 * n_max)
     params = SeriesParams(M)
     _, rho, Q = params.resolved()

@@ -1,7 +1,12 @@
 import numpy as np
 import pytest
 
-from compopnum.geometry import blaschke_certificate
+from compopnum.geometry import (
+    BlaschkeProduct,
+    _window_mean_quadrature,
+    default_window_grid,
+    unit_interval_dyadic_zeros,
+)
 from compopnum.opmatrix import assemble, singular_spectrum
 from compopnum.symbols import CuspMap
 
@@ -18,8 +23,15 @@ def cusp_spectra():
 
 @pytest.fixture(scope="session")
 def blaschke_certificates():
-    """Blaschke certificates with ten zeros at powers r = 4, 6, 8, 10 (shared)."""
-    return [blaschke_certificate(r, n_zeros=10) for r in (4, 6, 8, 10)]
+    """Blaschke certificates with ten dyadic zeros held fixed at powers
+    r = 4, 6, 8, 10, so only the power varies (shared).  Same sup over the
+    default window grid as `blaschke_certificate`, whose zero count is r."""
+    zeros = unit_interval_dyadic_zeros(10)
+    return [
+        max(_window_mean_quadrature(BlaschkeProduct(zeros, power=r), complex(xi), float(h)) / h
+            for xi, h in default_window_grid())
+        for r in (4, 6, 8, 10)
+    ]
 
 
 @pytest.fixture(scope="session")

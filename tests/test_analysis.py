@@ -236,6 +236,11 @@ def test_improvement_bound_rejects_nondecreasing():
         improvement_bound(lambda n: -1.0 / n, (2, 100))
 
 
+def test_improvement_bound_rejects_an_empty_range():
+    with pytest.raises(ValueError, match="nonempty"):
+        improvement_bound(lambda n: 1.0 / math.log(n + 2), (2, 1))
+
+
 def test_improvement_bound_rho_increasing_on_grid():
     calc, _ = improvement_bound(lambda n: 1.0 / math.log(n + 2), (2, 1_000))
     h = np.linspace(calc.hull_y[1], calc.hull_y[-1], 200)

@@ -1,0 +1,50 @@
+"""The benchmark's span tracer still finds what it wraps and counts.
+
+`perfbench/tracer.py` wraps public functions by name and the class methods
+in its METHODS; a renamed or moved one fails the tracer's install or leaves
+a counter at zero without failing any other test.  The tracer rebinds
+module attributes, so it runs in a fresh process.
+"""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+
+_TRACED_RUN = """
+import json, sys
+import tracer
+
+spans = tracer.Tracer()
+spans.install()
+from compopnum import cli
+
+out = sys.argv[1]
+commands = [
+    ["an", "--symbol", "cusp", "--N", "16", "--out", f"{out}/an.csv"],
+    ["area", "--symbol", "cusp", "--t", "0.1", "--method", "monte-carlo",
+     "--samples", "1000", "--seed", "1"],
+    ["area", "--symbol", "cusp", "--t", "0.1"],
+]
+codes = [cli.main(args + ["--report", f"{out}/{i}.json"]) for i, args in enumerate(commands)]
+print(json.dumps({"codes": codes, "spans": spans.summary()}))
+"""
+
+
+def test_tracer_installs_and_its_hooks_count(tmp_path):
+    path = os.pathsep.join([str(ROOT / "src"), str(ROOT / "perfbench")])
+    env = dict(os.environ, PYTHONPATH=path, OPENBLAS_NUM_THREADS="1")
+    proc = subprocess.run([sys.executable, "-c", _TRACED_RUN, str(tmp_path)], cwd=tmp_path,
+                          env=env, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stdout.splitlines()[-1])
+    assert result["codes"] == [0, 0, 0]
+    spans = result["spans"]
+    # the FFT count is not pinned: the tracer books two per power, where one runs
+    assert spans["series.power_coefficient_table"]["ffts"] > 0
+    assert spans["opmatrix.singular_spectrum"]["svd_dim"] == 16
+    assert spans["geometry.image_contains"]["points"] == 1000
+    assert spans["geometry.CuspRegion.annulus_area"]["calls"] >= 1

@@ -420,10 +420,24 @@ def _exits_2_without_artifacts(tmp_path, args, config=None):
     # the window bound of an index below 1 is meaningless (-3e9 at n = -3)
     (None, ["zinc", "--symbol", "cusp", "--n", "0"]),
     (None, ["zinc", "--symbol", "cusp", "--n", "-3"]),
+    # values out of the range the library accepts, checked before any work
+    (None, ["bound-calculus", "--n-max", "1"]),
+    (None, ["verify", "--theorem", "4.1", "--n-max", "1"]),
+    (None, ["area", "--symbol", "cusp", "--t", "0"]),
+    (None, ["area", "--symbol", "cusp", "--t", "1.5"]),
+    (None, ["blaschke-cert", "--r", "-1"]),
+    (None, ["verify", "--theorem", "2.2", "--r", "1.5"]),
 ])
 def test_config_that_would_not_be_what_ran_exits_2(tmp_path, config, args):
     rep, out = tmp_path / "never.json", tmp_path / "never.csv"
     _exits_2_without_artifacts(tmp_path, args + ["--out", str(out), "--report", str(rep)], config)
+
+
+def test_blaschke_power_zero_is_in_range(tmp_path):
+    # B^0 = 1: the unweighted window ratio
+    rep = tmp_path / "rep.json"
+    assert run(["blaschke-cert", "--r", "0", "--report", str(rep)]) == 0
+    assert json.loads(rep.read_text())["value"] == geometry.blaschke_certificate(0)
 
 
 @pytest.mark.parametrize("content", [

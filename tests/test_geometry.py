@@ -100,6 +100,29 @@ def test_exact_routes_refuse_where_they_do_not_hold():
         blaschke_certificate(1, method="exact-arcs")
 
 
+def test_image_of_composes_outer_factors():
+    negated = parse_symbol("compose(affine:r=0.9,theta=1.0,compose(moebius:u=0+0i,cusp))")
+    image = geometry.image_of(negated)
+    assert image == geometry.Image(REGION, -AffineMap(0.9, 1.0).factor)
+    assert image.factor == pytest.approx(-0.9 * complex(math.cos(1.0), math.sin(1.0)), rel=1e-15)
+    # z -> -z is a rotation by pi
+    rotated = geometry.image_of(ComposedMap(AffineMap(0.9, 1.0 + math.pi), CUSP))
+    assert image.annulus_area(0.1) == pytest.approx(rotated.annulus_area(0.1), rel=1e-12)
+    np.testing.assert_allclose(image.power_norms(40), rotated.power_norms(40), rtol=1e-12)
+    assert image.column_tail(5) == pytest.approx(rotated.column_tail(5), rel=1e-12)
+
+
+def test_image_of_double_negation_is_the_cusp():
+    twice = parse_symbol("compose(moebius:u=0+0i,compose(moebius:u=0+0i,cusp))")
+    assert geometry.image_of(twice) == geometry.image_of(CUSP)
+    assert window_area(twice, CarlesonWindow(1.0, 0.25)).method == "exact-arcs"
+
+
+@pytest.mark.parametrize("spec", ["compose(moebius:u=0.3+0i,cusp)", "compose(cusp,affine:r=0.5)"])
+def test_image_of_unknown_base_is_none(spec):
+    assert geometry.image_of(parse_symbol(spec)) is None
+
+
 @settings(max_examples=30, deadline=None, derandomize=True)
 @given(r=st.floats(0.5, 1.0), theta=ANGLES, u=BASE_DEPTHS)
 def test_exact_arcs_rotation_invariant(r, theta, u):
@@ -327,6 +350,16 @@ def test_inscribed_disks_inside_region():
 def test_blaschke_single_factor():
     b = BlaschkeProduct((0.5,), power=1)
     assert math.sqrt(b.abs2(0.0)) == pytest.approx(0.5)
+
+
+def test_blaschke_power_raises_the_product_to_it():
+    # |B^r|^2 = (|B|^2)^r, against the one-factor product's own values
+    w = np.array([0.0, 0.5 + 0.3j, -0.7j, 0.95, 0.9 + 0.1j])
+    zeros = unit_interval_dyadic_zeros(10)
+    base = np.prod([np.abs(z - w) ** 2 / np.abs(1.0 - z * w) ** 2 for z in zeros], axis=0)
+    for r in (0, 1, 4, 7):
+        got = BlaschkeProduct(zeros, power=r).abs2(w)
+        np.testing.assert_allclose(got, base**r, rtol=1e-12, atol=0.0)
 
 
 def test_blaschke_certificate_trivial_power():
