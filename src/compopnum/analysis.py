@@ -304,7 +304,7 @@ def _upper_concave_hull(x: np.ndarray, y: np.ndarray):
 def improvement_bound(eps_seq, n_range=(2, 10_000)) -> tuple[BoundCalculus, Report]:
     """Builds the bound calculus for eps_n and verifies the decay chain.
 
-    eps_seq: callable n -> eps_n or an array covering n_range (1-based).
+    eps_seq: callable n -> eps_n.
     Verifies, for every n in range: the majorant dominates the knots, is
     concave, and n e^{-n phi(1/n)} <= e^{-n eps_n}; also fits the single
     constant C in inf_h [n e^{-nh} + rho(h)] <= C e^{-n eps_n}.
@@ -313,12 +313,7 @@ def improvement_bound(eps_seq, n_range=(2, 10_000)) -> tuple[BoundCalculus, Repo
     if not 2 <= n_lo <= n_hi:
         raise ValueError(f"range {n_range} must be nonempty and start at n >= 2 (log n / n)")
     ns = np.arange(n_lo, n_hi + 1)
-    if callable(eps_seq):
-        eps = np.asarray([float(eps_seq(int(n))) for n in ns])
-    else:
-        eps = np.asarray(eps_seq, dtype=float)
-        if len(eps) != len(ns):
-            raise ValueError("eps sequence must cover the range")
+    eps = np.asarray([float(eps_seq(int(n))) for n in ns])
     if np.any(eps <= 0.0):
         raise ValueError("eps must be positive")
     if np.any(np.diff(eps) > 1e-15):

@@ -167,6 +167,9 @@ def _verify_slow_decay(cfg: RunConfig, s: SymbolMap) -> _Outcome:
     if s.sup_norm_hint is None:
         raise ConfigError("slow-decay probe needs a symbol with a known sup norm")
     r = cfg.r if cfg.r is not None else 0.9
+    if r >= s.sup_norm_hint:
+        raise ConfigError(f"slow-decay probe needs r below sup|phi| = {s.sup_norm_hint!r}, "
+                          f"not {r!r}")
     spec, _ = _spectrum_for(cfg, s, cfg.N)
     return {}, [analysis.lower_law_probe(spec, float(r), s.sup_norm_hint)]
 
@@ -381,7 +384,8 @@ _REQUIRED = {"area": ("t", "--t"), "zinc": ("n", "--n"), "blaschke-cert": ("r", 
 # runs -> a config key it reads, the test its value must pass and the range
 # that test states
 _RANGES = {"area": ("t", lambda t: 0.0 < t <= 1.0, "in (0, 1]"),
-           "blaschke-cert": ("r", lambda r: r >= 0, "at least 0"),
+           # from r = 54 on the last zero 1 - 2^-r rounds to 1.0, out of the disk
+           "blaschke-cert": ("r", lambda r: 0 <= r <= 53, "in [0, 53]"),
            "2.2": ("r", lambda r: 0.0 < r < 1.0, "in (0, 1)"),
            "4.1": ("n_max", lambda n: n >= 2, "at least 2")}
 

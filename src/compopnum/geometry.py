@@ -53,9 +53,9 @@ __all__ = [
 # quadrature helpers
 
 # Gauss-Legendre rules for the node counts in use, computed once
-_LEGGAUSS = {n: np.polynomial.legendre.leggauss(n) for n in (20, 24, 48)}
+_LEGGAUSS = {n: np.polynomial.legendre.leggauss(n) for n in (20, 48)}
 
-# nodes per panel of the radial rule behind the cusp power moments and tails
+# nodes per panel of the cusp region's radial rule
 _RADIAL_NODES = 20
 
 
@@ -70,10 +70,9 @@ def _dyadic_offsets(width: float) -> np.ndarray:
     return np.append(d[: np.argmax(d <= _PANEL_STOP) + 1], 0.0)
 
 
-def _panel_rule(a, b, n_nodes: int):
-    """Gauss-Legendre nodes and weights on the panels between edges a[i] and
-    b[i], panel by panel."""
-    x, w = _LEGGAUSS[n_nodes]
+def _panel_rule(a, b, x, w):
+    """The rule (x, w) on [-1, 1] moved onto the panels between edges a[i]
+    and b[i]: nodes and weights, panel by panel."""
     mid, half = 0.5 * (a + b)[:, None], 0.5 * np.abs(a - b)[:, None]
     return (mid + half * x).ravel(), (half * w).ravel()
 
@@ -83,20 +82,7 @@ def _gauss_panels(h: float):
     toward 0, so integrands with their mass or a kink at 0 are resolved to
     near machine precision.  Returns (nodes, weights)."""
     e = _dyadic_offsets(h)
-    return _panel_rule(e[:-1], e[1:], 20)
-
-
-def _panels_with_breakpoints(u_hi: float, breakpoints, n_nodes: int = 20):
-    """Panel nodes on [0, u_hi] split at interior breakpoints, each segment
-    refined dyadically toward both of its ends (square-root kinks live at
-    the breakpoints)."""
-    ends = [0.0] + sorted(b for b in breakpoints if 0.0 < b < u_hi) + [u_hi]
-    a, b = [], []
-    for lo, hi in zip(ends[:-1], ends[1:]):
-        d = _dyadic_offsets(0.5 * (hi - lo))
-        a += [lo + d[:-1], hi - d[:-1]]
-        b += [lo + d[1:], hi - d[1:]]
-    return _panel_rule(np.concatenate(a), np.concatenate(b), n_nodes)
+    return _panel_rule(e[:-1], e[1:], *_LEGGAUSS[20])
 
 
 # ---------------------------------------------------------------------------
@@ -189,55 +175,63 @@ class CuspRegion:
             1.0 - abs(p),  # excluded arc endpoint crosses the main arc
         )
 
+    def radial_rule(self, t: float = 1.0):
+        """(u, weights) of the one rule behind every integral over the region
+        below depth t: (1/pi) int f dA = sum_i weights_i * (the integral of f
+        over the arcs at depth u_i), weights_i = w_i s_i / pi, s = 1 - u.
+
+        Gauss-Legendre panels on [0, t] split at the breakpoints, each
+        segment refined dyadically toward both of its ends (square-root
+        kinks live at the breakpoints).  Zero-radius nodes carry no area
+        and are dropped, so log(s) stays finite on every node."""
+        ends = [0.0] + sorted(b for b in self.breakpoints() if 0.0 < b < t) + [t]
+        a, b = [], []
+        for lo, hi in zip(ends[:-1], ends[1:]):
+            d = _dyadic_offsets(0.5 * (hi - lo))
+            a += [lo + d[:-1], hi - d[:-1]]
+            b += [lo + d[1:], hi - d[1:]]
+        x, gw = _LEGGAUSS[_RADIAL_NODES]
+        # 1/pi goes into the reference weights, not onto every node
+        u, w = _panel_rule(np.concatenate(a), np.concatenate(b), x, gw / math.pi)
+        # the panel ending at t comes last, its nodes in increasing order:
+        # u[-1] is the deepest node, so no node reaches u = 1 unless it does
+        if u[-1] == 1.0:
+            keep = u < 1.0
+            u, w = u[keep], w[keep]
+        return u, w * (1.0 - u)
+
     def annulus_area(self, t: float) -> float:
         """Normalized area of the region below depth t; ~ 2t^3/(3 a pi) for
         small t, a^2/(2 pi) at t = 1."""
         if t <= 0.0:
             return 0.0
-        t = min(t, 1.0)
-        u, w = _panels_with_breakpoints(t, self.breakpoints())
-        vals = self.angular_measure(u) * (1.0 - u)
-        return float(np.dot(w, vals)) / math.pi
-
-    def radial_nodes(self, n_nodes: int):
-        """(u, weights, log s) of the radial rule on depths [0, 1) split at the
-        breakpoints; zero-radius nodes, which carry no power moment, are
-        dropped.  The log1p keeps s^k accurate at depths u ~ 1e-14 for k up
-        to ~1e6."""
-        u, w = _panels_with_breakpoints(1.0, self.breakpoints(), n_nodes)
-        keep = u < 1.0
-        return u[keep], w[keep], np.log1p(-u[keep])
-
-    def power_moments(self, ks) -> np.ndarray:
-        """(1/pi) * integral over the region of |w|^(2k-2) dA, for each k,
-        as a radial integral of the arc measure."""
-        ks = np.asarray(ks, dtype=float)
-        u, w, logs = self.radial_nodes(_RADIAL_NODES)
-        theta = self.angular_measure(u)
-        # moment_k = sum_i w_i theta_i s_i^(2k-1)
-        expo = np.exp(np.outer(2.0 * ks - 1.0, logs))
-        return (expo @ (w * theta)) / math.pi
+        u, w = self.radial_rule(min(t, 1.0))
+        return float(np.dot(w, self.angular_measure(u)))
 
     def power_norms(self, ks) -> np.ndarray:
-        """Dirichlet norms k sqrt(moment_k) of w^k on the region."""
+        """Dirichlet norms k sqrt(moment_k) of w^k on the region, moment_k =
+        (1/pi) int |w|^(2k-2) dA.  The log1p keeps s^(2k-2) accurate at
+        depths u ~ 1e-14 for k up to ~1e6."""
         ks = np.asarray(ks, dtype=float)
-        return ks * np.sqrt(self.power_moments(ks))
+        u, w = self.radial_rule()
+        expo = np.outer(2.0 * ks - 2.0, np.log1p(-u))
+        np.exp(expo, out=expo)  # in place: this [k, node] array sets the peak memory of `an`
+        return ks * np.sqrt(expo @ (w * self.angular_measure(u)))
 
     def column_tail_sq(self, n: int, r2: float) -> float:
         """sum_{k >= n} r2^k ||w^k||^2 / k over the region, r2 <= 1.
 
-        ||w^k||^2 / k = (1/pi) sum_i w_i theta_i s_i k s_i^(2k-2), so with
-        x = r2 s^2 the sum over k closes under the integral:
+        ||w^k||^2 / k = sum_i w_i theta_i k s_i^(2k-2) in the radial rule, so
+        with x = r2 s^2 the sum over k closes under the integral:
         sum_{k >= n} k x^(k-1) = x^(n-1) (1 + (n-1)(1-x)) / (1-x)^2.
         1-x comes from expm1 of log x, accurate at depths ~1e-14, where
         theta ~ 2u^2/a against (1-x)^2 ~ 4u^2 keeps the integrand bounded.
         """
-        u, w, logs = self.radial_nodes(_RADIAL_NODES)
-        theta = self.angular_measure(u)
-        log_x = math.log(r2) + 2.0 * logs
+        u, w = self.radial_rule()
+        log_x = math.log(r2) + 2.0 * np.log1p(-u)
         gap = -np.expm1(log_x)  # 1 - x
         series = np.exp((n - 1) * log_x) * (1.0 + (n - 1) * gap) / gap**2
-        return r2 * float(np.dot(w * theta * np.exp(logs), series)) / math.pi
+        return r2 * float(np.dot(w * self.angular_measure(u), series))
 
     def tip_angular_measure(self, sigma):
         """Angle of {|w - 1| = sigma} inside the region; ~ 2 sigma/a near 0."""
@@ -761,7 +755,7 @@ def region_gram_singular_values(N: int) -> np.ndarray:
     compression of a positive contraction; its eigenvalues are the squared
     restricted singular values.  Entirely independent of Taylor coefficients.
     """
-    u, wts, logs = _CUSP_REGION.radial_nodes(24)
+    u, wts = _CUSP_REGION.radial_rule()
     alpha, lo, hi = _CUSP_REGION.arc_data(u)
     hi = np.minimum(hi, alpha)
     lo = np.minimum(lo, alpha)
@@ -774,10 +768,12 @@ def region_gram_singular_values(N: int) -> np.ndarray:
     ang[1:] -= np.sin(q * hi)
     ang[1:] += np.sin(q * lo)
     ang[1:] *= 2.0 / q
-    radial = np.exp(np.outer(np.arange(N), logs))  # s^m | [m, node]
-    ang *= radial * (wts * np.exp(logs) / math.pi)  # B[q, node] = w s^(q+1) ang_q / pi
+    radial = np.exp(np.outer(np.arange(N), np.log1p(-u)))  # s^m | [m, node]
+    ang *= radial
+    ang *= wts  # B[q, node] = weight s^q ang_q
+    radial *= radial
     # the q-th diagonal: G[m, m+q] = sqrt((m+1)(m+q+1)) P[m, q]
-    P = (radial * radial) @ ang.T
+    P = radial @ ang.T
     i, j = np.triu_indices(N)
     G = np.zeros((N, N))
     G[i, j] = np.sqrt((i + 1.0) * (j + 1.0)) * P[i, j - i]

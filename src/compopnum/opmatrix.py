@@ -64,7 +64,6 @@ class OperatorMatrix:
     hs_tail: float
     row_tail: float
     assembly_error: float
-    aliasing_suspect: bool
     column_tail_fit: tails.TailFit  # the closed form or fit behind hs_tail
 
     @property
@@ -167,6 +166,8 @@ def assemble(
     M, rho, Q = params.resolved()
     if M < N:
         raise ValueError("retained degree must reach the truncation size")
+    if params.aliasing_suspect:
+        raise ArithmeticError("sampling plan is aliasing-suspect; refusing to certify")
     table, peaks = power_coefficient_table(s, N, params)
 
     j = np.arange(1, N + 1, dtype=float)
@@ -205,7 +206,6 @@ def assemble(
         hs_tail=hs_tail,
         row_tail=row_tail,
         assembly_error=assembly_error,
-        aliasing_suspect=params.aliasing_suspect,
         column_tail_fit=column_fit,
     )
 
@@ -230,8 +230,6 @@ def singular_spectrum(m: OperatorMatrix) -> SingularSpectrum:
     truncation norm); stability_radii compares against the half-size
     compression, a sharp empirical indicator of truncation bias.
     """
-    if m.aliasing_suspect:
-        raise ArithmeticError("assembly carries an aliasing flag; refusing to certify")
     values = _values_of(m.entries)
     stab = None
     if m.N >= 8:

@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from compopnum import analysis, geometry
+from compopnum import analysis, cli, geometry
 from compopnum.analysis import fit_decay
 from compopnum.cli import main
 from compopnum.opmatrix import assemble, singular_spectrum
@@ -427,10 +427,38 @@ def _exits_2_without_artifacts(tmp_path, args, config=None):
     (None, ["area", "--symbol", "cusp", "--t", "1.5"]),
     (None, ["blaschke-cert", "--r", "-1"]),
     (None, ["verify", "--theorem", "2.2", "--r", "1.5"]),
+    # 1 - 2^-54 rounds to 1.0: the last Blaschke zero would leave the disk
+    (None, ["blaschke-cert", "--r", "54"]),
 ])
 def test_config_that_would_not_be_what_ran_exits_2(tmp_path, config, args):
     rep, out = tmp_path / "never.json", tmp_path / "never.csv"
     _exits_2_without_artifacts(tmp_path, args + ["--out", str(out), "--report", str(rep)], config)
+
+
+def test_blaschke_range_is_where_the_zeros_lie_in_the_disk():
+    _, in_range, _ = cli._RANGES["blaschke-cert"]
+    assert [r for r in range(64) if in_range(r)] == [r for r in range(64) if 1.0 - 2.0**-r < 1.0]
+
+
+@pytest.mark.parametrize("args", [
+    ["--symbol", "affine:r=0.5", "--r", "0.7"],
+    ["--symbol", "affine:r=0.5", "--r", "0.5"],
+    ["--symbol", "affine:r=0.5"],  # the default r = 0.9
+])
+def test_slow_decay_r_not_below_sup_norm_exits_2_before_work(tmp_path, monkeypatch, args):
+    def no_assembly(*a, **kw):
+        raise AssertionError("assembled a spectrum the probe cannot use")
+
+    monkeypatch.setattr(cli, "assemble", no_assembly)
+    _exits_2_without_artifacts(tmp_path, ["verify", "--theorem", "2.2", "--N", "32", *args,
+                                          "--report", str(tmp_path / "never.json")])
+
+
+def test_an_on_an_aliasing_suspect_plan_exits_1(tmp_path):
+    rep = tmp_path / "never.json"
+    assert run(["an", "--symbol", "cusp", "--N", "16", "--M", "16", "--rho", "0.9999",
+                "--Q", "128", "--out", str(tmp_path / "s.csv"), "--report", str(rep)]) == 1
+    assert not rep.exists()
 
 
 def test_blaschke_power_zero_is_in_range(tmp_path):

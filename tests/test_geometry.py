@@ -440,10 +440,10 @@ def test_scaled_cusp_power_norms(theta, n):
 def test_region_gram_matches_diagonal_loop():
     # reference: the Gram matrix filled one entry at a time, diagonal by diagonal
     N = 48
-    u, wts, logs = REGION.radial_nodes(24)
+    u, wts = REGION.radial_rule()
     alpha, lo, hi = REGION.arc_data(u)
     hi, lo = np.minimum(hi, alpha), np.minimum(lo, alpha)
-    s = np.exp(logs)
+    s = 1.0 - u
     G = np.empty((N, N))
     for q in range(N):
         if q == 0:
@@ -451,7 +451,7 @@ def test_region_gram_matches_diagonal_loop():
         else:
             ang = 2.0 * (np.sin(q * alpha) - (np.sin(q * hi) - np.sin(q * lo))) / q
         for m in range(N - q):
-            moment = np.dot(wts * ang, s ** (2 * m + q + 1)) / math.pi
+            moment = np.dot(wts * ang, s ** (2 * m + q))
             G[m, m + q] = G[m + q, m] = math.sqrt((m + 1) * (m + q + 1)) * moment
     ref = np.sqrt(np.maximum(np.linalg.eigvalsh(G)[::-1], 0.0))
     assert region_gram_singular_values(N)[:10] == pytest.approx(ref[:10], rel=1e-12, abs=0.0)
@@ -476,15 +476,30 @@ def test_region_gram_monotone_and_dominates_matrix(cusp_spectra):
     assert np.all(g512[top] >= spec.values[top] - 1e-9)
 
 
+def _use_24_radial_nodes(monkeypatch):
+    """Swap the radial rule's 20 nodes per panel for 24."""
+    monkeypatch.setitem(geometry._LEGGAUSS, 24, np.polynomial.legendre.leggauss(24))
+    monkeypatch.setattr(geometry, "_RADIAL_NODES", 24)
+
+
 @pytest.mark.parametrize("r2", [1.0, 0.81])
 def test_cusp_column_tail_node_rules_agree(r2, monkeypatch):
     ns = (1, 65, 1025, 100_000)
     rule20 = [REGION.column_tail_sq(n, r2) for n in ns]
-    radial_nodes = CuspRegion.radial_nodes
-    monkeypatch.setattr(CuspRegion, "radial_nodes", lambda self, n: radial_nodes(self, 24))
+    _use_24_radial_nodes(monkeypatch)
     rule24 = [REGION.column_tail_sq(n, r2) for n in ns]
     assert rule20 == pytest.approx(rule24, rel=1e-8, abs=0.0)
     assert rule20 != rule24  # the patch took effect
+
+
+def test_region_gram_node_rules_agree(monkeypatch):
+    # the Gram needs no finer rule than the norms and tails: 24 nodes per
+    # panel move its top 20 values by far less than 1e-10
+    rule20 = region_gram_singular_values(256)[:20]
+    _use_24_radial_nodes(monkeypatch)
+    rule24 = region_gram_singular_values(256)[:20]
+    assert rule20 == pytest.approx(rule24, rel=1e-10, abs=0.0)
+    assert not np.array_equal(rule20, rule24)  # the patch took effect
 
 
 @pytest.mark.parametrize(

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from compopnum import opmatrix
 from compopnum.opmatrix import assemble, hs_tail_bound, singular_spectrum
 from compopnum.series import SeriesParams, Space, power_coefficient_table
 from compopnum.symbols import AffineMap, CuspMap, MoebiusMap, builtin_contractions, parse_symbol
@@ -267,14 +268,19 @@ def test_cusp_values_decrease_and_certified_lower_bounds(cusp_spectra):
     assert (spec512.values < 1e-6).argmax() + 1 < 512
 
 
-def test_aliasing_flag_refuses_certification():
+def test_aliasing_flag_refuses_certification(monkeypatch):
     # the aliasing bound is rho^Q/(1 - rho^Q), about 78 here
     params = SeriesParams(M=16, rho=0.9999, Q=128)
     assert params.aliasing_bound == pytest.approx(0.9999**128 / (1 - 0.9999**128))
-    m = assemble(CuspMap(), 16, series_params=params)
-    assert m.aliasing_suspect
+    assert params.aliasing_suspect
+
+    def no_extraction(*a, **kw):
+        raise AssertionError("extracted powers on a plan that cannot be certified")
+
+    # the plan alone decides: assemble refuses before extracting any power
+    monkeypatch.setattr(opmatrix, "power_coefficient_table", no_extraction)
     with pytest.raises(ArithmeticError):
-        singular_spectrum(m)
+        assemble(CuspMap(), 16, series_params=params)
 
 
 def test_default_plans_are_not_flagged():
