@@ -760,15 +760,19 @@ def region_gram_singular_values(N: int) -> np.ndarray:
     hi = np.minimum(hi, alpha)
     lo = np.minimum(lo, alpha)
     # angular factor: int over arcs of cos(q theta) dtheta (even in theta),
-    # updated in place: the [q, node] arrays dominate the memory
+    # computed in place with one scratch buffer: the [q, node] arrays
+    # dominate the memory
     q = np.arange(1, N)[:, None]
     ang = np.empty((N, u.size))
     ang[0] = _CUSP_REGION.angular_measure(u)
-    ang[1:] = np.sin(q * alpha)
-    ang[1:] -= np.sin(q * hi)
-    ang[1:] += np.sin(q * lo)
-    ang[1:] *= 2.0 / q
-    radial = np.exp(np.outer(np.arange(N), np.log1p(-u)))  # s^m | [m, node]
+    sines, buf = ang[1:], np.empty((N - 1, u.size))
+    np.sin(np.multiply(q, alpha, out=sines), out=sines)
+    sines -= np.sin(np.multiply(q, hi, out=buf), out=buf)
+    sines += np.sin(np.multiply(q, lo, out=buf), out=buf)
+    sines *= 2.0 / q
+    del buf
+    radial = np.outer(np.arange(N), np.log1p(-u))
+    np.exp(radial, out=radial)  # s^m | [m, node]
     ang *= radial
     ang *= wts  # B[q, node] = weight s^q ang_q
     radial *= radial

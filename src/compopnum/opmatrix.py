@@ -26,6 +26,10 @@ Two certificates are attached to every spectrum:
   cusp), the rigorous radius is honest but large, and the stability radius
   is what delimits the usable range; both are reported, neither is guessed.
 
+A symbol with real coefficients (`SymbolMap.real_coefficients`) has a real
+coefficient table, hence a real matrix, and its singular values come from a
+real SVD.
+
 `SingularSpectrum` owns every rule about usable entries: `VALUE_FLOOR`, the
 certification floor max(VALUE_FLOOR, 2 radius) and the reliable range.
 """
@@ -175,7 +179,7 @@ def assemble(
     core = np.sqrt(j[:, None] / k[None, :]) * table[:, 1 : N + 1].T  # [j, k]
 
     if space is Space.DIRICHLET:
-        A = np.zeros((N + 1, N + 1), dtype=complex)
+        A = np.zeros((N + 1, N + 1), dtype=table.dtype)
         A[0, 0] = 1.0
         A[0, 1:] = table[:, 0] / np.sqrt(k)
         A[1:, 1:] = core
@@ -211,9 +215,7 @@ def assemble(
 
 
 def _is_exact_diagonal(A: np.ndarray) -> bool:
-    off = A.copy()
-    np.fill_diagonal(off, 0.0)
-    return not np.any(off)
+    return np.count_nonzero(A) == np.count_nonzero(A.diagonal())
 
 
 def _values_of(A: np.ndarray) -> np.ndarray:

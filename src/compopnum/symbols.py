@@ -87,6 +87,12 @@ class SymbolMap:
     def spec_string(self) -> str:
         raise NotImplementedError
 
+    @property
+    def real_coefficients(self) -> bool:
+        """Whether every Taylor coefficient is real, i.e. phi(conj z) =
+        conj(phi(z)); derived from the parameters of each kind."""
+        return False
+
 
 @dataclass(frozen=True)
 class AffineMap(SymbolMap):
@@ -105,6 +111,10 @@ class AffineMap(SymbolMap):
     @property
     def factor(self) -> complex:
         return self.r * complex(math.cos(self.theta), math.sin(self.theta))
+
+    @property
+    def real_coefficients(self) -> bool:
+        return self.factor.imag == 0.0
 
     def _map(self, z):
         return self.factor * z
@@ -128,6 +138,10 @@ class MoebiusMap(SymbolMap):
         object.__setattr__(self, "is_univalent", True)
         object.__setattr__(self, "sup_norm_hint", 1.0)
         object.__setattr__(self, "fixes_origin", self.u == 0)
+
+    @property
+    def real_coefficients(self) -> bool:
+        return complex(self.u).imag == 0.0
 
     def _map(self, z):
         return (self.u - z) / (1.0 - np.conj(self.u) * z)
@@ -186,6 +200,10 @@ class CuspMap(SymbolMap):
         object.__setattr__(self, "sup_norm_hint", 1.0)
         object.__setattr__(self, "fixes_origin", True)
 
+    @property
+    def real_coefficients(self) -> bool:
+        return True
+
     def _map(self, z):
         h2 = _cusp_stages(z)[3]
         with np.errstate(invalid="ignore"):
@@ -229,6 +247,10 @@ class ComposedMap(SymbolMap):
                 fixes = False
         object.__setattr__(self, "fixes_origin", fixes)
 
+    @property
+    def real_coefficients(self) -> bool:
+        return self.outer.real_coefficients and self.inner.real_coefficients
+
     def _inner_values(self, z):
         # the outer closed form is only valid on the closed disk
         w = self.inner._map(z)
@@ -264,6 +286,10 @@ class CoefficientMap(SymbolMap):
         object.__setattr__(self, "is_univalent", self.univalent)
         object.__setattr__(self, "sup_norm_hint", self.sup_norm)
         object.__setattr__(self, "fixes_origin", abs(coeffs[0]) <= 1e-12 if coeffs else True)
+
+    @property
+    def real_coefficients(self) -> bool:
+        return all(c.imag == 0.0 for c in self.coeffs)
 
     def _map(self, z):
         return np.polynomial.polynomial.polyval(z, np.asarray(self.coeffs))

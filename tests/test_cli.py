@@ -146,6 +146,19 @@ def test_series_subcommand(tmp_path):
     assert {"index", "re", "im"} <= set(rows[0])
 
 
+def test_series_of_a_real_symbol_keeps_its_imaginary_column(tmp_path):
+    # the cusp's table is real; the CSV schema keeps its `im` column, all zero
+    out = tmp_path / "series.csv"
+    assert run(["series", "--symbol", "cusp", "--k", "3", "--M", "64",
+                "--out", str(out), "--report", str(tmp_path / "r.json")]) == 0
+    with open(out) as fh:
+        assert next(csv.reader(fh)) == ["index", "re", "im"]
+        rows = list(csv.reader(fh))
+    assert len(rows) == 65
+    assert all(float(im) == 0.0 for _, _, im in rows)
+    assert any(float(re) != 0.0 for _, re, _ in rows)
+
+
 def test_series_report_carries_the_a_priori_bound(tmp_path):
     rep = tmp_path / "r.json"
     assert run(["series", "--symbol", "cusp", "--M", "64",

@@ -1,9 +1,12 @@
 import numpy as np
 import pytest
 
+from compopnum.opmatrix import assemble, singular_spectrum
 from compopnum.series import (
     _EVAL_ULPS,
+    _FLUSH_SAFETY,
     SeriesParams,
+    Space,
     coefficients_of_power,
     dirichlet_power_norms,
     power_coefficient_table,
@@ -15,6 +18,7 @@ from compopnum.symbols import (
     CoefficientMap,
     CuspMap,
     MoebiusMap,
+    builtin_contractions,
     parse_symbol,
 )
 
@@ -116,6 +120,72 @@ def test_power_mass_beyond_the_table():
     assert np.all(np.isinf(power_mass(poly, short)[1]))
     table, _ = power_coefficient_table(poly, 2, SeriesParams(16))
     assert np.all(power_mass(poly, table)[1] == 0.0)
+
+
+# every catalog symbol with real coefficients, the shifted contraction last
+REAL_SYMBOLS = [
+    parse_symbol(spec)
+    for spec in ("cusp", "affine:r=0.5", "moebius:u=0.3+0i", "coeffs:[0,0.5,0.25]",
+                 "compose(affine:r=0.9,cusp)")
+] + [builtin_contractions()[3]]
+
+
+def force_complex(monkeypatch, s):
+    """Send s through the full-circle complex path."""
+    monkeypatch.setattr(type(s), "real_coefficients", property(lambda self: False))
+
+
+@pytest.mark.parametrize("s", REAL_SYMBOLS, ids=lambda s: s.spec_string())
+def test_real_path_matches_the_complex_path(monkeypatch, s):
+    # the two paths share the upper half-circle samples; they differ by FFT
+    # roundoff and by the complex path's own lower-half products, each of
+    # order k eps max|g| rho^-j, a small fraction of the a-priori bound
+    params = SeriesParams(128)
+    M, rho, _ = params.resolved()
+    space = Space.DIRICHLET_STAR if s.fixes_origin else Space.DIRICHLET
+    table, peaks = power_coefficient_table(s, 64, params)
+    m = assemble(s, 64, space)
+    spec = singular_spectrum(m)
+    force_complex(monkeypatch, s)
+    ref, ref_peaks = power_coefficient_table(s, 64, params)
+    ref_m = assemble(s, 64, space)
+    ref_spec = singular_spectrum(ref_m)
+    assert table.dtype == m.entries.dtype == float
+    assert ref.dtype == ref_m.entries.dtype == complex
+    assert peaks == pytest.approx(ref_peaks, rel=1e-15, abs=0.0)
+    scale = np.arange(1, 65)[:, None] * ref_peaks[:, None] * rho ** -np.arange(M + 1)
+    assert np.all(np.abs(table - ref) <= 1e-15 * scale)
+    # a_n and their stability radii from the real SVD
+    assert np.abs(spec.values - ref_spec.values).max() <= 1e-14
+    finite = np.isfinite(ref_spec.stability_radii)
+    assert np.array_equal(np.isfinite(spec.stability_radii), finite)
+    gap = spec.stability_radii[finite] - ref_spec.stability_radii[finite]
+    assert np.abs(gap).max() <= 1e-14
+
+
+def _per_power_table(s, k_max, params):
+    # one FFT per power, the way the table was built before blocking
+    M, rho, Q = params.resolved()
+    real = s.real_coefficients
+    base = s.evaluate(rho * np.exp(1j * (2.0 * np.pi * np.arange(Q // 2 + 1 if real else Q) / Q)))
+    amp = rho ** -np.arange(M + 1)
+    rows, peaks, g = [], [], np.ones_like(base)
+    for _ in range(k_max):
+        g = g * base
+        peaks.append(float(np.abs(g).max()))
+        c = (np.fft.irfft(np.conj(g), Q) if real else np.fft.fft(g) / Q)[: M + 1] * amp
+        c[np.abs(c) < _FLUSH_SAFETY * np.finfo(float).eps * np.log2(Q) * peaks[-1] * amp] = 0.0
+        rows.append(c)
+    return np.array(rows), np.array(peaks)
+
+
+@pytest.mark.parametrize("spec", ["cusp", "affine:r=0.7,theta=1"])
+def test_partial_last_block_matches_per_power_transforms(spec):
+    # 13 powers: one full block and a partial one
+    s, params = parse_symbol(spec), SeriesParams(64)
+    table, peaks = power_coefficient_table(s, 13, params)
+    ref, ref_peaks = _per_power_table(s, 13, params)
+    assert np.array_equal(table, ref) and np.array_equal(peaks, ref_peaks)
 
 
 def test_series_params_validation():

@@ -75,6 +75,25 @@ BOUNDARY_SYMBOLS = ALL_SYMBOLS + [s for s in builtin_contractions() if s not in 
 ]
 
 
+@pytest.mark.parametrize(
+    "s",
+    BOUNDARY_SYMBOLS + [
+        parse_symbol(spec)
+        for spec in ("moebius:u=0.3+0i", "coeffs:[0,0.5,0.25]", "affine:r=0.7,theta=1",
+                     "moebius:u=0.3+0.1i", "coeffs:[0,0.5+0.1i,0.25]",
+                     "compose(affine:r=0.9,theta=1,cusp)")
+    ],
+    ids=lambda s: s.spec_string(),
+)
+def test_real_coefficients_never_lies(s):
+    # real Taylor coefficients <=> phi(conj z) = conj phi(z), which either
+    # holds to roundoff or fails visibly
+    z = disk_points(2000, seed=3)
+    gap = np.abs(s.evaluate(np.conj(z)) - np.conj(s.evaluate(z))).max()
+    assert gap <= 1e-14 or gap >= 1e-3
+    assert s.real_coefficients == (gap <= 1e-14)
+
+
 @pytest.mark.parametrize("s", BOUNDARY_SYMBOLS, ids=lambda s: s.spec_string())
 def test_boundary_values_are_radial_limits(s):
     # every closed form extends to the circle; the cusp's half-disk stage
