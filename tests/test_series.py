@@ -130,11 +130,6 @@ REAL_SYMBOLS = [
 ] + [builtin_contractions()[3]]
 
 
-def force_complex(monkeypatch, s):
-    """Send s through the full-circle complex path."""
-    monkeypatch.setattr(type(s), "real_coefficients", property(lambda self: False))
-
-
 @pytest.mark.parametrize("s", REAL_SYMBOLS, ids=lambda s: s.spec_string())
 def test_real_path_matches_the_complex_path(monkeypatch, s):
     # the two paths share the upper half-circle samples; they differ by FFT
@@ -146,7 +141,8 @@ def test_real_path_matches_the_complex_path(monkeypatch, s):
     table, peaks = power_coefficient_table(s, 64, params)
     m = assemble(s, 64, space)
     spec = singular_spectrum(m)
-    force_complex(monkeypatch, s)
+    # the reference: the same symbol through the full-circle complex path
+    monkeypatch.setattr(type(s), "real_coefficients", property(lambda self: False))
     ref, ref_peaks = power_coefficient_table(s, 64, params)
     ref_m = assemble(s, 64, space)
     ref_spec = singular_spectrum(ref_m)
@@ -164,7 +160,7 @@ def test_real_path_matches_the_complex_path(monkeypatch, s):
 
 
 def _per_power_table(s, k_max, params):
-    # one FFT per power, the way the table was built before blocking
+    # reference: one FFT per power
     M, rho, Q = params.resolved()
     real = s.real_coefficients
     base = s.evaluate(rho * np.exp(1j * (2.0 * np.pi * np.arange(Q // 2 + 1 if real else Q) / Q)))
