@@ -15,11 +15,10 @@ All areas are normalized: dA = dx dy / pi, so the unit disk has area 1.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
-from . import tails
 from .symbols import (
     CUSP_DIAMETER,
     AffineMap,
@@ -36,12 +35,9 @@ __all__ = [
     "BlaschkeProduct",
     "unit_interval_dyadic_zeros",
     "annulus_area",
-    "m_functional",
     "M_functional",
     "zinc_upper_bound",
     "window_area",
-    "cusp_imaginary_law",
-    "cusp_inscribed_disk_radius",
     "blaschke_certificate",
     "Image",
     "image_of",
@@ -175,38 +171,58 @@ class CuspRegion:
             1.0 - abs(p),  # excluded arc endpoint crosses the main arc
         )
 
-    def radial_rule(self, t: float = 1.0):
+    def radial_rule(self, t=1.0):
         """(u, weights) of the one rule behind every integral over the region
         below depth t: (1/pi) int f dA = sum_i weights_i * (the integral of f
         over the arcs at depth u_i), weights_i = w_i s_i / pi, s = 1 - u.
 
         Gauss-Legendre panels on [0, t] split at the breakpoints, each
         segment refined dyadically toward both of its ends (square-root
-        kinks live at the breakpoints).  Zero-radius nodes carry no area
+        kinks live at the breakpoints).  For an array of depths in (0, 1]
+        the rule covers [0, max t] and every depth is one more panel edge,
+        with the nodes in increasing order.  Zero-radius nodes carry no area
         and are dropped, so log(s) stays finite on every node."""
-        ends = [0.0] + sorted(b for b in self.breakpoints() if 0.0 < b < t) + [t]
+        top = float(np.max(t))
+        ends = [0.0] + sorted(b for b in self.breakpoints() if 0.0 < b < top) + [top]
         a, b = [], []
         for lo, hi in zip(ends[:-1], ends[1:]):
             d = _dyadic_offsets(0.5 * (hi - lo))
             a += [lo + d[:-1], hi - d[:-1]]
             b += [lo + d[1:], hi - d[1:]]
+        a, b = np.concatenate(a), np.concatenate(b)
+        if np.ndim(t):
+            edges = np.unique(np.concatenate([a, b, t]))
+            a, b = edges[:-1], edges[1:]
         x, gw = _LEGGAUSS[_RADIAL_NODES]
         # 1/pi goes into the reference weights, not onto every node
-        u, w = _panel_rule(np.concatenate(a), np.concatenate(b), x, gw / math.pi)
-        # the panel ending at t comes last, its nodes in increasing order:
-        # u[-1] is the deepest node, so no node reaches u = 1 unless it does
-        if u[-1] == 1.0:
-            keep = u < 1.0
-            u, w = u[keep], w[keep]
-        return u, w * (1.0 - u)
+        u, w = _panel_rule(a, b, x, gw / math.pi)
+        keep = u < 1.0
+        return u[keep], w[keep] * (1.0 - u[keep])
 
-    def annulus_area(self, t: float) -> float:
+    def annulus_area(self, t):
         """Normalized area of the region below depth t; ~ 2t^3/(3 a pi) for
-        small t, a^2/(2 pi) at t = 1."""
-        if t <= 0.0:
-            return 0.0
-        u, w = self.radial_rule(min(t, 1.0))
-        return float(np.dot(w, self.angular_measure(u)))
+        small t, a^2/(2 pi) at t = 1.  An array of depths shares one rule
+        (`radial_rule`) and reads its areas off one cumulative sum."""
+        if np.ndim(t) == 0:
+            if t <= 0.0:
+                return 0.0
+            u, w = self.radial_rule(min(t, 1.0))
+            return float(np.dot(w, self.angular_measure(u)))
+        t = np.clip(t, 0.0, 1.0)
+        if not t.any():
+            return t  # all zero
+        u, w = self.radial_rule(t[t > 0.0])
+        cumulative = np.append(0.0, np.cumsum(w * self.angular_measure(u)))
+        # a node rounded onto a depth belongs to the panel that ends there
+        return cumulative[np.searchsorted(u, t, side="right")]
+
+    @property
+    def tip_area_constant(self) -> float:
+        """C with annulus_area(tau) <= C tau^3 below the first breakpoint.
+        There alpha <= hi, so angular_measure(u) = 2 min(alpha, lo) <= 2 lo =
+        4 arctan(u^2/(a s + root)) <= 4u^2/(a s) (arctan x <= x, root >= 0),
+        and (1/pi) int_0^tau angular_measure(u) s du <= 4 tau^3/(3 pi a)."""
+        return 4.0 / (3.0 * math.pi * self.diameter)
 
     def power_norms(self, ks) -> np.ndarray:
         """Dirichlet norms k sqrt(moment_k) of w^k on the region, moment_k =
@@ -277,12 +293,13 @@ class _UnitDisk:
     automorphisms fill it."""
 
     name = "disk"
+    tip_area_constant = math.inf  # the area below depth t is ~ 2t, not cubic
 
     def contains(self, w):
         return np.abs(w) < 1.0
 
-    def annulus_area(self, t: float) -> float:
-        return max(0.0, 1.0 - (1.0 - t) ** 2)
+    def annulus_area(self, t):
+        return np.maximum(0.0, 1.0 - (1.0 - t) ** 2)
 
     def box_angle(self, t: float) -> float:
         return math.pi
@@ -332,8 +349,8 @@ class Image:
         # dividing by a unit factor would only copy the points
         return self.base.contains(w if self.factor == 1.0 else w / self.factor)
 
-    def annulus_area(self, t: float) -> float:
-        """Closed-form A[phi(D) n {|w| >= 1-t}]."""
+    def annulus_area(self, t):
+        """Closed-form A[phi(D) n {|w| >= 1-t}], at one depth or an array."""
         return abs(self.factor) ** 2 * self.base.annulus_area(self.depth(t))
 
     def box(self, t: float):
@@ -534,23 +551,18 @@ def _mc_annulus_area(s: SymbolMap, image: Image | None, t: float, samples: int, 
     return RegionMeasure(float(value), float(std), "monte-carlo", flagged)
 
 
-def m_functional(s: SymbolMap, t: float) -> RegionMeasure:
-    """m(t): annulus mass scaled by 1/t^2."""
-    area = annulus_area(s, t)
-    return replace(area, value=area.value / t**2, std_error=area.std_error / t**2)
-
-
-_DYADIC_TERMS = 40  # M(t) sums m(2^-k t) for k = 0.._DYADIC_TERMS
+_DYADIC_CUT = 50  # M(t) computes the dyadic terms j = 0.._DYADIC_CUT
 
 
 def M_functional(s: SymbolMap, t: float) -> float:
-    """Dyadic sum M(t) = sum_k m(2^-k t) of exact annulus masses.
-
-    The terms k = 0.._DYADIC_TERMS are the closed forms of `m_functional`;
-    `tails.tail_remainder` extrapolates the rest, infinitely when the terms
-    show no summable decay (the disk automorphisms).  A symbol without a
-    known image base raises: it would need 41 Monte Carlo areas per t.
-    """
+    """Dyadic sum M(t) = sum_{j >= 0} area(t 2^-j) 4^j / t^2 of exact annulus
+    masses, the terms j <= _DYADIC_CUT from one `Image.annulus_area` call.
+    The rest is bounded, not fitted.  It is 0 when |f| < 1: `Image.modulus`
+    is then below 1 - 8 eps, so no omitted depth t 2^-j <= 2^-51 reaches the
+    image.  Otherwise those depths lie far below the cusp's first breakpoint
+    and the base's `tip_area_constant` C bounds the j-th term by C t 2^-j,
+    the rest by C t 2^-_DYADIC_CUT; C is infinite on the disk (the
+    automorphisms).  An unknown image base raises: it would need sampling."""
     if not 0.0 < t <= 1.0:
         raise ValueError("annulus depth must lie in (0, 1]")
     image = image_of(s)
@@ -558,9 +570,9 @@ def M_functional(s: SymbolMap, t: float) -> float:
         raise _UnsupportedRegion(
             f"M(t) needs a known image base (disk or cusp region); {s.spec_string()} has none"
         )
-    ts = [t * 2.0**-k for k in range(_DYADIC_TERMS + 1)]
-    terms = np.array([image.annulus_area(tk) / tk**2 for tk in ts])
-    return float(terms.sum()) + tails.tail_remainder(terms).remainder
+    j = np.arange(_DYADIC_CUT + 1)
+    rest = 0.0 if image.modulus < 1.0 else image.base.tip_area_constant * t * 2.0**-_DYADIC_CUT
+    return float(np.dot(image.annulus_area(t * 0.5**j), 4.0**j)) / t**2 + rest
 
 
 # elementwise math.pow, the power of Python and numpy scalars; numpy's
@@ -636,25 +648,6 @@ def window_area(
     contains, flagged = _sampling_membership(s, image, h)
     value, std = _mc_window(contains, lambda w: 1.0, xi, h, np.random.default_rng(seed), samples)
     return RegionMeasure(value, std, "monte-carlo", flagged)
-
-
-def cusp_imaginary_law(h: float) -> float:
-    """sup{|Im w| : w in the cusp region, Re w >= 1-h}, exact from the arcs.
-
-    The excluded tangent circles bind throughout 0 < h <= a-1, giving
-    a/2 - sqrt(a^2/4 - h^2) ~ h^2/a.
-    """
-    a = CUSP_DIAMETER
-    if not 0.0 < h <= a - 1.0:
-        raise ValueError("law valid for 0 < h <= a-1")
-    s = math.sqrt(max(0.0, (a / 2.0) ** 2 - h**2))
-    return h**2 / (a / 2.0 + s)
-
-
-def cusp_inscribed_disk_radius(h: float) -> float:
-    """Radius h^2/(4a) of the disks D(x, .) forced inside the region for
-    0 <= x <= 1-h."""
-    return h**2 / (4.0 * CUSP_DIAMETER)
 
 
 # ---------------------------------------------------------------------------

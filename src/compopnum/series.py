@@ -35,7 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import geometry, tails
-from .symbols import SymbolMap
+from .symbols import CoefficientMap, SymbolMap
 
 __all__ = [
     "Space",
@@ -172,17 +172,20 @@ def power_mass(s: SymbolMap, table: np.ndarray):
     of `table`: mass[k-1, j] = j |c_j|^2 and beyond[k-1] the Dirichlet mass of
     phi^k above degree M.  For a known image base that is the exact norm^2
     minus the retained mass (roundoff for a disk, whose powers end below M);
-    otherwise the row's fitted remainder, infinite without summable decay or
-    when the row is too short to fit.
+    0 for a polynomial of degree d when k d <= M; otherwise the row's fitted
+    remainder, infinite without summable decay or when too short to fit.
     """
     j = np.arange(table.shape[1], dtype=float)
     mass = j * np.abs(table) ** 2
     image = geometry.image_of(s)
     if image is not None:
         return mass, np.maximum(image.power_norms(len(table)) ** 2 - mass.sum(axis=1), 0.0)
-    if table.shape[1] < tails.MIN_TERMS:
-        return mass, np.full(len(table), math.inf)
-    return mass, np.array([tails.tail_remainder(row).remainder for row in mass])
+    fit = table.shape[1] >= tails.MIN_TERMS
+    beyond = np.array([tails.tail_remainder(row).remainder if fit else math.inf for row in mass])
+    if isinstance(s, CoefficientMap):
+        d = max((i for i, c in enumerate(s.coeffs) if c != 0.0), default=0)
+        beyond[np.arange(1, len(table) + 1) * d < table.shape[1]] = 0.0
+    return mass, beyond
 
 
 def dirichlet_power_norms(s: SymbolMap, n_max: int, M: int | None = None):

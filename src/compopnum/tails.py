@@ -1,11 +1,11 @@
 """Tail extrapolation for positive decaying sequences.
 
-The Hilbert-Schmidt truncation certificates, the degree-tail error bounds
-and the dyadic sum M(t) of the window bound need sums of the form
-sum_{j > J} t_j where only t_1..t_J are computed.  The last octave is fit to a geometric and to a power-law model in
-log space; the better model supplies a closed-form remainder.  A fit that
-does not show summable decay gives an infinite remainder, never silent
-optimism.
+For symbols without a known image base, the Hilbert-Schmidt truncation
+certificates and the degree-tail error bounds need sums of the form
+sum_{j > J} t_j where only t_1..t_J are computed.  The last octave is fit
+to a geometric and to a power-law model in log space; the better model
+supplies a closed-form remainder.  A fit that does not show summable
+decay gives an infinite remainder, never silent optimism.
 """
 
 from __future__ import annotations

@@ -28,6 +28,7 @@ commands = [
     ["area", "--symbol", "cusp", "--t", "0.1", "--method", "monte-carlo",
      "--samples", "1000", "--seed", "1"],
     ["area", "--symbol", "cusp", "--t", "0.1"],
+    ["zinc", "--symbol", "cusp", "--n", "60"],
 ]
 codes = [cli.main(args + ["--report", f"{out}/{i}.json"]) for i, args in enumerate(commands)]
 print(json.dumps({"codes": codes, "spans": spans.summary()}))
@@ -41,10 +42,13 @@ def test_tracer_installs_and_its_hooks_count(tmp_path):
                           env=env, capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
     result = json.loads(proc.stdout.splitlines()[-1])
-    assert result["codes"] == [0, 0, 0]
+    assert result["codes"] == [0, 0, 0, 0]
     spans = result["spans"]
     # the FFT count is not pinned: the tracer books two per power, where one runs
     assert spans["series.power_coefficient_table"]["ffts"] > 0
     assert spans["opmatrix.singular_spectrum"]["svd_dim"] == 16
     assert spans["geometry.image_contains"]["points"] == 1000
     assert spans["geometry.CuspRegion.annulus_area"]["calls"] >= 1
+    assert spans["geometry.M_functional"]["calls"] >= 1
+    # every command here has a known image base: no mass is fitted
+    assert "tails.tail_remainder" not in spans

@@ -41,9 +41,11 @@ def test_an_diagonal_csv(tmp_path):
 @pytest.mark.parametrize("N", [1, 2, 3])
 def test_an_small_truncation_without_known_base(tmp_path, N):
     # rows of 2N+1 < 8 degrees are too short for a tail fit: their mass
-    # beyond the table is unknown, so nothing is certified
+    # beyond the table is unknown, so nothing is certified (the cusp written
+    # as a twice-applied involution, whose powers are no polynomials)
     out, rep = tmp_path / "spec.csv", tmp_path / "rep.json"
-    assert run(["an", "--symbol", "coeffs:[0,0.5,0.25]", "--N", str(N),
+    twice = "compose(moebius:u=0.5+0i,compose(moebius:u=0.5+0i,cusp))"
+    assert run(["an", "--symbol", twice, "--N", str(N),
                 "--out", str(out), "--report", str(rep)]) == 0
     payload = json.loads(rep.read_text())
     assert payload["row_tail"] == "inf"

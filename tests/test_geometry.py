@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from compopnum import geometry
+from compopnum import geometry, tails
 from compopnum.geometry import (
     BlaschkeProduct,
     CarlesonWindow,
@@ -13,9 +13,6 @@ from compopnum.geometry import (
     M_functional,
     annulus_area,
     blaschke_certificate,
-    cusp_imaginary_law,
-    cusp_inscribed_disk_radius,
-    m_functional,
     region_gram_singular_values,
     unit_interval_dyadic_zeros,
     window_area,
@@ -194,22 +191,66 @@ def test_annulus_area_monotone_in_t():
 
 
 def test_m_functional_near_linear_for_cusp():
-    vals = {t: m_functional(CUSP, t).value for t in [2.0**-l for l in range(3, 9)]}
+    # m(t) = area(t)/t^2, the dyadic terms of M(t)
+    vals = {t: annulus_area(CUSP, t).value / t**2 for t in [2.0**-l for l in range(3, 9)]}
     ratios = [v / t for t, v in vals.items()]
     med = np.median(ratios)
     assert max(ratios) <= 2 * med and min(ratios) >= med / 2
 
 
 def test_m_functional_affine_zero():
-    assert m_functional(AffineMap(0.5), 0.25).value == 0.0
+    assert annulus_area(AffineMap(0.5), 0.25).value / 0.25**2 == 0.0
     assert M_functional(AffineMap(0.5), 0.25) == 0.0
 
 
 def test_M_functional_dyadic_sum_bounded():
     for t in (0.125, 0.03125):
-        m = m_functional(CUSP, t).value
+        m = annulus_area(CUSP, t).value / t**2
         M = M_functional(CUSP, t)
         assert m < M <= 2.5 * m
+
+
+# the cusp, -cusp and two scaled cusps, 0.9 e^i cusp and 0.95 cusp
+CUSP_IMAGES = [CUSP, ComposedMap(MoebiusMap(0.0), CUSP), ComposedMap(AffineMap(0.9, 1.0), CUSP),
+               ComposedMap(AffineMap(0.95), CUSP)]
+M_DEPTHS = (0.999, 0.5, 0.3, 0.1, 2.0**-6, 1e-4)
+
+
+@pytest.mark.parametrize("s", CUSP_IMAGES, ids=lambda s: s.spec_string())
+def test_M_functional_matches_sixty_scalar_terms(s):
+    image = geometry.image_of(s)
+    for t in M_DEPTHS:
+        terms = [image.annulus_area(t * 2.0**-j) * 4.0**j / t**2 for j in range(61)]
+        assert M_functional(s, t) == pytest.approx(math.fsum(terms), rel=1e-13, abs=0.0)
+        # the terms past the cut stay under the proved bound on them
+        bound = REGION.tip_area_constant * t * 2.0**-geometry._DYADIC_CUT
+        assert math.fsum(terms[geometry._DYADIC_CUT + 1 :]) <= bound
+
+
+def test_M_functional_fits_no_tail(monkeypatch):
+    def no_fit(*args, **kwargs):
+        raise AssertionError("M(t) must not fit a tail")
+
+    monkeypatch.setattr(tails, "tail_remainder", no_fit)
+    for s in CUSP_IMAGES + [AffineMap(0.5), MoebiusMap(0.3)]:
+        for t in M_DEPTHS:
+            M_functional(s, t)
+
+
+def test_vector_annulus_area_matches_scalar_calls():
+    depths = np.array([1.0, 0.999, 0.5, 0.3, 0.1, 2.0**-6, 1e-4, 1e-9, 2.0**-50, 0.0, -0.2])
+    for s in CUSP_IMAGES + [AffineMap(0.5), MoebiusMap(0.3)]:
+        image = geometry.image_of(s)
+        scalar = [image.annulus_area(float(t)) for t in depths]
+        assert image.annulus_area(depths) == pytest.approx(scalar, rel=1e-14, abs=0.0)
+
+
+def test_tip_bound_on_angular_measure():
+    # angular_measure(u) <= 4u^2/(a(1-u)) below the first breakpoint, the
+    # inequality behind the dyadic remainder of M(t)
+    u = min(REGION.breakpoints()) * 2.0 ** -np.arange(0.0, 60.0, 0.25)
+    bound = 4.0 * u**2 / (CUSP_DIAMETER * (1.0 - u))
+    assert np.all(REGION.angular_measure(u) <= bound)
 
 
 def test_M_functional_needs_known_image(monkeypatch):
@@ -318,33 +359,11 @@ def test_carleson_window_validation():
         CarlesonWindow(1.0, 1.5)
 
 
-def test_cusp_imaginary_law_quadratic():
-    ratios = [cusp_imaginary_law(2.0**-l) / 4.0**-l for l in range(3, 9)]
-    med = np.median(ratios)
-    assert max(ratios) <= 2 * med and min(ratios) >= med / 2
-    # exact constant 1/a at the tip
-    assert ratios[-1] == pytest.approx(1 / CUSP_DIAMETER, rel=1e-3)
-
-
-def test_cusp_imaginary_law_endpoint():
+def test_slice_halfwidth_endpoint():
+    # at real part 2-a the half-height comes from the excluded circles
     a = CUSP_DIAMETER
-    h = a - 1.0
-    val = cusp_imaginary_law(h)
-    # half-height of the region at real part 2-a comes from the outer circles
-    expect = a / 2 - math.sqrt((a / 2) ** 2 - h**2)
-    assert val == pytest.approx(expect, abs=1e-12)
-    assert val == pytest.approx(float(REGION.slice_halfwidth(2.0 - a)), abs=1e-12)
-
-
-def test_inscribed_disks_inside_region():
-    # D(x, h^2/(4a)) subset of the region for 0 <= x <= 1-h
-    g = np.random.default_rng(6)
-    a = CUSP_DIAMETER
-    for h in (0.1, 0.3, a - 1.0):
-        r = cusp_inscribed_disk_radius(h)
-        for x in np.linspace(0.0, 1.0 - h, 5):
-            pts = x + r * 0.999 * np.exp(2j * np.pi * g.random(10_000))
-            assert REGION.contains(pts).all()
+    expect = a / 2 - math.sqrt((a / 2) ** 2 - (a - 1.0) ** 2)
+    assert float(REGION.slice_halfwidth(2.0 - a)) == pytest.approx(expect, abs=1e-12)
 
 
 def test_blaschke_single_factor():
@@ -476,27 +495,35 @@ def test_region_gram_monotone_and_dominates_matrix(cusp_spectra):
     assert np.all(g512[top] >= spec.values[top] - 1e-9)
 
 
-def _use_24_radial_nodes(monkeypatch):
-    """Swap the radial rule's 20 nodes per panel for 24."""
-    monkeypatch.setitem(geometry._LEGGAUSS, 24, np.polynomial.legendre.leggauss(24))
-    monkeypatch.setattr(geometry, "_RADIAL_NODES", 24)
+def _use_radial_nodes(monkeypatch, n):
+    """Swap the radial rule's 20 nodes per panel for n."""
+    monkeypatch.setitem(geometry._LEGGAUSS, n, np.polynomial.legendre.leggauss(n))
+    monkeypatch.setattr(geometry, "_RADIAL_NODES", n)
 
 
 @pytest.mark.parametrize("r2", [1.0, 0.81])
 def test_cusp_column_tail_node_rules_agree(r2, monkeypatch):
     ns = (1, 65, 1025, 100_000)
     rule20 = [REGION.column_tail_sq(n, r2) for n in ns]
-    _use_24_radial_nodes(monkeypatch)
+    _use_radial_nodes(monkeypatch, 24)
     rule24 = [REGION.column_tail_sq(n, r2) for n in ns]
     assert rule20 == pytest.approx(rule24, rel=1e-8, abs=0.0)
     assert rule20 != rule24  # the patch took effect
+
+
+def test_M_functional_node_rules_agree(monkeypatch):
+    rule20 = [M_functional(CUSP, t) for t in M_DEPTHS]
+    _use_radial_nodes(monkeypatch, 40)
+    rule40 = [M_functional(CUSP, t) for t in M_DEPTHS]
+    assert rule20 == pytest.approx(rule40, rel=1e-13, abs=0.0)
+    assert rule20 != rule40  # the patch took effect
 
 
 def test_region_gram_node_rules_agree(monkeypatch):
     # the Gram needs no finer rule than the norms and tails: 24 nodes per
     # panel move its top 20 values by far less than 1e-10
     rule20 = region_gram_singular_values(256)[:20]
-    _use_24_radial_nodes(monkeypatch)
+    _use_radial_nodes(monkeypatch, 24)
     rule24 = region_gram_singular_values(256)[:20]
     assert rule20 == pytest.approx(rule24, rel=1e-10, abs=0.0)
     assert not np.array_equal(rule20, rule24)  # the patch took effect

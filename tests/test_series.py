@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -114,11 +116,19 @@ def test_power_mass_beyond_the_table():
     assert mass.sum(axis=1) == pytest.approx(ks * 0.25**ks, rel=1e-14, abs=0.0)
     assert np.all(beyond >= 0.0) and np.all(beyond <= 1e-15)
     # without a known base a row too short for a tail fit has unknown mass
-    # beyond it; a polynomial's dead rows have none
+    # beyond it, unless it holds the whole power of a polynomial (degree 2k)
     poly = parse_symbol("coeffs:[0,0.5,0.25]")
-    short, _ = power_coefficient_table(poly, 2, SeriesParams(4))
-    assert np.all(np.isinf(power_mass(poly, short)[1]))
+    short, _ = power_coefficient_table(poly, 3, SeriesParams(4))
+    assert power_mass(poly, short)[1].tolist() == [0.0, 0.0, math.inf]
     table, _ = power_coefficient_table(poly, 2, SeriesParams(16))
+    assert np.all(power_mass(poly, table)[1] == 0.0)
+
+
+def test_whole_polynomial_powers_have_no_mass_beyond():
+    # phi^15 ends at degree 30 of a 33-term row: its two trailing zeros once
+    # sent the tail fit to its crude branch, charging 5.4e-3 beyond M = 32
+    poly = parse_symbol("coeffs:[0,0.5,0.25]")
+    table, _ = power_coefficient_table(poly, 16, SeriesParams(32))
     assert np.all(power_mass(poly, table)[1] == 0.0)
 
 
