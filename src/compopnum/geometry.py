@@ -49,7 +49,7 @@ __all__ = [
 # quadrature helpers
 
 # Gauss-Legendre rules for the node counts in use, computed once
-_LEGGAUSS = {n: np.polynomial.legendre.leggauss(n) for n in (20, 48)}
+_LEGGAUSS = {20: np.polynomial.legendre.leggauss(20)}
 
 # nodes per panel of the cusp region's radial rule
 _RADIAL_NODES = 20
@@ -59,11 +59,22 @@ _RADIAL_NODES = 20
 _PANEL_STOP = 1e-14
 
 
-def _dyadic_offsets(width: float) -> np.ndarray:
-    """width * 2^-j for j = 0, 1, ... down to the first at or below
-    _PANEL_STOP, then 0: panel edges accumulating at one end."""
-    d = width * 0.5 ** np.arange(64)
-    return np.append(d[: np.argmax(d <= _PANEL_STOP) + 1], 0.0)
+def _split_panels(ends):
+    """Panel edges (a, b) on the segments between consecutive ends, each refined
+    dyadically toward both of its ends (square-root kinks live there)."""
+    a, b = [], []
+    for lo, hi in zip(ends[:-1], ends[1:]):
+        # offsets 2^-j of the half-width, down to the first at or below _PANEL_STOP, then 0
+        d = 0.5 * (hi - lo) * 0.5 ** np.arange(64)
+        d = np.append(d[: np.argmax(d <= _PANEL_STOP) + 1], 0.0)
+        a += [lo + d[:-1], hi - d[:-1]]
+        b += [lo + d[1:], hi - d[1:]]
+    return np.concatenate(a), np.concatenate(b)
+
+
+def _wrap(phi):
+    """phi moved into (-pi, pi] by a whole turn; values in it keep every bit."""
+    return np.where(phi > np.pi, phi - 2.0 * np.pi, np.where(phi <= -np.pi, phi + 2.0 * np.pi, phi))
 
 
 def _panel_rule(a, b, x, w):
@@ -71,14 +82,6 @@ def _panel_rule(a, b, x, w):
     and b[i]: nodes and weights, panel by panel."""
     mid, half = 0.5 * (a + b)[:, None], 0.5 * np.abs(a - b)[:, None]
     return (mid + half * x).ravel(), (half * w).ravel()
-
-
-def _gauss_panels(h: float):
-    """20-point Gauss-Legendre nodes on [0, h], on dyadic panels shrinking
-    toward 0, so integrands with their mass or a kink at 0 are resolved to
-    near machine precision.  Returns (nodes, weights)."""
-    e = _dyadic_offsets(h)
-    return _panel_rule(e[:-1], e[1:], *_LEGGAUSS[20])
 
 
 # ---------------------------------------------------------------------------
@@ -98,21 +101,64 @@ class CuspRegion:
     name = "cusp"  # a class attribute, not a field
 
     @property
-    def inner_center(self) -> float:
-        return 1.0 - self.diameter / 2.0
+    def circles(self):
+        """The three bounding circles as (centre, radius, sign): sign +1 for
+        the disk the region lies inside, -1 for the two it lies outside."""
+        r = self.diameter / 2.0
+        return ((complex(1.0 - r), r, 1), (complex(1.0, r), r, -1), (complex(1.0, -r), r, -1))
 
     @property
-    def radius(self) -> float:
-        return self.diameter / 2.0
+    def corners(self):
+        """The tip and the two other points where the bounding circle meets one."""
+        r = self.diameter / 2.0
+        return (1.0 + 0j, complex(1.0 - r, r), complex(1.0 - r, -r))
 
     def contains(self, w):
         """Strict three-circle membership test (vectorized)."""
         w = np.asarray(w, dtype=complex)
-        a = self.diameter
-        inside = np.abs(w - (1.0 - a / 2.0)) < a / 2.0
-        out_up = np.abs(w - (1.0 + 0.5j * a)) > a / 2.0
-        out_dn = np.abs(w - (1.0 - 0.5j * a)) > a / 2.0
-        return inside & out_up & out_dn
+        inside = np.ones(w.shape, dtype=bool)
+        for c, r, sign in self.circles:
+            inside &= (np.less if sign > 0 else np.greater)(np.abs(w - c), r)
+        return inside
+
+    def kinks(self, xi):
+        """Radii, in increasing order, where the slice {|w - xi| = sigma} changes
+        shape: |d -/+ r| for each circle, d = |xi - centre|, and |xi - corner|."""
+        radii = {abs(abs(xi - c) + e * r) for c, r, _ in self.circles for e in (-1.0, 1.0)}
+        return sorted(radii | {abs(xi - p) for p in self.corners})
+
+    def arcs(self, xi, sigma):
+        """The slice {|w - xi| = sigma} in the region, for an array of radii:
+        (turn, lo, hi) with [radius, piece] arrays lo, hi, the slice being
+        xi + sigma turn e^{i phi}, lo < phi < hi (lo == hi: no piece).
+
+        A circle holds the arc |phi - rho| < theta, cos theta = (sigma^2 + d^2
+        - r^2) / (2 sigma d) with 1 -/+ cos theta factored around g = d - r,
+        formed first and exactly 0 at the tip.  Each end is measured from its
+        nearest anchor rho + k pi/2, |k| <= 2, so none cancels: the tip's piece
+        is +/- arcsin(sigma/a) about exactly 0.  The ends cut (-pi, pi]; a
+        piece is kept when its middle is inside the circles of sign +1 only."""
+        sigma = np.asarray(sigma, dtype=float)[:, None]
+        turn = self.circles[0][0] - xi
+        turn /= abs(turn)
+        ends, tests = [np.full_like(sigma, -np.pi), np.full_like(sigma, np.pi)], []
+        for c, r, sign in self.circles:
+            d = abs(c - xi)
+            g = d - r
+            cos = (sigma * sigma + g * (d + r)) / (2.0 * sigma * d)
+            sin = np.sqrt(np.maximum((sigma - g) * (r + d - sigma), 0.0)
+                          * np.maximum((sigma + g) * (sigma + d + r), 0.0)) / (2.0 * sigma * d)
+            theta = np.arctan2(sin, cos)
+            k = np.rint(theta / (0.5 * np.pi))
+            off = np.select([k == 0.0, k == 1.0], [theta, np.arctan2(-cos, sin)], np.arctan2(-sin, -cos))
+            rho = np.angle((c - xi) * np.conj(turn))
+            ends += [_wrap(_wrap(rho + k * (0.5 * np.pi)) + off), _wrap(_wrap(rho - k * (0.5 * np.pi)) - off)]
+            tests.append((rho, theta, sign > 0))
+        cuts = np.sort(np.concatenate(ends, axis=1), axis=1)
+        lo, hi = cuts[:, :-1], cuts[:, 1:]
+        mid = 0.5 * (lo + hi)
+        keep = np.logical_and.reduce([(np.abs(_wrap(mid - rho)) < theta) == inside for rho, theta, inside in tests])
+        return turn, lo, np.where(keep, hi, lo)
 
     def arc_data(self, u):
         """Arc bounds of the slice {|w| = 1-u} inside the region.
@@ -124,7 +170,7 @@ class CuspRegion:
         u = np.asarray(u, dtype=float)
         a = self.diameter
         s = 1.0 - u
-        c1 = self.inner_center
+        c1 = self.circles[0][0].real
         # inside the main circle: sin^2(alpha/2) = u (a-u) / (4 s c1)
         with np.errstate(invalid="ignore", divide="ignore"):
             q = u * (a - u) / (4.0 * s * c1)
@@ -152,44 +198,22 @@ class CuspRegion:
         return 2.0 * (np.minimum(alpha, lo) + np.maximum(0.0, alpha - hi))
 
     def breakpoints(self):
-        """Depths u where the slice structure changes (quadrature panel edges)."""
-        a = self.diameter
-        # second intersection of the main circle with an excluded circle
-        # (the first is the cusp point 1); the excluded arc endpoint leaves
-        # the main arc there
-        c1, c2 = complex(self.inner_center), 1.0 + 0.5j * a
-        d = abs(c2 - c1)
-        e = (c2 - c1) / d
-        mid = (c1 + c2) / 2.0
-        half_chord = math.sqrt(max(0.0, self.radius**2 - (d / 2.0) ** 2))
-        p = mid + 1j * e * half_chord
-        if abs(p - 1.0) < 1e-9:
-            p = mid - 1j * e * half_chord
-        return (
-            2.0 - a,  # main circle stops enclosing the slice
-            1.0 - (math.hypot(1.0, a / 2.0) - a / 2.0),  # excluded disks appear
-            1.0 - abs(p),  # excluded arc endpoint crosses the main arc
-        )
+        """Depths u in (0, 1), in increasing order, where the slice {|w| =
+        1-u} changes shape: the radial rule's panel edges."""
+        return sorted(1.0 - k for k in self.kinks(0.0) if 0.0 < k < 1.0)
 
     def radial_rule(self, t=1.0):
         """(u, weights) of the one rule behind every integral over the region
         below depth t: (1/pi) int f dA = sum_i weights_i * (the integral of f
         over the arcs at depth u_i), weights_i = w_i s_i / pi, s = 1 - u.
 
-        Gauss-Legendre panels on [0, t] split at the breakpoints, each
-        segment refined dyadically toward both of its ends (square-root
-        kinks live at the breakpoints).  For an array of depths in (0, 1]
+        Gauss-Legendre panels on [0, t] split at the breakpoints
+        (`_split_panels`).  For an array of depths in (0, 1]
         the rule covers [0, max t] and every depth is one more panel edge,
         with the nodes in increasing order.  Zero-radius nodes carry no area
         and are dropped, so log(s) stays finite on every node."""
         top = float(np.max(t))
-        ends = [0.0] + sorted(b for b in self.breakpoints() if 0.0 < b < top) + [top]
-        a, b = [], []
-        for lo, hi in zip(ends[:-1], ends[1:]):
-            d = _dyadic_offsets(0.5 * (hi - lo))
-            a += [lo + d[:-1], hi - d[:-1]]
-            b += [lo + d[1:], hi - d[1:]]
-        a, b = np.concatenate(a), np.concatenate(b)
+        a, b = _split_panels([0.0] + [u for u in self.breakpoints() if u < top] + [top])
         if np.ndim(t):
             edges = np.unique(np.concatenate([a, b, t]))
             a, b = edges[:-1], edges[1:]
@@ -249,20 +273,11 @@ class CuspRegion:
         series = np.exp((n - 1) * log_x) * (1.0 + (n - 1) * gap) / gap**2
         return r2 * float(np.dot(w * self.angular_measure(u), series))
 
-    def tip_angular_measure(self, sigma):
-        """Angle of {|w - 1| = sigma} inside the region; ~ 2 sigma/a near 0."""
-        sigma = np.asarray(sigma, dtype=float)
-        a = self.diameter
-        with np.errstate(invalid="ignore"):
-            r = sigma / a
-            val = 2.0 * np.minimum(np.arcsin(np.minimum(r, 1.0)), np.arccos(np.clip(r, -1.0, 1.0)))
-        return np.where((sigma <= 0.0) | (sigma >= a), 0.0, val)
-
     def slice_halfwidth(self, x):
         """Half-height of the region at real part x, for x in (1-a, 1)."""
         x = np.asarray(x, dtype=float)
         a = self.diameter
-        c1, r = self.inner_center, self.radius
+        c1, r = self.circles[0][0].real, self.circles[0][1]
         with np.errstate(invalid="ignore"):
             y_main = np.sqrt(np.maximum(0.0, r**2 - (x - c1) ** 2))
             s_out = np.sqrt(np.maximum(0.0, r**2 - (x - 1.0) ** 2))
@@ -280,7 +295,7 @@ class CuspRegion:
         a), so the box angle shrinks quadratically in t: the importance
         stratum that keeps the hit rate high for deep annuli.
         """
-        x_min = ((1.0 - t) ** 2 - (self.diameter - 1.0)) / (2.0 * self.inner_center)
+        x_min = ((1.0 - t) ** 2 - (self.diameter - 1.0)) / (2.0 * self.circles[0][0].real)
         if x_min <= 0.5:
             return math.pi
         halfwidth = float(self.slice_halfwidth(x_min))
@@ -329,7 +344,7 @@ class Image:
 
     def depth(self, t: float) -> float:
         """Depth in the base whose annulus the factor scales onto {|w| >= 1-t}."""
-        r = abs(self.factor)
+        r = self.modulus
         # a unit factor keeps t bit for bit; 1-(1-t)/1 can move it by an ulp
         return t if r == 1.0 else 1.0 - (1.0 - t) / r
 
@@ -351,7 +366,7 @@ class Image:
 
     def annulus_area(self, t):
         """Closed-form A[phi(D) n {|w| >= 1-t}], at one depth or an array."""
-        return abs(self.factor) ** 2 * self.base.annulus_area(self.depth(t))
+        return self.modulus**2 * self.base.annulus_area(self.depth(t))
 
     def box(self, t: float):
         """(centre, theta0) of the polar box {1-t <= |w| <= 1, |arg w - centre|
@@ -636,14 +651,16 @@ def window_area(
     samples: int = 10**6,
     seed: int = 0,
 ) -> RegionMeasure:
-    """Normalized area of S(xi, h) n phi(D).  "exact-arcs" holds only at the
-    unscaled cusp's tip xi = 1: the tip quadrature with |B|^2 = 1."""
+    """Normalized area of S(xi, h) n phi(D).  "exact-arcs" holds on every
+    image f * (cusp region): the window rule with |B|^2 = 1 about xi/f with
+    radius h/|f|, scaled by |f|^2."""
     _require_univalent(s)
     xi, h = complex(window.xi), window.h
     image = image_of(s)
-    at_tip = image == Image(_CUSP_REGION) and xi == 1.0
-    if _route(method, "exact-arcs", at_tip) == "exact-arcs":
-        return RegionMeasure(_window_mean_quadrature(BlaschkeProduct(()), xi, h), 0.0, "exact-arcs")
+    if _route(method, "exact-arcs", image is not None and image.base is _CUSP_REGION) == "exact-arcs":
+        m = image.modulus
+        value = m**2 * _window_mean_quadrature(BlaschkeProduct(()), xi / image.factor, h / m)
+        return RegionMeasure(value, 0.0, "exact-arcs")
     # S(xi, h) lies in the annulus {|w| > 1-h}: the depth-h flag covers it
     contains, flagged = _sampling_membership(s, image, h)
     value, std = _mc_window(contains, lambda w: 1.0, xi, h, np.random.default_rng(seed), samples)
@@ -668,13 +685,13 @@ class BlaschkeProduct:
             raise ValueError("power must be nonnegative")
 
     def abs2(self, w):
-        """|B(w)|^2, vectorized; stays in [0, 1] on the closed disk."""
+        """|B(w)|^2, vectorized; stays in [0, 1] on the closed disk.  A real
+        zero z contributes ((x-z)^2 + y^2) / ((1-zx)^2 + (zy)^2), w = x+iy."""
         w = np.asarray(w, dtype=complex)
+        x, y2 = w.real.copy(), w.imag**2  # a contiguous x: every zero reads it twice
         out = np.ones(w.shape, dtype=float)
         for z in self.zeros:
-            num = np.abs(z - w) ** 2
-            den = np.abs(1.0 - np.conj(z) * w) ** 2
-            out *= num / den
+            out *= (np.square(x - z) + y2) / (np.square(1.0 - z * x) + z * z * y2)
         return out**self.power
 
 
@@ -692,22 +709,19 @@ def default_window_grid():
 
 
 def _window_mean_quadrature(b: BlaschkeProduct, xi: complex, h: float):
-    """(1/pi) integral of |B|^2 over S(xi,h) n cusp region, by arcs at the tip
-    (xi = 1) or by polar quadrature about xi with membership weights."""
-    u, wts = _gauss_panels(h)
-    if xi == 1.0:
-        x_leg, w_leg = _LEGGAUSS[48]
-        # arcs of radius sigma < h < 1 < a about the tip, none empty: pi + (-half, half)
-        half = 0.5 * _CUSP_REGION.tip_angular_measure(u)
-        w = 1.0 + u[:, None] * np.exp(1j * (np.pi + half[:, None] * x_leg))
-        return float(np.dot(wts * u * half, b.abs2(w) @ w_leg)) / math.pi
-    # generic center: uniform angular grid with membership indicator
-    alphas = 2.0 * np.pi * (np.arange(384) + 0.5) / 384
-    ww = xi + u[:, None] * np.exp(1j * alphas)[None, :]
-    mask = (np.abs(ww) < 1.0) & _CUSP_REGION.contains(ww)
-    vals = np.zeros(ww.shape)
-    vals[mask] = b.abs2(ww[mask])
-    return float(np.dot(wts, vals.mean(axis=1) * (2.0 * np.pi) * u)) / math.pi
+    """(1/pi) integral of |B|^2 over S(xi, h) n cusp region, xi anywhere: the
+    radius sigma about xi on Gauss panels split at the region's kinks
+    (`CuspRegion.kinks`), and Gauss nodes on each piece of the slice's arcs
+    (`CuspRegion.arcs`) at every sigma."""
+    x, w = _LEGGAUSS[20]
+    ends = [0.0] + [k for k in _CUSP_REGION.kinks(xi) if 0.0 < k < h] + [h]
+    sigma, weights = _panel_rule(*_split_panels(ends), x, w)
+    turn, lo, hi = _CUSP_REGION.arcs(xi, sigma)
+    i, j = np.nonzero(hi > lo)
+    phi, arc_weights = _panel_rule(lo[i, j], hi[i, j], x, w)
+    radius = np.repeat(sigma[i], x.size)
+    values = b.abs2(xi + radius * turn * np.exp(1j * phi))
+    return float(np.dot(radius * np.repeat(weights[i], x.size) * arc_weights, values)) / math.pi
 
 
 def blaschke_certificate(

@@ -309,6 +309,14 @@ def test_blaschke_auto_runs_the_quadrature(tmp_path):
     assert json.loads(rep.read_text())["value"] == geometry.blaschke_certificate(1, method="quadrature")
 
 
+@pytest.mark.parametrize("r", [2, 8])
+def test_blaschke_certificate_keeps_the_benchmark_oracle(tmp_path, r):
+    rep = tmp_path / "b.json"
+    assert run(["blaschke-cert", "--r", str(r), "--report", str(rep)]) == 0
+    want = ORACLE[f"blaschke-cert r={r}"]["value"]
+    assert json.loads(rep.read_text())["value"] == pytest.approx(want, rel=1e-10, abs=0.0)
+
+
 @pytest.mark.parametrize("args", [
     ["area", "--symbol", "cusp", "--t", "0.1", "--method", "polar"],
     ["area", "--symbol", "cusp", "--t", "0.1", "--method", "quadrature"],

@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -88,10 +89,15 @@ def test_region_measures_reject_unknown_methods(method):
 
 
 def test_exact_routes_refuse_where_they_do_not_hold():
+    # the window rule holds about any centre of a known cusp image, so only an
+    # image without a known base refuses it
+    unknown = parse_symbol("compose(cusp,affine:r=0.5)")
     with pytest.raises(geometry._UnsupportedRegion):
-        annulus_area(parse_symbol("compose(cusp,affine:r=0.5)"), 0.25, method="exact-arcs")
+        annulus_area(unknown, 0.25, method="exact-arcs")
     with pytest.raises(geometry._UnsupportedRegion):
-        window_area(CUSP, CarlesonWindow(-1.0, 0.1), method="exact-arcs")
+        window_area(unknown, CarlesonWindow(-1.0, 0.1), method="exact-arcs")
+    with pytest.raises(geometry._UnsupportedRegion):
+        window_area(AffineMap(0.5), CarlesonWindow(1.0, 0.1), method="exact-arcs")
     # quadrature is the certificate's exact route: a window's name is unknown
     with pytest.raises(ValueError, match="unknown method"):
         blaschke_certificate(1, method="exact-arcs")
@@ -253,6 +259,16 @@ def test_tip_bound_on_angular_measure():
     assert np.all(REGION.angular_measure(u) <= bound)
 
 
+def test_unit_rotation_of_the_cusp_is_the_cusp_bit_for_bit():
+    # abs() of this factor is 1 - 1.1e-16; mapping depths with it dropped the
+    # deepest dyadic terms of M(t), an undercount in an upper bound
+    rotated = parse_symbol("compose(affine:r=1,theta=0.77,cusp)")
+    assert abs(geometry.image_of(rotated).factor) < 1.0
+    for t in (1e-4, 1e-3, 0.1):
+        assert M_functional(rotated, t) == M_functional(CUSP, t)
+        assert annulus_area(rotated, t).value == annulus_area(CUSP, t).value
+
+
 def test_M_functional_needs_known_image(monkeypatch):
     # the dyadic sum refuses before sampling a single annulus
     def no_sampling(*args, **kwargs):
@@ -344,6 +360,35 @@ def test_window_area_tip_increases_with_h(h, ratio):
     assert 0.0 < smaller < window_area(CUSP, CarlesonWindow(1.0, h)).value
 
 
+@pytest.mark.parametrize(
+    ("spec", "theta", "h"),
+    [("cusp", 1.0 / 8.0, 0.25), ("cusp", 1.0 / 256.0, 2.0**-7),
+     ("compose(affine:r=0.9,theta=1.0,cusp)", 1.0, 0.2), ("compose(affine:r=0.95,theta=-2.0,cusp)", -2.02, 0.1)],
+)
+def test_window_area_off_the_tip_monte_carlo_within_five_sigma(spec, theta, h):
+    # the exact route covers every window of a scaled, rotated cusp image
+    s = parse_symbol(spec)
+    window = CarlesonWindow(complex(math.cos(theta), math.sin(theta)), h)
+    exact = window_area(s, window)
+    assert exact.method == "exact-arcs" and exact.value > 0.0
+    mc = window_area(s, window, method="monte-carlo", samples=1_000_000, seed=1)
+    assert abs(mc.value - exact.value) <= 5.0 * mc.std_error
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(theta=ANGLES, sigma=st.floats(1e-3, 2.0))
+def test_window_arcs_match_membership(theta, sigma):
+    # reference: the region's points on a fine grid of the slice |w - xi| = sigma
+    xi = complex(math.cos(theta), math.sin(theta))
+    turn, lo, hi = REGION.arcs(xi, np.array([sigma]))
+    phi = 2.0 * np.pi * (np.arange(20_000) + 0.5) / 20_000 - np.pi
+    inside = REGION.contains(xi + sigma * turn * np.exp(1j * phi))
+    on_arcs = np.any((lo[0][:, None] < phi) & (phi < hi[0][:, None]), axis=0)
+    # only grid points within a grid step of an arc end may disagree
+    assert np.count_nonzero(inside != on_arcs) <= 2 * lo.shape[1]
+    assert float(np.sum(hi - lo)) == pytest.approx(2.0 * np.pi * inside.mean(), abs=4.0 * np.pi / 20_000)
+
+
 def test_window_area_tip_is_the_unit_weight_quadrature():
     # the tip route is the certificate's tip quadrature with |B|^2 = 1
     h = 0.125
@@ -381,9 +426,31 @@ def test_blaschke_power_raises_the_product_to_it():
         np.testing.assert_allclose(got, base**r, rtol=1e-12, atol=0.0)
 
 
+def _tip_area(h):
+    """(1/pi) * area of S(1, h) n cusp region in closed form: the slice at
+    radius sigma about the tip is an arc of angle 2 arcsin(sigma/a)."""
+    with mpmath.workdps(40):
+        a, h = mpmath.mpf(CUSP_DIAMETER), mpmath.mpf(h)
+        return float(2 / mpmath.pi * ((h**2 / 2 - a**2 / 4) * mpmath.asin(h / a) + h / 4 * mpmath.sqrt(a**2 - h**2)))
+
+
 def test_blaschke_certificate_trivial_power():
-    val = blaschke_certificate(0)
-    assert math.isfinite(val) and val > 0
+    # |B|^2 = 1: the largest window mass / h is the tip window's at h = 1/2
+    hs = {h for _, h in geometry.default_window_grid()}
+    best = max(_tip_area(h) / h for h in hs)
+    assert best == _tip_area(0.5) / 0.5
+    value = blaschke_certificate(0)
+    assert value == pytest.approx(best, rel=1e-14, abs=0.0)
+    assert value == pytest.approx(0.034344196854957, rel=1e-13, abs=0.0)
+
+
+def test_blaschke_certificate_sup_sits_at_the_tip():
+    b = BlaschkeProduct(unit_interval_dyadic_zeros(6), power=6)
+    h = 2.0**-10
+    tip = geometry._window_mean_quadrature(b, 1.0, h) / h
+    value = blaschke_certificate(6)
+    assert value == pytest.approx(tip, rel=1e-10, abs=0.0)
+    assert value == pytest.approx(1.78342284997e-8, rel=1e-10, abs=0.0)
 
 
 def test_blaschke_certificate_decreasing_in_power(blaschke_certificates):
@@ -416,18 +483,25 @@ def test_blaschke_monte_carlo_evaluates_kept_points_only(monkeypatch):
     assert sum(points) == kept
 
 
+def test_tip_window_matches_the_closed_form():
+    for l in range(1, 13):
+        h = 2.0**-l
+        value = geometry._window_mean_quadrature(BlaschkeProduct(()), 1.0, h)
+        assert abs(value - _tip_area(h)) <= 1e-15 * _tip_area(h)
+
+
 def test_tip_window_matches_node_loop():
-    # reference: one 48-point angular rule per radial node, summed in a loop
+    # reference: at each radius sigma about the tip, the region's one arc
+    # pi +/- arcsin(sigma/a), a 20-point rule on it, summed in a loop
     b = BlaschkeProduct(unit_interval_dyadic_zeros(4), power=4)
     h = 0.25
-    u, wts = geometry._gauss_panels(h)
-    x_leg, w_leg = geometry._LEGGAUSS[48]
+    x, w = geometry._LEGGAUSS[20]
+    sigmas, weights = geometry._panel_rule(*geometry._split_panels([0.0, h]), x, w)
     acc = 0.0
-    for sigma, wt in zip(u, wts):
-        half = 0.5 * float(REGION.tip_angular_measure(sigma))
-        if half > 0.0:
-            w = 1.0 + sigma * np.exp(1j * (np.pi + half * x_leg))
-            acc += wt * sigma * half * float(np.dot(w_leg, b.abs2(w)))
+    for sigma, weight in zip(sigmas, weights):
+        half = math.asin(sigma / CUSP_DIAMETER)
+        points = 1.0 + sigma * np.exp(1j * (np.pi + half * x))
+        acc += weight * sigma * half * float(np.dot(w, b.abs2(points)))
     value = geometry._window_mean_quadrature(b, 1.0, h)
     assert value == pytest.approx(acc / math.pi, rel=1e-13, abs=0.0)
 
