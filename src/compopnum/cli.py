@@ -297,15 +297,19 @@ def _cmd_series(cfg: RunConfig, s: SymbolMap) -> _Outcome:
 
 def _route(cfg: RunConfig, resolve) -> str:
     """geometry's route for cfg.method: an unknown name is a config error, an
-    exact route that does not hold exits 1, and Monte Carlo needs a seed."""
+    exact route that does not hold exits 1, and Monte Carlo needs a seed
+    >= 0 and at least two samples, the fewest its standard error takes."""
     try:
         route = resolve(cfg.method)
     except geometry._UnsupportedRegion:
         raise
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-    if route == "monte-carlo" and cfg.seed is None:
-        raise ConfigError("--seed is mandatory for Monte Carlo paths")
+    if route == "monte-carlo":
+        if cfg.seed is None:
+            raise ConfigError("--seed is mandatory for Monte Carlo paths")
+        if cfg.seed < 0 or cfg.samples < 2:
+            raise ConfigError("Monte Carlo needs --seed >= 0 and --samples >= 2")
     return route
 
 

@@ -14,6 +14,7 @@ All areas are normalized: dA = dx dy / pi, so the unit disk has area 1.
 
 from __future__ import annotations
 
+import copy
 import math
 from dataclasses import dataclass
 
@@ -551,19 +552,41 @@ def annulus_area(
 
 def _mc_annulus_area(s: SymbolMap, image: Image | None, t: float, samples: int, seed: int):
     """Membership sampling of the image's polar box (`Image.box`), or of the
-    whole annulus when the base is unknown (image None)."""
+    whole annulus when the base is unknown (image None).  The hits are
+    counted block by block; their standard error follows from the count."""
     rng = np.random.default_rng(seed)
     centre, theta0 = (0.0, math.pi) if image is None else image.box(t)
     lo2 = (1.0 - t) ** 2
     box = (1.0 - lo2) * (theta0 / np.pi)
-    # uniform on the box
-    rr = np.sqrt(lo2 + (1.0 - lo2) * rng.random(samples))
-    th = centre + theta0 * (2.0 * rng.random(samples) - 1.0)
     contains, flagged = _sampling_membership(s, image, t)
-    hits = contains(rr * np.exp(1j * th))
-    value = box * hits.mean()
-    std = box * hits.std(ddof=1) / math.sqrt(samples)
+    hits = 0
+    for u, v in _uniform_blocks(rng, samples):
+        # uniform on the box
+        rr = np.sqrt(lo2 + (1.0 - lo2) * u)
+        th = centre + theta0 * (2.0 * v - 1.0)
+        hits += int(np.count_nonzero(contains(rr * np.exp(1j * th))))
+    value = box * (hits / samples)
+    std = box * math.sqrt(hits * (samples - hits) / (samples * (samples - 1))) / math.sqrt(samples)
     return RegionMeasure(float(value), float(std), "monte-carlo", flagged)
+
+
+_MC_BLOCK = 1 << 18  # points a Monte Carlo route holds at a time
+
+
+def _uniform_blocks(rng, samples: int):
+    """Yield (u, v), blocks of at most _MC_BLOCK uniforms each: u runs through
+    rng.random(samples) and v through the rng.random(samples) drawn after it,
+    so seeded results are those of drawing all of u, then all of v, at once.
+    v comes from a copy of rng advanced past u (PCG64 spends one 64-bit draw
+    per double); rng ends where both one-shot draws leave it."""
+    if samples < 2:
+        raise ValueError("Monte Carlo needs at least 2 samples")
+    angles = copy.deepcopy(rng)
+    angles.bit_generator.advance(samples)
+    for start in range(0, samples, _MC_BLOCK):
+        n = min(_MC_BLOCK, samples - start)
+        yield rng.random(n), angles.random(n)
+    rng.bit_generator.advance(samples)
 
 
 _DYADIC_CUT = 50  # M(t) computes the dyadic terms j = 0.._DYADIC_CUT
@@ -624,24 +647,37 @@ def zinc_upper_bound(s: SymbolMap, n):
 # Carleson windows
 
 
+def _window_blocks(rng, xi: complex, h: float, samples: int):
+    """Uniform points of the disk |w - xi| < h, one block at a time: radius
+    h sqrt(U), angle 2 pi U', all radii drawn before all angles."""
+    for u, v in _uniform_blocks(rng, samples):
+        yield xi + h * np.sqrt(u) * np.exp(1j * (2.0 * np.pi * v))
+
+
 def _window_samples(rng, xi: complex, h: float, samples: int):
-    """Uniform points of the disk |w - xi| < h: radius h sqrt(U), angle 2 pi U'.
-    All radii are drawn before all angles; seeded results depend on it."""
-    rr = h * np.sqrt(rng.random(samples))
-    th = 2.0 * np.pi * rng.random(samples)
-    return xi + rr * np.exp(1j * th)
+    """All of `_window_blocks` at once: the one-shot draws a reference needs."""
+    return np.concatenate(list(_window_blocks(rng, xi, h, samples)))
 
 
 def _mc_window(contains, weight, xi: complex, h: float, rng, samples: int):
     """(value, std error) of (1/pi) * integral of weight(w) over the points of
     S(xi, h) that pass contains, from uniform window samples.  Membership is
-    tested only on the samples in the disk, the weight only on the members."""
-    w = _window_samples(rng, xi, h, samples)
-    kept = np.flatnonzero(np.abs(w) < 1.0)
-    hit = kept[contains(w[kept])]
-    vals = np.zeros(samples)
-    vals[hit] = weight(w[hit])
-    return float(h**2 * vals.mean()), float(h**2 * vals.std(ddof=1) / math.sqrt(samples))
+    tested only on the samples in the disk, the weight only on the members.
+    Each block's (count, mean, M2) is merged into the running ones by Chan's
+    update, which does not cancel as sum v^2 - n mean^2 does."""
+    n, mean, m2 = 0, 0.0, 0.0
+    for w in _window_blocks(rng, xi, h, samples):
+        kept = np.flatnonzero(np.abs(w) < 1.0)
+        hit = kept[contains(w[kept])]
+        vals = np.zeros(w.size)
+        vals[hit] = weight(w[hit])
+        b_mean = vals.mean()
+        dev = vals - b_mean
+        delta, total = b_mean - mean, n + w.size
+        mean += delta * (w.size / total)
+        m2 += float(np.dot(dev, dev)) + delta * delta * (n * w.size / total)
+        n = total
+    return float(h**2 * mean), float(h**2 * math.sqrt(m2 / (n - 1)) / math.sqrt(n))
 
 
 def window_area(

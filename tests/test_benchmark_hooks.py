@@ -26,7 +26,7 @@ out = sys.argv[1]
 commands = [
     ["an", "--symbol", "cusp", "--N", "16", "--out", f"{out}/an.csv"],
     ["area", "--symbol", "cusp", "--t", "0.1", "--method", "monte-carlo",
-     "--samples", "1000", "--seed", "1"],
+     "--samples", "262149", "--seed", "1"],
     ["area", "--symbol", "cusp", "--t", "0.1"],
     ["zinc", "--symbol", "cusp", "--n", "60"],
 ]
@@ -47,7 +47,9 @@ def test_tracer_installs_and_its_hooks_count(tmp_path):
     # the FFT count is not pinned: the tracer books two per power, where one runs
     assert spans["series.power_coefficient_table"]["ffts"] > 0
     assert spans["opmatrix.singular_spectrum"]["svd_dim"] == 16
-    assert spans["geometry.image_contains"]["points"] == 1000
+    # one block of Monte Carlo points and 5 more: every point counted, one call a block
+    assert spans["geometry.image_contains"]["points"] == 262149
+    assert spans["geometry.image_contains"]["calls"] == 2
     assert spans["geometry.CuspRegion.annulus_area"]["calls"] >= 1
     assert spans["geometry.M_functional"]["calls"] >= 1
     # every command here has a known image base: no mass is fitted

@@ -323,6 +323,11 @@ def test_blaschke_certificate_keeps_the_benchmark_oracle(tmp_path, r):
     # a window method on the certificate: no longer a silent seed-0 Monte Carlo run
     ["blaschke-cert", "--r", "1", "--method", "exact-arcs", "--samples", "1000"],
     ["blaschke-cert", "--r", "1", "--method", "monte-carlo"],  # no --seed
+    # Monte Carlo's standard error needs two samples, and numpy a seed >= 0
+    ["area", "--symbol", "cusp", "--t", "0.1", "--method", "monte-carlo", "--samples", "1",
+     "--seed", "3"],
+    ["blaschke-cert", "--r", "1", "--method", "monte-carlo", "--samples", "1", "--seed", "3"],
+    ["area", "--symbol", "cusp", "--t", "0.1", "--method", "monte-carlo", "--seed", "-1"],
 ])
 def test_region_methods_checked_before_running(tmp_path, args):
     rep = tmp_path / "never.json"

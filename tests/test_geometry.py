@@ -1,4 +1,8 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import mpmath
 import numpy as np
@@ -481,6 +485,99 @@ def test_blaschke_monte_carlo_evaluates_kept_points_only(monkeypatch):
     got = blaschke_certificate(r, method="monte-carlo", samples=samples, seed=seed)
     assert got == pytest.approx(best, rel=1e-12, abs=0.0)
     assert sum(points) == kept
+
+
+BLOCK = geometry._MC_BLOCK
+
+
+def _one_shot_uniforms(seed, samples):
+    # the draws before blocks: all radii, then all angles, from one generator
+    rng = np.random.default_rng(seed)
+    return rng.random(samples), rng.random(samples)
+
+
+@pytest.mark.parametrize("samples", [BLOCK - 1, BLOCK, BLOCK + 1, 3 * BLOCK - 7])
+def test_annulus_monte_carlo_blocks_match_one_shot_draws(samples):
+    t, seed = 0.1, 9
+    centre, theta0 = geometry.image_of(CUSP).box(t)
+    lo2 = (1.0 - t) ** 2
+    box = (1.0 - lo2) * (theta0 / np.pi)
+    u, v = _one_shot_uniforms(seed, samples)
+    w = np.sqrt(lo2 + (1.0 - lo2) * u) * np.exp(1j * (centre + theta0 * (2.0 * v - 1.0)))
+    hits = REGION.contains(w)
+    got = annulus_area(CUSP, t, method="monte-carlo", samples=samples, seed=seed)
+    assert 0 < hits.sum() < samples
+    assert got.value == box * hits.mean()  # the same hit count
+    std = box * hits.std(ddof=1) / math.sqrt(samples)
+    assert got.std_error == pytest.approx(std, rel=1e-14, abs=0.0)
+
+
+def _one_shot_window_values(u, v, xi, h, weight):
+    w = xi + h * np.sqrt(u) * np.exp(1j * (2.0 * np.pi * v))
+    ok = (np.abs(w) < 1.0) & REGION.contains(w)
+    return h**2 * np.where(ok, weight(w), 0.0)
+
+
+def test_window_monte_carlo_blocks_match_one_shot_draws():
+    samples, seed, window = 3 * BLOCK - 7, 4, CarlesonWindow(1.0, 0.25)
+    vals = _one_shot_window_values(*_one_shot_uniforms(seed, samples), 1.0, 0.25, np.ones_like)
+    got = window_area(CUSP, window, method="monte-carlo", samples=samples, seed=seed)
+    assert got.value == pytest.approx(vals.mean(), rel=1e-12, abs=0.0)
+    assert got.std_error == pytest.approx(vals.std(ddof=1) / math.sqrt(samples), rel=1e-12, abs=0.0)
+
+
+def test_blaschke_monte_carlo_blocks_share_one_generator(monkeypatch):
+    # three windows drawn one after another: each must start where the last one's
+    # one-shot draws ended, past a block boundary
+    r, samples, seed = 3, BLOCK + 5, 6
+    windows = [(1.0, 0.5), (1.0, 0.125), (complex(math.cos(0.25), math.sin(0.25)), 0.25)]
+    monkeypatch.setattr(geometry, "default_window_grid", lambda: windows)
+    b = BlaschkeProduct(unit_interval_dyadic_zeros(r), power=r)
+    rng = np.random.default_rng(seed)
+    best = 0.0
+    for xi, h in windows:
+        u, v = rng.random(samples), rng.random(samples)
+        best = max(best, _one_shot_window_values(u, v, xi, h, b.abs2).mean() / h)
+    got = blaschke_certificate(r, method="monte-carlo", samples=samples, seed=seed)
+    assert got == pytest.approx(best, rel=1e-12, abs=0.0)
+
+
+def test_monte_carlo_needs_two_samples():
+    with pytest.raises(ValueError, match="2 samples"):
+        annulus_area(CUSP, 0.1, method="monte-carlo", samples=1, seed=3)
+    with pytest.raises(ValueError, match="2 samples"):
+        window_area(CUSP, CarlesonWindow(1.0, 0.25), method="monte-carlo", samples=1, seed=3)
+    with pytest.raises(ValueError, match="2 samples"):
+        blaschke_certificate(1, method="monte-carlo", samples=1, seed=3)
+
+
+# the child's own peak: ru_maxrss would carry the forking test process's peak
+# across exec, while VmHWM belongs to the memory map exec made
+_PEAK_RSS_RUN = """
+import sys
+from compopnum import geometry
+from compopnum.symbols import parse_symbol
+
+if sys.argv[1] == "annulus":
+    geometry.annulus_area(parse_symbol("compose(affine:r=0.95,theta=2,cusp)"), 0.1,
+                          "monte-carlo", samples=10**7, seed=1)
+else:
+    geometry.window_area(parse_symbol("cusp"), geometry.CarlesonWindow(1.0, 0.125),
+                         "monte-carlo", samples=10**7, seed=1)
+with open("/proc/self/status") as fh:
+    print(next(line.split()[1] for line in fh if line.startswith("VmHWM:")))  # kB
+"""
+
+
+@pytest.mark.parametrize("route", ["annulus", "window"])
+def test_monte_carlo_memory_is_set_by_the_block(route):
+    # 10^7 samples drawn at once peaked near 744 MB; by blocks ~60 MB, 30 MB of it the imports
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=str(src), OPENBLAS_NUM_THREADS="1")
+    proc = subprocess.run([sys.executable, "-c", _PEAK_RSS_RUN, route], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert int(proc.stdout.split()[-1]) / 1024 < 150.0
 
 
 def test_tip_window_matches_the_closed_form():
