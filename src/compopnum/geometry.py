@@ -476,18 +476,22 @@ def _boundary_curve(s: SymbolMap, offset: float):
 
 
 def _winding_contains(curve, w):
-    """w inside the closed sampled curve, by its winding number about w."""
+    """w inside the closed sampled curve, by its winding number about w.  A
+    point beyond the curve's largest modulus lies outside the disk holding
+    the curve's polygon, so its winding number is 0 without the sum."""
     w = np.atleast_1d(np.asarray(w, dtype=complex))
-    out = np.empty(w.shape, dtype=bool)
-    for i in range(0, w.size, 256):
-        blk = w.reshape(-1)[i : i + 256]
-        diff = curve[None, :] - blk[:, None]
+    flat = w.reshape(-1)
+    out = np.zeros(flat.shape, dtype=bool)
+    near = np.flatnonzero(np.abs(flat) <= np.abs(curve).max())
+    for i in range(0, near.size, 256):
+        idx = near[i : i + 256]
+        diff = curve[None, :] - flat[idx, None]
         ang = np.angle(diff)
         inc = np.diff(ang, axis=1, append=ang[:, :1])
         inc = np.mod(inc + np.pi, 2.0 * np.pi) - np.pi
         wind = np.abs(inc.sum(axis=1)) / (2.0 * np.pi)
-        out.reshape(-1)[i : i + 256] = wind > 0.5
-    return out.reshape(np.asarray(w).shape)
+        out[idx] = wind > 0.5
+    return out.reshape(w.shape)
 
 
 def _sampling_membership(s: SymbolMap, image: Image | None, t: float):
@@ -744,20 +748,33 @@ def default_window_grid():
     return [(math.cos(t) + 1j * math.sin(t), h) for t in thetas for h in hs]
 
 
-def _window_mean_quadrature(b: BlaschkeProduct, xi: complex, h: float):
-    """(1/pi) integral of |B|^2 over S(xi, h) n cusp region, xi anywhere: the
-    radius sigma about xi on Gauss panels split at the region's kinks
-    (`CuspRegion.kinks`), and Gauss nodes on each piece of the slice's arcs
-    (`CuspRegion.arcs`) at every sigma."""
+def _window_mean_quadrature(b: BlaschkeProduct, xi: complex, h):
+    """(1/pi) integral of |B|^2 over S(xi, h) n cusp region, xi anywhere, for
+    a size h or an array of sizes: the radius sigma about xi on Gauss panels
+    split at the region's kinks (`CuspRegion.kinks`), and Gauss nodes on each
+    piece of the slice's arcs (`CuspRegion.arcs`) at every sigma.
+
+    The rule covers [0, max h] with every size one more panel edge, as
+    `CuspRegion.radial_rule` does for depths, and its nodes run in increasing
+    sigma: each size's window is a prefix of them, summed by its own dot
+    product (a cumulative sum would round the small windows off).  A scalar
+    h returns a float."""
     x, w = _LEGGAUSS[20]
-    ends = [0.0] + [k for k in _CUSP_REGION.kinks(xi) if 0.0 < k < h] + [h]
-    sigma, weights = _panel_rule(*_split_panels(ends), x, w)
+    hs = np.atleast_1d(np.asarray(h, dtype=float))
+    top = float(hs.max())
+    ends = [0.0] + [k for k in _CUSP_REGION.kinks(xi) if 0.0 < k < top] + [top]
+    edges = np.unique(np.concatenate([*_split_panels(ends), hs]))
+    sigma, weights = _panel_rule(edges[:-1], edges[1:], x, w)
     turn, lo, hi = _CUSP_REGION.arcs(xi, sigma)
     i, j = np.nonzero(hi > lo)
     phi, arc_weights = _panel_rule(lo[i, j], hi[i, j], x, w)
     radius = np.repeat(sigma[i], x.size)
     values = b.abs2(xi + radius * turn * np.exp(1j * phi))
-    return float(np.dot(radius * np.repeat(weights[i], x.size) * arc_weights, values)) / math.pi
+    mass = radius * np.repeat(weights[i], x.size) * arc_weights
+    # a node rounded onto a size belongs to the panel that ends there
+    prefixes = np.searchsorted(radius, hs, side="right")
+    means = np.array([np.dot(mass[:e], values[:e]) for e in prefixes]) / math.pi
+    return float(means[0]) if np.ndim(h) == 0 else means
 
 
 def blaschke_certificate(
@@ -775,14 +792,25 @@ def blaschke_certificate(
         raise ValueError("power must be nonnegative")
     route = _route(method, "quadrature", True)
     b = BlaschkeProduct(unit_interval_dyadic_zeros(r), power=r)
+    if route == "quadrature":
+        return _window_sup(b)
     best = 0.0
     rng = np.random.default_rng(seed)
     for xi, h in default_window_grid():
-        if route == "quadrature":
-            val = _window_mean_quadrature(b, complex(xi), float(h))
-        else:
-            val = _mc_window(_CUSP_REGION.contains, b.abs2, complex(xi), h, rng, samples)[0]
-        best = max(best, val / h)
+        best = max(best, _mc_window(_CUSP_REGION.contains, b.abs2, complex(xi), h, rng, samples)[0] / h)
+    return best
+
+
+def _window_sup(b: BlaschkeProduct) -> float:
+    """max over `default_window_grid()` of the quadrature's window mean / h,
+    one `_window_mean_quadrature` call for all the sizes about each centre."""
+    sizes = {}
+    for xi, h in default_window_grid():
+        sizes.setdefault(xi, []).append(h)
+    best = 0.0
+    for xi, hs in sizes.items():
+        hs = np.array(hs)
+        best = max(best, float(np.max(_window_mean_quadrature(b, xi, hs) / hs)))
     return best
 
 

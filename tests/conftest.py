@@ -1,12 +1,7 @@
 import numpy as np
 import pytest
 
-from compopnum.geometry import (
-    BlaschkeProduct,
-    _window_mean_quadrature,
-    default_window_grid,
-    unit_interval_dyadic_zeros,
-)
+from compopnum.geometry import BlaschkeProduct, _window_sup, unit_interval_dyadic_zeros
 from compopnum.opmatrix import assemble, singular_spectrum
 from compopnum.symbols import CuspMap
 
@@ -27,11 +22,7 @@ def blaschke_certificates():
     r = 4, 6, 8, 10, so only the power varies (shared).  Same sup over the
     default window grid as `blaschke_certificate`, whose zero count is r."""
     zeros = unit_interval_dyadic_zeros(10)
-    return [
-        max(_window_mean_quadrature(BlaschkeProduct(zeros, power=r), complex(xi), float(h)) / h
-            for xi, h in default_window_grid())
-        for r in (4, 6, 8, 10)
-    ]
+    return [_window_sup(BlaschkeProduct(zeros, power=r)) for r in (4, 6, 8, 10)]
 
 
 @pytest.fixture(scope="session")

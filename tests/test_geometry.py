@@ -177,6 +177,30 @@ def test_winding_membership_flags_an_unresolved_tip():
     assert not annulus_area(CUSP, 0.1, method="monte-carlo", samples=2000, seed=1).flagged
 
 
+def test_winding_rejection_beyond_the_curve_keeps_every_verdict():
+    # reference: the winding sum on every point, none rejected early
+    def winding(curve, w):
+        ang = np.angle(curve[None, :] - w[:, None])
+        inc = np.mod(np.diff(ang, axis=1, append=ang[:, :1]) + np.pi, 2.0 * np.pi) - np.pi
+        return np.abs(inc.sum(axis=1)) / (2.0 * np.pi) > 0.5
+
+    curve = geometry._boundary_curve(parse_symbol("compose(cusp,affine:r=0.5)"), 0.5)
+    top = np.abs(curve).max()
+    g = np.random.default_rng(8)
+    turns = np.exp(2j * np.pi * g.random(300))
+    edge = curve[np.argmax(np.abs(curve))] / top  # the direction the curve reaches top
+    w = np.concatenate([
+        top * np.sqrt(g.random(300)) * turns,  # inside the disk of the curve
+        top * (1.0 + g.random(300)) * turns,  # beyond it
+        top * (1.0 - np.logspace(-8.0, -1.0, 15)) * edge,  # inside, just below the curve's top
+        top * (1.0 + 1e-12 * np.linspace(-1.0, 1.0, 41))[:, None] * np.array([edge, edge * 1j, -edge]),
+    ], axis=None)
+    got = geometry._winding_contains(curve, w)
+    assert np.array_equal(got, winding(curve, w))
+    assert 0 < np.count_nonzero(got) < w.size
+    assert geometry._winding_contains(curve, 0.0).shape == (1,)
+
+
 def test_monte_carlo_window_flags_an_unresolved_tip():
     # same curve as above: S(1, 0.1) holds 1.36e-4 of the cusp, none of
     # which the sampled boundary reaches
@@ -580,10 +604,15 @@ def test_monte_carlo_memory_is_set_by_the_block(route):
     assert int(proc.stdout.split()[-1]) / 1024 < 150.0
 
 
+GRID_SIZES = np.array([2.0**-l for l in range(1, 13)])
+
+
 def test_tip_window_matches_the_closed_form():
-    for l in range(1, 13):
-        h = 2.0**-l
-        value = geometry._window_mean_quadrature(BlaschkeProduct(()), 1.0, h)
+    # each size alone, and all sizes from one rule
+    shared = geometry._window_mean_quadrature(BlaschkeProduct(()), 1.0, GRID_SIZES)
+    for h, value in zip(GRID_SIZES, shared):
+        alone = geometry._window_mean_quadrature(BlaschkeProduct(()), 1.0, h)
+        assert abs(alone - _tip_area(h)) <= 1e-15 * _tip_area(h)
         assert abs(value - _tip_area(h)) <= 1e-15 * _tip_area(h)
 
 
@@ -601,6 +630,59 @@ def test_tip_window_matches_node_loop():
         acc += weight * sigma * half * float(np.dot(w, b.abs2(points)))
     value = geometry._window_mean_quadrature(b, 1.0, h)
     assert value == pytest.approx(acc / math.pi, rel=1e-13, abs=0.0)
+
+
+GRID_CENTRES = sorted({complex(xi) for xi, _ in geometry.default_window_grid()}, key=lambda xi: xi.imag)
+POWERS = range(11)
+
+
+class _DyadicPowers:
+    """|B_r|^2 for r = 0..10 as the columns of one weight, B_r the product over
+    the first r dyadic zeros raised to r.  Window means are linear in the
+    weight, so one rule gives every power's means at once; each column takes
+    the products in `BlaschkeProduct.abs2`'s order."""
+
+    def abs2(self, w):
+        factors = [BlaschkeProduct((z,)).abs2(w) for z in unit_interval_dyadic_zeros(POWERS[-1])]
+        products = np.cumprod([np.ones(w.shape)] + factors, axis=0)
+        return np.stack([products[r] ** r for r in POWERS], axis=1)
+
+
+@pytest.fixture(scope="module")
+def window_means():
+    """(shared, alone) for each centre of the grid: [size, power] means of its
+    windows, from one rule for all sizes and from one rule per size."""
+    b = _DyadicPowers()
+    return [(geometry._window_mean_quadrature(b, xi, GRID_SIZES),
+             np.concatenate([geometry._window_mean_quadrature(b, xi, GRID_SIZES[i : i + 1])
+                             for i in range(GRID_SIZES.size)]))
+            for xi in GRID_CENTRES]
+
+
+def test_a_scalar_size_is_the_one_size_rule():
+    b = BlaschkeProduct(unit_interval_dyadic_zeros(4), power=4)
+    for xi, h in [(1.0, 0.125), (GRID_CENTRES[0], 2.0**-6)]:
+        value = geometry._window_mean_quadrature(b, xi, h)
+        assert type(value) is float
+        assert value == geometry._window_mean_quadrature(b, xi, np.array([h]))[0]
+
+
+@pytest.mark.parametrize("r", [0, 4])
+def test_window_sizes_share_one_rule(window_means, r):
+    # windows far below the sup, near the region's edge, converge in neither
+    # rule (one of ~6e-23 at r = 8 differs by ~20% between them); the
+    # windows near the sup agree
+    ratios = [(shared[:, r] / GRID_SIZES, alone[:, r] / GRID_SIZES) for shared, alone in window_means]
+    sup = max(alone.max() for _, alone in ratios)
+    for shared, alone in ratios:
+        near = alone >= 1e-3 * sup
+        assert shared[near] == pytest.approx(alone[near], rel=1e-9, abs=0.0)
+
+
+def test_blaschke_certificate_is_the_per_window_maximum(window_means):
+    for r in POWERS:
+        best = max(float(np.max(alone[:, r] / GRID_SIZES)) for _, alone in window_means)
+        assert blaschke_certificate(r) == pytest.approx(best, rel=1e-12, abs=0.0)
 
 
 def test_dyadic_zeros():
