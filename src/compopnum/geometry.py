@@ -209,7 +209,8 @@ class CuspRegion:
         over the arcs at depth u_i), weights_i = w_i s_i / pi, s = 1 - u.
 
         Gauss-Legendre panels on [0, t] split at the breakpoints
-        (`_split_panels`).  For an array of depths in (0, 1]
+        (`_split_panels`).  A scalar depth returns the nodes panel by panel,
+        not sorted.  For an array of depths in (0, 1]
         the rule covers [0, max t] and every depth is one more panel edge,
         with the nodes in increasing order.  Zero-radius nodes carry no area
         and are dropped, so log(s) stays finite on every node."""
@@ -818,6 +819,10 @@ def _window_sup(b: BlaschkeProduct) -> float:
 # region-side spectral data (independent of any Taylor expansion)
 
 
+_GRAM_BLOCK = 128  # rows m and columns q of the region Gram built at a time
+_GRAM_CUT = 1e-30  # a block drops the nodes whose s^(2m+q) is below this
+
+
 def region_gram_singular_values(N: int) -> np.ndarray:
     """Singular values of the cusp composition operator restricted to the
     span of the first N basis vectors, from the image-region Gram matrix.
@@ -825,32 +830,52 @@ def region_gram_singular_values(N: int) -> np.ndarray:
     G[m, m'] = sqrt((m+1)(m'+1)) (1/pi) int_region w^m conj(w)^m' dA is the
     compression of a positive contraction; its eigenvalues are the squared
     restricted singular values.  Entirely independent of Taylor coefficients.
+
+    Only the upper triangle G[m, m+q] = sqrt((m+1)(m+q+1)) P[m, q] is built,
+    P[m, q] = sum_i weight_i s_i^(2m+q) ang_q(u_i), in blocks of _GRAM_BLOCK
+    columns q and rows m < N - q.  Sorted by depth, the nodes where the
+    block's largest power s^(2 m0 + q0) is at least _GRAM_CUT are a prefix,
+    and the block runs on that prefix alone.  The nodes it drops have
+    s^(2m+q) < _GRAM_CUT, |ang_q| <= 2 pi and the weights sum to 1/(2 pi), so
+    each P entry loses at most _GRAM_CUT, each G entry at most N _GRAM_CUT,
+    and by Weyl's inequality each eigenvalue moves by at most N^2 _GRAM_CUT,
+    ~1e-24 at N = 1024.
     """
+    if N < 1:
+        raise ValueError("N must be positive")
     u, wts = _CUSP_REGION.radial_rule()
+    # a scalar depth gives the nodes panel by panel: sort them by depth
+    order = np.argsort(u, kind="stable")
+    u, wts = u[order], wts[order]
     alpha, lo, hi = _CUSP_REGION.arc_data(u)
     hi = np.minimum(hi, alpha)
     lo = np.minimum(lo, alpha)
-    # angular factor: int over arcs of cos(q theta) dtheta (even in theta),
-    # computed in place with one scratch buffer: the [q, node] arrays
-    # dominate the memory
-    q = np.arange(1, N)[:, None]
-    ang = np.empty((N, u.size))
-    ang[0] = _CUSP_REGION.angular_measure(u)
-    sines, buf = ang[1:], np.empty((N - 1, u.size))
-    np.sin(np.multiply(q, alpha, out=sines), out=sines)
-    sines -= np.sin(np.multiply(q, hi, out=buf), out=buf)
-    sines += np.sin(np.multiply(q, lo, out=buf), out=buf)
-    sines *= 2.0 / q
-    del buf
-    radial = np.outer(np.arange(N), np.log1p(-u))
-    np.exp(radial, out=radial)  # s^m | [m, node]
-    ang *= radial
-    ang *= wts  # B[q, node] = weight s^q ang_q
-    radial *= radial
-    # the q-th diagonal: G[m, m+q] = sqrt((m+1)(m+q+1)) P[m, q]
-    P = radial @ ang.T
-    i, j = np.triu_indices(N)
+    log_s = np.log1p(-u)  # decreasing
+
+    def prefix(k):
+        """Number of leading nodes with s^k >= _GRAM_CUT."""
+        return int(np.searchsorted(-k * log_s, -math.log(_GRAM_CUT), side="right"))
+
     G = np.zeros((N, N))
-    G[i, j] = np.sqrt((i + 1.0) * (j + 1.0)) * P[i, j - i]
+    for q0 in range(0, N, _GRAM_BLOCK):
+        q = np.arange(q0, min(q0 + _GRAM_BLOCK, N))
+        n = prefix(q0)
+        # angular factor: int over arcs of cos(q theta) dtheta (even in theta)
+        ang = np.sin(np.outer(q, alpha[:n]))
+        ang -= np.sin(np.outer(q, hi[:n]))
+        ang += np.sin(np.outer(q, lo[:n]))
+        ang *= (2.0 / np.maximum(q, 1))[:, None]
+        if q0 == 0:
+            ang[0] = _CUSP_REGION.angular_measure(u[:n])
+        ang *= np.exp(np.outer(q, log_s[:n]))
+        ang *= wts[:n]  # B[q, node] = weight s^q ang_q
+        for m0 in range(0, N - q0, _GRAM_BLOCK):
+            m = np.arange(m0, min(m0 + _GRAM_BLOCK, N - q0))
+            k = prefix(2 * m0 + q0)
+            P = np.exp(np.outer(2.0 * m, log_s[:k])) @ ang[:, :k].T
+            # the q-th diagonal: G[m, m+q] = sqrt((m+1)(m+q+1)) P[m, q], m + q < N
+            r, c = np.nonzero(m[:, None] + q < N)
+            i, j = m[r], m[r] + q[c]
+            G[i, j] = np.sqrt((i + 1.0) * (j + 1.0)) * P[r, c]
     lam = np.linalg.eigvalsh(G, UPLO="U")[::-1]
     return np.sqrt(np.maximum(lam, 0.0))

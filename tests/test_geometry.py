@@ -4,7 +4,6 @@ import subprocess
 import sys
 from pathlib import Path
 
-import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -457,6 +456,7 @@ def test_blaschke_power_raises_the_product_to_it():
 def _tip_area(h):
     """(1/pi) * area of S(1, h) n cusp region in closed form: the slice at
     radius sigma about the tip is an arc of angle 2 arcsin(sigma/a)."""
+    mpmath = pytest.importorskip("mpmath")
     with mpmath.workdps(40):
         a, h = mpmath.mpf(CUSP_DIAMETER), mpmath.mpf(h)
         return float(2 / mpmath.pi * ((h**2 / 2 - a**2 / 4) * mpmath.asin(h / a) + h / 4 * mpmath.sqrt(a**2 - h**2)))
@@ -729,7 +729,40 @@ def test_region_gram_matches_diagonal_loop():
     assert region_gram_singular_values(N)[:10] == pytest.approx(ref[:10], rel=1e-12, abs=0.0)
 
 
-@pytest.mark.parametrize("N", [64, 256])
+def _full_gemm_region_gram(N):
+    """The region Gram's singular values from every P[m, q], m, q < N, on
+    every node in the rule's own order, read back on the triangle."""
+    u, wts = REGION.radial_rule()
+    alpha, lo, hi = REGION.arc_data(u)
+    hi, lo = np.minimum(hi, alpha), np.minimum(lo, alpha)
+    q = np.arange(1, N)[:, None]
+    ang = np.empty((N, u.size))
+    ang[0] = REGION.angular_measure(u)
+    ang[1:] = 2.0 * (np.sin(q * alpha) - np.sin(q * hi) + np.sin(q * lo)) / q
+    radial = np.exp(np.outer(np.arange(N), np.log1p(-u)))  # s^m
+    P = radial**2 @ (ang * radial * wts).T
+    i, j = np.triu_indices(N)
+    G = np.zeros((N, N))
+    G[i, j] = np.sqrt((i + 1.0) * (j + 1.0)) * P[i, j - i]
+    return np.sqrt(np.maximum(np.linalg.eigvalsh(G, UPLO="U")[::-1], 0.0))
+
+
+def test_region_gram_blocks_match_full_gemm():
+    # the blocked build drops only nodes whose weight s^(2m+q) is below 1e-30
+    N = 512
+    ref = _full_gemm_region_gram(N)
+    values = region_gram_singular_values(N)
+    assert values[:20] == pytest.approx(ref[:20], rel=1e-12, abs=0.0)
+    assert values == pytest.approx(ref, rel=0.0, abs=1e-8)
+
+
+@pytest.mark.parametrize("N", [0, -3])
+def test_region_gram_rejects_empty_size(N):
+    with pytest.raises(ValueError, match="N must be positive"):
+        region_gram_singular_values(N)
+
+
+@pytest.mark.parametrize("N", [64, 256, 1024])
 def test_region_gram_hilbert_schmidt_identity(N):
     # trace G = sum_k k (1/pi) int |w|^(2k-2) dA = sum_k ||chi^k||^2 / k
     ks = np.arange(1, N + 1)
