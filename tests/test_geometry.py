@@ -499,7 +499,7 @@ def test_blaschke_monte_carlo_evaluates_kept_points_only(monkeypatch):
     rng = np.random.default_rng(seed)
     best, kept = 0.0, 0
     for xi, h in geometry.default_window_grid():
-        w = geometry._window_samples(rng, complex(xi), h, samples)
+        w = np.concatenate(list(geometry._window_blocks(rng, xi, h, samples)))
         ok = (np.abs(w) < 1.0) & REGION.contains(w)
         best = max(best, float(h**2 * np.where(ok, b.abs2(w), 0.0).mean()) / h)
         kept += int(ok.sum())
@@ -520,16 +520,38 @@ def _one_shot_uniforms(seed, samples):
     return rng.random(samples), rng.random(samples)
 
 
-@pytest.mark.parametrize("samples", [BLOCK - 1, BLOCK, BLOCK + 1, 3 * BLOCK - 7])
-def test_annulus_monte_carlo_blocks_match_one_shot_draws(samples):
-    t, seed = 0.1, 9
-    centre, theta0 = geometry.image_of(CUSP).box(t)
+def test_polar_is_complex_exp_bit_for_bit():
+    theta = np.random.default_rng(11).uniform(-2.0 * np.pi, 4.0 * np.pi, 100_003)
+    theta[:4] = [-2.0 * np.pi, 0.0, np.pi, 4.0 * np.pi]
+    r = np.random.default_rng(12).random(theta.size)
+    for radius in (r, 0.75, 1.0):
+        want = radius * np.exp(1j * theta)
+        got = geometry._polar(radius, theta)
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
+@pytest.mark.parametrize(
+    "spec, t, samples",
+    [
+        pytest.param("cusp", 0.1, BLOCK - 1, id="cusp-block-1"),
+        pytest.param("cusp", 0.1, BLOCK, id="cusp-block"),
+        pytest.param("cusp", 0.1, BLOCK + 1, id="cusp-block+1"),
+        pytest.param("cusp", 0.1, 3 * BLOCK - 7, id="cusp-3block-7"),
+        pytest.param("compose(affine:r=0.95,theta=2.3,cusp)", 0.1, 3 * BLOCK - 7,
+                     id="rotated-cusp-3block-7"),
+        pytest.param("affine:r=0.9,theta=5.6", 0.2, 3 * BLOCK - 7, id="disk-3block-7"),
+    ],
+)
+def test_annulus_monte_carlo_blocks_match_one_shot_draws(spec, t, samples):
+    # reference: all draws at once, points by complex exp, membership in the image's frame
+    s, seed = parse_symbol(spec), 9
+    centre, theta0 = geometry.image_of(s).box(t)
     lo2 = (1.0 - t) ** 2
     box = (1.0 - lo2) * (theta0 / np.pi)
     u, v = _one_shot_uniforms(seed, samples)
     w = np.sqrt(lo2 + (1.0 - lo2) * u) * np.exp(1j * (centre + theta0 * (2.0 * v - 1.0)))
-    hits = REGION.contains(w)
-    got = annulus_area(CUSP, t, method="monte-carlo", samples=samples, seed=seed)
+    hits = geometry.image_contains(s, w)
+    got = annulus_area(s, t, method="monte-carlo", samples=samples, seed=seed)
     assert 0 < hits.sum() < samples
     assert got.value == box * hits.mean()  # the same hit count
     std = box * hits.std(ddof=1) / math.sqrt(samples)
@@ -595,13 +617,13 @@ with open("/proc/self/status") as fh:
 
 @pytest.mark.parametrize("route", ["annulus", "window"])
 def test_monte_carlo_memory_is_set_by_the_block(route):
-    # 10^7 samples drawn at once peaked near 744 MB; by blocks ~60 MB, 30 MB of it the imports
+    # 10^7 samples drawn at once peaked near 744 MB; by blocks of 2^13 ~37 MB, 30 of it imports
     src = Path(__file__).resolve().parents[1] / "src"
     env = dict(os.environ, PYTHONPATH=str(src), OPENBLAS_NUM_THREADS="1")
     proc = subprocess.run([sys.executable, "-c", _PEAK_RSS_RUN, route], env=env,
                           capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
-    assert int(proc.stdout.split()[-1]) / 1024 < 150.0
+    assert int(proc.stdout.split()[-1]) / 1024 < 64.0
 
 
 GRID_SIZES = np.array([2.0**-l for l in range(1, 13)])
