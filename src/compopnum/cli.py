@@ -57,7 +57,6 @@ class RunConfig:
     k: int | None = None
     t: float | None = None
     r: float | int | None = None
-    h: float | None = None
     eps: str = "1/log(n+2)"
     n_max: int = 10_000
     out: str | None = None
@@ -408,8 +407,8 @@ def run_pipeline(cfg: RunConfig) -> int:
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
     cfg.resolved_space(s)  # a config file is not checked by the parser's choices
-    if any(v is not None and v < 1 for v in (cfg.N, cfg.M, cfg.k, cfg.n, cfg.samples)):
-        raise ConfigError("N, M, k, n and samples must be positive")
+    if any(v is not None and v < 1 for v in (cfg.N, cfg.M, cfg.Q, cfg.k, cfg.n, cfg.samples)):
+        raise ConfigError("N, M, Q, k, n and samples must be positive")
     if cfg.command in _REQUIRED:
         key, flag = _REQUIRED[cfg.command]
         if getattr(cfg, key) is None:
@@ -481,7 +480,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 # keys whose flags parse to int, and to int or float; `models` is a list of str, the rest str
 _INT_KEYS = ("N", "M", "Q", "samples", "seed", "n", "k", "n_max")
-_REAL_KEYS = ("rho", "t", "r", "h")
+_REAL_KEYS = ("rho", "t", "r")
 
 
 def _config_type_ok(key: str, value) -> bool:

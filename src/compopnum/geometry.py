@@ -49,11 +49,8 @@ __all__ = [
 # ---------------------------------------------------------------------------
 # quadrature helpers
 
-# Gauss-Legendre rules for the node counts in use, computed once
-_LEGGAUSS = {20: np.polynomial.legendre.leggauss(20)}
-
-# nodes per panel of the cusp region's radial rule
-_RADIAL_NODES = 20
+# the Gauss-Legendre rule on [-1, 1] that every panel carries
+_GAUSS = np.polynomial.legendre.leggauss(20)
 
 
 # width at which the dyadic refinement toward a panel set's end stops
@@ -78,11 +75,27 @@ def _wrap(phi):
     return np.where(phi > np.pi, phi - 2.0 * np.pi, np.where(phi <= -np.pi, phi + 2.0 * np.pi, phi))
 
 
-def _panel_rule(a, b, x, w):
-    """The rule (x, w) on [-1, 1] moved onto the panels between edges a[i]
-    and b[i]: nodes and weights, panel by panel."""
+def _panel_rule(a, b):
+    """`_GAUSS` moved onto the panels between edges a[i] and b[i]: nodes and
+    weights, panel by panel."""
+    x, w = _GAUSS
     mid, half = 0.5 * (a + b)[:, None], 0.5 * np.abs(a - b)[:, None]
     return (mid + half * x).ravel(), (half * w).ravel()
+
+
+def _sized_rule(kinks, sizes):
+    """(nodes, weights) of the one panel rule behind every integral over the
+    cusp region up to a size, for a size or an array of sizes: Gauss panels
+    on [0, max size] split at the kinks below it (`_split_panels`), every
+    size one more panel edge.  The nodes run in increasing order, so each
+    size's integral is a prefix of them."""
+    sizes = np.atleast_1d(np.asarray(sizes, dtype=float))
+    top = float(sizes.max())
+    a, b = _split_panels([0.0] + [k for k in kinks if 0.0 < k < top] + [top])
+    edges = np.sort(np.concatenate([a, b, sizes]))
+    # each inner edge comes twice; a pair of equal edges is no panel
+    step = edges[1:] > edges[:-1]
+    return _panel_rule(edges[:-1][step], edges[1:][step])
 
 
 # ---------------------------------------------------------------------------
@@ -164,9 +177,10 @@ class CuspRegion:
     def arc_data(self, u):
         """Arc bounds of the slice {|w| = 1-u} inside the region.
 
-        Returns (alpha, lo, hi): the slice is {|theta| < alpha} minus the two
-        mirrored exclusion arcs +/-(lo, hi).  Parametrized by the depth
-        u = 1 - s to keep the formulas cancellation-free near the cusp.
+        Returns (alpha, lo, hi), lo <= hi <= alpha: the slice is {|theta| <
+        alpha} minus the two mirrored exclusion arcs +/-(lo, hi), clamped to
+        alpha.  Parametrized by the depth u = 1 - s to keep the formulas
+        cancellation-free near the cusp.
         """
         u = np.asarray(u, dtype=float)
         a = self.diameter
@@ -183,10 +197,10 @@ class CuspRegion:
             root = np.sqrt(np.where(has, disc, 0.0))
             lo = 2.0 * np.arctan(u**2 / (a * s + root))
             hi = 2.0 * np.arctan((a * s + root) / (u**2 + 4.0 * s))
-        lo = np.where(has, lo, 0.0)
-        hi = np.where(has, hi, 0.0)
         bad = (u <= 0.0) | (u >= 1.0)
         alpha = np.where(bad, 0.0, alpha)
+        lo = np.minimum(np.where(has, lo, 0.0), alpha)
+        hi = np.minimum(np.where(has, hi, 0.0), alpha)
         return alpha, lo, hi
 
     def angular_measure(self, u):
@@ -196,7 +210,7 @@ class CuspRegion:
         without the difference alpha - (alpha - lo), which loses every digit
         of the ~2u^2/a result below depths u ~ 1e-10."""
         alpha, lo, hi = self.arc_data(u)
-        return 2.0 * (np.minimum(alpha, lo) + np.maximum(0.0, alpha - hi))
+        return 2.0 * (lo + (alpha - hi))
 
     def breakpoints(self):
         """Depths u in (0, 1), in increasing order, where the slice {|w| =
@@ -208,45 +222,31 @@ class CuspRegion:
         below depth t: (1/pi) int f dA = sum_i weights_i * (the integral of f
         over the arcs at depth u_i), weights_i = w_i s_i / pi, s = 1 - u.
 
-        Gauss-Legendre panels on [0, t] split at the breakpoints
-        (`_split_panels`).  A scalar depth returns the nodes panel by panel,
-        not sorted.  For an array of depths in (0, 1]
-        the rule covers [0, max t] and every depth is one more panel edge,
-        with the nodes in increasing order.  Zero-radius nodes carry no area
-        and are dropped, so log(s) stays finite on every node."""
-        top = float(np.max(t))
-        a, b = _split_panels([0.0] + [u for u in self.breakpoints() if u < top] + [top])
-        if np.ndim(t):
-            edges = np.unique(np.concatenate([a, b, t]))
-            a, b = edges[:-1], edges[1:]
-        x, gw = _LEGGAUSS[_RADIAL_NODES]
-        # 1/pi goes into the reference weights, not onto every node
-        u, w = _panel_rule(a, b, x, gw / math.pi)
+        `_sized_rule` at the breakpoints for a depth or an array of depths in
+        [0, 1]: the nodes run in increasing depth, and each depth's integral
+        is a prefix of them.  Zero-radius nodes carry no area and are
+        dropped, so log(s) stays finite on every node."""
+        u, w = _sized_rule(self.breakpoints(), t)
         keep = u < 1.0
-        return u[keep], w[keep] * (1.0 - u[keep])
+        return u[keep], w[keep] * (1.0 - u[keep]) / math.pi
 
     def annulus_area(self, t):
         """Normalized area of the region below depth t; ~ 2t^3/(3 a pi) for
-        small t, a^2/(2 pi) at t = 1.  An array of depths shares one rule
-        (`radial_rule`) and reads its areas off one cumulative sum."""
-        if np.ndim(t) == 0:
-            if t <= 0.0:
-                return 0.0
-            u, w = self.radial_rule(min(t, 1.0))
-            return float(np.dot(w, self.angular_measure(u)))
-        t = np.clip(t, 0.0, 1.0)
-        if not t.any():
-            return t  # all zero
-        u, w = self.radial_rule(t[t > 0.0])
+        small t, a^2/(2 pi) at t = 1, at one depth or an array of depths,
+        each clamped to [0, 1].  The depths share one rule (`radial_rule`)
+        and read their areas off one cumulative sum."""
+        depths = np.clip(np.atleast_1d(t), 0.0, 1.0)
+        u, w = self.radial_rule(depths)
         cumulative = np.append(0.0, np.cumsum(w * self.angular_measure(u)))
         # a node rounded onto a depth belongs to the panel that ends there
-        return cumulative[np.searchsorted(u, t, side="right")]
+        areas = cumulative[np.searchsorted(u, depths, side="right")]
+        return areas if np.ndim(t) else float(areas[0])
 
     @property
     def tip_area_constant(self) -> float:
         """C with annulus_area(tau) <= C tau^3 below the first breakpoint.
-        There alpha <= hi, so angular_measure(u) = 2 min(alpha, lo) <= 2 lo =
-        4 arctan(u^2/(a s + root)) <= 4u^2/(a s) (arctan x <= x, root >= 0),
+        There hi = alpha, so angular_measure(u) = 2 lo, lo = min(alpha,
+        2 arctan(u^2/(a s + root))) <= 2u^2/(a s) (arctan x <= x, root >= 0),
         and (1/pi) int_0^tau angular_measure(u) s du <= 4 tau^3/(3 pi a)."""
         return 4.0 / (3.0 * math.pi * self.diameter)
 
@@ -758,27 +758,21 @@ def default_window_grid():
 
 def _window_mean_quadrature(b: BlaschkeProduct, xi: complex, h):
     """(1/pi) integral of |B|^2 over S(xi, h) n cusp region, xi anywhere, for
-    a size h or an array of sizes: the radius sigma about xi on Gauss panels
-    split at the region's kinks (`CuspRegion.kinks`), and Gauss nodes on each
-    piece of the slice's arcs (`CuspRegion.arcs`) at every sigma.
-
-    The rule covers [0, max h] with every size one more panel edge, as
-    `CuspRegion.radial_rule` does for depths, and its nodes run in increasing
-    sigma: each size's window is a prefix of them, summed by its own dot
-    product (a cumulative sum would round the small windows off).  A scalar
-    h returns a float."""
-    x, w = _LEGGAUSS[20]
+    a size h or an array of sizes: the radius sigma about xi on the panel
+    rule split at the region's kinks (`_sized_rule` at `CuspRegion.kinks`),
+    and Gauss nodes on each piece of the slice's arcs (`CuspRegion.arcs`)
+    at every sigma.  Each size's window is a prefix of the nodes, summed by
+    its own dot product (a cumulative sum would round the small windows
+    off).  A scalar h returns a float."""
     hs = np.atleast_1d(np.asarray(h, dtype=float))
-    top = float(hs.max())
-    ends = [0.0] + [k for k in _CUSP_REGION.kinks(xi) if 0.0 < k < top] + [top]
-    edges = np.unique(np.concatenate([*_split_panels(ends), hs]))
-    sigma, weights = _panel_rule(edges[:-1], edges[1:], x, w)
+    sigma, weights = _sized_rule(_CUSP_REGION.kinks(xi), hs)
     turn, lo, hi = _CUSP_REGION.arcs(xi, sigma)
     i, j = np.nonzero(hi > lo)
-    phi, arc_weights = _panel_rule(lo[i, j], hi[i, j], x, w)
-    radius = np.repeat(sigma[i], x.size)
+    phi, arc_weights = _panel_rule(lo[i, j], hi[i, j])
+    n = _GAUSS[0].size
+    radius = np.repeat(sigma[i], n)
     values = b.abs2(xi + radius * turn * np.exp(1j * phi))
-    mass = radius * np.repeat(weights[i], x.size) * arc_weights
+    mass = radius * np.repeat(weights[i], n) * arc_weights
     # a node rounded onto a size belongs to the panel that ends there
     prefixes = np.searchsorted(radius, hs, side="right")
     means = np.array([np.dot(mass[:e], values[:e]) for e in prefixes]) / math.pi
@@ -840,9 +834,9 @@ def region_gram_singular_values(N: int) -> np.ndarray:
 
     Only the upper triangle G[m, m+q] = sqrt((m+1)(m+q+1)) P[m, q] is built,
     P[m, q] = sum_i weight_i s_i^(2m+q) ang_q(u_i), in blocks of _GRAM_BLOCK
-    columns q and rows m < N - q.  Sorted by depth, the nodes where the
-    block's largest power s^(2 m0 + q0) is at least _GRAM_CUT are a prefix,
-    and the block runs on that prefix alone.  The nodes it drops have
+    columns q and rows m < N - q.  The nodes where the block's largest power
+    s^(2 m0 + q0) is at least _GRAM_CUT are a prefix of the rule's, and the
+    block runs on that prefix alone.  The nodes it drops have
     s^(2m+q) < _GRAM_CUT, |ang_q| <= 2 pi and the weights sum to 1/(2 pi), so
     each P entry loses at most _GRAM_CUT, each G entry at most N _GRAM_CUT,
     and by Weyl's inequality each eigenvalue moves by at most N^2 _GRAM_CUT,
@@ -851,12 +845,7 @@ def region_gram_singular_values(N: int) -> np.ndarray:
     if N < 1:
         raise ValueError("N must be positive")
     u, wts = _CUSP_REGION.radial_rule()
-    # a scalar depth gives the nodes panel by panel: sort them by depth
-    order = np.argsort(u, kind="stable")
-    u, wts = u[order], wts[order]
     alpha, lo, hi = _CUSP_REGION.arc_data(u)
-    hi = np.minimum(hi, alpha)
-    lo = np.minimum(lo, alpha)
     log_s = np.log1p(-u)  # decreasing
 
     def prefix(k):

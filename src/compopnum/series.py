@@ -92,7 +92,7 @@ class SeriesParams:
         M = int(self.M)
         if M < 0:
             raise ValueError("degree must be nonnegative")
-        Q = self.Q or 1 << max(8, (8 * (M + 1) - 1).bit_length())
+        Q = self.Q if self.Q is not None else 1 << max(8, (8 * (M + 1) - 1).bit_length())
         if Q < 4 * (M + 1):
             raise ValueError("need at least 4(M+1) samples")
         rho = self.rho if self.rho is not None else 1.0 - _LOG_EPS_BUDGET / (M + Q)

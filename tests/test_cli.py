@@ -445,6 +445,11 @@ def _exits_2_without_artifacts(tmp_path, args, config=None):
     (None, ["series", "--symbol", "cusp", "--k", "0"]),
     (None, ["series", "--symbol", "cusp", "--deg", "0"]),
     (None, ["an", "--symbol", "affine:r=0.5", "--N", "8", "--M", "0"]),
+    # Q = 0 would report 0 and run the default plan
+    (None, ["an", "--symbol", "affine:r=0.5", "--N", "8", "--Q", "0"]),
+    (None, ["an", "--symbol", "affine:r=0.5", "--N", "8", "--Q", "-8"]),
+    # no flag sets h and no command reads it
+    ({"h": 0.1}, ["an", "--symbol", "affine:r=0.5", "--N", "8"]),
     # the window bound of an index below 1 is meaningless (-3e9 at n = -3)
     (None, ["zinc", "--symbol", "cusp", "--n", "0"]),
     (None, ["zinc", "--symbol", "cusp", "--n", "-3"]),

@@ -278,6 +278,38 @@ def test_vector_annulus_area_matches_scalar_calls():
         assert image.annulus_area(depths) == pytest.approx(scalar, rel=1e-14, abs=0.0)
 
 
+ONE_RULE_DEPTHS = (2.0**-40, 0.1, 1.0)
+
+
+@pytest.mark.parametrize("t", ONE_RULE_DEPTHS)
+def test_radial_rule_is_sorted_and_scalar_is_the_one_depth_array(t):
+    u, w = REGION.radial_rule(t)
+    # two adjacent nodes near u = 1 round to the same double
+    assert np.all(np.diff(u) >= 0.0)
+    u1, w1 = REGION.radial_rule(np.array([t]))
+    assert np.array_equal(u, u1) and np.array_equal(w, w1)
+
+
+@pytest.mark.parametrize("t", ONE_RULE_DEPTHS)
+def test_scalar_annulus_area_is_the_one_depth_array(t):
+    assert REGION.annulus_area(t) == REGION.annulus_area(np.array([t]))[0]
+
+
+def test_annulus_area_clamps_depths():
+    assert REGION.annulus_area(0.0) == 0.0
+    assert REGION.annulus_area(-0.3) == 0.0
+    assert np.array_equal(REGION.annulus_area(np.array([0.0, 0.0])), [0.0, 0.0])
+    assert REGION.annulus_area(1.7) == REGION.annulus_area(1.0)
+
+
+def test_arc_data_exclusion_arcs_clamped_to_alpha():
+    # the exclusion arcs' ends meet at the breakpoints, where lo nears hi
+    near = np.add.outer(REGION.breakpoints(), np.linspace(-1e-6, 1e-6, 2001)).ravel()
+    u = np.concatenate([np.linspace(0.0, 1.0, 20_001), 2.0 ** -np.arange(0.0, 60.0, 0.25), near])
+    alpha, lo, hi = REGION.arc_data(u)
+    assert np.all(lo <= hi) and np.all(hi <= alpha)
+
+
 def test_tip_bound_on_angular_measure():
     # angular_measure(u) <= 4u^2/(a(1-u)) below the first breakpoint, the
     # inequality behind the dyadic remainder of M(t)
@@ -643,8 +675,8 @@ def test_tip_window_matches_node_loop():
     # pi +/- arcsin(sigma/a), a 20-point rule on it, summed in a loop
     b = BlaschkeProduct(unit_interval_dyadic_zeros(4), power=4)
     h = 0.25
-    x, w = geometry._LEGGAUSS[20]
-    sigmas, weights = geometry._panel_rule(*geometry._split_panels([0.0, h]), x, w)
+    x, w = geometry._GAUSS
+    sigmas, weights = geometry._panel_rule(*geometry._split_panels([0.0, h]))
     acc = 0.0
     for sigma, weight in zip(sigmas, weights):
         half = math.asin(sigma / CUSP_DIAMETER)
@@ -804,9 +836,8 @@ def test_region_gram_monotone_and_dominates_matrix(cusp_spectra):
 
 
 def _use_radial_nodes(monkeypatch, n):
-    """Swap the radial rule's 20 nodes per panel for n."""
-    monkeypatch.setitem(geometry._LEGGAUSS, n, np.polynomial.legendre.leggauss(n))
-    monkeypatch.setattr(geometry, "_RADIAL_NODES", n)
+    """Swap the panel rule's 20 nodes per panel for n."""
+    monkeypatch.setattr(geometry, "_GAUSS", np.polynomial.legendre.leggauss(n))
 
 
 @pytest.mark.parametrize("r2", [1.0, 0.81])

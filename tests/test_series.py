@@ -197,6 +197,8 @@ def test_partial_last_block_matches_per_power_transforms(spec):
 def test_series_params_validation():
     with pytest.raises(ValueError):
         SeriesParams(8, Q=8).resolved()  # fewer than 4(M+1) samples
+    with pytest.raises(ValueError, match=r"need at least 4\(M\+1\) samples"):
+        SeriesParams(8, Q=0).resolved()  # not the default plan
     with pytest.raises(ValueError):
         SeriesParams(8, rho=1.5).resolved()
     with pytest.raises(ValueError):
