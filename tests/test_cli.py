@@ -445,11 +445,6 @@ def _exits_2_without_artifacts(tmp_path, args, config=None):
     (None, ["series", "--symbol", "cusp", "--k", "0"]),
     (None, ["series", "--symbol", "cusp", "--deg", "0"]),
     (None, ["an", "--symbol", "affine:r=0.5", "--N", "8", "--M", "0"]),
-    # Q = 0 would report 0 and run the default plan
-    (None, ["an", "--symbol", "affine:r=0.5", "--N", "8", "--Q", "0"]),
-    (None, ["an", "--symbol", "affine:r=0.5", "--N", "8", "--Q", "-8"]),
-    # no flag sets h and no command reads it
-    ({"h": 0.1}, ["an", "--symbol", "affine:r=0.5", "--N", "8"]),
     # the window bound of an index below 1 is meaningless (-3e9 at n = -3)
     (None, ["zinc", "--symbol", "cusp", "--n", "0"]),
     (None, ["zinc", "--symbol", "cusp", "--n", "-3"]),
@@ -462,6 +457,11 @@ def _exits_2_without_artifacts(tmp_path, args, config=None):
     (None, ["verify", "--theorem", "2.2", "--r", "1.5"]),
     # 1 - 2^-54 rounds to 1.0: the last Blaschke zero would leave the disk
     (None, ["blaschke-cert", "--r", "54"]),
+    # Q = 0 would report 0 and run the default plan
+    (None, ["an", "--symbol", "affine:r=0.5", "--N", "8", "--Q", "0"]),
+    (None, ["an", "--symbol", "affine:r=0.5", "--N", "8", "--Q", "-8"]),
+    # no flag sets h and no command reads it
+    ({"h": 0.1}, ["an", "--symbol", "affine:r=0.5", "--N", "8"]),
 ])
 def test_config_that_would_not_be_what_ran_exits_2(tmp_path, config, args):
     rep, out = tmp_path / "never.json", tmp_path / "never.csv"
