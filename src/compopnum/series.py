@@ -16,8 +16,9 @@ against aliasing, which decays like rho^Q.  Their error bounds are a priori:
   k-fold product of samples, resting on the measured `_EVAL_ULPS`.
 
 Powers are transformed in blocks of `_POWER_BLOCK` rows, one FFT call per
-block.  A symbol with real coefficients (`SymbolMap.real_coefficients`) is
-sampled on the upper half-circle only, the Q/2+1 angles in [0, pi], and its
+block, each built in one work buffer that every block reuses.  A symbol with
+real coefficients (`SymbolMap.real_coefficients`) is sampled on the upper
+half-circle only, the Q/2+1 angles in [0, pi], and its
 table is real: phi(rho e^{-i theta}) is the conjugate of phi(rho e^{i theta}),
 so the inverse real FFT of the conjugated half samples is the full-circle
 transform.  The bounds carry over unchanged: each implied lower-half sample
@@ -54,7 +55,11 @@ _EPS = float(np.finfo(float).eps)
 # the exact angle; measured worst, the cusp's tip: 9.3 (M=64) to 164 (M=8192)
 _EVAL_ULPS = 1024.0
 _ALIASING_LIMIT = 1e-6  # of the coefficient scale |c_m| <= 1; flags the plan
-_POWER_BLOCK = 8  # powers per FFT call: at most 4 MB of samples at Q = 32768
+# powers per FFT call, built in one work buffer that every block reuses: a
+# fresh 2 MB block per call (Q = 32768) was handed back to the kernel and
+# faulted in again, ~170k page faults for the N = 1024 cusp table; blocks of
+# 4 in the same buffers churned again, so re-measure before changing this
+_POWER_BLOCK = 8
 
 
 class Space(enum.Enum):
@@ -132,21 +137,27 @@ def power_coefficient_table(s: SymbolMap, k_max: int, params: SeriesParams):
     amp = rho ** -np.arange(M + 1)
     table = np.empty((k_max, M + 1), dtype=float if real else complex)
     peaks = np.empty(k_max)
-    g = np.ones_like(base)
+    work = np.empty((min(_POWER_BLOCK, k_max), base.size), dtype=complex)
+    mod = np.empty(work.shape)
+    g = np.ones_like(base)  # the last power built, kept apart from `work`
     for start in range(0, k_max, _POWER_BLOCK):
-        block = np.empty((min(_POWER_BLOCK, k_max - start), base.size), dtype=complex)
+        stop = min(start + _POWER_BLOCK, k_max)
+        block, rows = work[: stop - start], table[start:stop]
+        power = g
         for row in block:
-            g = np.multiply(g, base, out=row)
-        scale = np.abs(block).max(axis=1)
-        # the transforms' returned arrays, never out=: numpy < 2.0 lacks it
+            power = np.multiply(power, base, out=row)
+        g[:] = power
+        np.abs(block, out=mod[: len(block)]).max(axis=1, out=peaks[start:stop])
+        # the transform's returned array is the one allocation left per block:
+        # its out= needs numpy >= 2.0
         if real:
-            c = np.fft.irfft(np.conj(block), Q, axis=1)[:, : M + 1] * amp
+            c = np.fft.irfft(np.conjugate(block, out=block), Q, axis=1)
+            np.multiply(c[:, : M + 1], amp, out=rows)
         else:
-            c = np.fft.fft(block, axis=1)[:, : M + 1] / Q * amp
-        floor = (_FLUSH_SAFETY * _EPS * math.log2(Q) * scale)[:, None] * amp
-        c[np.abs(c) < floor] = 0.0
-        table[start : start + len(block)] = c
-        peaks[start : start + len(block)] = scale
+            np.divide(np.fft.fft(block, axis=1)[:, : M + 1], Q, out=rows)
+            rows *= amp
+        floor = (_FLUSH_SAFETY * _EPS * math.log2(Q) * peaks[start:stop])[:, None] * amp
+        rows[np.abs(rows) < floor] = 0.0
     return table, peaks
 
 
@@ -176,7 +187,9 @@ def power_mass(s: SymbolMap, table: np.ndarray):
     remainder, infinite without summable decay or when too short to fit.
     """
     j = np.arange(table.shape[1], dtype=float)
-    mass = j * np.abs(table) ** 2
+    mass = np.abs(table)  # j |c_j|^2 in place: no table-sized temporaries
+    mass *= mass
+    mass *= j
     image = geometry.image_of(s)
     if image is not None:
         return mass, np.maximum(image.power_norms(len(table)) ** 2 - mass.sum(axis=1), 0.0)

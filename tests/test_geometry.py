@@ -754,6 +754,15 @@ def test_region_power_norms_paper_scale():
     assert np.all(np.diff(norms[50:]) < 0)
 
 
+@pytest.mark.parametrize("n", [1, 63, 64, 65, 1024, 2048])
+def test_region_power_norms_in_row_blocks_match_one_matrix(n):
+    # reference: every power's s^(2k-2) on every node in one [k, node] matrix
+    ks = np.arange(1, n + 1, dtype=float)
+    u, w = REGION.radial_rule()
+    moments = np.exp(np.outer(2.0 * ks - 2.0, np.log1p(-u))) @ (w * REGION.angular_measure(u))
+    np.testing.assert_allclose(REGION.power_norms(ks), ks * np.sqrt(moments), rtol=2e-16, atol=0.0)
+
+
 @settings(max_examples=10, deadline=None, derandomize=True)
 @given(theta=ANGLES, n=st.integers(1, 200))
 def test_scaled_cusp_power_norms(theta, n):

@@ -1,4 +1,8 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -187,11 +191,47 @@ def _per_power_table(s, k_max, params):
 
 @pytest.mark.parametrize("spec", ["cusp", "affine:r=0.7,theta=1"])
 def test_partial_last_block_matches_per_power_transforms(spec):
-    # 13 powers: one full block and a partial one
+    # a one-row work buffer, exactly one block, and a full block then a partial one
     s, params = parse_symbol(spec), SeriesParams(64)
-    table, peaks = power_coefficient_table(s, 13, params)
-    ref, ref_peaks = _per_power_table(s, 13, params)
-    assert np.array_equal(table, ref) and np.array_equal(peaks, ref_peaks)
+    for k_max in (1, 8, 13):
+        table, peaks = power_coefficient_table(s, k_max, params)
+        ref, ref_peaks = _per_power_table(s, k_max, params)
+        assert np.array_equal(table, ref) and np.array_equal(peaks, ref_peaks), k_max
+
+
+_TABLE_MEMORY_RUN = """
+import resource
+from compopnum.opmatrix import assemble
+from compopnum.series import SeriesParams, power_coefficient_table
+from compopnum.symbols import parse_symbol
+
+cusp = parse_symbol("cusp")
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+power_coefficient_table(cusp, 1024, SeriesParams(2048))
+print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+assemble(cusp, 1024)
+with open("/proc/self/status") as fh:
+    print(next(line.split()[1] for line in fh if line.startswith("VmHWM:")))  # kB
+"""
+
+
+def test_cusp_table_reuses_its_block_buffers():
+    # A fresh 2 MB block per FFT call (and its conjugate, modulus and scaled
+    # copies) was handed back to the kernel and faulted in again: ~170k minor
+    # faults for the N = 1024 table, where one work buffer reused by every
+    # block takes ~5k, most of them the 17 MB table itself.  The churn depends
+    # on the block shape (blocks of 4 in the same buffers churned again), so
+    # a new _POWER_BLOCK needs this re-measured.  `assemble` then peaked
+    # near 156 MB with the region power norms' [k, node] array built at once,
+    # ~83 MB with both in blocks, ~30 MB of it imports.
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=str(src), OPENBLAS_NUM_THREADS="1")
+    proc = subprocess.run([sys.executable, "-c", _TABLE_MEMORY_RUN], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    faults, peak_kb = map(int, proc.stdout.split())
+    assert faults < 20_000
+    assert peak_kb / 1024 < 110.0
 
 
 def test_series_params_validation():
