@@ -96,16 +96,10 @@ def _write_spectrum_csv(path: str, spec) -> None:
         stab = spec.stability_radii
         if stab is None:  # truncation too small to halve: no stability tier
             stab = np.full(len(spec.values), math.inf)
-        for i, v in enumerate(spec.values):
-            w.writerow(
-                [
-                    i + 1,
-                    _fmt(v),
-                    _fmt(spec.error_radii[i]),
-                    _fmt(bool(spec.certified[i])),
-                    _fmt(stab[i]),
-                ]
-            )
+        # each read of these properties builds an N-element array
+        columns = zip(spec.values, spec.error_radii, spec.certified, stab)
+        for i, (v, radius, certified, s) in enumerate(columns):
+            w.writerow([i + 1, _fmt(v), _fmt(radius), _fmt(bool(certified)), _fmt(s)])
 
 
 def _sanitize(obj):

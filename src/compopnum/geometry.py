@@ -282,34 +282,20 @@ class CuspRegion:
         series = np.exp((n - 1) * log_x) * (1.0 + (n - 1) * gap) / gap**2
         return r2 * float(np.dot(w * self.angular_measure(u), series))
 
-    def slice_halfwidth(self, x):
-        """Half-height of the region at real part x, for x in (1-a, 1)."""
-        x = np.asarray(x, dtype=float)
-        a = self.diameter
-        c1, r = self.circles[0][0].real, self.circles[0][1]
-        with np.errstate(invalid="ignore"):
-            y_main = np.sqrt(np.maximum(0.0, r**2 - (x - c1) ** 2))
-            s_out = np.sqrt(np.maximum(0.0, r**2 - (x - 1.0) ** 2))
-            y_out = (x - 1.0) ** 2 / (a / 2.0 + s_out)  # a/2 - sqrt(a^2/4-(1-x)^2), stable
-        return np.where((x <= 1.0 - a) | (x >= 1.0), 0.0, np.minimum(y_main, y_out))
-
     def box_angle(self, t: float) -> float:
-        """Half-angle theta0 of a polar box about the tip provably containing
-        the region's part of the annulus {|w| >= 1-t}: depth <= t and
-        |angle| <= theta0.
+        """Half-angle theta0 of a polar box about the tip that contains the
+        region's part of the annulus {|w| >= 1-t}: depth <= t and |angle| <=
+        theta0.
 
-        Membership in the main circle plus |w| >= 1-t forces the real part
-        above x_min = ((1-t)^2 - (a-1))/(2 c1) ~ 1 - 4.56 t, and the excluded
-        circles then cap |Im w| by the slice half-width there (~ (4.56 t)^2 /
-        a), so the box angle shrinks quadratically in t: the importance
-        stratum that keeps the hit rate high for deep annuli.
+        Below the first breakpoint `arc_data` has hi = alpha, so the slice at
+        depth u is the one arc |angle| < lo(u), and lo grows with u: the part
+        lies within |angle| <= lo(t) = angular_measure(t)/2.  The box is twice
+        that, so an arc error below a factor 2 still shows in a Monte Carlo
+        cross-check; from the first breakpoint on it is the whole circle.
         """
-        x_min = ((1.0 - t) ** 2 - (self.diameter - 1.0)) / (2.0 * self.circles[0][0].real)
-        if x_min <= 0.5:
+        if t >= self.breakpoints()[0]:
             return math.pi
-        halfwidth = float(self.slice_halfwidth(x_min))
-        theta0 = math.atan2(halfwidth, x_min) * 1.05 + 1e-12
-        return min(math.pi, theta0)
+        return min(math.pi, float(self.angular_measure(t)))
 
 
 class _UnitDisk:
@@ -379,7 +365,9 @@ class Image:
 
     def box(self, t: float):
         """(centre, theta0) of the polar box {1-t <= |w| <= 1, |arg w - centre|
-        <= theta0} that contains phi(D) n {|w| >= 1-t}."""
+        <= theta0} that contains phi(D) n {|w| >= 1-t}: centre = arg factor,
+        theta0 the base's `box_angle` at the scaled depth.  A factor keeps
+        angles, so the base's angular bound holds for the image."""
         return np.angle(self.factor), self.base.box_angle(self.depth(t))
 
     def power_norms(self, n_max: int) -> np.ndarray:
@@ -564,8 +552,10 @@ def annulus_area(
 
 def _mc_annulus_area(s: SymbolMap, image: Image | None, t: float, samples: int, seed: int):
     """Membership sampling of the image's polar box (`Image.box`), or of the
-    whole annulus when the base is unknown (image None).  The hits are
-    counted block by block; their standard error follows from the count."""
+    whole annulus when the base is unknown (image None).  On the cusp the
+    box is twice the image's angular extent at depth t, so about a sixth
+    of the samples hit near the tip.  The hits are counted block by block;
+    their standard error follows from the count."""
     rng = np.random.default_rng(seed)
     centre, theta0 = (0.0, math.pi) if image is None else image.box(t)
     lo2 = (1.0 - t) ** 2

@@ -233,9 +233,14 @@ class ComposedMap(SymbolMap):
         object.__setattr__(
             self, "is_univalent", self.outer.is_univalent and self.inner.is_univalent
         )
-        hint = None
-        if isinstance(self.outer, AffineMap) and self.inner.sup_norm_hint is not None:
-            hint = self.outer.r * self.inner.sup_norm_hint
+        hint, inner = None, self.inner.sup_norm_hint
+        if isinstance(self.outer, AffineMap) and inner is not None:
+            hint = self.outer.r * inner
+        elif isinstance(self.outer, MoebiusMap) and inner is not None:
+            # the largest modulus of the automorphism on |w| <= inner,
+            # taken at w = -inner u/|u|
+            u = abs(self.outer.u)
+            hint = (inner + u) / (1.0 + inner * u)
         object.__setattr__(self, "sup_norm_hint", hint)
         fixes = False
         if self.inner.fixes_origin and self.outer.fixes_origin:
@@ -441,23 +446,13 @@ def parse_symbol(spec: str) -> SymbolMap:
 
 def builtin_contractions() -> list[SymbolMap]:
     """Built-in symbols with sup norm < 1, used by the sandwich checks."""
-    shifted = _origin_fixed_contraction()
+    # 0.7 * moebius(0.3) post-composed with the automorphism moving its value
+    # at 0 back to 0
+    g = ComposedMap(AffineMap(0.7), MoebiusMap(0.3))
     return [
         AffineMap(0.3),
         AffineMap(0.5),
         AffineMap(0.7, theta=math.pi / 3),
-        shifted,
+        ComposedMap(MoebiusMap(complex(g.evaluate(0.0))), g),
         CoefficientMap((0.0, 0.5, 0.25), univalent=True, sup_norm=0.75),
     ]
-
-
-def _origin_fixed_contraction() -> SymbolMap:
-    # 0.7 * moebius(0.3) post-composed with the automorphism moving its value
-    # at 0 back to 0; sup norm (0.7+0.21)/(1+0.7*0.21) since Moebius maps the
-    # disk of radius 0.7 onto a disk.
-    g = ComposedMap(AffineMap(0.7), MoebiusMap(0.3))
-    w0 = complex(g.evaluate(0.0))
-    out = ComposedMap(MoebiusMap(w0), g)
-    sup = (0.7 + abs(w0)) / (1.0 + 0.7 * abs(w0))
-    object.__setattr__(out, "sup_norm_hint", sup)
-    return out

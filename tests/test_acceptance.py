@@ -12,7 +12,6 @@ import math
 import time
 
 import numpy as np
-import pytest
 
 from compopnum import analysis, geometry
 from compopnum.cli import main as cli_main

@@ -13,7 +13,7 @@ from compopnum.analysis import (
     upper_law_constant,
 )
 from compopnum.opmatrix import VALUE_FLOOR, SingularSpectrum, assemble, singular_spectrum
-from compopnum.symbols import AffineMap, CuspMap, builtin_contractions
+from compopnum.symbols import AffineMap, builtin_contractions
 
 
 def spectrum_of(s, N=64):

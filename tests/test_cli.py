@@ -3,7 +3,6 @@ import json
 import math
 from pathlib import Path
 
-import numpy as np
 import pytest
 
 from compopnum import analysis, cli, geometry

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from compopnum import geometry, tails
@@ -37,6 +37,11 @@ CUSP = CuspMap()
 ANGLES = st.floats(0.0, 2.0 * math.pi)
 # depth in the unscaled image, kept off 0 so the annulus has area to sample
 BASE_DEPTHS = st.floats(2.0**-6, 1.0)
+# the image a rotated cusp test samples, and base depths in each regime of
+# `CuspRegion.box_angle`: the deep tip, the tip, then up to and past the
+# first breakpoint (~0.18919)
+ROTATED_CUSP = "compose(affine:r=0.95,theta=2.3,cusp)"
+BOX_DEPTHS = (1e-4, 2.0**-6, 0.15, 0.188, 0.19, 0.3)
 
 
 def test_region_area_closed_form():
@@ -139,6 +144,14 @@ def test_exact_arcs_rotation_invariant(r, theta, u):
     assert rotated.value == pytest.approx(plain.value, rel=1e-9)
 
 
+def _with_box_depths(test):
+    """Hypothesis examples of the cusp and the rotated cusp at BOX_DEPTHS."""
+    for u in BOX_DEPTHS:
+        test = example(kind="cusp", r=1.0, theta=0.0, u=u)(test)
+        test = example(kind="rotated-cusp", r=0.95, theta=2.3, u=u)(test)
+    return test
+
+
 @settings(max_examples=40, deadline=None, derandomize=True)
 @given(
     kind=st.sampled_from(["affine", "moebius", "cusp", "rotated-cusp"]),
@@ -146,6 +159,7 @@ def test_exact_arcs_rotation_invariant(r, theta, u):
     theta=ANGLES,
     u=BASE_DEPTHS,
 )
+@_with_box_depths
 def test_monte_carlo_within_five_sigma_of_exact(kind, r, theta, u):
     s = {
         "affine": AffineMap(r, theta),
@@ -463,11 +477,35 @@ def test_carleson_window_validation():
         CarlesonWindow(1.0, 1.5)
 
 
-def test_slice_halfwidth_endpoint():
-    # at real part 2-a the half-height comes from the excluded circles
-    a = CUSP_DIAMETER
-    expect = a / 2 - math.sqrt((a / 2) ** 2 - (a - 1.0) ** 2)
-    assert float(REGION.slice_halfwidth(2.0 - a)) == pytest.approx(expect, abs=1e-12)
+@pytest.mark.parametrize("spec", ["cusp", ROTATED_CUSP])
+@pytest.mark.parametrize("fraction", [1e-3, 0.01, 0.1, 0.3, 0.6, 0.9, 0.99, 1.0 - 1e-9])
+def test_box_contains_the_region_below_the_first_breakpoint(spec, fraction):
+    # points of the image at depth <= t on a grid dense in log |angle|, which
+    # resolves the tip's ~u^2/a half-width at every depth
+    image = geometry.image_of(parse_symbol(spec))
+    t = 1.0 - image.modulus * (1.0 - fraction * REGION.breakpoints()[0])
+    centre, theta0 = image.box(t)
+    depth = t * np.linspace(0.0, 1.0, 129)[1:, None]
+    offset = np.geomspace(1e-12, math.pi, 4000)
+    offset = np.concatenate([-offset, offset])
+    inside = image.contains((1.0 - depth) * np.exp(1j * (centre + offset)))
+    assert inside.any()
+    assert np.abs(np.broadcast_to(offset, inside.shape)[inside]).max() <= theta0
+
+
+@pytest.mark.parametrize("t", [REGION.breakpoints()[0], 0.2, 0.5, 1.0])
+def test_box_is_the_whole_circle_from_the_first_breakpoint(t):
+    assert REGION.box_angle(t) == math.pi
+
+
+def test_cusp_monte_carlo_hits_the_tip():
+    # the box is twice the slice at depth t, and the slice at depth u < t is
+    # ~(u/t)^2 of that: about a sixth of the samples hit
+    t = 2.0**-6
+    _, theta0 = geometry.image_of(CUSP).box(t)
+    box = (1.0 - (1.0 - t) ** 2) * (theta0 / np.pi)
+    mc = annulus_area(CUSP, t, method="monte-carlo", samples=100_000, seed=2)
+    assert mc.value / box >= 0.10
 
 
 def test_blaschke_single_factor():
@@ -569,8 +607,10 @@ def test_polar_is_complex_exp_bit_for_bit():
         pytest.param("cusp", 0.1, BLOCK, id="cusp-block"),
         pytest.param("cusp", 0.1, BLOCK + 1, id="cusp-block+1"),
         pytest.param("cusp", 0.1, 3 * BLOCK - 7, id="cusp-3block-7"),
-        pytest.param("compose(affine:r=0.95,theta=2.3,cusp)", 0.1, 3 * BLOCK - 7,
-                     id="rotated-cusp-3block-7"),
+        # with the two below, the benchmark's Monte Carlo jobs, whose oracle
+        # needs hits short of every sample: sigma > 0
+        pytest.param("cusp", 2.0**-6, 3 * BLOCK - 7, id="cusp-tip-3block-7"),
+        pytest.param(ROTATED_CUSP, 0.1, 3 * BLOCK - 7, id="rotated-cusp-3block-7"),
         pytest.param("affine:r=0.9,theta=5.6", 0.2, 3 * BLOCK - 7, id="disk-3block-7"),
     ],
 )

@@ -32,6 +32,7 @@ ALL_SYMBOLS = [
     CuspMap(),
     ComposedMap(AffineMap(0.9), CuspMap()),
     CoefficientMap((0.0, 0.5, 0.25), univalent=True, sup_norm=0.75),
+    parse_symbol("compose(moebius:u=0.3+0.2i,affine:r=0.5)"),
 ]
 
 
