@@ -171,12 +171,10 @@ def beta_estimate(spec: SingularSpectrum) -> BetaEstimate:
     )
 
 
-def sandwich_check(
-    s: SymbolMap,
-    spec: SingularSpectrum,
-    tol: float = 0.02,
-) -> Report:
-    """Checks the rate sandwich: [phi]^2 - tol <= beta <= sup|phi| + tol."""
+def sandwich_check(s: SymbolMap, spec: SingularSpectrum) -> Report:
+    """Checks the rate sandwich: [phi]^2 - tol <= beta <= sup|phi| + tol,
+    with the slack tol = 0.02."""
+    tol = 0.02
     bracket = pseudo_hyperbolic_sup(s)
     beta = beta_estimate(spec)
     sup = s.sup_norm_hint if s.sup_norm_hint is not None else 1.0
@@ -242,11 +240,9 @@ def lower_law_probe(spec: SingularSpectrum, r: float, sup_norm: float) -> Report
     )
 
 
-def upper_law_constant(
-    spec: SingularSpectrum, sigma: float, n_lo: int = 5, n_hi: int = 40
-) -> float:
-    """Smallest C with a_n <= C sqrt(n) sigma^n on [n_lo, n_hi]."""
-    ns = np.arange(n_lo, n_hi + 1)
+def upper_law_constant(spec: SingularSpectrum, sigma: float, n_hi: int = 40) -> float:
+    """Smallest C with a_n <= C sqrt(n) sigma^n on [5, n_hi]."""
+    ns = np.arange(5, n_hi + 1)
     vals = spec.values[ns - 1]
     # ratio in logs: sigma^n underflows long before the values do
     log_ratio = np.log(np.maximum(vals, 1e-300)) - 0.5 * np.log(ns) - ns * math.log(sigma)

@@ -144,8 +144,8 @@ def _verify_geometric_upper(cfg: RunConfig, s: SymbolMap) -> _Outcome:
     checks = []
     for r in (0.3, 0.5, 0.7):
         spec, _ = _spectrum_for(cfg, parse_symbol(f"affine:r={r}"), max(cfg.N, 160))
-        c_short = analysis.upper_law_constant(spec, r, 5, 40)
-        c_long = analysis.upper_law_constant(spec, r, 5, 80)
+        c_short = analysis.upper_law_constant(spec, r, 40)
+        c_long = analysis.upper_law_constant(spec, r, 80)
         checks.append(
             analysis.Report(
                 name=f"upper-law[r={r}]",

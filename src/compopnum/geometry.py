@@ -112,31 +112,39 @@ class CuspRegion:
 
     All three bounding circles pass through 1, where the two excluded disks
     are tangent to the real axis: the domain ends in a cusp of parabolic
-    sharpness (half-width ~ u^2/a at depth u below the tip).
+    sharpness (half-width ~ u^2/a at depth u below the tip).  The region
+    has no parameters: a = CUSP_DIAMETER.
     """
 
-    diameter: float = CUSP_DIAMETER
     name = "cusp"  # a class attribute, not a field
 
     @property
     def circles(self):
         """The three bounding circles as (centre, radius, sign): sign +1 for
         the disk the region lies inside, -1 for the two it lies outside."""
-        r = self.diameter / 2.0
+        r = CUSP_DIAMETER / 2.0
         return ((complex(1.0 - r), r, 1), (complex(1.0, r), r, -1), (complex(1.0, -r), r, -1))
 
     @property
     def corners(self):
         """The tip and the two other points where the bounding circle meets one."""
-        r = self.diameter / 2.0
+        r = CUSP_DIAMETER / 2.0
         return (1.0 + 0j, complex(1.0 - r, r), complex(1.0 - r, -r))
 
     def contains(self, w):
-        """Strict three-circle membership test (vectorized)."""
+        """Strict membership in the three `circles` (vectorized), measured
+        from the tip: with d = w - 1 = x + iy, q = |d|^2 and a = 2r, |w - c|^2
+        - r^2 is q + a x for the circle of sign +1 (c = 1 - r) and q -/+ a y
+        for the two of sign -1 (c = 1 +/- ir).  So w is inside when q + a x
+        < 0 and q > a |y|.  No r^2 cancels: at depth u below the tip |w - c|
+        differs from r by ~u^2/a, a margin that comparing the two would lose
+        to the rounding of |w - c|, while q and a y keep it to a few ulps.
+        """
         w = np.asarray(w, dtype=complex)
-        inside = np.ones(w.shape, dtype=bool)
-        for c, r, sign in self.circles:
-            inside &= (np.less if sign > 0 else np.greater)(np.abs(w - c), r)
+        x, y = w.real - 1.0, np.abs(w.imag)
+        q = x * x + y * y
+        inside = q + CUSP_DIAMETER * x < 0.0
+        inside &= q > CUSP_DIAMETER * y
         return inside
 
     def kinks(self, xi):
@@ -187,7 +195,7 @@ class CuspRegion:
         cancellation-free near the cusp.
         """
         u = np.asarray(u, dtype=float)
-        a = self.diameter
+        a = CUSP_DIAMETER
         s = 1.0 - u
         c1 = self.circles[0][0].real
         # inside the main circle: sin^2(alpha/2) = u (a-u) / (4 s c1)
@@ -252,7 +260,7 @@ class CuspRegion:
         There hi = alpha, so angular_measure(u) = 2 lo, lo = min(alpha,
         2 arctan(u^2/(a s + root))) <= 2u^2/(a s) (arctan x <= x, root >= 0),
         and (1/pi) int_0^tau angular_measure(u) s du <= 4 tau^3/(3 pi a)."""
-        return 4.0 / (3.0 * math.pi * self.diameter)
+        return 4.0 / (3.0 * math.pi * CUSP_DIAMETER)
 
     def power_norms(self, ks) -> np.ndarray:
         """Dirichlet norms k sqrt(moment_k) of w^k on the region, moment_k =

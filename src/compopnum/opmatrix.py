@@ -17,12 +17,17 @@ their bounds (`dirichlet_power_norms`) to 4N and fit the remainder.
 
 Two certificates are attached to every spectrum:
 
-* a rigorous perturbation radius, hs_tail + row_tail + assembly_error,
-  valid for every entry (singular values are 1-Lipschitz in the operator
-  norm; `series` proves assembly_error but for the evaluation accuracy);
+* a perturbation radius, hs_tail + row_tail + assembly_error, valid for
+  every entry (singular values are 1-Lipschitz in the operator norm;
+  `series` proves assembly_error but for the evaluation accuracy).  It is
+  rigorous for a known image base; otherwise the tails rest on the
+  least-squares fits of `tails.tail_remainder`, and the radius is an
+  estimate until proved majorants replace them: for the cusp written as a
+  twice-applied Moebius involution at M = 64, the exact power norms exceed
+  the fitted norms plus bounds by 8-74% on rows 7-12;
 * an empirical stability radius per entry, the change of the value when the
   truncation is halved, which tracks the actual truncation bias far below
-  the rigorous radius.  For symbols whose power norms decay slowly (the
+  the perturbation radius.  For symbols whose power norms decay slowly (the
   cusp), the rigorous radius is honest but large, and the stability radius
   is what delimits the usable range; both are reported, neither is guessed.
 
@@ -116,7 +121,7 @@ class SingularSpectrum:
         return np.nonzero(mask)[0] + 1
 
 
-def _column_tail(s: SymbolMap, n: int, k_max: int, params: SeriesParams):
+def _column_tail(s: SymbolMap, n: int, k_max: int, M: int):
     """(sqrt(sum_{k >= n} ||phi^k||_D^2 / k), how its remainder was found).
 
     A known image base gives the whole sum in closed form (model
@@ -129,8 +134,7 @@ def _column_tail(s: SymbolMap, n: int, k_max: int, params: SeriesParams):
     if image is not None:
         return image.column_tail(n), tails.TailFit(f"closed-form:{image.base.name}", 0.0, 0.0)
     # the k-th power needs retained degrees well past k
-    M_tail = max(params.M, 2 * k_max)
-    norms, bounds = dirichlet_power_norms(s, k_max, M=M_tail)
+    norms, bounds = dirichlet_power_norms(s, k_max, M=max(M, 2 * k_max))
     t = (norms + bounds) ** 2 / np.arange(1, k_max + 1)
     fit = tails.tail_remainder(t)
     return math.sqrt(float(t[n - 1 :].sum()) + fit.remainder), fit
@@ -147,7 +151,7 @@ def hs_tail_bound(s: SymbolMap, n: int) -> float:
     if n < 1:
         raise ValueError("index must be >= 1")
     k_max = 4 * max(n, 16)
-    return _column_tail(s, n, k_max, SeriesParams(M=2 * k_max))[0]
+    return _column_tail(s, n, k_max, 2 * k_max)[0]
 
 
 def assemble(
@@ -187,7 +191,7 @@ def assemble(
         A = core
 
     # column tail: discarded basis vectors k > N
-    hs_tail, column_fit = _column_tail(s, N + 1, max(4 * N, tails.MIN_TERMS), params)
+    hs_tail, column_fit = _column_tail(s, N + 1, max(4 * N, tails.MIN_TERMS), params.M)
     if space is Space.DIRICHLET:
         # each discarded column k also has |phi(0)|^(2k)/k in the constant
         # row: sum_{k > N} x^k / k <= x^(N+1) / ((N+1)(1-x)), x = |phi(0)|^2

@@ -1,8 +1,9 @@
 """Catalog of analytic self-maps of the unit disk (Schur functions).
 
 Every map comes with closed-form evaluation and derivative, plus the
-metadata the rest of the library needs: univalence, an exact sup-norm
-when one is known, and whether the origin is fixed.  The star of the
+facts the rest of the library needs, read off its parameters: univalence,
+an exact sup-norm when one is known, whether the origin is fixed and
+whether the Taylor coefficients are real.  The star of the
 catalog is the cusp map, built from a Moebius transform onto the right
 half-disk followed by log/inversion stages; its image is the region
 bounded by three circular arcs meeting at 1.
@@ -12,7 +13,7 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -25,11 +26,8 @@ __all__ = [
     "CoefficientMap",
     "CUSP_DIAMETER",
     "cusp_halfdisk_map",
-    "evaluate",
-    "derivative",
     "evaluate_boundary",
     "pseudo_hyperbolic_sup",
-    "GridSpec",
     "parse_symbol",
     "builtin_contractions",
 ]
@@ -61,11 +59,16 @@ class SymbolMap:
     Each kind writes its closed form once, as `_map` and `_map_derivative`
     on complex arrays of the closed disk; `evaluate` and `derivative` add
     the open-disk check and `evaluate_boundary` the check |xi| = 1.
+
+    The facts below are read off each kind's parameters, never stored: a
+    kind overrides them with constants or properties.  They stay plain class
+    attributes here, since an annotation would make them dataclass fields.
     """
 
-    is_univalent: bool = field(default=False, init=False)
-    sup_norm_hint: float | None = field(default=None, init=False)
-    fixes_origin: bool = field(default=False, init=False)
+    is_univalent = False
+    sup_norm_hint = None  # an exact sup |phi| when one is known
+    fixes_origin = False
+    real_coefficients = False  # phi(conj z) = conj(phi(z))
 
     def __call__(self, z):
         return self.evaluate(z)
@@ -87,12 +90,6 @@ class SymbolMap:
     def spec_string(self) -> str:
         raise NotImplementedError
 
-    @property
-    def real_coefficients(self) -> bool:
-        """Whether every Taylor coefficient is real, i.e. phi(conj z) =
-        conj(phi(z)); derived from the parameters of each kind."""
-        return False
-
 
 @dataclass(frozen=True)
 class AffineMap(SymbolMap):
@@ -101,12 +98,16 @@ class AffineMap(SymbolMap):
     r: float
     theta: float = 0.0
 
+    is_univalent = True
+    fixes_origin = True
+
     def __post_init__(self):
         if not 0.0 < self.r <= 1.0:
             raise ValueError("affine scale must lie in (0, 1]")
-        object.__setattr__(self, "is_univalent", True)
-        object.__setattr__(self, "sup_norm_hint", self.r)
-        object.__setattr__(self, "fixes_origin", True)
+
+    @property
+    def sup_norm_hint(self) -> float:
+        return self.r
 
     @property
     def factor(self) -> complex:
@@ -132,12 +133,16 @@ class MoebiusMap(SymbolMap):
 
     u: complex
 
+    is_univalent = True
+    sup_norm_hint = 1.0
+
     def __post_init__(self):
         if abs(self.u) >= 1.0:
             raise ValueError("Moebius parameter must lie in the open disk")
-        object.__setattr__(self, "is_univalent", True)
-        object.__setattr__(self, "sup_norm_hint", 1.0)
-        object.__setattr__(self, "fixes_origin", self.u == 0)
+
+    @property
+    def fixes_origin(self) -> bool:
+        return self.u == 0
 
     @property
     def real_coefficients(self) -> bool:
@@ -195,14 +200,10 @@ class CuspMap(SymbolMap):
     the cusp point 1.  The map fixes the origin and sends -1 to 1 - a.
     """
 
-    def __post_init__(self):
-        object.__setattr__(self, "is_univalent", True)
-        object.__setattr__(self, "sup_norm_hint", 1.0)
-        object.__setattr__(self, "fixes_origin", True)
-
-    @property
-    def real_coefficients(self) -> bool:
-        return True
+    is_univalent = True
+    sup_norm_hint = 1.0
+    fixes_origin = True
+    real_coefficients = True
 
     def _map(self, z):
         h2 = _cusp_stages(z)[3]
@@ -229,28 +230,35 @@ class ComposedMap(SymbolMap):
     outer: SymbolMap
     inner: SymbolMap
 
-    def __post_init__(self):
-        object.__setattr__(
-            self, "is_univalent", self.outer.is_univalent and self.inner.is_univalent
-        )
-        hint, inner = None, self.inner.sup_norm_hint
+    @property
+    def is_univalent(self) -> bool:
+        return self.outer.is_univalent and self.inner.is_univalent
+
+    @property
+    def sup_norm_hint(self) -> float | None:
+        inner = self.inner.sup_norm_hint
         if isinstance(self.outer, AffineMap) and inner is not None:
-            hint = self.outer.r * inner
-        elif isinstance(self.outer, MoebiusMap) and inner is not None:
+            return self.outer.r * inner
+        if isinstance(self.outer, MoebiusMap) and inner is not None:
             # the largest modulus of the automorphism on |w| <= inner,
             # taken at w = -inner u/|u|
             u = abs(self.outer.u)
-            hint = (inner + u) / (1.0 + inner * u)
-        object.__setattr__(self, "sup_norm_hint", hint)
-        fixes = False
+            return (inner + u) / (1.0 + inner * u)
+        return None
+
+    @property
+    def fixes_origin(self) -> bool:
+        """The one fact evaluated on each access unless both factors fix 0;
+        via `_map`, so counters wrapping `evaluate` do not see it."""
         if self.inner.fixes_origin and self.outer.fixes_origin:
-            fixes = True
-        else:
-            try:
-                fixes = bool(abs(self.outer.evaluate(self.inner.evaluate(0.0))) <= 1e-12)
-            except DomainError:
-                fixes = False
-        object.__setattr__(self, "fixes_origin", fixes)
+            return True
+        try:
+            w = self.inner._map(np.zeros(1, dtype=complex))
+            if abs(w[0]) >= 1.0:
+                return False
+            return bool(abs(self.outer._map(w)[0]) <= 1e-12)
+        except DomainError:
+            return False
 
     @property
     def real_coefficients(self) -> bool:
@@ -286,11 +294,19 @@ class CoefficientMap(SymbolMap):
     sup_norm: float | None = None
 
     def __post_init__(self):
-        coeffs = tuple(complex(c) for c in self.coeffs)
-        object.__setattr__(self, "coeffs", coeffs)
-        object.__setattr__(self, "is_univalent", self.univalent)
-        object.__setattr__(self, "sup_norm_hint", self.sup_norm)
-        object.__setattr__(self, "fixes_origin", abs(coeffs[0]) <= 1e-12 if coeffs else True)
+        object.__setattr__(self, "coeffs", tuple(complex(c) for c in self.coeffs))
+
+    @property
+    def is_univalent(self) -> bool:
+        return self.univalent
+
+    @property
+    def sup_norm_hint(self) -> float | None:
+        return self.sup_norm
+
+    @property
+    def fixes_origin(self) -> bool:
+        return abs(self.coeffs[0]) <= 1e-12 if self.coeffs else True
 
     @property
     def real_coefficients(self) -> bool:
@@ -311,17 +327,7 @@ class CoefficientMap(SymbolMap):
 
 
 # ---------------------------------------------------------------------------
-# module-level operation surface
-
-
-def evaluate(s: SymbolMap, z):
-    """phi(z) for |z| < 1.  Raises DomainError on or outside the circle."""
-    return s.evaluate(z)
-
-
-def derivative(s: SymbolMap, z):
-    """phi'(z) by the closed-form chain rule of each kind."""
-    return s.derivative(z)
+# boundary values and the pseudo-hyperbolic derivative
 
 
 def evaluate_boundary(s: SymbolMap, xi):
@@ -334,33 +340,17 @@ def evaluate_boundary(s: SymbolMap, xi):
     return _scalar_or_array(s._map(xi))
 
 
-@dataclass(frozen=True)
-class GridSpec:
-    """Polar evaluation grid: rings at radii 1 - 2^-l, l = 0..depth.
-
-    Deeper grids contain shallower ones, so sup-estimates over the grid are
-    monotone nondecreasing in depth.
-    """
-
-    depth: int = 12
-    base_angles: int = 64
-
-    def rings(self):
-        for l in range(self.depth + 1):
-            radius = 1.0 - 2.0 ** (-l)
-            n = max(self.base_angles, 2 ** (l + 4))
-            yield radius, n
-
-
-def pseudo_hyperbolic_sup(s: SymbolMap, grid: GridSpec | None = None) -> float:
+def pseudo_hyperbolic_sup(s: SymbolMap, depth: int = 12) -> float:
     """Grid lower estimate of sup |phi'(z)| (1-|z|^2) / (1-|phi(z)|^2).
 
-    The Schwarz-Pick inequality caps the true sup at 1; the returned value is
-    monotone nondecreasing in the grid depth.
+    The grid is the origin and rings at radii 1 - 2^-l, l = 1..depth, ring
+    l carrying max(64, 2^(l+4)) equally spaced angles from 0.  Deeper grids
+    contain shallower ones, so the returned value is monotone nondecreasing
+    in depth; the Schwarz-Pick inequality caps the true sup at 1.
     """
-    grid = grid or GridSpec()
     best = 0.0
-    for radius, n in grid.rings():
+    for l in range(depth + 1):
+        radius, n = 1.0 - 2.0 ** (-l), max(64, 2 ** (l + 4))
         if radius == 0.0:
             z = np.array([0.0 + 0.0j])
         else:

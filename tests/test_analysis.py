@@ -196,8 +196,8 @@ def test_fit_requires_enough_entries():
 def test_upper_law_constant_stability():
     for r in (0.3, 0.5, 0.7):
         spec = spectrum_of(AffineMap(r), N=160)
-        c1 = upper_law_constant(spec, r, 5, 40)
-        c2 = upper_law_constant(spec, r, 5, 80)
+        c1 = upper_law_constant(spec, r, 40)
+        c2 = upper_law_constant(spec, r, 80)
         assert c2 <= 1.5 * c1
         # a_n <= C sqrt(n) r^n holds by construction of C; check at n=10
         assert spec.values[9] <= c2 * math.sqrt(10) * r**10 * (1 + 1e-12)

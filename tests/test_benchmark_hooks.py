@@ -50,6 +50,9 @@ def test_tracer_installs_and_its_hooks_count(tmp_path):
     # the FFT count is not pinned: the tracer books two per power, where one runs
     assert spans["series.power_coefficient_table"]["ffts"] > 0
     assert spans["opmatrix.singular_spectrum"]["svd_dim"] == 16
+    # the catalog's evaluate methods: the real cusp's table samples Q/2 + 1
+    # points of its circle, Q = 512 at N = 16; no other command evaluates it
+    assert spans["symbols.evaluate"]["points"] == 257
     # 2^18 + 5 Monte Carlo points: every point counted, one call a block
     assert spans["geometry.image_contains"]["points"] == 262149
     assert spans["geometry.image_contains"]["calls"] == math.ceil(262149 / geometry._MC_BLOCK)

@@ -12,13 +12,10 @@ from compopnum.symbols import (
     ComposedMap,
     CuspMap,
     DomainError,
-    GridSpec,
     MoebiusMap,
     builtin_contractions,
     cusp_halfdisk_map,
-    evaluate,
     evaluate_boundary,
-    derivative,
     parse_symbol,
     pseudo_hyperbolic_sup,
 )
@@ -42,7 +39,7 @@ def disk_points(n, seed=0):
 
 
 def test_cusp_fixes_origin():
-    assert abs(evaluate(CuspMap(), 0.0)) <= 1e-12
+    assert abs(CuspMap().evaluate(0.0)) <= 1e-12
 
 
 def test_cusp_halfdisk_corner_values():
@@ -104,7 +101,7 @@ def test_boundary_values_are_radial_limits(s):
     b = evaluate_boundary(s, xi)
     assert np.abs(b).max() <= 1.0 + 1e-12
     away = np.abs(xi - 1.0) > 1e-3  # the cusp corner: phi' blows up at z = 1
-    radial = evaluate(s, (1.0 - 1e-12) * xi[away])
+    radial = s.evaluate((1.0 - 1e-12) * xi[away])
     assert np.abs(b[away] - radial).max() <= 1e-5
 
 
@@ -119,20 +116,20 @@ def test_composition_leaving_the_closed_disk_raises():
 
 
 def test_affine_evaluate():
-    assert evaluate(AffineMap(0.5), 0.2) == pytest.approx(0.1)
+    assert AffineMap(0.5).evaluate(0.2) == pytest.approx(0.1)
 
 
 def test_domain_error_on_boundary():
     with pytest.raises(DomainError):
-        evaluate(CuspMap(), 1.0)
+        CuspMap().evaluate(1.0)
     with pytest.raises(DomainError):
-        evaluate(AffineMap(0.5), 1.2)
+        AffineMap(0.5).evaluate(1.2)
 
 
 @pytest.mark.parametrize("s", ALL_SYMBOLS, ids=lambda s: s.spec_string())
 def test_maps_into_disk(s):
     z = disk_points(10_000)
-    assert np.all(np.abs(evaluate(s, z)) < 1.0)
+    assert np.all(np.abs(s.evaluate(z)) < 1.0)
 
 
 @pytest.mark.parametrize("s", ALL_SYMBOLS, ids=lambda s: s.spec_string())
@@ -140,20 +137,20 @@ def test_sup_norm_hint_respected(s):
     if s.sup_norm_hint is None or s.sup_norm_hint >= 1.0:
         pytest.skip("no strict hint")
     z = disk_points(20_000, seed=3)
-    assert np.abs(evaluate(s, z)).max() <= s.sup_norm_hint + 1e-10
+    assert np.abs(s.evaluate(z)).max() <= s.sup_norm_hint + 1e-10
 
 
 @pytest.mark.parametrize("s", ALL_SYMBOLS, ids=lambda s: s.spec_string())
 def test_origin_flag(s):
     if s.fixes_origin:
-        assert abs(evaluate(s, 0.0)) <= 1e-12
+        assert abs(s.evaluate(0.0)) <= 1e-12
 
 
 def test_composition_agrees_pointwise():
     comp = ComposedMap(MoebiusMap(0.3), AffineMap(0.6))
     z = disk_points(500, seed=1)
-    direct = evaluate(MoebiusMap(0.3), evaluate(AffineMap(0.6), z))
-    assert np.abs(evaluate(comp, z) - direct).max() <= 1e-12
+    direct = MoebiusMap(0.3).evaluate(AffineMap(0.6).evaluate(z))
+    assert np.abs(comp.evaluate(z) - direct).max() <= 1e-12
 
 
 @pytest.mark.parametrize("s", ALL_SYMBOLS, ids=lambda s: s.spec_string())
@@ -161,19 +158,19 @@ def test_derivative_matches_finite_differences(s):
     # central differences, away from the cusp point
     z = 0.7 * disk_points(200, seed=2)
     h = 1e-5
-    fd = (np.asarray(evaluate(s, z + h)) - np.asarray(evaluate(s, z - h))) / (2 * h)
-    dv = np.asarray(derivative(s, z))
+    fd = (np.asarray(s.evaluate(z + h)) - np.asarray(s.evaluate(z - h))) / (2 * h)
+    dv = np.asarray(s.derivative(z))
     denom = np.maximum(np.abs(fd), 1e-8)
     assert (np.abs(dv - fd) / denom).max() <= 1e-6
 
 
 def test_moebius_derivative_at_origin():
-    assert derivative(MoebiusMap(0.3), 0.0) == pytest.approx(-(1 - 0.09), abs=1e-12)
+    assert MoebiusMap(0.3).derivative(0.0) == pytest.approx(-(1 - 0.09), abs=1e-12)
 
 
 def test_affine_derivative_constant():
     z = disk_points(50, seed=4)
-    assert np.abs(derivative(AffineMap(0.5), z) - 0.5).max() == 0.0
+    assert np.abs(AffineMap(0.5).derivative(z) - 0.5).max() == 0.0
 
 
 def test_pseudo_hyperbolic_values():
@@ -184,11 +181,11 @@ def test_pseudo_hyperbolic_values():
 
 @pytest.mark.parametrize("s", ALL_SYMBOLS, ids=lambda s: s.spec_string())
 def test_schwarz_pick_bound(s):
-    assert pseudo_hyperbolic_sup(s, GridSpec(depth=10)) <= 1.0 + 1e-10
+    assert pseudo_hyperbolic_sup(s, depth=10) <= 1.0 + 1e-10
 
 
 def test_pseudo_hyperbolic_monotone_in_depth():
-    vals = [pseudo_hyperbolic_sup(CuspMap(), GridSpec(depth=d)) for d in (4, 8, 12)]
+    vals = [pseudo_hyperbolic_sup(CuspMap(), depth=d) for d in (4, 8, 12)]
     assert vals[0] <= vals[1] <= vals[2]
 
 
@@ -201,7 +198,7 @@ def test_cusp_image_in_disk_property(re, im):
     z = complex(re, im)
     if abs(z) >= 0.999:
         return
-    w = evaluate(CuspMap(), z)
+    w = CuspMap().evaluate(z)
     assert abs(w) < 1.0
 
 
@@ -229,5 +226,5 @@ def test_builtin_contractions_are_contractions():
     z = disk_points(5_000, seed=5)
     for s in cats:
         assert s.sup_norm_hint is not None and s.sup_norm_hint < 1.0
-        assert np.abs(evaluate(s, z)).max() <= s.sup_norm_hint + 1e-10
+        assert np.abs(s.evaluate(z)).max() <= s.sup_norm_hint + 1e-10
         assert s.fixes_origin
