@@ -210,13 +210,14 @@ def lower_law_probe(spec: SingularSpectrum, r: float, sup_norm: float) -> Report
 
     Works with log q_n = log a_n - 2n log s + (log n)/2 to avoid overflow;
     passes when the minimum over the last reliable decade does not collapse
-    below half the minimum over the first decade.
+    below half the minimum over the first decade.  With fewer than 10
+    reliable entries the probe cannot run, and the report fails saying so.
     """
     if sup_norm <= r:
         raise ValueError("probe requires sup|phi| > r")
     ns = spec.reliable_range()
     if len(ns) < 10:
-        raise ValueError("not enough reliable entries for the probe")
+        return Report("lower-law-probe", False, {"r": r, "reliable_entries": len(ns), "needed": 10})
     s = s_of_r(r)
     vals = spec.values[ns - 1]
     log_q = np.log(vals) - 2.0 * ns * math.log(s) + 0.5 * np.log(ns)

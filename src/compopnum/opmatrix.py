@@ -195,7 +195,7 @@ def assemble(
     if space is Space.DIRICHLET:
         # each discarded column k also has |phi(0)|^(2k)/k in the constant
         # row: sum_{k > N} x^k / k <= x^(N+1) / ((N+1)(1-x)), x = |phi(0)|^2
-        x = abs(complex(s.evaluate(0.0))) ** 2
+        x = abs(s.origin) ** 2
         const = x ** (N + 1) / ((N + 1) * (1.0 - x)) if x < 1.0 else math.inf
         hs_tail = math.sqrt(hs_tail**2 + const)
 

@@ -2,10 +2,10 @@
 
 Every map comes with closed-form evaluation and derivative, plus the
 facts the rest of the library needs, read off its parameters: univalence,
-an exact sup-norm when one is known, whether the origin is fixed and
-whether the Taylor coefficients are real.  The star of the
-catalog is the cusp map, built from a Moebius transform onto the right
-half-disk followed by log/inversion stages; its image is the region
+an exact sup-norm when one is known, the value phi(0) (and so whether the
+origin is fixed) and whether the Taylor coefficients are real.  The star
+of the catalog is the cusp map, built from a Moebius transform onto the
+right half-disk followed by log/inversion stages; its image is the region
 bounded by three circular arcs meeting at 1.
 """
 
@@ -63,15 +63,20 @@ class SymbolMap:
     The facts below are read off each kind's parameters, never stored: a
     kind overrides them with constants or properties.  They stay plain class
     attributes here, since an annotation would make them dataclass fields.
+    `origin` is phi(0); it has no default, so every kind states it.
     """
 
     is_univalent = False
     sup_norm_hint = None  # an exact sup |phi| when one is known
-    fixes_origin = False
     real_coefficients = False  # phi(conj z) = conj(phi(z))
 
-    def __call__(self, z):
-        return self.evaluate(z)
+    @property
+    def origin(self) -> complex:
+        raise NotImplementedError
+
+    @property
+    def fixes_origin(self) -> bool:
+        return abs(self.origin) <= 1e-12
 
     def evaluate(self, z):
         _check_in_disk(z)
@@ -99,7 +104,7 @@ class AffineMap(SymbolMap):
     theta: float = 0.0
 
     is_univalent = True
-    fixes_origin = True
+    origin = 0j
 
     def __post_init__(self):
         if not 0.0 < self.r <= 1.0:
@@ -141,8 +146,8 @@ class MoebiusMap(SymbolMap):
             raise ValueError("Moebius parameter must lie in the open disk")
 
     @property
-    def fixes_origin(self) -> bool:
-        return self.u == 0
+    def origin(self) -> complex:
+        return complex(self.u)
 
     @property
     def real_coefficients(self) -> bool:
@@ -202,7 +207,7 @@ class CuspMap(SymbolMap):
 
     is_univalent = True
     sup_norm_hint = 1.0
-    fixes_origin = True
+    origin = 0j
     real_coefficients = True
 
     def _map(self, z):
@@ -247,18 +252,9 @@ class ComposedMap(SymbolMap):
         return None
 
     @property
-    def fixes_origin(self) -> bool:
-        """The one fact evaluated on each access unless both factors fix 0;
-        via `_map`, so counters wrapping `evaluate` do not see it."""
-        if self.inner.fixes_origin and self.outer.fixes_origin:
-            return True
-        try:
-            w = self.inner._map(np.zeros(1, dtype=complex))
-            if abs(w[0]) >= 1.0:
-                return False
-            return bool(abs(self.outer._map(w)[0]) <= 1e-12)
-        except DomainError:
-            return False
+    def origin(self) -> complex:
+        w = self.inner.origin
+        return self.outer.origin if w == 0 else complex(self.outer._map(np.asarray(w)))
 
     @property
     def real_coefficients(self) -> bool:
@@ -305,8 +301,8 @@ class CoefficientMap(SymbolMap):
         return self.sup_norm
 
     @property
-    def fixes_origin(self) -> bool:
-        return abs(self.coeffs[0]) <= 1e-12 if self.coeffs else True
+    def origin(self) -> complex:
+        return self.coeffs[0] if self.coeffs else 0j
 
     @property
     def real_coefficients(self) -> bool:
@@ -340,32 +336,33 @@ def evaluate_boundary(s: SymbolMap, xi):
     return _scalar_or_array(s._map(xi))
 
 
-def pseudo_hyperbolic_sup(s: SymbolMap, depth: int = 12) -> float:
+_RING_DEPTH = 12
+
+
+def _ring_grid(depth: int) -> np.ndarray:
+    """The origin, then rings at radii 1 - 2^-l, l = 1..depth, ring l carrying
+    max(64, 2^(l+4)) equally spaced angles from 0; a prefix of every deeper grid."""
+    rings = [np.zeros(1, dtype=complex)]
+    for l in range(1, depth + 1):
+        radius, n = 1.0 - 2.0 ** (-l), max(64, 2 ** (l + 4))
+        rings.append(radius * np.exp(1j * (2.0 * np.pi * np.arange(n) / n)))
+    return np.concatenate(rings)
+
+
+def pseudo_hyperbolic_sup(s: SymbolMap) -> float:
     """Grid lower estimate of sup |phi'(z)| (1-|z|^2) / (1-|phi(z)|^2).
 
-    The grid is the origin and rings at radii 1 - 2^-l, l = 1..depth, ring
-    l carrying max(64, 2^(l+4)) equally spaced angles from 0.  Deeper grids
-    contain shallower ones, so the returned value is monotone nondecreasing
-    in depth; the Schwarz-Pick inequality caps the true sup at 1.
+    The grid is `_ring_grid(_RING_DEPTH)`, evaluated in one call.  Deeper
+    grids contain shallower ones, so the estimate is monotone nondecreasing
+    in the depth; the Schwarz-Pick inequality caps the true sup at 1.
     """
-    best = 0.0
-    for l in range(depth + 1):
-        radius, n = 1.0 - 2.0 ** (-l), max(64, 2 ** (l + 4))
-        if radius == 0.0:
-            z = np.array([0.0 + 0.0j])
-        else:
-            th = 2.0 * np.pi * np.arange(n) / n
-            z = radius * np.exp(1j * th)
-        w = np.asarray(s.evaluate(z))
-        dw = np.asarray(s.derivative(z))
-        denom = 1.0 - np.abs(w) ** 2
-        val = np.abs(dw) * (1.0 - np.abs(z) ** 2)
-        ratio = np.divide(val, denom, out=np.zeros_like(val), where=denom > 0)
-        # Schwarz-Pick: the true ratio never exceeds 1; excesses are roundoff
-        m = float(np.minimum(ratio, 1.0).max())
-        if m > best:
-            best = m
-    return best
+    z = _ring_grid(_RING_DEPTH)
+    w, dw = s.evaluate(z), s.derivative(z)
+    denom = 1.0 - np.abs(w) ** 2
+    val = np.abs(dw) * (1.0 - np.abs(z) ** 2)
+    ratio = np.divide(val, denom, out=np.zeros_like(val), where=denom > 0)
+    # Schwarz-Pick: the true ratio never exceeds 1; excesses are roundoff
+    return float(np.minimum(ratio, 1.0).max())
 
 
 # ---------------------------------------------------------------------------
@@ -443,6 +440,6 @@ def builtin_contractions() -> list[SymbolMap]:
         AffineMap(0.3),
         AffineMap(0.5),
         AffineMap(0.7, theta=math.pi / 3),
-        ComposedMap(MoebiusMap(complex(g.evaluate(0.0))), g),
+        ComposedMap(MoebiusMap(g.origin), g),
         CoefficientMap((0.0, 0.5, 0.25), univalent=True, sup_norm=0.75),
     ]

@@ -231,6 +231,16 @@ def test_verify_slow_decay_probe(tmp_path):
     assert payload["passed"]
 
 
+def test_verify_slow_decay_at_its_defaults_reports_the_short_range(tmp_path):
+    # cusp, N = 256, r = 0.9: too few reliable entries for the probe, which
+    # must fail in the report rather than stop the command
+    rep = tmp_path / "v22.json"
+    assert run(["verify", "--theorem", "2.2", "--report", str(rep)]) == 1
+    (check,) = json.loads(rep.read_text())["checks"]
+    assert check["name"] == "lower-law-probe" and not check["passed"]
+    assert check["details"]["reliable_entries"] < check["details"]["needed"] == 10
+
+
 def test_verify_headline_reports_failure(tmp_path):
     # the truncated-matrix spectrum cannot exhibit the root-n law at desk
     # scale (see project notes); the pipeline must say so and exit 1

@@ -13,6 +13,8 @@ from compopnum.symbols import (
     CuspMap,
     DomainError,
     MoebiusMap,
+    SymbolMap,
+    _ring_grid,
     builtin_contractions,
     cusp_halfdisk_map,
     evaluate_boundary,
@@ -142,8 +144,34 @@ def test_sup_norm_hint_respected(s):
 
 @pytest.mark.parametrize("s", ALL_SYMBOLS, ids=lambda s: s.spec_string())
 def test_origin_flag(s):
+    phi0 = s.evaluate(0.0)
+    assert abs(s.origin - phi0) <= 1e-15
+    assert s.fixes_origin == (abs(s.origin) <= 1e-12)
     if s.fixes_origin:
-        assert abs(s.evaluate(0.0)) <= 1e-12
+        assert abs(phi0) <= 1e-12
+
+
+def test_composed_origin_is_read_without_evaluation(monkeypatch):
+    def no_evaluation(self, z):
+        raise AssertionError("the cusp closed form was evaluated")
+
+    monkeypatch.setattr(CuspMap, "_map", no_evaluation)
+    assert parse_symbol("compose(moebius:u=0.3+0i,cusp)").origin == 0.3
+
+
+@pytest.mark.parametrize(
+    ("spec", "fixed"),
+    [("moebius:u=1e-13+0i", True), ("coeffs:[1e-13,0.5]", True),
+     ("moebius:u=1e-11+0i", False), ("coeffs:[1e-11,0.5]", False)],
+)
+def test_origin_fixed_up_to_roundoff(spec, fixed):
+    # one rule for every kind: |phi(0)| <= 1e-12 counts as phi(0) = 0
+    assert parse_symbol(spec).fixes_origin is fixed
+
+
+def test_a_kind_without_an_origin_claims_nothing():
+    with pytest.raises(NotImplementedError):
+        SymbolMap().fixes_origin
 
 
 def test_composition_agrees_pointwise():
@@ -181,12 +209,16 @@ def test_pseudo_hyperbolic_values():
 
 @pytest.mark.parametrize("s", ALL_SYMBOLS, ids=lambda s: s.spec_string())
 def test_schwarz_pick_bound(s):
-    assert pseudo_hyperbolic_sup(s, depth=10) <= 1.0 + 1e-10
+    assert pseudo_hyperbolic_sup(s) <= 1.0 + 1e-10
 
 
 def test_pseudo_hyperbolic_monotone_in_depth():
-    vals = [pseudo_hyperbolic_sup(CuspMap(), depth=d) for d in (4, 8, 12)]
-    assert vals[0] <= vals[1] <= vals[2]
+    # shallower grids are prefixes of the full one, so the grid sup is
+    # monotone nondecreasing in the depth
+    full = _ring_grid(12)
+    for depth in (4, 8):
+        grid = _ring_grid(depth)
+        assert np.array_equal(full[: len(grid)], grid)
 
 
 @settings(max_examples=200, deadline=None)
