@@ -298,17 +298,18 @@ def _upper_concave_hull(x: np.ndarray, y: np.ndarray):
     return np.array(hull)
 
 
-def improvement_bound(eps_seq, n_range=(2, 10_000)) -> tuple[BoundCalculus, Report]:
+def improvement_bound(eps_seq, n_max=10_000) -> tuple[BoundCalculus, Report]:
     """Builds the bound calculus for eps_n and verifies the decay chain.
 
     eps_seq: callable n -> eps_n.
-    Verifies, for every n in range: the majorant dominates the knots, is
-    concave, and n e^{-n phi(1/n)} <= e^{-n eps_n}; also fits the single
-    constant C in inf_h [n e^{-nh} + rho(h)] <= C e^{-n eps_n}.
+    Verifies, for every n in [2, n_max] (n = 1 has log n / n = 0): the
+    majorant dominates the knots, is concave, and n e^{-n phi(1/n)} <=
+    e^{-n eps_n}; also fits the single constant C in
+    inf_h [n e^{-nh} + rho(h)] <= C e^{-n eps_n}.
     """
-    n_lo, n_hi = int(n_range[0]), int(n_range[1])
-    if not 2 <= n_lo <= n_hi:
-        raise ValueError(f"range {n_range} must be nonempty and start at n >= 2 (log n / n)")
+    n_lo, n_hi = 2, int(n_max)
+    if n_hi < n_lo:
+        raise ValueError(f"range [2, {n_max}] must be nonempty: n_max must be at least 2")
     ns = np.arange(n_lo, n_hi + 1)
     eps = np.asarray([float(eps_seq(int(n))) for n in ns])
     if np.any(eps <= 0.0):

@@ -9,8 +9,9 @@ run_pipeline owns each command's lifecycle: it parses the symbol, validates
 the configuration, runs the command, writes the one report and sets the exit
 code. Exit codes: 0 when every check that ran passed or none ran; 1 when a
 check ran and failed, or the computation raised a numerical error; 2 on a
-configuration error, which includes a missing or malformed input file and a
-missing output directory (nothing is written then).
+configuration error, which includes a missing or malformed input file, a
+missing output directory and a region-measure method that geometry rejects
+with MethodError (nothing is written then).
 """
 
 from __future__ import annotations
@@ -172,13 +173,15 @@ def _verify_window_bound(cfg: RunConfig, s: SymbolMap) -> _Outcome:
 
     Computed singular values are certified lower bounds of the true
     approximation numbers, so this checks a consequence of the inequality;
-    the content is the stability of the fitted constant.
+    the content is the stability of the fitted constant.  With fewer than
+    5 usable entries in [20, 200] the check fails saying so.
     """
     spec, _ = _spectrum_for(cfg, s, cfg.N)
     all_ns = np.arange(1, len(spec.values) + 1)
     ns = all_ns[(all_ns >= 20) & (all_ns <= 200) & (spec.values >= VALUE_FLOOR)]
     if len(ns) < 5:
-        raise ValueError("not enough usable entries in [20, 200] for the bound check")
+        return {}, [analysis.Report("window-upper-bound", False,
+                                    {"usable_entries": len(ns), "needed": 5})]
     ratios = spec.values[ns - 1] / geometry.zinc_upper_bound(s, ns)[0]
     split = ns[len(ns) // 2]
     c_short = ratios[ns <= split].max()
@@ -241,7 +244,7 @@ def _parse_eps(text: str):
 
 
 def _verify_bound_calculus(cfg: RunConfig, s: SymbolMap) -> _Outcome:
-    _, rep = analysis.improvement_bound(_parse_eps(cfg.eps), (2, cfg.n_max))
+    _, rep = analysis.improvement_bound(_parse_eps(cfg.eps), cfg.n_max)
     return {}, [rep]
 
 
@@ -288,27 +291,8 @@ def _cmd_series(cfg: RunConfig, s: SymbolMap) -> _Outcome:
     }, []
 
 
-def _route(cfg: RunConfig, resolve) -> str:
-    """geometry's route for cfg.method: an unknown name is a config error, an
-    exact route that does not hold exits 1, and Monte Carlo needs a seed
-    >= 0 and at least two samples, the fewest its standard error takes."""
-    try:
-        route = resolve(cfg.method)
-    except geometry._UnsupportedRegion:
-        raise
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
-    if route == "monte-carlo":
-        if cfg.seed is None:
-            raise ConfigError("--seed is mandatory for Monte Carlo paths")
-        if cfg.seed < 0 or cfg.samples < 2:
-            raise ConfigError("Monte Carlo needs --seed >= 0 and --samples >= 2")
-    return route
-
-
 def _cmd_area(cfg: RunConfig, s: SymbolMap) -> _Outcome:
-    route = _route(cfg, lambda method: geometry._annulus_route(s, method))
-    meas = geometry.annulus_area(s, cfg.t, method=route, samples=cfg.samples, seed=cfg.seed or 0)
+    meas = geometry.annulus_area(s, cfg.t, cfg.method, cfg.samples, cfg.seed)
     return {"value": meas.value, "std_error": meas.std_error, "method": meas.method,
             "t": cfg.t, "flagged": meas.flagged}, []
 
@@ -322,9 +306,7 @@ def _cmd_blaschke(cfg: RunConfig, s: SymbolMap) -> _Outcome:
     # a config file may give r as a float (verify's --r is one)
     if not float(cfg.r).is_integer():
         raise ConfigError(f"blaschke-cert needs an integral r, not {cfg.r!r}")
-    route = _route(cfg, lambda method: geometry._route(method, "quadrature", True))
-    value = geometry.blaschke_certificate(int(cfg.r), method=route, samples=cfg.samples,
-                                          seed=cfg.seed or 0)
+    value = geometry.blaschke_certificate(int(cfg.r), cfg.method, cfg.samples, cfg.seed)
     return {"r": cfg.r, "value": value}, []
 
 
@@ -526,7 +508,7 @@ def main(argv=None) -> int:
     try:
         cfg = _merge_config(args)
         return run_pipeline(cfg)
-    except ConfigError as exc:
+    except (ConfigError, geometry.MethodError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except (ValueError, ArithmeticError) as exc:

@@ -43,6 +43,7 @@ __all__ = [
     "Image",
     "image_of",
     "region_gram_singular_values",
+    "MethodError",
 ]
 
 
@@ -437,21 +438,31 @@ class CarlesonWindow:
             raise ValueError("window size must lie in (0, 1)")
 
 
+class MethodError(ValueError):
+    """A region measure was asked for a route that cannot run as given: an
+    unknown method name, or Monte Carlo without a seed >= 0 or without the
+    2 samples its standard error takes.  Raised before any sampling."""
+
+
 class _UnsupportedRegion(ValueError):
-    pass
+    """The request is valid, but no route answers it for this region."""
 
 
-def _route(method: str, exact: str, holds: bool) -> str:
+def _route(method: str, exact: str, holds: bool, samples: int, seed: int | None) -> str:
     """The route a region measure runs: "auto" takes the exact route where it
     holds, else "monte-carlo"; an exact request where it does not hold raises
-    _UnsupportedRegion, a name other than the three ValueError."""
+    _UnsupportedRegion.  The one check of a method name and of Monte Carlo's
+    seed (not None, >= 0) and samples (>= 2): MethodError otherwise."""
     names = ("auto", exact, "monte-carlo")
     if method not in names:
-        raise ValueError(f"unknown method {method!r}; choose from {list(names)}")
+        raise MethodError(f"unknown method {method!r}; choose from {list(names)}")
     if method == "auto":
-        return exact if holds else "monte-carlo"
-    if method == exact and not holds:
+        method = exact if holds else "monte-carlo"
+    elif method == exact and not holds:
         raise _UnsupportedRegion(f"no {exact} route for this region; use monte-carlo")
+    if method == "monte-carlo" and (seed is None or seed < 0 or samples < 2):
+        raise MethodError(f"Monte Carlo needs a seed >= 0 and at least 2 samples, "
+                          f"not seed={seed!r} and samples={samples!r}")
     return method
 
 
@@ -532,28 +543,25 @@ def _unresolved(s: SymbolMap, b, t: float) -> bool:
     return bool(np.any((sag > t / 8.0) & (reach >= 1.0 - t)))
 
 
-def _annulus_route(s: SymbolMap, method: str) -> str:
-    """The route `annulus_area` runs: exact arcs wherever the base is known."""
-    return _route(method, "exact-arcs", image_of(s) is not None)
-
-
 def annulus_area(
     s: SymbolMap,
     t: float,
     method: str = "auto",
     samples: int = 10**6,
-    seed: int = 0,
+    seed: int | None = None,
 ) -> RegionMeasure:
     """Normalized area of phi(D) intersected with {|w| >= 1-t}.
 
-    method: "exact-arcs" (closed forms / arc quadrature), "monte-carlo"
-    (stratified membership sampling), or "auto".
+    method: "exact-arcs" (closed forms / arc quadrature, wherever the image
+    base is known), "monte-carlo" (stratified membership sampling), or
+    "auto".  A Monte Carlo route needs a seed >= 0 and samples >= 2, else
+    MethodError; a symbol that is not univalent has no route at all.
     """
     _require_univalent(s)
     if not 0.0 < t <= 1.0:
         raise ValueError("annulus depth must lie in (0, 1]")
     image = image_of(s)
-    if _route(method, "exact-arcs", image is not None) == "exact-arcs":
+    if _route(method, "exact-arcs", image is not None, samples, seed) == "exact-arcs":
         return RegionMeasure(image.annulus_area(t), 0.0, "exact-arcs")
     return _mc_annulus_area(s, image, t, samples, seed)
 
@@ -601,8 +609,6 @@ def _uniform_blocks(rng, samples: int):
     so seeded results are those of drawing all of u, then all of v, at once.
     v comes from a copy of rng advanced past u (PCG64 spends one 64-bit draw
     per double); rng ends where both one-shot draws leave it."""
-    if samples < 2:
-        raise ValueError("Monte Carlo needs at least 2 samples")
     angles = copy.deepcopy(rng)
     angles.bit_generator.advance(samples)
     for start in range(0, samples, _MC_BLOCK):
@@ -702,15 +708,17 @@ def window_area(
     window: CarlesonWindow,
     method: str = "auto",
     samples: int = 10**6,
-    seed: int = 0,
+    seed: int | None = None,
 ) -> RegionMeasure:
     """Normalized area of S(xi, h) n phi(D).  "exact-arcs" holds on every
     image f * (cusp region): the window rule with |B|^2 = 1 about xi/f with
-    radius h/|f|, scaled by |f|^2."""
+    radius h/|f|, scaled by |f|^2.  A Monte Carlo route needs a seed >= 0
+    and samples >= 2, else MethodError."""
     _require_univalent(s)
     xi, h = complex(window.xi), window.h
     image = image_of(s)
-    if _route(method, "exact-arcs", image is not None and image.base is _CUSP_REGION) == "exact-arcs":
+    cusp = image is not None and image.base is _CUSP_REGION
+    if _route(method, "exact-arcs", cusp, samples, seed) == "exact-arcs":
         m = image.modulus
         value = m**2 * _window_mean_quadrature(BlaschkeProduct(()), xi / image.factor, h / m)
         return RegionMeasure(value, 0.0, "exact-arcs")
@@ -788,16 +796,17 @@ def blaschke_certificate(
     r: int,
     method: str = "auto",
     samples: int = 200_000,
-    seed: int = 0,
+    seed: int | None = None,
 ) -> float:
     """sup over Carleson windows of (1/h) * integral of |B|^2 over the window
     intersected with the cusp region, B = (Blaschke with dyadic zeros)^r.
 
-    method: "quadrature" (also what "auto" runs) or "monte-carlo".
+    method: "quadrature" (also what "auto" runs) or "monte-carlo", which
+    needs a seed >= 0 and samples >= 2, else MethodError.
     """
     if r < 0:
         raise ValueError("power must be nonnegative")
-    route = _route(method, "quadrature", True)
+    route = _route(method, "quadrature", True, samples, seed)
     b = BlaschkeProduct(unit_interval_dyadic_zeros(r), power=r)
     if route == "quadrature":
         return _window_sup(b)

@@ -208,7 +208,7 @@ def test_upper_law_constant_stability():
 
 
 def test_improvement_bound_log_eps():
-    calc, rep = improvement_bound(lambda n: 1.0 / math.log(n + 2), (2, 10_000))
+    calc, rep = improvement_bound(lambda n: 1.0 / math.log(n + 2), 10_000)
     assert rep.passed
     d = rep.details
     assert d["chain_holds_everywhere"]
@@ -219,7 +219,7 @@ def test_improvement_bound_log_eps():
 
 
 def test_improvement_bound_sqrt_eps():
-    calc, rep = improvement_bound(lambda n: n**-0.5, (2, 5_000))
+    calc, rep = improvement_bound(lambda n: n**-0.5, 5_000)
     assert rep.passed
     # delta_n = eps_n + log n / n reproduced to 1e-12
     ns = calc.ns
@@ -231,17 +231,17 @@ def test_improvement_bound_sqrt_eps():
 
 def test_improvement_bound_rejects_nondecreasing():
     with pytest.raises(ValueError):
-        improvement_bound(lambda n: 0.5, (2, 1_000))
+        improvement_bound(lambda n: 0.5, 1_000)
     with pytest.raises(ValueError):
-        improvement_bound(lambda n: -1.0 / n, (2, 100))
+        improvement_bound(lambda n: -1.0 / n, 100)
 
 
 def test_improvement_bound_rejects_an_empty_range():
     with pytest.raises(ValueError, match="nonempty"):
-        improvement_bound(lambda n: 1.0 / math.log(n + 2), (2, 1))
+        improvement_bound(lambda n: 1.0 / math.log(n + 2), 1)
 
 
 def test_improvement_bound_rho_increasing_on_grid():
-    calc, _ = improvement_bound(lambda n: 1.0 / math.log(n + 2), (2, 1_000))
+    calc, _ = improvement_bound(lambda n: 1.0 / math.log(n + 2), 1_000)
     h = np.linspace(calc.hull_y[1], calc.hull_y[-1], 200)
     assert np.all(np.diff(calc.rho(h)) >= -1e-15)

@@ -173,19 +173,38 @@ def test_series_report_carries_the_a_priori_bound(tmp_path):
     assert json.loads(rep.read_text())["aliasing_suspect"] is True
 
 
-def test_fit_subcommand_roundtrip(tmp_path):
+def _rootn_csv(tmp_path):
+    """A spectrum CSV of a_n = exp(-2 sqrt(n)), n = 1..80."""
     src = tmp_path / "synthetic.csv"
     with open(src, "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(["n", "a_n", "error_radius", "certified"])
         for n in range(1, 81):
             w.writerow([n, repr(math.exp(-2.0 * math.sqrt(n))), "0.0", "true"])
+    return src
+
+
+def test_fit_subcommand_roundtrip(tmp_path):
+    src = _rootn_csv(tmp_path)
     rep = tmp_path / "fit.json"
     assert run(["fit", "--in", str(src), "--report", str(rep)]) == 0
     payload = json.loads(rep.read_text())
     assert payload["best"] == "rootn"
     rootn = next(f for f in payload["fits"] if f["model"] == "rootn")
     assert rootn["c"] == pytest.approx(2.0, abs=0.01)
+
+
+def test_fit_runs_the_models_flag_asks_for(tmp_path):
+    src, rep = _rootn_csv(tmp_path), tmp_path / "fit.json"
+    assert run(["fit", "--in", str(src), "--models", "rootn,geometric", "--report", str(rep)]) == 0
+    assert sorted(f["model"] for f in json.loads(rep.read_text())["fits"]) == ["geometric", "rootn"]
+
+
+def test_fit_with_an_unknown_model_exits_2(tmp_path):
+    rep = tmp_path / "never.json"
+    assert run(["fit", "--in", str(_rootn_csv(tmp_path)), "--models", "foo",
+                "--report", str(rep)]) == 2
+    assert not rep.exists()
 
 
 # values the benchmark's oracle pins: a change of the value floor or of the
@@ -284,6 +303,15 @@ def test_window_bound_ordering_is_computed(tmp_path, monkeypatch):
     assert details["ordering_holds"] is False
 
 
+def test_window_bound_on_a_short_range_reports_a_failed_check(tmp_path):
+    rep = tmp_path / "v24.json"
+    assert run(["verify", "--theorem", "2.4", "--symbol", "cusp", "--N", "16",
+                "--report", str(rep)]) == 1
+    (check,) = json.loads(rep.read_text())["checks"]
+    assert check == {"name": "window-upper-bound", "passed": False,
+                     "details": {"usable_entries": 0, "needed": 5}}
+
+
 def test_zinc_subcommand(tmp_path):
     rep = tmp_path / "z.json"
     assert run(["zinc", "--symbol", "affine:r=0.5", "--n", "10", "--report", str(rep)]) == 0
@@ -348,6 +376,15 @@ def test_exact_request_without_exact_route_exits_1(tmp_path):
     rep = tmp_path / "never.json"
     assert run(["area", "--symbol", "compose(cusp,affine:r=0.5)", "--t", "0.1",
                 "--method", "exact-arcs", "--report", str(rep)]) == 1
+    assert not rep.exists()
+
+
+def test_area_on_a_non_univalent_symbol_exits_1(tmp_path, capsys):
+    # geometry reports that no route exists before it asks for a seed
+    rep = tmp_path / "never.json"
+    assert run(["area", "--symbol", "coeffs:[0,0.5,0.25]", "--t", "0.1",
+                "--report", str(rep)]) == 1
+    assert "univalent" in capsys.readouterr().err
     assert not rep.exists()
 
 
@@ -428,7 +465,7 @@ def test_bound_calculus_is_theorem_4_1(tmp_path):
 
 def test_failing_bound_calculus_exits_1(tmp_path, monkeypatch, capsys):
     failing = analysis.Report("bound-calculus", False, {"why": "patched"})
-    monkeypatch.setattr(analysis, "improvement_bound", lambda eps, n_range: (None, failing))
+    monkeypatch.setattr(analysis, "improvement_bound", lambda eps, n_max: (None, failing))
     for args in (["bound-calculus"], ["verify", "--theorem", "4.1"]):
         rep = tmp_path / "r.json"
         assert run(args + ["--report", str(rep)]) == 1

@@ -101,11 +101,11 @@ def test_annulus_area_methods_agree():
 @pytest.mark.parametrize("method", ["polar", "exactarcs"])
 def test_region_measures_reject_unknown_methods(method):
     # an unknown name is an error, never a silent Monte Carlo run
-    with pytest.raises(ValueError, match="unknown method"):
+    with pytest.raises(geometry.MethodError, match="unknown method"):
         annulus_area(CUSP, 0.25, method=method)
-    with pytest.raises(ValueError, match="unknown method"):
+    with pytest.raises(geometry.MethodError, match="unknown method"):
         window_area(CUSP, CarlesonWindow(1.0, 0.1), method=method)
-    with pytest.raises(ValueError, match="unknown method"):
+    with pytest.raises(geometry.MethodError, match="unknown method"):
         blaschke_certificate(1, method=method)
 
 
@@ -120,7 +120,7 @@ def test_exact_routes_refuse_where_they_do_not_hold():
     with pytest.raises(geometry._UnsupportedRegion):
         window_area(AffineMap(0.5), CarlesonWindow(1.0, 0.1), method="exact-arcs")
     # quadrature is the certificate's exact route: a window's name is unknown
-    with pytest.raises(ValueError, match="unknown method"):
+    with pytest.raises(geometry.MethodError, match="unknown method"):
         blaschke_certificate(1, method="exact-arcs")
 
 
@@ -230,6 +230,20 @@ def test_winding_rejection_beyond_the_curve_keeps_every_verdict():
     assert np.array_equal(got, winding(curve, w))
     assert 0 < np.count_nonzero(got) < w.size
     assert geometry._winding_contains(curve, 0.0).shape == (1,)
+
+
+def test_image_contains_without_a_known_base_runs_the_winding_test():
+    s = parse_symbol("compose(cusp,affine:r=0.5)")
+    assert geometry.image_of(s) is None
+    g = np.random.default_rng(9)
+    w = np.sqrt(g.random(500)) * np.exp(2j * np.pi * g.random(500))
+    got = geometry.image_contains(s, w)
+    assert np.array_equal(got, geometry._sampling_membership(s, None, 0.1)[0](w))
+    assert 0 < np.count_nonzero(got) < w.size
+    turns = np.exp(2j * np.pi * g.random(200))
+    assert geometry.image_contains(s, s.evaluate(0.8 * turns)).all()
+    top = np.abs(geometry._boundary_curve(s, 0.5)).max()
+    assert not geometry.image_contains(s, top * (1.0 + g.random(200)) * turns).any()
 
 
 def test_monte_carlo_window_flags_an_unresolved_tip():
@@ -679,12 +693,29 @@ def test_blaschke_monte_carlo_blocks_share_one_generator(monkeypatch):
 
 
 def test_monte_carlo_needs_two_samples():
-    with pytest.raises(ValueError, match="2 samples"):
+    with pytest.raises(geometry.MethodError, match="2 samples"):
         annulus_area(CUSP, 0.1, method="monte-carlo", samples=1, seed=3)
-    with pytest.raises(ValueError, match="2 samples"):
+    with pytest.raises(geometry.MethodError, match="2 samples"):
         window_area(CUSP, CarlesonWindow(1.0, 0.25), method="monte-carlo", samples=1, seed=3)
-    with pytest.raises(ValueError, match="2 samples"):
+    with pytest.raises(geometry.MethodError, match="2 samples"):
         blaschke_certificate(1, method="monte-carlo", samples=1, seed=3)
+
+
+@pytest.mark.parametrize("seed", [None, -1])
+def test_monte_carlo_needs_a_seed(seed):
+    # no entry point samples with a seed it was not given
+    with pytest.raises(geometry.MethodError, match="seed >= 0"):
+        annulus_area(CUSP, 0.1, method="monte-carlo", seed=seed)
+    with pytest.raises(geometry.MethodError, match="seed >= 0"):
+        window_area(CUSP, CarlesonWindow(1.0, 0.25), method="monte-carlo", seed=seed)
+    with pytest.raises(geometry.MethodError, match="seed >= 0"):
+        blaschke_certificate(1, method="monte-carlo", seed=seed)
+    # "auto" samples where no exact route holds, and then needs the seed too
+    twice = parse_symbol("compose(moebius:u=0.5+0i,compose(moebius:u=0.5+0i,cusp))")
+    with pytest.raises(geometry.MethodError, match="seed >= 0"):
+        annulus_area(twice, 0.1, seed=seed)
+    with pytest.raises(geometry.MethodError, match="seed >= 0"):
+        window_area(AffineMap(0.5), CarlesonWindow(1.0, 0.25), seed=seed)
 
 
 # the child's own peak: ru_maxrss would carry the forking test process's peak

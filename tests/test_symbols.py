@@ -246,6 +246,10 @@ def test_parse_round_trip():
         assert parse_symbol(s.spec_string()).spec_string() == s.spec_string()
 
 
+def test_parse_identity():
+    assert parse_symbol("identity") == AffineMap(1.0, 0.0)
+
+
 def test_parse_rejects_garbage():
     for bad in ("nope", "affine:q=1", "moebius:u=2.0+0i", "compose(cusp)", "coeffs:[]"):
         with pytest.raises(ValueError):
