@@ -395,7 +395,10 @@ class Image:
 def image_of(s: SymbolMap) -> Image | None:
     """The Image of phi, or None when phi(D) is only known through the
     boundary curve of phi.  An outer affine map, or the Moebius map with
-    u = 0 (z -> -z), multiplies the inner factor."""
+    u = 0 (z -> -z), multiplies the inner factor.  An inner disk
+    automorphism m (a Moebius map, or an affine map with r = 1) keeps the
+    outer map's Image: phi(D) = X(m(D)) = X(D), and X^k o m has the Dirichlet
+    integral of X^k."""
     if isinstance(s, AffineMap):
         return Image(_UNIT_DISK, s.factor)
     if isinstance(s, MoebiusMap):
@@ -407,6 +410,9 @@ def image_of(s: SymbolMap) -> Image | None:
         return Image(inner.base, s.outer.factor * inner.factor)
     if inner is not None and isinstance(s.outer, MoebiusMap) and s.outer.u == 0:
         return Image(inner.base, -inner.factor)
+    if isinstance(s, ComposedMap) and (isinstance(s.inner, MoebiusMap)
+                                       or isinstance(s.inner, AffineMap) and s.inner.r == 1.0):
+        return image_of(s.outer)
     return None
 
 
@@ -762,11 +768,13 @@ def unit_interval_dyadic_zeros(count: int) -> tuple:
 
 
 def default_window_grid():
-    """Window grid near the contact point: xi = exp(i theta) for theta in
-    {0, +/-2^-j}, j <= 8, sizes h = 2^-l, l <= 12."""
+    """(centres, sizes) of the windows near the contact point: the centres
+    xi = exp(i theta), theta = 0, +2^-1, -2^-1, ..., +2^-8, -2^-8, and the
+    sizes h = 2^-l, l = 1..12, as one float array.  Every size is taken
+    about every centre."""
     thetas = [0.0] + [s * 2.0**-j for j in range(1, 9) for s in (+1.0, -1.0)]
-    hs = [2.0**-l for l in range(1, 13)]
-    return [(math.cos(t) + 1j * math.sin(t), h) for t in thetas for h in hs]
+    centres = [math.cos(t) + 1j * math.sin(t) for t in thetas]
+    return centres, np.array([2.0**-l for l in range(1, 13)])
 
 
 def _window_mean_quadrature(b: BlaschkeProduct, xi: complex, h):
@@ -804,30 +812,20 @@ def blaschke_certificate(
     method: "quadrature" (also what "auto" runs) or "monte-carlo", which
     needs a seed >= 0 and samples >= 2, else MethodError.
     """
-    if r < 0:
-        raise ValueError("power must be nonnegative")
-    route = _route(method, "quadrature", True, samples, seed)
     b = BlaschkeProduct(unit_interval_dyadic_zeros(r), power=r)
-    if route == "quadrature":
+    if _route(method, "quadrature", True, samples, seed) == "quadrature":
         return _window_sup(b)
-    best = 0.0
+    centres, sizes = default_window_grid()
     rng = np.random.default_rng(seed)
-    for xi, h in default_window_grid():
-        best = max(best, _mc_window(_CUSP_REGION.contains, b.abs2, complex(xi), h, rng, samples)[0] / h)
-    return best
+    return max(_mc_window(_CUSP_REGION.contains, b.abs2, xi, h, rng, samples)[0] / h
+               for xi in centres for h in sizes.tolist())
 
 
 def _window_sup(b: BlaschkeProduct) -> float:
     """max over `default_window_grid()` of the quadrature's window mean / h,
     one `_window_mean_quadrature` call for all the sizes about each centre."""
-    sizes = {}
-    for xi, h in default_window_grid():
-        sizes.setdefault(xi, []).append(h)
-    best = 0.0
-    for xi, hs in sizes.items():
-        hs = np.array(hs)
-        best = max(best, float(np.max(_window_mean_quadrature(b, xi, hs) / hs)))
-    return best
+    centres, sizes = default_window_grid()
+    return max(float(np.max(_window_mean_quadrature(b, xi, sizes) / sizes)) for xi in centres)
 
 
 # ---------------------------------------------------------------------------

@@ -319,6 +319,17 @@ def test_zinc_subcommand(tmp_path):
     assert payload["value"] <= 10 * 0.5**10 + 1e-12
 
 
+@pytest.mark.parametrize("args", [["zinc", "--n", "60"], ["area", "--t", "0.1", "--method", "exact-arcs"]])
+def test_an_inner_rotation_reports_the_cusp_numbers(tmp_path, args):
+    reports = []
+    for symbol in ("cusp", "compose(cusp,affine:r=1,theta=1)"):
+        rep = tmp_path / "rep.json"
+        assert run([args[0], "--symbol", symbol, *args[1:], "--report", str(rep)]) == 0
+        reports.append(json.loads(rep.read_text()))
+    assert reports[1]["value"] == reports[0]["value"]
+    assert reports[1].get("argmin_t") == reports[0].get("argmin_t")
+
+
 def test_zinc_without_known_image_exits_1_fast(tmp_path, capsys, monkeypatch):
     # M(t) would need 41 Monte Carlo areas per grid point: it refuses instead
     def no_sampling(*args, **kwargs):

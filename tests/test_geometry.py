@@ -22,6 +22,7 @@ from compopnum.geometry import (
     window_area,
     zinc_upper_bound,
 )
+from compopnum.opmatrix import hs_tail_bound
 from compopnum.series import dirichlet_power_norms
 from compopnum.symbols import (
     CUSP_DIAMETER,
@@ -45,6 +46,8 @@ BOX_DEPTHS = (1e-4, 2.0**-6, 0.15, 0.188, 0.19, 0.3)
 # depths where the cusp's slice is ~2u^2/a ~ 1e-14 and 1e-18 rad wide:
 # membership must stay exact there
 TIP_DEPTHS = (1e-7, 1e-9)
+# the Blaschke certificate's windows: every size about every centre
+GRID_CENTRES, GRID_SIZES = geometry.default_window_grid()
 
 
 def test_region_area_closed_form():
@@ -142,9 +145,31 @@ def test_image_of_double_negation_is_the_cusp():
     assert window_area(twice, CarlesonWindow(1.0, 0.25)).method == "exact-arcs"
 
 
-@pytest.mark.parametrize("spec", ["compose(moebius:u=0.3+0i,cusp)", "compose(cusp,affine:r=0.5)"])
+@pytest.mark.parametrize("spec", [
+    "compose(moebius:u=0.3+0i,cusp)",
+    "compose(cusp,affine:r=0.5)",
+    "compose(cusp,affine:r=0.9,theta=1)",
+    "compose(moebius:u=0.5+0i,compose(moebius:u=0.5+0i,cusp))",
+])
 def test_image_of_unknown_base_is_none(spec):
     assert geometry.image_of(parse_symbol(spec)) is None
+
+
+@pytest.mark.parametrize("inner", ["affine:r=1,theta=1", "affine:r=1,theta=-2.5", "moebius:u=0.3+0.1i"])
+@pytest.mark.parametrize("outer", ["cusp", "compose(affine:r=0.9,theta=1,cusp)", "affine:r=0.7"])
+def test_an_inner_automorphism_keeps_the_outer_image(outer, inner):
+    # phi(D) = X(m(D)) = X(D), and X^k o m has the Dirichlet integral of X^k
+    x, s = parse_symbol(outer), parse_symbol(f"compose({outer},{inner})")
+    image, expected = geometry.image_of(s), geometry.image_of(x)
+    if outer.startswith("affine") and inner.startswith("affine"):
+        # the outer affine rule answers first, with factor r e^{i theta}: the same disk
+        assert (image.base, image.modulus) == (expected.base, expected.modulus)
+    else:
+        assert image == expected
+    assert hs_tail_bound(s, 17) == hs_tail_bound(x, 17)
+    for t in (0.1, 2.0**-6):
+        assert annulus_area(s, t, method="exact-arcs") == annulus_area(x, t, method="exact-arcs")
+        assert M_functional(s, t) == M_functional(x, t)
 
 
 @settings(max_examples=30, deadline=None, derandomize=True)
@@ -566,12 +591,18 @@ def _tip_area(h):
 
 def test_blaschke_certificate_trivial_power():
     # |B|^2 = 1: the largest window mass / h is the tip window's at h = 1/2
-    hs = {h for _, h in geometry.default_window_grid()}
-    best = max(_tip_area(h) / h for h in hs)
+    best = max(_tip_area(h) / h for h in GRID_SIZES)
     assert best == _tip_area(0.5) / 0.5
     value = blaschke_certificate(0)
     assert value == pytest.approx(best, rel=1e-14, abs=0.0)
     assert value == pytest.approx(0.034344196854957, rel=1e-13, abs=0.0)
+
+
+def test_blaschke_certificate_rejects_a_negative_power():
+    # the product's own check runs before the route's
+    for method in ("auto", "monte-carlo"):
+        with pytest.raises(ValueError, match="power must be nonnegative"):
+            blaschke_certificate(-1, method)
 
 
 def test_blaschke_certificate_sup_sits_at_the_tip():
@@ -600,11 +631,12 @@ def test_blaschke_monte_carlo_evaluates_kept_points_only(monkeypatch):
     b = BlaschkeProduct(unit_interval_dyadic_zeros(r), power=r)
     rng = np.random.default_rng(seed)
     best, kept = 0.0, 0
-    for xi, h in geometry.default_window_grid():
-        w = np.concatenate(list(geometry._window_blocks(rng, xi, h, samples)))
-        ok = (np.abs(w) < 1.0) & REGION.contains(w)
-        best = max(best, float(h**2 * np.where(ok, b.abs2(w), 0.0).mean()) / h)
-        kept += int(ok.sum())
+    for xi in GRID_CENTRES:
+        for h in GRID_SIZES.tolist():
+            w = np.concatenate(list(geometry._window_blocks(rng, xi, h, samples)))
+            ok = (np.abs(w) < 1.0) & REGION.contains(w)
+            best = max(best, float(h**2 * np.where(ok, b.abs2(w), 0.0).mean()) / h)
+            kept += int(ok.sum())
     points = []
     abs2 = BlaschkeProduct.abs2
     monkeypatch.setattr(BlaschkeProduct, "abs2", lambda self, w: points.append(w.size) or abs2(self, w))
@@ -677,17 +709,19 @@ def test_window_monte_carlo_blocks_match_one_shot_draws():
 
 
 def test_blaschke_monte_carlo_blocks_share_one_generator(monkeypatch):
-    # three windows drawn one after another: each must start where the last one's
-    # one-shot draws ended, past a block boundary
+    # four windows drawn one after another, every size about each centre in
+    # turn: each must start where the last one's one-shot draws ended, past a
+    # block boundary
     r, samples, seed = 3, BLOCK + 5, 6
-    windows = [(1.0, 0.5), (1.0, 0.125), (complex(math.cos(0.25), math.sin(0.25)), 0.25)]
-    monkeypatch.setattr(geometry, "default_window_grid", lambda: windows)
+    centres, sizes = [1.0, complex(math.cos(0.25), math.sin(0.25))], np.array([0.5, 0.125])
+    monkeypatch.setattr(geometry, "default_window_grid", lambda: (centres, sizes))
     b = BlaschkeProduct(unit_interval_dyadic_zeros(r), power=r)
     rng = np.random.default_rng(seed)
     best = 0.0
-    for xi, h in windows:
-        u, v = rng.random(samples), rng.random(samples)
-        best = max(best, _one_shot_window_values(u, v, xi, h, b.abs2).mean() / h)
+    for xi in centres:
+        for h in sizes:
+            u, v = rng.random(samples), rng.random(samples)
+            best = max(best, _one_shot_window_values(u, v, xi, h, b.abs2).mean() / h)
     got = blaschke_certificate(r, method="monte-carlo", samples=samples, seed=seed)
     assert got == pytest.approx(best, rel=1e-12, abs=0.0)
 
@@ -747,7 +781,16 @@ def test_monte_carlo_memory_is_set_by_the_block(route):
     assert int(proc.stdout.split()[-1]) / 1024 < 64.0
 
 
-GRID_SIZES = np.array([2.0**-l for l in range(1, 13)])
+def test_window_grid_is_centres_by_sizes():
+    # centres e^{i theta}: theta = 0, then +2^-j, -2^-j for j = 1..8
+    centres, sizes = geometry.default_window_grid()
+    thetas = [0.0] + [sign * 2.0**-j for j in range(1, 9) for sign in (1.0, -1.0)]
+    assert len(centres) == 17
+    assert np.abs(centres) == pytest.approx(np.ones(17), rel=1e-15, abs=0.0)
+    assert np.angle(centres) == pytest.approx(thetas, rel=1e-15, abs=0.0)
+    # sizes 2^-1 .. 2^-12, decreasing, as one float array
+    assert isinstance(sizes, np.ndarray) and sizes.dtype == float
+    assert sizes.tolist() == [2.0**-l for l in range(1, 13)]
 
 
 def test_tip_window_matches_the_closed_form():
@@ -775,7 +818,6 @@ def test_tip_window_matches_node_loop():
     assert value == pytest.approx(acc / math.pi, rel=1e-13, abs=0.0)
 
 
-GRID_CENTRES = sorted({complex(xi) for xi, _ in geometry.default_window_grid()}, key=lambda xi: xi.imag)
 POWERS = range(11)
 
 
@@ -804,7 +846,8 @@ def window_means():
 
 def test_a_scalar_size_is_the_one_size_rule():
     b = BlaschkeProduct(unit_interval_dyadic_zeros(4), power=4)
-    for xi, h in [(1.0, 0.125), (GRID_CENTRES[0], 2.0**-6)]:
+    # the tip, and the centre e^{-i/2}
+    for xi, h in [(1.0, 0.125), (GRID_CENTRES[2], 2.0**-6)]:
         value = geometry._window_mean_quadrature(b, xi, h)
         assert type(value) is float
         assert value == geometry._window_mean_quadrature(b, xi, np.array([h]))[0]

@@ -122,6 +122,15 @@ def test_column_tail_rotation_invariant_and_decreasing(theta, inner):
     assert np.all(np.diff(taus) < 0.0)
 
 
+def test_an_inner_rotation_keeps_the_cusp_spectrum():
+    # C_{phi o R} = C_R C_phi with C_R unitary: the same values and the same radius
+    cusp = singular_spectrum(assemble(CuspMap(), 256))
+    rotated = singular_spectrum(assemble(parse_symbol("compose(cusp,affine:r=1,theta=1)"), 256))
+    assert rotated.values[:20] == pytest.approx(cusp.values[:20], rel=1e-12, abs=0.0)
+    assert rotated.radius == pytest.approx(cusp.radius, rel=1e-12, abs=0.0)
+    assert rotated.certified.sum() == cusp.certified.sum() == 2
+
+
 def test_known_bases_fit_nothing(monkeypatch):
     # a known image base gives both tails from the image integral
     def no_fit(t):
