@@ -32,7 +32,7 @@ from .opmatrix import VALUE_FLOOR, assemble, singular_spectrum
 from .series import SeriesParams, Space, coefficients_of_power
 from .symbols import SymbolMap, parse_symbol
 
-__all__ = ["RunConfig", "run_pipeline", "main"]
+__all__ = ["ConfigError", "RunConfig", "run_pipeline", "main"]
 
 
 class ConfigError(ValueError):

@@ -40,8 +40,10 @@ __all__ = [
     "zinc_upper_bound",
     "window_area",
     "blaschke_certificate",
+    "default_window_grid",
     "Image",
     "image_of",
+    "image_contains",
     "region_gram_singular_values",
     "MethodError",
 ]
@@ -340,27 +342,19 @@ _UNIT_DISK = _UnitDisk()
 @dataclass(frozen=True)
 class Image:
     """phi(D) = factor * base for a known base: the unit disk or the cusp
-    region.  Every exact region measure, power norm and column tail is a
-    question to it."""
+    region, with |factor| stored as the symbols' scales give it: abs() of
+    a rotation can miss 1 by an ulp.  Every exact region measure, power
+    norm and column tail is a question to it, and reads modulus alone."""
 
     base: CuspRegion | _UnitDisk
     factor: complex = 1.0
+    modulus: float = 1.0
 
     def depth(self, t: float) -> float:
         """Depth in the base whose annulus the factor scales onto {|w| >= 1-t}."""
         r = self.modulus
         # a unit factor keeps t bit for bit; 1-(1-t)/1 can move it by an ulp
         return t if r == 1.0 else 1.0 - (1.0 - t) / r
-
-    @property
-    def modulus(self) -> float:
-        """|factor| for the power norms and column tails, with values within a
-        few ulps of 1 taken as 1: abs() of a rotation e^{i theta} can miss 1 by
-        two ulps, which would turn a rotated automorphism, not compact, into a
-        contraction with a finite tail of ~1e8.  Rounding up is the safe side:
-        every norm and tail grows with |f|."""
-        r = abs(self.factor)
-        return 1.0 if r >= 1.0 - 8.0 * np.finfo(float).eps else r
 
     def contains(self, w):
         """Membership test w in factor * base (vectorized)."""
@@ -394,25 +388,25 @@ class Image:
 
 def image_of(s: SymbolMap) -> Image | None:
     """The Image of phi, or None when phi(D) is only known through the
-    boundary curve of phi.  An outer affine map, or the Moebius map with
-    u = 0 (z -> -z), multiplies the inner factor.  An inner disk
-    automorphism m (a Moebius map, or an affine map with r = 1) keeps the
-    outer map's Image: phi(D) = X(m(D)) = X(D), and X^k o m has the Dirichlet
-    integral of X^k."""
+    boundary curve of phi.  An inner disk automorphism m (a Moebius map, or
+    an affine map with r = 1) keeps the outer map's Image: phi(D) = X(m(D))
+    = X(D), and X^k o m has the Dirichlet integral of X^k.  An outer affine
+    map multiplies the inner factor and modulus by its own; the Moebius map
+    with u = 0 (z -> -z) negates the factor."""
+    if isinstance(s, ComposedMap) and (isinstance(s.inner, MoebiusMap)
+                                       or isinstance(s.inner, AffineMap) and s.inner.r == 1.0):
+        return image_of(s.outer)
     if isinstance(s, AffineMap):
-        return Image(_UNIT_DISK, s.factor)
+        return Image(_UNIT_DISK, s.factor, s.r)
     if isinstance(s, MoebiusMap):
         return Image(_UNIT_DISK)
     if isinstance(s, CuspMap):
         return Image(_CUSP_REGION)
     inner = image_of(s.inner) if isinstance(s, ComposedMap) else None
     if inner is not None and isinstance(s.outer, AffineMap):
-        return Image(inner.base, s.outer.factor * inner.factor)
+        return Image(inner.base, s.outer.factor * inner.factor, s.outer.r * inner.modulus)
     if inner is not None and isinstance(s.outer, MoebiusMap) and s.outer.u == 0:
-        return Image(inner.base, -inner.factor)
-    if isinstance(s, ComposedMap) and (isinstance(s.inner, MoebiusMap)
-                                       or isinstance(s.inner, AffineMap) and s.inner.r == 1.0):
-        return image_of(s.outer)
+        return Image(inner.base, -inner.factor, inner.modulus)
     return None
 
 
@@ -629,12 +623,12 @@ _DYADIC_CUT = 50  # M(t) computes the dyadic terms j = 0.._DYADIC_CUT
 def M_functional(s: SymbolMap, t: float) -> float:
     """Dyadic sum M(t) = sum_{j >= 0} area(t 2^-j) 4^j / t^2 of exact annulus
     masses, the terms j <= _DYADIC_CUT from one `Image.annulus_area` call.
-    The rest is bounded, not fitted.  It is 0 when |f| < 1: `Image.modulus`
-    is then below 1 - 8 eps, so no omitted depth t 2^-j <= 2^-51 reaches the
-    image.  Otherwise those depths lie far below the cusp's first breakpoint
-    and the base's `tip_area_constant` C bounds the j-th term by C t 2^-j,
-    the rest by C t 2^-_DYADIC_CUT; C is infinite on the disk (the
-    automorphisms).  An unknown image base raises: it would need sampling."""
+    The rest is bounded, not fitted.  It is 0 when t 2^-(_DYADIC_CUT+1) <=
+    1 - |f|: no omitted annulus {|w| >= 1 - t 2^-j} then reaches the image,
+    which lies in |w| < |f|.  Otherwise those depths lie far below the
+    cusp's first breakpoint and the base's `tip_area_constant` C bounds the
+    j-th term by C t 2^-j, the rest by C t 2^-_DYADIC_CUT; C is infinite on
+    the disk.  An unknown image base raises: it would need sampling."""
     if not 0.0 < t <= 1.0:
         raise ValueError("annulus depth must lie in (0, 1]")
     image = image_of(s)
@@ -643,7 +637,8 @@ def M_functional(s: SymbolMap, t: float) -> float:
             f"M(t) needs a known image base (disk or cusp region); {s.spec_string()} has none"
         )
     j = np.arange(_DYADIC_CUT + 1)
-    rest = 0.0 if image.modulus < 1.0 else image.base.tip_area_constant * t * 2.0**-_DYADIC_CUT
+    reaches = t * 2.0 ** -(_DYADIC_CUT + 1) > 1.0 - image.modulus
+    rest = image.base.tip_area_constant * t * 2.0**-_DYADIC_CUT if reaches else 0.0
     return float(np.dot(image.annulus_area(t * 0.5**j), 4.0**j)) / t**2 + rest
 
 

@@ -36,7 +36,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import geometry, tails
-from .symbols import CoefficientMap, SymbolMap
+from .symbols import AffineMap, CoefficientMap, SymbolMap
 
 __all__ = [
     "Space",
@@ -182,9 +182,10 @@ def power_mass(s: SymbolMap, table: np.ndarray):
     """(mass, beyond) of the powers phi^k whose coefficients 0..M are the rows
     of `table`: mass[k-1, j] = j |c_j|^2 and beyond[k-1] the Dirichlet mass of
     phi^k above degree M.  For a known image base that is the exact norm^2
-    minus the retained mass (roundoff for a disk, whose powers end below M);
-    0 for a polynomial of degree d when k d <= M; otherwise the row's fitted
-    remainder, infinite without summable decay or when too short to fit.
+    minus the retained mass; otherwise the row's fitted remainder, infinite
+    without summable decay or when too short to fit.  Either way it is 0
+    when phi is a polynomial of degree d (an affine map has d = 1) and
+    k d <= M: the difference would be roundoff.
     """
     j = np.arange(table.shape[1], dtype=float)
     mass = np.abs(table)  # j |c_j|^2 in place: no table-sized temporaries
@@ -192,11 +193,12 @@ def power_mass(s: SymbolMap, table: np.ndarray):
     mass *= j
     image = geometry.image_of(s)
     if image is not None:
-        return mass, np.maximum(image.power_norms(len(table)) ** 2 - mass.sum(axis=1), 0.0)
-    fit = table.shape[1] >= tails.MIN_TERMS
-    beyond = np.array([tails.tail_remainder(row).remainder if fit else math.inf for row in mass])
-    if isinstance(s, CoefficientMap):
-        d = max((i for i, c in enumerate(s.coeffs) if c != 0.0), default=0)
+        beyond = np.maximum(image.power_norms(len(table)) ** 2 - mass.sum(axis=1), 0.0)
+    else:
+        fit = table.shape[1] >= tails.MIN_TERMS
+        beyond = np.array([tails.tail_remainder(row).remainder if fit else math.inf for row in mass])
+    if isinstance(s, (AffineMap, CoefficientMap)):
+        d = 1 if isinstance(s, AffineMap) else max((i for i, c in enumerate(s.coeffs) if c != 0.0), default=0)
         beyond[np.arange(1, len(table) + 1) * d < table.shape[1]] = 0.0
     return mass, beyond
 

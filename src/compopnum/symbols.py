@@ -18,6 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 __all__ = [
+    "DomainError",
     "SymbolMap",
     "AffineMap",
     "MoebiusMap",

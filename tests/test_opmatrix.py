@@ -28,12 +28,9 @@ def test_affine_hs_tail_closed_form():
     m = assemble(AffineMap(0.5), 8)
     exact = 0.25**4.5 / math.sqrt(0.75)
     assert m.hs_tail == pytest.approx(exact, rel=1e-14)
-    # phi^k = (z/2)^k has no mass beyond its retained degree: the deficit
-    # exact^2 - sum j |c_j|^2 of each row is the roundoff of the two sums,
-    # a few ulps of the row's mass ||phi^k||^2 = k 4^-k, weighted by 1/k
-    ks = np.arange(1, 9)
-    roundoff = math.sqrt(4.0 * np.finfo(float).eps * float(np.sum(0.25**ks)))
-    assert 0.0 <= m.row_tail <= roundoff
+    # phi^k = (z/2)^k has no mass beyond its retained degree, so the row
+    # tail is 0, not the roundoff of exact^2 - sum j |c_j|^2
+    assert m.row_tail == 0.0
 
 
 def test_rotated_affine_diagonal_modulus():
@@ -111,15 +108,28 @@ def test_cusp_column_tail_below_fitted_tail(N, closed):
 @pytest.mark.parametrize("theta", [0.3, 1.0, 2.5, 4.0, -1.2])
 @pytest.mark.parametrize("inner", ["", ",cusp"])
 def test_column_tail_rotation_invariant_and_decreasing(theta, inner):
-    # |r e^{i theta}| carries the last bit of the rotation: r^n moves by ~n ulps
     def spec(t):
         affine = f"affine:r=0.9,theta={t!r}"
         return f"compose({affine}{inner})" if inner else affine
 
     taus = [hs_tail_bound(parse_symbol(spec(theta)), n) for n in range(1, 41)]
     plain = [hs_tail_bound(parse_symbol(spec(0.0)), n) for n in range(1, 41)]
-    assert taus == pytest.approx(plain, rel=1e-13, abs=0.0)
+    assert taus == plain
     assert np.all(np.diff(taus) < 0.0)
+
+
+def test_the_contraction_certificate_does_not_depend_on_theta():
+    # phi^k = r^k e^{ik theta} z^k holds all its mass below the retained
+    # degree, so no roundoff of a row's norm sets the certificate
+    counts = set()
+    for theta in (0.0, 0.7, 1.234567, 1.495176, 2.3, 4.1):
+        m = assemble(AffineMap(0.7, theta), 512)
+        assert m.row_tail == 0.0
+        spec = singular_spectrum(m)
+        counts.add(int(spec.certified.sum()))
+        n = np.arange(1, spec.certified.sum() + 1)
+        assert spec.values[: n.size] == pytest.approx(0.7**n, rel=1e-14, abs=0.0)
+    assert len(counts) == 1
 
 
 def test_an_inner_rotation_keeps_the_cusp_spectrum():
