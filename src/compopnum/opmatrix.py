@@ -13,7 +13,7 @@ cusp region, see `geometry.image_of`), the column tail is a closed form of
 the image integral and no power beyond N is extracted.  The row tail takes
 each power's mass beyond the retained degree from `series.power_mass`,
 exact for a known base; other symbols' column tails sum the power norms plus
-their bounds (`dirichlet_power_norms`) to 4N and fit the remainder.
+their bounds (`dirichlet_power_norms`) to 4 max(N, 16) and fit the remainder.
 
 Two certificates are attached to every spectrum:
 
@@ -121,20 +121,20 @@ class SingularSpectrum:
         return np.nonzero(mask)[0] + 1
 
 
-def _column_tail(s: SymbolMap, n: int, k_max: int, M: int):
+def _column_tail(s: SymbolMap, n: int):
     """(sqrt(sum_{k >= n} ||phi^k||_D^2 / k), how its remainder was found).
 
     A known image base gives the whole sum in closed form (model
-    "closed-form:<base>").  Otherwise each norm is taken at the top of its
-    error bound (`dirichlet_power_norms`: the mass beyond the retained
-    degree included), the sum runs over k <= k_max and the remainder beyond
-    is fitted; it is infinite when the fit shows no summable decay.
+    "closed-form:<base>").  Otherwise the norms at the top of their error
+    bounds (`dirichlet_power_norms`, the mass beyond degree 2 k_max
+    included) are summed to k_max = 4 max(n - 1, 16), whatever a matrix
+    retains, and the remainder is fitted: infinite without summable decay.
     """
     image = geometry.image_of(s)
     if image is not None:
         return image.column_tail(n), tails.TailFit(f"closed-form:{image.base.name}", 0.0, 0.0)
-    # the k-th power needs retained degrees well past k
-    norms, bounds = dirichlet_power_norms(s, k_max, M=max(M, 2 * k_max))
+    k_max = 4 * max(n - 1, 16)
+    norms, bounds = dirichlet_power_norms(s, k_max, M=2 * k_max)
     t = (norms + bounds) ** 2 / np.arange(1, k_max + 1)
     fit = tails.tail_remainder(t)
     return math.sqrt(float(t[n - 1 :].sum()) + fit.remainder), fit
@@ -142,7 +142,7 @@ def _column_tail(s: SymbolMap, n: int, k_max: int, M: int):
 
 def hs_tail_bound(s: SymbolMap, n: int) -> float:
     """sqrt(sum_{k >= n} ||phi^k||_D^2 / k), in closed form for a known image
-    base and otherwise summed to 4 max(n, 16) with a fitted remainder.
+    base and otherwise by `_column_tail`'s plan, which `assemble` shares.
 
     Bounds the n-th approximation number from above (rank n-1 truncation of
     the coefficient expansion).  Returns math.inf for non-compact symbols:
@@ -150,8 +150,7 @@ def hs_tail_bound(s: SymbolMap, n: int) -> float:
     """
     if n < 1:
         raise ValueError("index must be >= 1")
-    k_max = 4 * max(n, 16)
-    return _column_tail(s, n, k_max, 2 * k_max)[0]
+    return _column_tail(s, n)[0]
 
 
 def assemble(
@@ -191,7 +190,7 @@ def assemble(
         A = core
 
     # column tail: discarded basis vectors k > N
-    hs_tail, column_fit = _column_tail(s, N + 1, max(4 * N, tails.MIN_TERMS), params.M)
+    hs_tail, column_fit = _column_tail(s, N + 1)
     if space is Space.DIRICHLET:
         # each discarded column k also has |phi(0)|^(2k)/k in the constant
         # row: sum_{k > N} x^k / k <= x^(N+1) / ((N+1)(1-x)), x = |phi(0)|^2

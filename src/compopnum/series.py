@@ -36,7 +36,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import geometry, tails
-from .symbols import AffineMap, CoefficientMap, SymbolMap
+from .symbols import SymbolMap
 
 __all__ = [
     "Space",
@@ -184,8 +184,8 @@ def power_mass(s: SymbolMap, table: np.ndarray):
     phi^k above degree M.  For a known image base that is the exact norm^2
     minus the retained mass; otherwise the row's fitted remainder, infinite
     without summable decay or when too short to fit.  Either way it is 0
-    when phi is a polynomial of degree d (an affine map has d = 1) and
-    k d <= M: the difference would be roundoff.
+    when phi is a polynomial of degree d (`SymbolMap.degree`, read off the
+    parameters) and k d <= M: the difference would be roundoff.
     """
     j = np.arange(table.shape[1], dtype=float)
     mass = np.abs(table)  # j |c_j|^2 in place: no table-sized temporaries
@@ -195,11 +195,9 @@ def power_mass(s: SymbolMap, table: np.ndarray):
     if image is not None:
         beyond = np.maximum(image.power_norms(len(table)) ** 2 - mass.sum(axis=1), 0.0)
     else:
-        fit = table.shape[1] >= tails.MIN_TERMS
-        beyond = np.array([tails.tail_remainder(row).remainder if fit else math.inf for row in mass])
-    if isinstance(s, (AffineMap, CoefficientMap)):
-        d = 1 if isinstance(s, AffineMap) else max((i for i, c in enumerate(s.coeffs) if c != 0.0), default=0)
-        beyond[np.arange(1, len(table) + 1) * d < table.shape[1]] = 0.0
+        beyond = np.array([tails.tail_remainder(row).remainder for row in mass])
+    if s.degree is not None:
+        beyond[np.arange(1, len(table) + 1) * s.degree < table.shape[1]] = 0.0
     return mass, beyond
 
 

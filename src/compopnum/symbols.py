@@ -3,10 +3,10 @@
 Every map comes with closed-form evaluation and derivative, plus the
 facts the rest of the library needs, read off its parameters: univalence,
 an exact sup-norm when one is known, the value phi(0) (and so whether the
-origin is fixed) and whether the Taylor coefficients are real.  The star
-of the catalog is the cusp map, built from a Moebius transform onto the
-right half-disk followed by log/inversion stages; its image is the region
-bounded by three circular arcs meeting at 1.
+origin is fixed), whether the Taylor coefficients are real and the degree
+of a polynomial symbol.  The star of the catalog is the cusp map, built
+from a Moebius transform onto the right half-disk followed by log/inversion
+stages; its image is the region bounded by three circular arcs meeting at 1.
 """
 
 from __future__ import annotations
@@ -70,6 +70,7 @@ class SymbolMap:
     is_univalent = False
     sup_norm_hint = None  # an exact sup |phi| when one is known
     real_coefficients = False  # phi(conj z) = conj(phi(z))
+    degree = None  # the degree when phi is known to be a polynomial
 
     @property
     def origin(self) -> complex:
@@ -106,6 +107,7 @@ class AffineMap(SymbolMap):
 
     is_univalent = True
     origin = 0j
+    degree = 1
 
     def __post_init__(self):
         if not 0.0 < self.r <= 1.0:
@@ -153,6 +155,10 @@ class MoebiusMap(SymbolMap):
     @property
     def real_coefficients(self) -> bool:
         return complex(self.u).imag == 0.0
+
+    @property
+    def degree(self) -> int | None:
+        return 1 if self.u == 0 else None  # u = 0 is z -> -z
 
     def _map(self, z):
         return (self.u - z) / (1.0 - np.conj(self.u) * z)
@@ -261,6 +267,11 @@ class ComposedMap(SymbolMap):
     def real_coefficients(self) -> bool:
         return self.outer.real_coefficients and self.inner.real_coefficients
 
+    @property
+    def degree(self) -> int | None:
+        outer, inner = self.outer.degree, self.inner.degree
+        return None if outer is None or inner is None else outer * inner
+
     def _inner_values(self, z):
         # the outer closed form is only valid on the closed disk
         w = self.inner._map(z)
@@ -308,6 +319,10 @@ class CoefficientMap(SymbolMap):
     @property
     def real_coefficients(self) -> bool:
         return all(c.imag == 0.0 for c in self.coeffs)
+
+    @property
+    def degree(self) -> int:
+        return max((i for i, c in enumerate(self.coeffs) if c != 0), default=0)
 
     def _map(self, z):
         return np.polynomial.polynomial.polyval(z, np.asarray(self.coeffs))

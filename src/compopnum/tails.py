@@ -15,9 +15,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["MIN_TERMS", "TailFit", "tail_remainder"]
+__all__ = ["TailFit", "tail_remainder"]
 
-MIN_TERMS = 8  # shortest sequence whose last octave can be fitted
+_MIN_TERMS = 8  # shortest sequence whose last octave can be fitted
 
 
 @dataclass(frozen=True)
@@ -31,14 +31,13 @@ def tail_remainder(t: np.ndarray) -> TailFit:
     """Estimate sum_{j > J} t_j from t = (t_1 ... t_J), t_j >= 0.
 
     Fits the last octave.  Returns TailFit with remainder = math.inf and
-    model = "divergent" when the sequence does not decay summably or has an
-    infinite term: mass that cannot be bounded counts as infinite.
+    model = "divergent" when the sequence does not decay summably, has an
+    infinite term or is too short to fit (under `_MIN_TERMS` terms): mass
+    that cannot be bounded counts as infinite.
     """
     t = np.asarray(t, dtype=float)
     J = len(t)
-    if J < MIN_TERMS:
-        raise ValueError(f"need at least {MIN_TERMS} terms for a tail fit")
-    if np.isinf(t).any():
+    if J < _MIN_TERMS or np.isinf(t).any():
         return TailFit("divergent", math.inf, 0.0)
     octave = t[J // 2 :]
     js = np.arange(J // 2 + 1, J + 1, dtype=float)

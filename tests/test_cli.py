@@ -54,6 +54,19 @@ def test_an_small_truncation_without_known_base(tmp_path, N):
     assert all(row["certified"] == "false" for row in rows)
 
 
+def test_an_column_tail_does_not_depend_on_M(tmp_path):
+    # --M sizes the matrix only: the column tail of a symbol without a known
+    # image base (a disk hidden behind the involution pair) keeps its plan
+    hidden = "compose(moebius:u=0.5+0i,compose(moebius:u=0.5+0i,affine:r=0.9,theta=1))"
+    tails = []
+    for extra in ([], ["--M", "1024"]):
+        rep = tmp_path / "rep.json"
+        assert run(["an", "--symbol", hidden, "--N", "64", *extra,
+                    "--out", str(tmp_path / "spec.csv"), "--report", str(rep)]) == 0
+        tails.append(json.loads(rep.read_text())["hs_tail"])
+    assert tails[0] == tails[1]
+
+
 def _an_report(tmp_path, tag):
     rep = tmp_path / f"{tag}.json"
     assert run(["an", "--symbol", "affine:r=0.5", "--N", "16",

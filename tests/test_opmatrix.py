@@ -120,16 +120,36 @@ def test_column_tail_rotation_invariant_and_decreasing(theta, inner):
 
 def test_the_contraction_certificate_does_not_depend_on_theta():
     # phi^k = r^k e^{ik theta} z^k holds all its mass below the retained
-    # degree, so no roundoff of a row's norm sets the certificate
+    # degree, so no roundoff of a row's norm sets the certificate; nor does
+    # the spelling, as every one states degree 1
     counts = set()
-    for theta in (0.0, 0.7, 1.234567, 1.495176, 2.3, 4.1):
-        m = assemble(AffineMap(0.7, theta), 512)
-        assert m.row_tail == 0.0
+    spellings = [AffineMap(0.7, theta) for theta in (0.0, 0.7, 1.234567, 1.495176, 2.3, 4.1, math.pi)]
+    spellings += [parse_symbol(spec) for spec in (
+        "compose(moebius:u=0+0i,affine:r=0.7)", "compose(affine:r=0.7,moebius:u=0+0i)",
+        "compose(affine:r=0.7,affine:r=1,theta=1)")]
+    for s in spellings:
+        m = assemble(s, 512)
+        assert m.row_tail == 0.0, s.spec_string()
         spec = singular_spectrum(m)
         counts.add(int(spec.certified.sum()))
         n = np.arange(1, spec.certified.sum() + 1)
         assert spec.values[: n.size] == pytest.approx(0.7**n, rel=1e-14, abs=0.0)
-    assert len(counts) == 1
+    assert counts == {54}
+
+
+@pytest.mark.parametrize(
+    "s",
+    [builtin_contractions()[3], CuspMap(), AffineMap(0.7)] + [parse_symbol(spec) for spec in (
+        "coeffs:[0,0.5,0.25]",
+        "compose(moebius:u=0.5+0i,compose(moebius:u=0.5+0i,affine:r=0.9,theta=1))",
+        # the cusp behind the involution pair: infinite on both sides
+        "compose(moebius:u=0.5+0i,compose(moebius:u=0.5+0i,cusp))")],
+    ids=lambda s: s.spec_string(),
+)
+def test_assemble_and_hs_tail_bound_share_one_column_tail(s):
+    # tau_{N+1} has one plan, `_column_tail`'s, whatever N is
+    for N in (4, 8, 16, 64):
+        assert assemble(s, N).hs_tail == hs_tail_bound(s, N + 1), N
 
 
 def test_an_inner_rotation_keeps_the_cusp_spectrum():

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from compopnum.series import coefficients_of_power
 from compopnum.symbols import (
     CUSP_DIAMETER,
     AffineMap,
@@ -92,6 +93,32 @@ def test_real_coefficients_never_lies(s):
     gap = np.abs(s.evaluate(np.conj(z)) - np.conj(s.evaluate(z))).max()
     assert gap <= 1e-14 or gap >= 1e-3
     assert s.real_coefficients == (gap <= 1e-14)
+
+
+@pytest.mark.parametrize(
+    "s",
+    [s for s in BOUNDARY_SYMBOLS if s.degree is not None] + [
+        parse_symbol(spec)
+        for spec in ("moebius:u=0+0i", "coeffs:[0,0.5+0.1i,0.25]", "coeffs:[0.1,0.5,0,0]",
+                     "compose(moebius:u=0+0i,affine:r=0.7)", "compose(affine:r=0.7,affine:r=1,theta=1)",
+                     "compose(affine:r=0.9,coeffs:[0,0.5,0.25])",
+                     "compose(coeffs:[0,0.5,0.25],coeffs:[0,0.5,0.25])")
+    ],
+    ids=lambda s: s.spec_string(),
+)
+def test_degree_never_lies(s):
+    # a polynomial of degree d has c_d != 0 and exact zeros beyond it, which
+    # the extraction's roundoff flush keeps
+    d = s.degree
+    c = coefficients_of_power(s, 1, 4 * d + 8).coeffs
+    assert c[d] != 0.0
+    assert not np.any(c[d + 1 :])
+
+
+def test_degree_is_claimed_only_for_polynomials():
+    for spec in ("cusp", "moebius:u=0.3+0i", "compose(cusp,affine:r=0.5)"):
+        assert parse_symbol(spec).degree is None, spec
+    assert parse_symbol("compose(coeffs:[0,0.5,0.25],coeffs:[0,0.5,0.25])").degree == 4
 
 
 @pytest.mark.parametrize("s", BOUNDARY_SYMBOLS, ids=lambda s: s.spec_string())

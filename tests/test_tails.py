@@ -43,5 +43,7 @@ def test_infinite_term_is_divergent_without_a_fit():
 
 
 def test_too_short():
-    with pytest.raises(ValueError):
-        tail_remainder(np.ones(4))
+    # a row too short to fit is mass that cannot be bounded: infinite
+    fit = tail_remainder(np.ones(4))
+    assert fit.model == "divergent"
+    assert math.isinf(fit.remainder)
