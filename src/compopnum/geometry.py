@@ -656,8 +656,9 @@ def zinc_upper_bound(s: SymbolMap, n):
     """
     grid = list(np.exp(np.linspace(math.log(1e-4), math.log(0.999), 40)))
     grid += [2.0**-l for l in range(1, 12)]
-    if s.sup_norm_hint is not None and s.sup_norm_hint < 1.0:
-        grid.append(1.0 - s.sup_norm_hint)  # largest t with empty annulus
+    image = image_of(s)
+    if image is not None and image.modulus < 1.0:
+        grid.append(1.0 - image.modulus)  # largest t with empty annulus
     ts = np.array(sorted(grid))
     # an infinite M(t) never wins the minimum
     root_M = np.sqrt([M_functional(s, float(t)) for t in ts])

@@ -11,6 +11,7 @@ stages; its image is the region bounded by three circular arcs meeting at 1.
 
 from __future__ import annotations
 
+import cmath
 import math
 import re
 from dataclasses import dataclass
@@ -112,6 +113,8 @@ class AffineMap(SymbolMap):
     def __post_init__(self):
         if not 0.0 < self.r <= 1.0:
             raise ValueError("affine scale must lie in (0, 1]")
+        if not math.isfinite(self.theta):
+            raise ValueError("affine angle must be finite")
 
     @property
     def sup_norm_hint(self) -> float:
@@ -145,7 +148,7 @@ class MoebiusMap(SymbolMap):
     sup_norm_hint = 1.0
 
     def __post_init__(self):
-        if abs(self.u) >= 1.0:
+        if not abs(self.u) < 1.0:  # NaN fails this too
             raise ValueError("Moebius parameter must lie in the open disk")
 
     @property
@@ -248,14 +251,21 @@ class ComposedMap(SymbolMap):
 
     @property
     def sup_norm_hint(self) -> float | None:
+        # an inner disk automorphism m keeps the outer sup: X(m(D)) = X(D)
+        if _is_automorphism(self.inner):
+            return self.outer.sup_norm_hint
         inner = self.inner.sup_norm_hint
-        if isinstance(self.outer, AffineMap) and inner is not None:
+        if inner is None:
+            return None
+        if isinstance(self.outer, AffineMap):
             return self.outer.r * inner
-        if isinstance(self.outer, MoebiusMap) and inner is not None:
-            # the largest modulus of the automorphism on |w| <= inner,
-            # taken at w = -inner u/|u|
+        if isinstance(self.outer, MoebiusMap):
+            # the automorphism's largest modulus on |w| <= inner, taken at
+            # w = -inner u/|u|: exact when the inner image is that disk, at
+            # u = 0 (w -> -w) and at inner = 1 (|m(w)| -> 1 as |w| -> 1)
             u = abs(self.outer.u)
-            return (inner + u) / (1.0 + inner * u)
+            if u == 0 or inner == 1.0 or _is_centred_disk_map(self.inner):
+                return (inner + u) / (1.0 + inner * u)
         return None
 
     @property
@@ -289,28 +299,41 @@ class ComposedMap(SymbolMap):
         return f"compose({self.outer.spec_string()},{self.inner.spec_string()})"
 
 
+def _is_automorphism(s: SymbolMap) -> bool:
+    """s maps the disk onto itself: a Moebius map or a rotation c z, |c| = 1."""
+    return isinstance(s, MoebiusMap) or s.degree == 1 and s.origin == 0 and s.sup_norm_hint == 1.0
+
+
+def _is_centred_disk_map(s: SymbolMap) -> bool:
+    """s(D) is the centred disk {|w| < sup|s|}: s is c z after inner automorphisms."""
+    while isinstance(s, ComposedMap) and _is_automorphism(s.inner):
+        s = s.outer
+    return s.degree == 1 and s.origin == 0
+
+
 @dataclass(frozen=True)
 class CoefficientMap(SymbolMap):
-    """Polynomial symbol given by its Taylor coefficients c_0..c_M.
-
-    The caller is responsible for the map being a self-map of the disk;
-    `sup_norm` may be passed when known.  Univalence defaults to False.
-    """
+    """Polynomial symbol c_0 + c_1 z + ... + c_M z^M, a self-map of the disk
+    on the caller's word.  Univalence is Alexander's sufficient criterion
+    sum_{j>=2} j|c_j| <= |c_1| != 0 (Ann. of Math. 17, 1915); sup |phi| is
+    sum c_j, reached at z = 1, when no c_j is negative or complex."""
 
     coeffs: tuple
-    univalent: bool = False
-    sup_norm: float | None = None
 
     def __post_init__(self):
         object.__setattr__(self, "coeffs", tuple(complex(c) for c in self.coeffs))
+        if not all(cmath.isfinite(c) for c in self.coeffs):
+            raise ValueError("polynomial coefficients must be finite")
 
     @property
     def is_univalent(self) -> bool:
-        return self.univalent
+        c = self.coeffs + (0j, 0j)
+        return c[1] != 0 and sum(j * abs(cj) for j, cj in enumerate(c[2:], 2)) <= abs(c[1])
 
     @property
     def sup_norm_hint(self) -> float | None:
-        return self.sup_norm
+        known = all(c.imag == 0.0 and c.real >= 0.0 for c in self.coeffs)
+        return sum(c.real for c in self.coeffs) if known else None
 
     @property
     def origin(self) -> complex:
@@ -448,14 +471,9 @@ def parse_symbol(spec: str) -> SymbolMap:
 
 
 def builtin_contractions() -> list[SymbolMap]:
-    """Built-in symbols with sup norm < 1, used by the sandwich checks."""
-    # 0.7 * moebius(0.3) post-composed with the automorphism moving its value
-    # at 0 back to 0
-    g = ComposedMap(AffineMap(0.7), MoebiusMap(0.3))
-    return [
-        AffineMap(0.3),
-        AffineMap(0.5),
-        AffineMap(0.7, theta=math.pi / 3),
-        ComposedMap(MoebiusMap(g.origin), g),
-        CoefficientMap((0.0, 0.5, 0.25), univalent=True, sup_norm=0.75),
-    ]
+    """Built-in symbols with sup norm < 1, used by the sandwich checks; the
+    fourth is 0.7 * moebius(0.3) with its value 0.21 at 0 moved back to 0."""
+    return [parse_symbol(spec) for spec in (
+        "affine:r=0.3", "affine:r=0.5", f"affine:r=0.7,theta={math.pi / 3!r}",
+        "compose(moebius:u=0.21+0i,compose(affine:r=0.7,moebius:u=0.3+0i))",
+        "coeffs:[0,0.5,0.25]")]

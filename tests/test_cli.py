@@ -406,7 +406,7 @@ def test_exact_request_without_exact_route_exits_1(tmp_path):
 def test_area_on_a_non_univalent_symbol_exits_1(tmp_path, capsys):
     # geometry reports that no route exists before it asks for a seed
     rep = tmp_path / "never.json"
-    assert run(["area", "--symbol", "coeffs:[0,0.5,0.25]", "--t", "0.1",
+    assert run(["area", "--symbol", "coeffs:[0,0,1]", "--t", "0.1",
                 "--report", str(rep)]) == 1
     assert "univalent" in capsys.readouterr().err
     assert not rep.exists()
@@ -532,6 +532,15 @@ def _exits_2_without_artifacts(tmp_path, args, config=None):
     (None, ["an", "--symbol", "affine:r=0.5", "--N", "8", "--Q", "-8"]),
     # no flag sets h and no command reads it
     ({"h": 0.1}, ["an", "--symbol", "affine:r=0.5", "--N", "8"]),
+    # non-finite symbol parameters (nan once ran to "SVD did not converge")
+    (None, ["an", "--symbol", "affine:r=0.5,theta=nan", "--N", "8"]),
+    (None, ["an", "--symbol", "affine:r=0.5,theta=inf", "--N", "8"]),
+    (None, ["an", "--symbol", "moebius:u=nan+0i", "--N", "8"]),
+    (None, ["an", "--symbol", "coeffs:[0,nan]", "--N", "8"]),
+    # no known sup: (s + |u|)/(1 + s|u|) = 0.945 would overstate its 60/73
+    # and put the default r = 0.9 below it
+    (None, ["verify", "--theorem", "2.2", "--N", "64", "--symbol",
+            "compose(moebius:u=0.3+0i,compose(affine:r=0.9,cusp))"]),
 ])
 def test_config_that_would_not_be_what_ran_exits_2(tmp_path, config, args):
     rep, out = tmp_path / "never.json", tmp_path / "never.csv"
@@ -555,6 +564,22 @@ def test_slow_decay_r_not_below_sup_norm_exits_2_before_work(tmp_path, monkeypat
     monkeypatch.setattr(cli, "assemble", no_assembly)
     _exits_2_without_artifacts(tmp_path, ["verify", "--theorem", "2.2", "--N", "32", *args,
                                           "--report", str(tmp_path / "never.json")])
+
+
+def test_the_builtin_polynomial_runs_the_slow_decay_probe(tmp_path):
+    # univalence and sup|phi| = 0.75 are read off the coefficients
+    rep = tmp_path / "v22.json"
+    assert run(["verify", "--theorem", "2.2", "--symbol", "coeffs:[0,0.5,0.25]", "--r", "0.5",
+                "--N", "256", "--report", str(rep)]) == 0
+    assert json.loads(rep.read_text())["passed"]
+
+
+def test_the_builtin_polynomial_has_a_monte_carlo_area(tmp_path):
+    rep = tmp_path / "area.json"
+    assert run(["area", "--symbol", "coeffs:[0,0.5,0.25]", "--t", "0.5", "--method",
+                "monte-carlo", "--samples", "20000", "--seed", "1", "--report", str(rep)]) == 0
+    payload = json.loads(rep.read_text())
+    assert payload["value"] > 0.0 and payload["std_error"] > 0.0
 
 
 def test_an_on_an_aliasing_suspect_plan_exits_1(tmp_path):

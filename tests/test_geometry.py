@@ -470,6 +470,17 @@ def test_zinc_eventually_nonincreasing_for_cusp():
     assert all(a >= b - 1e-12 for a, b in zip(vals, vals[1:]))
 
 
+def test_zinc_reads_the_image_not_the_spelling(monkeypatch):
+    # one Image, two spellings: an inner automorphism keeps the scaled cusp
+    a = parse_symbol("compose(affine:r=0.9,cusp)")
+    b = parse_symbol("compose(affine:r=0.9,compose(cusp,moebius:u=0.3+0i))")
+    bounds = [zinc_upper_bound(a, n) for n in (100, 300)]
+    assert [zinc_upper_bound(b, n) for n in (100, 300)] == bounds
+    # the empty-annulus depth 1 - 0.9 comes from the Image, not the sup norm
+    monkeypatch.setattr(ComposedMap, "sup_norm_hint", None)
+    assert [zinc_upper_bound(a, n) for n in (100, 300)] == bounds
+
+
 def test_zinc_array_call_matches_scalar_calls():
     ns = np.arange(20, 201).reshape(-1, 1)
     # the scaled cusp's argmins have M(t) = 0, so n (1-t)^n is all there is

@@ -57,7 +57,7 @@ def test_moebius_coefficients_geometric_series():
     [
         AffineMap(0.5),
         ComposedMap(AffineMap(0.7), MoebiusMap(0.3)),
-        CoefficientMap((0.0, 0.5, 0.25), univalent=True, sup_norm=0.75),
+        CoefficientMap((0.0, 0.5, 0.25)),
     ],
     ids=lambda s: s.spec_string(),
 )

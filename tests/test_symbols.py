@@ -31,7 +31,7 @@ ALL_SYMBOLS = [
     MoebiusMap(0.2 - 0.4j),
     CuspMap(),
     ComposedMap(AffineMap(0.9), CuspMap()),
-    CoefficientMap((0.0, 0.5, 0.25), univalent=True, sup_norm=0.75),
+    CoefficientMap((0.0, 0.5, 0.25)),
     parse_symbol("compose(moebius:u=0.3+0.2i,affine:r=0.5)"),
 ]
 
@@ -278,9 +278,50 @@ def test_parse_identity():
 
 
 def test_parse_rejects_garbage():
-    for bad in ("nope", "affine:q=1", "moebius:u=2.0+0i", "compose(cusp)", "coeffs:[]"):
+    for bad in ("nope", "affine:q=1", "moebius:u=2.0+0i", "compose(cusp)", "coeffs:[]",
+                # non-finite parameters
+                "affine:r=0.5,theta=nan", "affine:r=0.5,theta=inf", "moebius:u=nan+0i",
+                "moebius:u=0.1+nani", "coeffs:[0,nan]", "coeffs:[0,0.5+infi]"):
         with pytest.raises(ValueError):
             parse_symbol(bad)
+
+
+@pytest.mark.parametrize(("spec", "univalent", "sup"), [
+    ("coeffs:[0,0.5,0.25]", True, 0.75),  # Alexander: 2 * 0.25 <= 0.5
+    ("coeffs:[0,0,1]", False, 1.0),  # z^2 is 2-to-1
+    ("coeffs:[0.1,0.5]", True, 0.6),
+    ("coeffs:[0,0.5+0.1i,0.25]", True, None),  # a complex coefficient: sup unknown
+    ("coeffs:[0.5]", False, 0.5),  # constant
+    ("coeffs:[0.2,-0.3]", True, None),  # a negative coefficient: sup unknown
+])
+def test_polynomial_facts_are_read_off_the_coefficients(spec, univalent, sup):
+    s = parse_symbol(spec)
+    assert s.is_univalent is univalent
+    assert s.sup_norm_hint == sup
+
+
+@pytest.mark.parametrize(("spec", "sup"), [
+    ("compose(moebius:u=0.3+0.2i,affine:r=0.5)", 0.7291125019739527),
+    ("compose(moebius:u=0.21+0i,compose(affine:r=0.7,moebius:u=0.3+0i))", 0.7933740191804707),
+    ("compose(cusp,moebius:u=0.3+0i)", 1.0),
+    # an inner automorphism keeps the outer sup
+    ("compose(affine:r=0.9,compose(cusp,moebius:u=0.3+0i))", 0.9),
+    ("compose(moebius:u=0+0i,compose(affine:r=0.9,cusp))", 0.9),
+    ("compose(moebius:u=0.3+0i,compose(affine:r=0.5,affine:r=1,theta=1))",
+     (0.5 + 0.3) / (1.0 + 0.5 * 0.3)),
+    # the Moebius bound (s + |u|)/(1 + s|u|) is taken only where the image
+    # reaches -s u/|u|; the scaled cusp reaches only its tip, 60/73
+    ("compose(moebius:u=0.3+0i,compose(affine:r=0.9,cusp))", None),
+])
+def test_a_composition_sup_is_exact_or_unknown(spec, sup):
+    s = parse_symbol(spec)
+    assert s.sup_norm_hint == sup
+    if sup is not None:
+        top = np.abs(evaluate_boundary(s, np.exp(2j * np.pi * np.arange(2**14) / 2**14))).max()
+        assert top <= sup + 1e-12
+        # the cusp nears its tip only logarithmically: a grid finds its sup
+        # only where it hits the corner
+        assert "cusp" in spec or top >= sup - 1e-6
 
 
 def test_builtin_contractions_are_contractions():
@@ -291,3 +332,5 @@ def test_builtin_contractions_are_contractions():
         assert s.sup_norm_hint is not None and s.sup_norm_hint < 1.0
         assert np.abs(s.evaluate(z)).max() <= s.sup_norm_hint + 1e-10
         assert s.fixes_origin
+        # every built-in is named by its spec string
+        assert parse_symbol(s.spec_string()) == s
