@@ -109,6 +109,15 @@ def _sized_rule(kinks, sizes):
 # the cusp image domain
 
 
+def _cusp_inside(x, y):
+    """The cusp region's inequalities at the tip-measured point 1 + x + iy,
+    y >= 0 (see `CuspRegion.contains`)."""
+    q = x * x + y * y
+    inside = q + CUSP_DIAMETER * x < 0.0
+    inside &= q > CUSP_DIAMETER * y
+    return inside
+
+
 @dataclass(frozen=True)
 class CuspRegion:
     """Image of the cusp map: inside D(1-a/2, a/2), outside D(1 +/- ia/2, a/2).
@@ -144,11 +153,12 @@ class CuspRegion:
         to the rounding of |w - c|, while q and a y keep it to a few ulps.
         """
         w = np.asarray(w, dtype=complex)
-        x, y = w.real - 1.0, np.abs(w.imag)
-        q = x * x + y * y
-        inside = q + CUSP_DIAMETER * x < 0.0
-        inside &= q > CUSP_DIAMETER * y
-        return inside
+        return _cusp_inside(w.real - 1.0, np.abs(w.imag))
+
+    def contains_polar(self, rho, phi):
+        """`contains` at rho e^{i phi}, rho >= 0, without forming the point:
+        bit for bit contains(_polar(rho, phi)), as |rho sin phi| = rho |sin phi|."""
+        return _cusp_inside(rho * np.cos(phi) - 1.0, rho * np.abs(np.sin(phi)))
 
     def kinks(self, xi):
         """Radii, in increasing order, where the slice {|w - xi| = sigma} changes
@@ -319,6 +329,10 @@ class _UnitDisk:
     def contains(self, w):
         return np.abs(w) < 1.0
 
+    def contains_polar(self, rho, phi):
+        """`contains` at rho e^{i phi}: the radius alone decides."""
+        return rho < 1.0
+
     def annulus_area(self, t):
         return np.maximum(0.0, 1.0 - (1.0 - t) ** 2)
 
@@ -388,13 +402,12 @@ class Image:
 
 def image_of(s: SymbolMap) -> Image | None:
     """The Image of phi, or None when phi(D) is only known through the
-    boundary curve of phi.  An inner disk automorphism m (a Moebius map, or
-    an affine map with r = 1) keeps the outer map's Image: phi(D) = X(m(D))
+    boundary curve of phi.  An inner disk automorphism m (`is_automorphism`:
+    a Moebius map or a rotation) keeps the outer map's Image: phi(D) = X(m(D))
     = X(D), and X^k o m has the Dirichlet integral of X^k.  An outer affine
     map multiplies the inner factor and modulus by its own; the Moebius map
     with u = 0 (z -> -z) negates the factor."""
-    if isinstance(s, ComposedMap) and (isinstance(s.inner, MoebiusMap)
-                                       or isinstance(s.inner, AffineMap) and s.inner.r == 1.0):
+    if isinstance(s, ComposedMap) and s.inner.is_automorphism:
         return image_of(s.outer)
     if isinstance(s, AffineMap):
         return Image(_UNIT_DISK, s.factor, s.r)
@@ -570,26 +583,36 @@ def _mc_annulus_area(s: SymbolMap, image: Image | None, t: float, samples: int, 
     """Membership sampling of the image's polar box (`Image.box`), or of the
     whole annulus when the base is unknown (image None).  On the cusp the
     box is twice the image's angular extent at depth t, so about a sixth
-    of the samples hit near the tip.  The hits are counted block by block;
+    of the samples hit near the tip.  The box is drawn in the base's frame,
+    radius over the modulus and angle about arg factor, and each sample goes
+    to the base's `contains_polar` without forming a point; the unknown base
+    keeps the winding test on points.  The hits are counted block by block;
     their standard error follows from the count."""
     rng = np.random.default_rng(seed)
-    centre, theta0 = (0.0, math.pi) if image is None else image.box(t)
     lo2 = (1.0 - t) ** 2
+    if image is None:
+        contains, flagged = _sampling_membership(s, None, t)
+        theta0, modulus = math.pi, 1.0
+
+        def inside(rho, phi):
+            return contains(_polar(rho, phi))
+    else:
+        theta0, modulus, flagged = image.box(t)[1], image.modulus, False
+        inside = image.base.contains_polar
     box = (1.0 - lo2) * (theta0 / np.pi)
-    contains, flagged = _sampling_membership(s, image, t)
     hits = 0
     for u, v in _uniform_blocks(rng, samples):
         # uniform on the box
-        rr = np.sqrt(lo2 + (1.0 - lo2) * u)
-        th = centre + theta0 * (2.0 * v - 1.0)
-        hits += int(np.count_nonzero(contains(_polar(rr, th))))
+        rho = np.sqrt(lo2 + (1.0 - lo2) * u) / modulus
+        hits += int(np.count_nonzero(inside(rho, theta0 * (2.0 * v - 1.0))))
     value = box * (hits / samples)
     std = box * math.sqrt(hits * (samples - hits) / (samples * (samples - 1))) / math.sqrt(samples)
     return RegionMeasure(float(value), float(std), "monte-carlo", flagged)
 
 
-# points a Monte Carlo route holds at a time: each complex temporary of a
-# block is then 128 KB, so a block's work stays in a 2 MiB per-core L2 cache
+# points a Monte Carlo route holds at a time: each float temporary of an
+# annulus block is then 64 KB, and each complex one of a window block 128 KB,
+# so a block's work stays in a 2 MiB per-core L2 cache
 _MC_BLOCK = 1 << 13
 
 

@@ -81,6 +81,11 @@ class SymbolMap:
     def fixes_origin(self) -> bool:
         return abs(self.origin) <= 1e-12
 
+    @property
+    def is_automorphism(self) -> bool:
+        """phi maps the disk onto itself: a Moebius map or a rotation c z, |c| = 1."""
+        return self.degree == 1 and self.origin == 0 and self.sup_norm_hint == 1.0
+
     def evaluate(self, z):
         _check_in_disk(z)
         return _scalar_or_array(self._map(np.asarray(z, dtype=complex)))
@@ -145,6 +150,7 @@ class MoebiusMap(SymbolMap):
     u: complex
 
     is_univalent = True
+    is_automorphism = True
     sup_norm_hint = 1.0
 
     def __post_init__(self):
@@ -252,7 +258,7 @@ class ComposedMap(SymbolMap):
     @property
     def sup_norm_hint(self) -> float | None:
         # an inner disk automorphism m keeps the outer sup: X(m(D)) = X(D)
-        if _is_automorphism(self.inner):
+        if self.inner.is_automorphism:
             return self.outer.sup_norm_hint
         inner = self.inner.sup_norm_hint
         if inner is None:
@@ -299,14 +305,9 @@ class ComposedMap(SymbolMap):
         return f"compose({self.outer.spec_string()},{self.inner.spec_string()})"
 
 
-def _is_automorphism(s: SymbolMap) -> bool:
-    """s maps the disk onto itself: a Moebius map or a rotation c z, |c| = 1."""
-    return isinstance(s, MoebiusMap) or s.degree == 1 and s.origin == 0 and s.sup_norm_hint == 1.0
-
-
 def _is_centred_disk_map(s: SymbolMap) -> bool:
     """s(D) is the centred disk {|w| < sup|s|}: s is c z after inner automorphisms."""
-    while isinstance(s, ComposedMap) and _is_automorphism(s.inner):
+    while isinstance(s, ComposedMap) and s.inner.is_automorphism:
         s = s.outer
     return s.degree == 1 and s.origin == 0
 

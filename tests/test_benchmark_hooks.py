@@ -13,6 +13,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
+
 from compopnum import geometry
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -34,7 +36,13 @@ commands = [
     ["zinc", "--symbol", "cusp", "--n", "60"],
 ]
 codes = [cli.main(args + ["--report", f"{out}/{i}.json"]) for i, args in enumerate(commands)]
-print(json.dumps({"codes": codes, "spans": spans.summary()}))
+commands_spans = spans.summary()
+from compopnum import geometry, symbols
+
+geometry.window_area(symbols.CuspMap(), geometry.CarlesonWindow(1.0, 0.25), "monte-carlo",
+                     samples=262149, seed=1)
+print(json.dumps({"codes": codes, "spans": commands_spans,
+                  "window": spans.summary()["geometry.image_contains"]}))
 """
 
 
@@ -53,9 +61,16 @@ def test_tracer_installs_and_its_hooks_count(tmp_path):
     # the catalog's evaluate methods: the real cusp's table samples Q/2 + 1
     # points of its circle, Q = 512 at N = 16; no other command evaluates it
     assert spans["symbols.evaluate"]["points"] == 257
-    # 2^18 + 5 Monte Carlo points: every point counted, one call a block
-    assert spans["geometry.image_contains"]["points"] == 262149
-    assert spans["geometry.image_contains"]["calls"] == math.ceil(262149 / geometry._MC_BLOCK)
+    # the annulus route samples the base's polar test, never image_contains
+    assert "geometry.image_contains" not in spans
+    # the window route still tests points: one call a block of 2^18 + 5
+    # draws, each counting the draws that land in the disk
+    window = result["window"]
+    assert window["calls"] == math.ceil(262149 / geometry._MC_BLOCK)
+    rng = np.random.default_rng(1)
+    u, v = rng.random(262149), rng.random(262149)
+    w = 1.0 + 0.25 * np.sqrt(u) * np.exp(1j * (2.0 * np.pi * v))
+    assert window["points"] == np.count_nonzero(np.abs(w) < 1.0)
     assert spans["geometry.CuspRegion.annulus_area"]["calls"] >= 1
     assert spans["geometry.M_functional"]["calls"] >= 1
     # every command here has a known image base: no mass is fitted

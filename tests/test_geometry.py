@@ -156,7 +156,7 @@ def test_image_of_unknown_base_is_none(spec):
 
 
 @pytest.mark.parametrize("inner", ["affine:r=1,theta=1", "affine:r=1,theta=-2.5", "affine:r=1,theta=0.3",
-                                   "moebius:u=0.3+0.1i"])
+                                   "moebius:u=0.3+0.1i", "coeffs:[0,1]"])
 @pytest.mark.parametrize("outer", ["cusp", "compose(affine:r=0.9,theta=1,cusp)", "affine:r=0.7"])
 def test_an_inner_automorphism_keeps_the_outer_image(outer, inner):
     # phi(D) = X(m(D)) = X(D), and X^k o m has the Dirichlet integral of X^k
@@ -166,6 +166,13 @@ def test_an_inner_automorphism_keeps_the_outer_image(outer, inner):
     for t in (0.1, 2.0**-6):
         assert annulus_area(s, t, method="exact-arcs") == annulus_area(x, t, method="exact-arcs")
         assert M_functional(s, t) == M_functional(x, t)
+
+
+def test_an_inner_automorphism_keeps_the_image_under_an_outer_map():
+    # the rule that gives this symbol its sup 0.9 gives it the scaled cusp's image
+    s = parse_symbol("compose(affine:r=0.9,compose(cusp,coeffs:[0,1]))")
+    assert s.sup_norm_hint == 0.9
+    assert zinc_upper_bound(s, 100) == zinc_upper_bound(parse_symbol("compose(affine:r=0.9,cusp)"), 100)
 
 
 @settings(max_examples=30, deadline=None, derandomize=True)
@@ -428,12 +435,19 @@ def test_M_functional_rest_is_zero_where_the_omitted_annuli_miss_the_image():
 
 
 def test_rotated_cusp_monte_carlo_does_not_depend_on_theta():
-    # the box, its centre and the membership test all turn with the factor,
-    # and its depth reads the modulus 0.95 as given
+    # the box is drawn in the base's frame, its radii over the modulus 0.95
+    # as given: no sample reads the angle of the factor
     values = {annulus_area(parse_symbol(f"compose(affine:r=0.95,theta={theta!r},cusp)"), 0.1,
                            method="monte-carlo", samples=2_000_000, seed=5)
               for theta in (0.7, 2.3, 4.1)}
     assert len(values) == 1
+
+
+def test_rotated_disk_monte_carlo_does_not_depend_on_theta():
+    values = {annulus_area(parse_symbol(f"affine:r=0.9,theta={theta!r}"), 0.2,
+                           method="monte-carlo", samples=200_000, seed=5).value
+              for theta in (0.0, 2.3, 5.6)}
+    assert values == {0.16995959999999993}
 
 
 def test_M_functional_needs_known_image(monkeypatch):
@@ -710,6 +724,46 @@ def test_polar_is_complex_exp_bit_for_bit():
         want = radius * np.exp(1j * theta)
         got = geometry._polar(radius, theta)
         assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
+def test_cusp_polar_membership_is_contains_bit_for_bit():
+    g = np.random.default_rng(13)
+    n = 50_000
+    # anywhere near the region, then at depths 1e-9 up to the first
+    # breakpoint within twice the slice's half-angle, and the tip itself
+    depth = np.geomspace(1e-9, REGION.breakpoints()[0], n)
+    rho = np.concatenate([1.2 * g.random(n), 1.0 - depth, [1.0]])
+    phi = np.concatenate([g.uniform(-np.pi, np.pi, n), REGION.angular_measure(depth) * g.uniform(-1.0, 1.0, n), [0.0]])
+    got = REGION.contains_polar(rho, phi)
+    assert np.array_equal(got, REGION.contains(geometry._polar(rho, phi)))
+    assert 0 < np.count_nonzero(got[n:]) < n
+    assert not got[-1]
+
+
+def test_disk_polar_membership_reads_the_radius():
+    g = np.random.default_rng(14)
+    rho, phi = 2.0 * g.random(100_000), g.uniform(-np.pi, np.pi, 100_000)
+    away = np.abs(rho - 1.0) > 1e-12
+    disk = geometry._UNIT_DISK
+    got = disk.contains_polar(rho, phi)
+    assert np.array_equal(got[away], disk.contains(geometry._polar(rho, phi))[away])
+
+
+def test_annulus_monte_carlo_on_a_known_base_forms_no_point(monkeypatch):
+    # the values are those of points built by _polar in the image's frame
+    def no_points(*args):
+        raise AssertionError("formed a point")
+
+    monkeypatch.setattr(geometry, "_polar", no_points)
+    for spec, t, value in [("cusp", 2.0**-6, 5.177709305142975e-07),
+                           (ROTATED_CUSP, 0.1, 1.7574736142548277e-05),
+                           ("affine:r=0.9,theta=5.6", 0.2, 0.16967879999999996)]:
+        got = annulus_area(parse_symbol(spec), t, method="monte-carlo", samples=100_000, seed=7)
+        assert got.value == value
+    # no Image: the winding test still takes points
+    twice = parse_symbol("compose(moebius:u=0.5+0i,compose(moebius:u=0.5+0i,cusp))")
+    with pytest.raises(AssertionError, match="formed a point"):
+        annulus_area(twice, 0.5, method="monte-carlo", samples=100, seed=7)
 
 
 @pytest.mark.parametrize(

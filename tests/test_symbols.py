@@ -324,6 +324,19 @@ def test_a_composition_sup_is_exact_or_unknown(spec, sup):
         assert "cusp" in spec or top >= sup - 1e-6
 
 
+@pytest.mark.parametrize(("spec", "onto"), [
+    ("moebius:u=0.3-0.2i", True),
+    ("affine:r=1,theta=2", True),
+    ("coeffs:[0,1]", True),
+    ("compose(affine:r=1,theta=1,moebius:u=0+0i)", True),
+    ("affine:r=0.9", False),
+    ("coeffs:[0,0.5,0.25]", False),
+    ("cusp", False),
+])
+def test_automorphisms_are_read_off_the_symbol(spec, onto):
+    assert parse_symbol(spec).is_automorphism is onto
+
+
 def test_builtin_contractions_are_contractions():
     cats = builtin_contractions()
     assert len(cats) >= 5
