@@ -298,6 +298,11 @@ def _upper_concave_hull(x: np.ndarray, y: np.ndarray):
     return np.array(hull)
 
 
+# rows n of the generic bound's [n, h] array built at a time: the whole array
+# at n_max = 10000 is ~9999 x 265 doubles, 21 MB per temporary; a block is 1 MB
+_H_BLOCK = 512
+
+
 def improvement_bound(eps_seq, n_max=10_000) -> tuple[BoundCalculus, Report]:
     """Builds the bound calculus for eps_n and verifies the decay chain.
 
@@ -344,10 +349,10 @@ def improvement_bound(eps_seq, n_max=10_000) -> tuple[BoundCalculus, Report]:
         np.concatenate([knots, np.geomspace(max(hull_y[1], 1e-12), hull_y[-1], 200)])
     )
     log_rho = -h_grid / np.maximum(calc.psi(h_grid), 1e-300)
-    log_terms = np.logaddexp(
-        np.log(ns)[:, None] - np.outer(ns, h_grid), log_rho[None, :]
-    )
-    log_inf = log_terms.min(axis=1)
+    log_inf = np.concatenate([
+        np.logaddexp(np.log(block)[:, None] - np.outer(block, h_grid), log_rho).min(axis=1)
+        for block in np.split(ns, range(_H_BLOCK, len(ns), _H_BLOCK))
+    ])
     log_C = float(np.max(log_inf + ns * eps))
     passed = chain_ok and domination <= 1e-12 and concave <= 1e-12
     report = Report(

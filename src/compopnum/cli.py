@@ -28,7 +28,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from . import __version__, analysis, geometry
-from .opmatrix import VALUE_FLOOR, assemble, singular_spectrum
+from .opmatrix import VALUE_FLOOR, assemble, retained_degree, singular_spectrum
 from .series import SeriesParams, Space, coefficients_of_power
 from .symbols import SymbolMap, parse_symbol
 
@@ -135,7 +135,8 @@ _Outcome = tuple[dict, list[analysis.Report]]
 
 
 def _spectrum_for(cfg: RunConfig, s: SymbolMap, N: int):
-    params = SeriesParams(M=2 * N if cfg.M is None else cfg.M, rho=cfg.rho, Q=cfg.Q)
+    M = retained_degree(s, N) if cfg.M is None else cfg.M
+    params = SeriesParams(M=M, rho=cfg.rho, Q=cfg.Q)
     m = assemble(s, N, cfg.resolved_space(s), params)
     return singular_spectrum(m), m
 
@@ -261,8 +262,10 @@ def _cmd_an(cfg: RunConfig, s: SymbolMap) -> _Outcome:
     spec, m = _spectrum_for(cfg, s, cfg.N)
     out = cfg.out or "spectrum.csv"
     _write_spectrum_csv(out, spec)
+    M, rho, Q = m.params.resolved()
     return {
         "spectrum_csv": out,
+        "plan": {"M": M, "rho": rho, "Q": Q},
         "hs_tail": m.hs_tail,
         "row_tail": m.row_tail,
         "assembly_error": m.assembly_error,

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import copy
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -765,8 +766,12 @@ class BlaschkeProduct:
     power: int = 1
 
     def __post_init__(self):
+        if not all(isinstance(z, numbers.Real) and math.isfinite(z) for z in self.zeros):
+            raise ValueError("Blaschke zeros must be finite real numbers")
         if any(abs(z) >= 1.0 for z in self.zeros):
             raise ValueError("Blaschke zeros must lie in the open disk")
+        if not isinstance(self.power, numbers.Integral):
+            raise ValueError("power must be an integer")
         if self.power < 0:
             raise ValueError("power must be nonnegative")
 

@@ -15,6 +15,12 @@ each power's mass beyond the retained degree from `series.power_mass`,
 exact for a known base; other symbols' column tails sum the power norms plus
 their bounds (`dirichlet_power_norms`) to 4 max(N, 16) and fit the remainder.
 
+`retained_degree` is the one rule for the default degree M: N for a known
+image base, whose exact row tail ||phi^k||^2 - sum_{j <= N} j |c_j|^2 needs
+no coefficient above the matrix, and 2N otherwise, where rows N+1..2N feed
+the fitted remainder.  Retaining 2N for a known base would compute, store
+and sum rows N+1..2N only for them to cancel against the exact norm.
+
 Two certificates are attached to every spectrum:
 
 * a perturbation radius, hs_tail + row_tail + assembly_error, valid for
@@ -55,6 +61,7 @@ __all__ = [
     "OperatorMatrix",
     "SingularSpectrum",
     "assemble",
+    "retained_degree",
     "singular_spectrum",
     "hs_tail_bound",
     "VALUE_FLOOR",
@@ -74,6 +81,7 @@ class OperatorMatrix:
     row_tail: float
     assembly_error: float
     column_tail_fit: tails.TailFit  # the closed form or fit behind hs_tail
+    params: SeriesParams  # the sampling plan the coefficients came from
 
     @property
     def truncation_norm_bound(self) -> float:
@@ -153,6 +161,14 @@ def hs_tail_bound(s: SymbolMap, n: int) -> float:
     return _column_tail(s, n)[0]
 
 
+def retained_degree(s: SymbolMap, N: int) -> int:
+    """Default retained degree M of an N x N truncation: N when phi has an
+    `Image` (`power_mass` then takes each row's mass beyond N exactly), else
+    2N for the remainder fits.  Q/(M+1) does not depend on the choice, so
+    rho^-M and the aliasing rho^Q are the same either way."""
+    return N if geometry.image_of(s) is not None else 2 * N
+
+
 def assemble(
     s: SymbolMap,
     N: int,
@@ -163,24 +179,38 @@ def assemble(
 
     The origin-fixed basis requires phi(0) = 0; otherwise use the full
     Dirichlet space, which prepends the constant direction (fixed by the
-    operator) as basis index 0.
+    operator) as basis index 0.  Without `series_params` the coefficients
+    are retained to `retained_degree(s, N)`.
+
+    The row tail is taken before the matrix is built, so the table's mass
+    array is gone by then; the matrix is one N x N array, sqrt(j/k) formed
+    in place and multiplied by the table.
     """
     if N < 1:
         raise ValueError("need N >= 1")
     if space is Space.DIRICHLET_STAR and not s.fixes_origin:
         raise ValueError("origin-fixed basis needs phi(0) = 0; use the Dirichlet space")
-    params = series_params or SeriesParams(M=2 * N)
+    params = series_params or SeriesParams(M=retained_degree(s, N))
     M, rho, Q = params.resolved()
     if M < N:
         raise ValueError("retained degree must reach the truncation size")
     if params.aliasing_suspect:
         raise ArithmeticError("sampling plan is aliasing-suspect; refusing to certify")
     table, peaks = power_coefficient_table(s, N, params)
-
     j = np.arange(1, N + 1, dtype=float)
     k = np.arange(1, N + 1, dtype=float)
-    core = np.sqrt(j[:, None] / k[None, :]) * table[:, 1 : N + 1].T  # [j, k]
 
+    # row tail: mass of phi^k, k <= N, above the retained rows
+    mass, beyond = power_mass(s, table)  # [k, j], [k]
+    row_tail = math.sqrt(float(((mass[:, N + 1 :].sum(axis=1) + beyond) / k).sum()))
+    del mass
+
+    core = j[:, None] / k[None, :]  # [j, k]
+    np.sqrt(core, out=core)
+    if table.dtype == float:
+        core *= table[:, 1 : N + 1].T
+    else:
+        core = core * table[:, 1 : N + 1].T
     if space is Space.DIRICHLET:
         A = np.zeros((N + 1, N + 1), dtype=table.dtype)
         A[0, 0] = 1.0
@@ -198,10 +228,6 @@ def assemble(
         const = x ** (N + 1) / ((N + 1) * (1.0 - x)) if x < 1.0 else math.inf
         hs_tail = math.sqrt(hs_tail**2 + const)
 
-    # row tail: mass of phi^k, k <= N, above the retained rows
-    mass, beyond = power_mass(s, table)  # [k, j], [k]
-    row_tail = math.sqrt(float(((mass[:, N + 1 :].sum(axis=1) + beyond) / k).sum()))
-
     # coefficient-noise aggregate: per-entry error sqrt(j/k) err_k, Frobenius;
     # the constant row's entries c_0(phi^k)/sqrt(k) carry err_k/sqrt(k)
     w_rows = float(j.sum()) + (space is Space.DIRICHLET)
@@ -214,6 +240,7 @@ def assemble(
         row_tail=row_tail,
         assembly_error=assembly_error,
         column_tail_fit=column_fit,
+        params=params,
     )
 
 

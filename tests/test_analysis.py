@@ -1,8 +1,10 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from compopnum import analysis
 from compopnum.analysis import (
     beta_estimate,
     fit_decay,
@@ -227,6 +229,29 @@ def test_improvement_bound_sqrt_eps():
     # psi inverts phi on the hull range
     h = np.linspace(calc.hull_y[1], calc.hull_y[-1], 50)
     assert np.abs(calc.phi(calc.psi(h)) - h).max() <= 1e-10
+
+
+def test_improvement_bound_blocks_give_the_one_array_report(monkeypatch):
+    # row-wise minima over h do not depend on how the rows n are grouped;
+    # a block past the range is the whole [n, h] array at once
+    def eps(n):
+        return 1.0 / math.log(n + 2)
+
+    blocked = improvement_bound(eps, 2_000)[1]
+    for rows in (7, 10**6):
+        monkeypatch.setattr(analysis, "_H_BLOCK", rows)
+        assert improvement_bound(eps, 2_000)[1] == blocked
+
+
+def test_improvement_bound_holds_no_full_n_by_h_array():
+    # the whole [n, h] array at n_max = 10000 would take 42 MB of temporaries
+    tracemalloc.start()
+    try:
+        improvement_bound(lambda n: 1.0 / math.log(n + 2), 10_000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8e6
 
 
 def test_improvement_bound_rejects_nondecreasing():

@@ -16,6 +16,9 @@ from pathlib import Path
 import numpy as np
 
 from compopnum import geometry
+from compopnum.opmatrix import retained_degree
+from compopnum.series import SeriesParams
+from compopnum.symbols import CuspMap
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -59,8 +62,10 @@ def test_tracer_installs_and_its_hooks_count(tmp_path):
     assert spans["series.power_coefficient_table"]["ffts"] > 0
     assert spans["opmatrix.singular_spectrum"]["svd_dim"] == 16
     # the catalog's evaluate methods: the real cusp's table samples Q/2 + 1
-    # points of its circle, Q = 512 at N = 16; no other command evaluates it
-    assert spans["symbols.evaluate"]["points"] == 257
+    # points of its circle, Q from the default plan at N = 16; no other
+    # command evaluates it
+    Q = SeriesParams(M=retained_degree(CuspMap(), 16)).resolved()[2]
+    assert spans["symbols.evaluate"]["points"] == Q // 2 + 1 == 129
     # the annulus route samples the base's polar test, never image_contains
     assert "geometry.image_contains" not in spans
     # the window route still tests points: one call a block of 2^18 + 5

@@ -9,7 +9,7 @@ from compopnum import analysis, cli, geometry
 from compopnum.analysis import fit_decay
 from compopnum.cli import main
 from compopnum.opmatrix import assemble, singular_spectrum
-from compopnum.series import coefficients_of_power
+from compopnum.series import SeriesParams, coefficients_of_power
 from compopnum.symbols import AffineMap, CuspMap
 
 
@@ -52,6 +52,21 @@ def test_an_small_truncation_without_known_base(tmp_path, N):
     rows = list(csv.DictReader(open(out)))
     assert len(rows) == N
     assert all(row["certified"] == "false" for row in rows)
+
+
+@pytest.mark.parametrize("symbol, args, M", [
+    ("cusp", [], 64),
+    # the cusp behind an inner contraction has no Image
+    ("compose(cusp,affine:r=0.5)", [], 128),
+    ("cusp", ["--M", "100"], 100),
+])
+def test_an_reports_the_resolved_plan(tmp_path, symbol, args, M):
+    rep = tmp_path / "rep.json"
+    assert run(["an", "--symbol", symbol, "--N", "64", "--out", str(tmp_path / "s.csv"),
+                "--report", str(rep)] + args) == 0
+    plan = json.loads(rep.read_text())["plan"]
+    _, rho, Q = SeriesParams(M).resolved()
+    assert plan == {"M": M, "rho": rho, "Q": Q}
 
 
 def test_an_column_tail_does_not_depend_on_M(tmp_path):
@@ -446,7 +461,7 @@ def test_bad_config_rejected(tmp_path):
 # is each command's own
 ENVELOPE = {"version", "config_hash", "config", "checks", "passed"}
 REPORT_KEYS = {
-    "an": {"spectrum_csv", "hs_tail", "row_tail", "assembly_error", "column_tail",
+    "an": {"spectrum_csv", "plan", "hs_tail", "row_tail", "assembly_error", "column_tail",
            "certification_floor", "stable_entries", "reliable_entries"},
     "series": {"out", "error_bound", "aliasing_suspect", "flushed", "sampling_radius"},
     "area": {"value", "std_error", "method", "t", "flagged"},

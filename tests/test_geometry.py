@@ -632,6 +632,20 @@ def test_blaschke_single_factor():
     assert math.sqrt(b.abs2(0.0)) == pytest.approx(0.5)
 
 
+@pytest.mark.parametrize("zeros, power, message", [
+    ((0.5j,), 1, "finite real"),
+    ((0.5 + 0j,), 1, "finite real"),
+    ((float("nan"),), 1, "finite real"),
+    ((float("inf"),), 1, "finite real"),
+    ((0.5,), 1.5, "integer"),
+    ((0.5,), 2.0, "integer"),
+])
+def test_blaschke_product_rejects_what_abs2_cannot_take(zeros, power, message):
+    # abs2 reads each zero as real and raises |B|^2 to an integer power
+    with pytest.raises(ValueError, match=message):
+        BlaschkeProduct(zeros, power=power)
+
+
 def test_blaschke_power_raises_the_product_to_it():
     # |B^r|^2 = (|B|^2)^r, against the one-factor product's own values
     w = np.array([0.0, 0.5 + 0.3j, -0.7j, 0.95, 0.9 + 0.1j])
@@ -944,6 +958,17 @@ def window_means():
              np.concatenate([geometry._window_mean_quadrature(b, xi, GRID_SIZES[i : i + 1])
                              for i in range(GRID_SIZES.size)]))
             for xi in GRID_CENTRES]
+
+
+@pytest.mark.parametrize("r", [1, 2, 8])
+def test_window_means_are_conjugation_symmetric(r):
+    # the cusp region and |B| with real zeros are symmetric under w -> conj(w),
+    # so the window about conj(xi) has the mean of the window about xi
+    b = BlaschkeProduct(unit_interval_dyadic_zeros(r), power=r)
+    for xi in GRID_CENTRES:
+        mirrored = geometry._window_mean_quadrature(b, xi.conjugate(), GRID_SIZES)
+        np.testing.assert_allclose(
+            mirrored, geometry._window_mean_quadrature(b, xi, GRID_SIZES), rtol=1e-14, atol=0.0)
 
 
 def test_a_scalar_size_is_the_one_size_rule():

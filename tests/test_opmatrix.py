@@ -1,10 +1,11 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from compopnum import opmatrix
-from compopnum.opmatrix import assemble, hs_tail_bound, singular_spectrum
+from compopnum.opmatrix import assemble, hs_tail_bound, retained_degree, singular_spectrum
 from compopnum.series import SeriesParams, Space, power_coefficient_table
 from compopnum.symbols import AffineMap, CuspMap, MoebiusMap, builtin_contractions, parse_symbol
 
@@ -230,16 +231,61 @@ def test_full_dirichlet_assembly_error_counts_the_constant_row():
     s = parse_symbol("compose(affine:r=0.7,moebius:u=0.3+0i)")
     N = 32
     m = assemble(s, N, Space.DIRICHLET)
-    _, peaks = power_coefficient_table(s, N, SeriesParams(M=2 * N))
-    errs = SeriesParams(M=2 * N).error_bounds(peaks)
+    params = SeriesParams(M=retained_degree(s, N))
+    _, peaks = power_coefficient_table(s, N, params)
+    errs = params.error_bounds(peaks)
     k = np.arange(1, N + 1)
     expected = math.sqrt(float((errs**2 * (1 + N * (N + 1) / 2) / k).sum()))
     assert m.assembly_error == pytest.approx(expected, rel=1e-14, abs=0.0)
     star = assemble(AffineMap(0.5), N)
-    _, peaks = power_coefficient_table(AffineMap(0.5), N, SeriesParams(M=2 * N))
-    errs = SeriesParams(M=2 * N).error_bounds(peaks)
+    params = SeriesParams(M=retained_degree(AffineMap(0.5), N))
+    _, peaks = power_coefficient_table(AffineMap(0.5), N, params)
+    errs = params.error_bounds(peaks)
     expected = math.sqrt(float((errs**2 * (N * (N + 1) / 2) / k).sum()))
     assert star.assembly_error == pytest.approx(expected, rel=1e-14, abs=0.0)
+
+
+def test_the_default_degree_is_n_only_for_a_known_image_base():
+    assert retained_degree(CuspMap(), 64) == 64
+    assert assemble(CuspMap(), 64).params.resolved()[0] == 64
+    # the cusp behind an inner contraction has no Image: its rows beyond N
+    # feed the remainder fits
+    unknown = parse_symbol("compose(cusp,affine:r=0.5)")
+    assert retained_degree(unknown, 64) == 128
+    assert assemble(unknown, 64).params.resolved()[0] == 128
+
+
+@pytest.mark.parametrize("spec", [
+    "cusp", "compose(affine:r=0.9,theta=1,cusp)", "compose(cusp,moebius:u=0.3+0.1i)",
+    "affine:r=0.7,theta=1.3", "moebius:u=0.3+0i"])
+def test_a_known_base_retained_to_n_keeps_the_2n_results(spec):
+    # rows N+1..2N of a known base feed only the row tail, where they cancel
+    # against the exact norm; the values move by the SVD's roundoff, which is
+    # absolute (Weyl: |delta sigma_n| <= ||delta A||), so it is taken of a_1
+    s = parse_symbol(spec)
+    space = Space.DIRICHLET_STAR if s.fixes_origin else Space.DIRICHLET
+    for N in (16, 64, 256):
+        new = assemble(s, N, space)
+        old = assemble(s, N, space, SeriesParams(M=2 * N))
+        assert new.params.resolved()[0] == N
+        assert new.hs_tail == old.hs_tail
+        assert new.row_tail == pytest.approx(old.row_tail, rel=1e-12, abs=0.0)
+        a, b = singular_spectrum(new), singular_spectrum(old)
+        assert np.abs(a.values - b.values).max() <= 1e-12 * b.values[0]
+        np.testing.assert_array_equal(a.certified, b.certified)
+
+
+def test_cusp_assembly_holds_the_table_and_the_matrix_only():
+    # the table (N x (N+1) doubles at the default degree) and the N x N
+    # matrix; the mass array is dropped before the matrix is built
+    N = 1024
+    tracemalloc.start()
+    try:
+        assemble(CuspMap(), N)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3.5 * N * N * 8
 
 
 def test_negated_cusp_tails_equal_cusp_tails():
