@@ -273,6 +273,7 @@ def _cmd_an(cfg: RunConfig, s: SymbolMap) -> _Outcome:
         "certification_floor": spec.certification_floor,
         "stable_entries": int(spec.stable.sum()),
         "reliable_entries": len(spec.reliable_range()),
+        "svd": {"columns": spec.columns, "dropped": spec.dropped},
     }, []
 
 

@@ -23,9 +23,14 @@ and sum rows N+1..2N only for them to cancel against the exact norm.
 
 Two certificates are attached to every spectrum:
 
-* a perturbation radius, hs_tail + row_tail + assembly_error, valid for
-  every entry (singular values are 1-Lipschitz in the operator norm;
-  `series` proves assembly_error but for the evaluation accuracy).  It is
+* a perturbation radius, hs_tail + row_tail + assembly_error + dropped,
+  valid for every entry (singular values are 1-Lipschitz in the operator
+  norm; `series` proves assembly_error but for the evaluation accuracy).
+  The last term is the Frobenius norm of the trailing columns the SVD
+  skips, at most VALUE_FLOOR * eps: by Weyl's inequality dropping them
+  moves no value by more, and the entries past the kept columns read 0.0
+  within the radius (1.7e-28 for the cusp at N = 1024, which keeps 255 of
+  its 1024 columns).  It is
   rigorous for a known image base; otherwise the tails rest on the
   least-squares fits of `tails.tail_remainder`, and the radius is an
   estimate until proved majorants replace them: for the cusp written as a
@@ -69,6 +74,9 @@ __all__ = [
 
 # smallest singular value any consumer reads; every tier lies above it
 VALUE_FLOOR = 1e-12
+# trailing columns of smaller combined norm move no value >= VALUE_FLOOR by
+# more than eps relative (Weyl), so the SVD skips them
+_COLUMN_CUT = VALUE_FLOOR * np.finfo(float).eps
 
 
 @dataclass(frozen=True)
@@ -98,6 +106,8 @@ class SingularSpectrum:
     values: np.ndarray
     radius: float
     stability_radii: np.ndarray | None = None
+    columns: int | None = None  # K, the leading columns the values come from
+    dropped: float = 0.0  # norm of the columns it skipped, already in radius
 
     @property
     def error_radii(self) -> np.ndarray:
@@ -183,8 +193,8 @@ def assemble(
     are retained to `retained_degree(s, N)`.
 
     The row tail is taken before the matrix is built, so the table's mass
-    array is gone by then; the matrix is one N x N array, sqrt(j/k) formed
-    in place and multiplied by the table.
+    array is gone by then; the matrix is one array, sqrt(j/k) formed in
+    place in its power block and multiplied by the table.
     """
     if N < 1:
         raise ValueError("need N >= 1")
@@ -205,19 +215,16 @@ def assemble(
     row_tail = math.sqrt(float(((mass[:, N + 1 :].sum(axis=1) + beyond) / k).sum()))
     del mass
 
-    core = j[:, None] / k[None, :]  # [j, k]
-    np.sqrt(core, out=core)
-    if table.dtype == float:
-        core *= table[:, 1 : N + 1].T
-    else:
-        core = core * table[:, 1 : N + 1].T
-    if space is Space.DIRICHLET:
-        A = np.zeros((N + 1, N + 1), dtype=table.dtype)
+    # the constant direction, when the space has it, is basis index 0
+    c = int(space is Space.DIRICHLET)
+    A = np.zeros((N + c, N + c), dtype=table.dtype)
+    core = A[c:, c:]  # [j, k]; a complex core's real part is a view too
+    np.divide(j[:, None], k[None, :], out=core.real)
+    np.sqrt(core.real, out=core.real)
+    core *= table[:, 1 : N + 1].T
+    if c:
         A[0, 0] = 1.0
         A[0, 1:] = table[:, 0] / np.sqrt(k)
-        A[1:, 1:] = core
-    else:
-        A = core
 
     # column tail: discarded basis vectors k > N
     hs_tail, column_fit = _column_tail(s, N + 1)
@@ -248,26 +255,50 @@ def _is_exact_diagonal(A: np.ndarray) -> bool:
     return np.count_nonzero(A) == np.count_nonzero(A.diagonal())
 
 
-def _values_of(A: np.ndarray) -> np.ndarray:
+def _values_of(A: np.ndarray) -> tuple[np.ndarray, int, float]:
+    """(singular values, columns K the SVD ran on, norm of the columns dropped).
+
+    Columns K.. have a combined Frobenius norm at most `_COLUMN_CUT` and are
+    dropped: by Weyl's inequality the values of A[:, :K] are A's to within
+    that norm, and entries past K read exactly 0.0, the cut matrix's own.
+    K is the full width when no tail is that small, and 0 skips the SVD.
+    """
     if _is_exact_diagonal(A):
         # exact singular values of a diagonal matrix; preserves tiny entries
-        return np.sort(np.abs(np.diag(A)))[::-1]
-    return np.linalg.svd(A, compute_uv=False)
+        return np.sort(np.abs(np.diag(A)))[::-1], A.shape[1], 0.0
+    # column masses without an N x N temporary; a complex A's real and imag are views
+    parts = (A.real, A.imag) if np.iscomplexobj(A) else (A,)
+    sq = sum(np.einsum("jk,jk->k", part, part) for part in parts)
+    # tail[k] sums columns k..: nonnegative terms, so nothing cancels and
+    # tail is nonincreasing in k; a NaN tail counts as mass and is kept
+    tail = np.append(np.cumsum(sq[::-1])[::-1], 0.0)
+    K = int(np.count_nonzero(~(tail <= _COLUMN_CUT**2)))
+    values = np.zeros(min(A.shape))
+    if K:
+        values[: min(A.shape[0], K)] = np.linalg.svd(A[:, :K], compute_uv=False)
+    return values, K, math.sqrt(float(tail[K]))
 
 
 def singular_spectrum(m: OperatorMatrix) -> SingularSpectrum:
     """Singular values of the truncation with both certificate tiers.
 
     The radius is the rigorous uniform one (perturbation bound by the
-    truncation norm); stability_radii compares against the half-size
-    compression, a sharp empirical indicator of truncation bias.
+    truncation norm, plus the norm of the columns `_values_of` drops);
+    stability_radii compares against the half-size compression, a sharp
+    empirical indicator of truncation bias, cut the same way.
     """
-    values = _values_of(m.entries)
+    values, columns, dropped = _values_of(m.entries)
     stab = None
     if m.N >= 8:
         half = m.entries[: m.entries.shape[0] - m.N // 2, : m.entries.shape[1] - m.N // 2]
-        vals_half = _values_of(half)
+        vals_half = _values_of(half)[0]
         stab = np.full(len(values), np.inf)
         L = len(vals_half)
         stab[:L] = np.abs(values[:L] - vals_half)
-    return SingularSpectrum(values=values, radius=m.truncation_norm_bound, stability_radii=stab)
+    return SingularSpectrum(
+        values=values,
+        radius=m.truncation_norm_bound + dropped,
+        stability_radii=stab,
+        columns=columns,
+        dropped=dropped,
+    )

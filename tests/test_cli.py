@@ -462,7 +462,7 @@ def test_bad_config_rejected(tmp_path):
 ENVELOPE = {"version", "config_hash", "config", "checks", "passed"}
 REPORT_KEYS = {
     "an": {"spectrum_csv", "plan", "hs_tail", "row_tail", "assembly_error", "column_tail",
-           "certification_floor", "stable_entries", "reliable_entries"},
+           "certification_floor", "stable_entries", "reliable_entries", "svd"},
     "series": {"out", "error_bound", "aliasing_suspect", "flushed", "sampling_radius"},
     "area": {"value", "std_error", "method", "t", "flagged"},
     "zinc": {"n", "value", "argmin_t"},

@@ -288,6 +288,89 @@ def test_cusp_assembly_holds_the_table_and_the_matrix_only():
     assert peak < 3.5 * N * N * 8
 
 
+def test_full_space_assembly_builds_the_matrix_in_place():
+    # the constant direction's (N+1) x (N+1) matrix gets its power block
+    # written in place: the complex table and the matrix, 2 N^2 complex
+    # numbers, with no N x N block beside them
+    N = 1024
+    s = parse_symbol("compose(cusp,moebius:u=0.3+0.2i)")
+    assert retained_degree(s, N) == N
+    tracemalloc.start()
+    try:
+        m = assemble(s, N, Space.DIRICHLET)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert m.entries.dtype == complex
+    assert peak < 4.5 * N * N * 8
+
+
+def _uncut(m):
+    """The spectrum from full SVDs of the matrix and its half."""
+    values = np.linalg.svd(m.entries, compute_uv=False)
+    h = m.N // 2
+    half = np.linalg.svd(m.entries[:-h, :-h], compute_uv=False)
+    stab = np.full(len(values), np.inf)
+    stab[: len(half)] = np.abs(values[: len(half)] - half)
+    return opmatrix.SingularSpectrum(values, m.truncation_norm_bound, stab)
+
+
+@pytest.mark.parametrize("N", [512, 1024])
+def test_the_svd_skips_the_cusps_negligible_columns(cusp_spectra, N):
+    m, spec = cusp_spectra[N]
+    ref = _uncut(m)
+    # the columns past K carry at most VALUE_FLOOR * eps, added to the radius
+    assert spec.columns < N // 2
+    assert 0.0 < spec.dropped <= opmatrix._COLUMN_CUT
+    assert spec.radius == m.truncation_norm_bound + spec.dropped
+    assert not spec.values[spec.columns :].any()
+    # Weyl: values above the floor move by eps relative, plus SVD roundoff
+    ok = ref.values >= opmatrix.VALUE_FLOOR
+    assert spec.values[ok] == pytest.approx(ref.values[ok], rel=1e-9, abs=0.0)
+    np.testing.assert_array_equal(spec.stable, ref.stable)
+    np.testing.assert_array_equal(spec.certified, ref.certified)
+    np.testing.assert_array_equal(spec.reliable_range(), ref.reliable_range())
+
+
+def test_a_matrix_without_a_negligible_tail_keeps_every_column():
+    # the Moebius automorphism's powers keep their norms: nothing is cut,
+    # and the values are the full SVD's
+    m = assemble(MoebiusMap(0.3), 64, Space.DIRICHLET)
+    spec = singular_spectrum(m)
+    assert spec.columns == m.entries.shape[1]
+    assert spec.dropped == 0.0
+    assert spec.radius == m.truncation_norm_bound
+    np.testing.assert_array_equal(spec.values, np.linalg.svd(m.entries, compute_uv=False))
+
+
+def test_a_complex_table_takes_the_same_cut():
+    # the inner rotation multiplies row j by e^{ij}: column norms, hence the
+    # cut, are the cusp's
+    N = 256
+    cusp = singular_spectrum(assemble(CuspMap(), N))
+    m = assemble(parse_symbol("compose(cusp,affine:r=1,theta=1)"), N)
+    assert m.entries.dtype == complex
+    spec = singular_spectrum(m)
+    assert spec.columns == cusp.columns < N
+    assert spec.dropped == pytest.approx(cusp.dropped, rel=1e-12)
+    assert spec.radius == m.truncation_norm_bound + spec.dropped
+    ref = _uncut(m)
+    ok = ref.values >= opmatrix.VALUE_FLOOR
+    assert spec.values[ok] == pytest.approx(ref.values[ok], rel=1e-9, abs=0.0)
+    np.testing.assert_array_equal(spec.stable, ref.stable)
+
+
+def test_a_negligible_matrix_needs_no_svd(monkeypatch):
+    def no_svd(*a, **kw):
+        raise AssertionError("SVD of a matrix below the cut")
+
+    monkeypatch.setattr(np.linalg, "svd", no_svd)
+    values, columns, dropped = opmatrix._values_of(1e-30 * np.ones((3, 3)))
+    assert columns == 0
+    np.testing.assert_array_equal(values, np.zeros(3))
+    assert dropped == pytest.approx(3e-30, rel=1e-12)
+
+
 def test_negated_cusp_tails_equal_cusp_tails():
     # moebius:u=0 is z -> -z: -cusp's image is the cusp region turned by pi,
     # with the cusp's power norms, so its exact tails are the cusp's
