@@ -102,7 +102,7 @@ def _fit_one(model: str, ns: np.ndarray, values: np.ndarray) -> DecayFit:
 
 def fit_decay(
     spec: SingularSpectrum | np.ndarray,
-    models=("geometric", "rootn", "nlogn"),
+    models=tuple(MODEL_PREDICTORS),
     min_entries: int = 20,
 ) -> list[DecayFit]:
     """Least-squares fits of log a_n for each model, sorted by rmse.

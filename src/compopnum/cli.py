@@ -29,7 +29,7 @@ import numpy as np
 
 from . import __version__, analysis, geometry
 from .opmatrix import VALUE_FLOOR, assemble, retained_degree, singular_spectrum
-from .series import SeriesParams, Space, coefficients_of_power
+from .series import SeriesParams, Space, power_coefficient_table
 from .symbols import SymbolMap, parse_symbol
 
 __all__ = ["ConfigError", "RunConfig", "run_pipeline", "main"]
@@ -53,7 +53,7 @@ class RunConfig:
     samples: int = 1_000_000
     seed: int | None = None
     theorem: str | None = None
-    models: tuple = ("geometric", "rootn", "nlogn")
+    models: tuple = tuple(analysis.MODEL_PREDICTORS)
     n: int | None = None
     k: int | None = None
     t: float | None = None
@@ -97,10 +97,9 @@ def _write_spectrum_csv(path: str, spec) -> None:
         stab = spec.stability_radii
         if stab is None:  # truncation too small to halve: no stability tier
             stab = np.full(len(spec.values), math.inf)
-        # each read of these properties builds an N-element array
-        columns = zip(spec.values, spec.error_radii, spec.certified, stab)
-        for i, (v, radius, certified, s) in enumerate(columns):
-            w.writerow([i + 1, _fmt(v), _fmt(radius), _fmt(bool(certified)), _fmt(s)])
+        radius = _fmt(spec.radius)
+        for i, (v, certified, s) in enumerate(zip(spec.values, spec.certified, stab)):
+            w.writerow([i + 1, _fmt(v), radius, _fmt(bool(certified)), _fmt(s)])
 
 
 def _sanitize(obj):
@@ -279,19 +278,20 @@ def _cmd_an(cfg: RunConfig, s: SymbolMap) -> _Outcome:
 
 def _cmd_series(cfg: RunConfig, s: SymbolMap) -> _Outcome:
     k = 1 if cfg.k is None else cfg.k
-    ps = coefficients_of_power(s, k, 64 if cfg.M is None else cfg.M, cfg.rho, cfg.Q)
+    params = SeriesParams(64 if cfg.M is None else cfg.M, cfg.rho, cfg.Q)
+    table, peaks = power_coefficient_table(s, k, params)
     out = cfg.out or "series.csv"
     with open(out, "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(["index", "re", "im"])
-        for j, c in enumerate(ps.coeffs):
+        for j, c in enumerate(table[k - 1]):
             w.writerow([j, _fmt(c.real), _fmt(c.imag)])
     return {
         "out": out,
-        "error_bound": ps.error_bound,
-        "aliasing_suspect": ps.aliasing_suspect,
-        "flushed": ps.flushed,
-        "sampling_radius": ps.sampling_radius,
+        "error_bound": params.error_bounds(peaks)[k - 1],
+        "aliasing_suspect": params.aliasing_suspect,
+        "flushed": int(np.count_nonzero(table[k - 1] == 0.0)),
+        "sampling_radius": params.resolved()[1],
     }, []
 
 
@@ -315,18 +315,16 @@ def _cmd_blaschke(cfg: RunConfig, s: SymbolMap) -> _Outcome:
 
 
 def _read_spectrum_csv(path: str) -> np.ndarray:
-    """a_n by index from a spectrum CSV; a missing n reads as 0, below every floor."""
+    """a_1..a_R from a spectrum CSV whose rows are n = 1..R in order, as `an`
+    writes them; any other n is a configuration error."""
     try:
         with open(path) as fh:
             rows = [(int(row["n"]), float(row["a_n"])) for row in csv.DictReader(fh)]
     except (OSError, KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"cannot read spectrum CSV {path!r}: {exc!r}") from exc
-    ns = np.asarray([n for n, _ in rows])
-    if not rows or ns.min() < 1:
-        raise ConfigError(f"spectrum CSV {path!r} needs rows, each with n >= 1")
-    values = np.zeros(int(ns.max()))
-    values[ns - 1] = [v for _, v in rows]
-    return values
+    if not rows or [n for n, _ in rows] != list(range(1, len(rows) + 1)):
+        raise ConfigError(f"spectrum CSV {path!r} needs rows n = 1, 2, ... in order")
+    return np.array([v for _, v in rows])
 
 
 def _cmd_fit(cfg: RunConfig, s: SymbolMap) -> _Outcome:
@@ -389,6 +387,11 @@ def run_pipeline(cfg: RunConfig) -> int:
     cfg.resolved_space(s)  # a config file is not checked by the parser's choices
     if any(v is not None and v < 1 for v in (cfg.N, cfg.M, cfg.Q, cfg.k, cfg.n, cfg.samples)):
         raise ConfigError("N, M, Q, k, n and samples must be positive")
+    unknown = set(cfg.models) - set(analysis.MODEL_PREDICTORS)
+    if unknown:
+        raise ConfigError(f"unknown models {sorted(unknown)}")
+    if not cfg.models:
+        raise ConfigError("models must name at least one model")
     if cfg.command in _REQUIRED:
         key, flag = _REQUIRED[cfg.command]
         if getattr(cfg, key) is None:
@@ -437,7 +440,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sp = add("series", help="coefficients of a symbol power")
     sp.add_argument("what", nargs="?", default="pow", choices=["pow"])
     sp.add_argument("--k", type=int, default=None)
-    sp.add_argument("--deg", type=int, default=None, dest="deg")
+    sp.add_argument("--deg", type=int, default=None, dest="M")
     sp = add("area", help="annulus area of the image domain")
     sp.add_argument("--t", type=float, default=None)
     sp = add("zinc", help="window-decay upper bound at index n")
@@ -494,15 +497,10 @@ def _merge_config(args) -> RunConfig:
     for key, value in vars(args).items():
         if key in ("config", "command", "what") or value is None:
             continue
-        if key == "deg":
-            cfg.M = value
-        elif key == "models":
+        if key == "models":
             cfg.models = tuple(value.split(","))
         else:
             setattr(cfg, key, value)
-    unknown = set(cfg.models) - set(analysis.MODEL_PREDICTORS)
-    if unknown:
-        raise ConfigError(f"unknown models {sorted(unknown)}")
     return cfg
 
 

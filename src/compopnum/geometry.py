@@ -7,7 +7,8 @@ explicit circles, which gives closed-form angular arc measures at every
 radius.  `image_of` writes every supported image as an `Image`, factor *
 base with the unit disk or the cusp region as base, which answers every
 exact measure, power norm and column tail; symbols without a known base
-fall back to stratified Monte Carlo with a winding-number membership test.
+fall back to Monte Carlo on i.i.d. uniform points with a winding-number
+membership test.
 
 All areas are normalized: dA = dx dy / pi, so the unit disk has area 1.
 """
@@ -381,12 +382,12 @@ class Image:
         """Closed-form A[phi(D) n {|w| >= 1-t}], at one depth or an array."""
         return self.modulus**2 * self.base.annulus_area(self.depth(t))
 
-    def box(self, t: float):
-        """(centre, theta0) of the polar box {1-t <= |w| <= 1, |arg w - centre|
-        <= theta0} that contains phi(D) n {|w| >= 1-t}: centre = arg factor,
-        theta0 the base's `box_angle` at the scaled depth.  A factor keeps
-        angles, so the base's angular bound holds for the image."""
-        return np.angle(self.factor), self.base.box_angle(self.depth(t))
+    def box_angle(self, t: float) -> float:
+        """Half-angle theta0 of the polar box {1-t <= |w| <= 1, |arg w - arg
+        factor| <= theta0} that contains phi(D) n {|w| >= 1-t}: the base's
+        `box_angle` at the scaled depth.  A factor keeps angles, so the
+        base's angular bound holds for the image."""
+        return self.base.box_angle(self.depth(t))
 
     def power_norms(self, n_max: int) -> np.ndarray:
         """Dirichlet norms of phi^k, k = 1..n_max, from the image integral:
@@ -567,9 +568,10 @@ def annulus_area(
     """Normalized area of phi(D) intersected with {|w| >= 1-t}.
 
     method: "exact-arcs" (closed forms / arc quadrature, wherever the image
-    base is known), "monte-carlo" (stratified membership sampling), or
-    "auto".  A Monte Carlo route needs a seed >= 0 and samples >= 2, else
-    MethodError; a symbol that is not univalent has no route at all.
+    base is known), "monte-carlo" (membership of i.i.d. uniform points on a
+    polar box about the image), or "auto".  A Monte Carlo route needs a
+    seed >= 0 and samples >= 2, else MethodError; a symbol that is not
+    univalent has no route at all.
     """
     _require_univalent(s)
     if not 0.0 < t <= 1.0:
@@ -581,14 +583,15 @@ def annulus_area(
 
 
 def _mc_annulus_area(s: SymbolMap, image: Image | None, t: float, samples: int, seed: int):
-    """Membership sampling of the image's polar box (`Image.box`), or of the
-    whole annulus when the base is unknown (image None).  On the cusp the
-    box is twice the image's angular extent at depth t, so about a sixth
-    of the samples hit near the tip.  The box is drawn in the base's frame,
-    radius over the modulus and angle about arg factor, and each sample goes
-    to the base's `contains_polar` without forming a point; the unknown base
-    keeps the winding test on points.  The hits are counted block by block;
-    their standard error follows from the count."""
+    """Membership sampling of i.i.d. uniform points on the image's polar box
+    (`Image.box_angle`), or on the whole annulus when the base is unknown
+    (image None).  On the cusp the box is twice the image's angular extent
+    at depth t, so about a sixth of the samples hit near the tip.  The box
+    is drawn in the base's frame, radius over the modulus and angle about
+    arg factor, and each sample goes to the base's `contains_polar` without
+    forming a point; the unknown base keeps the winding test on points.  The
+    hits are counted block by block; their standard error follows from the
+    count."""
     rng = np.random.default_rng(seed)
     lo2 = (1.0 - t) ** 2
     if image is None:
@@ -598,7 +601,7 @@ def _mc_annulus_area(s: SymbolMap, image: Image | None, t: float, samples: int, 
         def inside(rho, phi):
             return contains(_polar(rho, phi))
     else:
-        theta0, modulus, flagged = image.box(t)[1], image.modulus, False
+        theta0, modulus, flagged = image.box_angle(t), image.modulus, False
         inside = image.base.contains_polar
     box = (1.0 - lo2) * (theta0 / np.pi)
     hits = 0

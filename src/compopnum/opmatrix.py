@@ -37,10 +37,13 @@ Two certificates are attached to every spectrum:
   twice-applied Moebius involution at M = 64, the exact power norms exceed
   the fitted norms plus bounds by 8-74% on rows 7-12;
 * an empirical stability radius per entry, the change of the value when the
-  truncation is halved, which tracks the actual truncation bias far below
-  the perturbation radius.  For symbols whose power norms decay slowly (the
-  cusp), the rigorous radius is honest but large, and the stability radius
-  is what delimits the usable range; both are reported, neither is guessed.
+  truncation is halved.  It is an indicator, not a bound, and it can miss
+  slow convergence: the cusp at N = 1024 marks n = 13 stable with radius
+  2.3e-4, yet its value 4.6938e-3 lies 1.0e-2 below sigma_13(C P_1024) =
+  1.4844e-2 (`geometry.region_gram_singular_values`), a ratio of 0.316
+  (0.656 at n = 8).  For symbols whose power norms decay slowly (the cusp)
+  the rigorous radius is honest but large, and the stability radius is
+  what delimits the usable range; both are reported, neither is guessed.
 
 A symbol with real coefficients (`SymbolMap.real_coefficients`) has a real
 coefficient table, hence a real matrix, and its singular values come from a
@@ -108,10 +111,6 @@ class SingularSpectrum:
     stability_radii: np.ndarray | None = None
     columns: int | None = None  # K, the leading columns the values come from
     dropped: float = 0.0  # norm of the columns it skipped, already in radius
-
-    @property
-    def error_radii(self) -> np.ndarray:
-        return np.full(len(self.values), self.radius)
 
     @property
     def certification_floor(self) -> float:
@@ -284,8 +283,9 @@ def singular_spectrum(m: OperatorMatrix) -> SingularSpectrum:
 
     The radius is the rigorous uniform one (perturbation bound by the
     truncation norm, plus the norm of the columns `_values_of` drops);
-    stability_radii compares against the half-size compression, a sharp
-    empirical indicator of truncation bias, cut the same way.
+    stability_radii compares against the half-size compression, cut the
+    same way: an empirical indicator of truncation bias that can miss slow
+    convergence (see the module docstring).
     """
     values, columns, dropped = _values_of(m.entries)
     stab = None

@@ -40,9 +40,7 @@ from .symbols import SymbolMap
 
 __all__ = [
     "Space",
-    "PowerSeries",
     "SeriesParams",
-    "coefficients_of_power",
     "dirichlet_power_norms",
     "power_coefficient_table",
     "power_mass",
@@ -67,17 +65,6 @@ class Space(enum.Enum):
 
     DIRICHLET = "dirichlet"
     DIRICHLET_STAR = "dirichlet-star"
-
-
-@dataclass(frozen=True)
-class PowerSeries:
-    """Finite coefficient vector c_0..c_M with an extraction certificate."""
-
-    coeffs: np.ndarray
-    sampling_radius: float
-    error_bound: float
-    aliasing_suspect: bool = False
-    flushed: int = 0
 
 
 @dataclass(frozen=True)
@@ -161,23 +148,6 @@ def power_coefficient_table(s: SymbolMap, k_max: int, params: SeriesParams):
     return table, peaks
 
 
-def coefficients_of_power(
-    s: SymbolMap, k: int, M: int, rho: float | None = None, Q: int | None = None
-) -> PowerSeries:
-    """First M+1 Taylor coefficients of phi^k with their a-priori error bound."""
-    if k < 1:
-        raise ValueError("power must be >= 1")
-    params = SeriesParams(M, rho, Q)
-    table, peaks = power_coefficient_table(s, k, params)
-    return PowerSeries(
-        table[k - 1],
-        sampling_radius=params.resolved()[1],
-        error_bound=float(params.error_bounds(peaks)[k - 1]),
-        aliasing_suspect=params.aliasing_suspect,
-        flushed=int(np.count_nonzero(table[k - 1] == 0.0)),
-    )
-
-
 def power_mass(s: SymbolMap, table: np.ndarray):
     """(mass, beyond) of the powers phi^k whose coefficients 0..M are the rows
     of `table`: mass[k-1, j] = j |c_j|^2 and beyond[k-1] the Dirichlet mass of
@@ -202,19 +172,16 @@ def power_mass(s: SymbolMap, table: np.ndarray):
 
 
 def dirichlet_power_norms(s: SymbolMap, n_max: int, M: int | None = None):
-    """Dirichlet norms of phi^k, k = 1..n_max, and their error bounds.
+    """Dirichlet norms of phi^k, k = 1..n_max, from the coefficients, and
+    their error bounds; the exact norms of a known image are
+    `geometry.Image.power_norms`, with no extraction.
 
-    A known image base gives them exactly (`geometry.Image.power_norms`, no
-    extraction; for the cusp region this reaches mass far beyond any
-    practical degree).  Otherwise the norms are sqrt(sum_j j |c_j|^2) up to
-    degree M, and the bounds add the root of the mass beyond M (`power_mass`)
-    to the coefficient errors in that norm: roundoff and evaluation at
-    sqrt(M) rho^-M times their l2 bounds, flushing at sqrt(j) times each
-    floor, aliasing of the mass above Q at A/2 times that root (Cauchy-Schwarz).
+    The norms are sqrt(sum_j j |c_j|^2) up to degree M, and the bounds add
+    the root of the mass beyond M (`power_mass`) to the coefficient errors
+    in that norm: roundoff and evaluation at sqrt(M) rho^-M times their l2
+    bounds, flushing at sqrt(j) times each floor, aliasing of the mass above
+    Q at A/2 times that root (Cauchy-Schwarz).
     """
-    image = geometry.image_of(s)
-    if image is not None:
-        return image.power_norms(n_max), np.full(n_max, 1e-13)
     M = M if M is not None else max(64, 4 * n_max)
     params = SeriesParams(M)
     _, rho, Q = params.resolved()

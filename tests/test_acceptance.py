@@ -16,7 +16,6 @@ import numpy as np
 from compopnum import analysis, geometry
 from compopnum.cli import main as cli_main
 from compopnum.opmatrix import assemble, hs_tail_bound, singular_spectrum
-from compopnum.series import dirichlet_power_norms
 from compopnum.symbols import (
     CUSP_DIAMETER,
     AffineMap,
@@ -51,7 +50,7 @@ def test_criterion_02_hs_upper_bound():
         spec = singular_spectrum(assemble(AffineMap(r), 64))
         ns = np.arange(1, 31)
         closed = r**ns / math.sqrt(1 - r * r)
-        ok &= bool(np.all(spec.values[:30] <= closed + spec.error_radii[:30]))
+        ok &= bool(np.all(spec.values[:30] <= closed + spec.radius))
         for n in (1, 5, 15, 30):
             got = hs_tail_bound(AffineMap(r), int(n))
             want = r**n / math.sqrt(1 - r * r)
@@ -126,7 +125,7 @@ def test_criterion_06_cusp_area_law_monte_carlo():
 
 def test_criterion_07_cusp_power_norm_decay():
     ns = np.arange(10, 1001)
-    norms, _ = dirichlet_power_norms(CuspMap(), 1000)
+    norms = geometry.image_of(CuspMap()).power_norms(1000)
     norms = norms[9:]
     scaled = norms * np.sqrt(ns) / np.log(ns) ** 1.5
     running = np.maximum.accumulate(scaled)

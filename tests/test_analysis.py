@@ -140,7 +140,6 @@ def test_certification_floor_from_the_radius():
     assert _straddling(1e-14, None).certification_floor == VALUE_FLOOR
     assert _straddling(0.1, None).certification_floor == 0.2
     assert _straddling(math.inf, None).certification_floor == math.inf
-    assert np.array_equal(_straddling(0.1, None).error_radii, np.full(30, 0.1))
 
 
 def test_every_consumer_drops_entries_below_the_floor():

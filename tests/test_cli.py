@@ -9,7 +9,7 @@ from compopnum import analysis, cli, geometry
 from compopnum.analysis import fit_decay
 from compopnum.cli import main
 from compopnum.opmatrix import assemble, singular_spectrum
-from compopnum.series import SeriesParams, coefficients_of_power
+from compopnum.series import SeriesParams, power_coefficient_table
 from compopnum.symbols import AffineMap, CuspMap
 
 
@@ -193,8 +193,15 @@ def test_series_report_carries_the_a_priori_bound(tmp_path):
     assert run(["series", "--symbol", "cusp", "--M", "64",
                 "--out", str(tmp_path / "s.csv"), "--report", str(rep)]) == 0
     payload = json.loads(rep.read_text())
-    assert payload["error_bound"] == coefficients_of_power(CuspMap(), 1, 64).error_bound
+    params = SeriesParams(64)
+    peaks = power_coefficient_table(CuspMap(), 1, params)[1]
+    assert payload["error_bound"] == params.error_bounds(peaks)[0]
     assert payload["aliasing_suspect"] is False
+    # the affine cube 0.125 z^3 has exactly one nonzero coefficient of nine:
+    # the other eight are flushed to exact zeros
+    assert run(["series", "--symbol", "affine:r=0.5", "--k", "3", "--M", "8",
+                "--out", str(tmp_path / "s.csv"), "--report", str(rep)]) == 0
+    assert json.loads(rep.read_text())["flushed"] == 8
     # a user-chosen radius this close to 1 lets aliasing dominate
     assert run(["series", "--symbol", "cusp", "--M", "16", "--rho", "0.9999", "--Q", "128",
                 "--out", str(tmp_path / "s.csv"), "--report", str(rep)]) == 0
@@ -233,6 +240,17 @@ def test_fit_with_an_unknown_model_exits_2(tmp_path):
     assert run(["fit", "--in", str(_rootn_csv(tmp_path)), "--models", "foo",
                 "--report", str(rep)]) == 2
     assert not rep.exists()
+
+
+@pytest.mark.parametrize("ns", [(1, 3), (1, 2, 20_000_000), (2, 1)],
+                         ids=["gap", "huge-n", "out-of-order"])
+def test_fit_reads_only_the_rows_an_writes(tmp_path, ns):
+    # n comes from outside the program: only rows n = 1..R in order are read,
+    # so no n sizes an array (20M would ask for 160 MB)
+    src = tmp_path / "spec.csv"
+    src.write_text("n,a_n\n" + "".join(f"{n},0.5\n" for n in ns))
+    _exits_2_without_artifacts(tmp_path, ["fit", "--in", str(src),
+                                          "--report", str(tmp_path / "never.json")])
 
 
 # values the benchmark's oracle pins: a change of the value floor or of the
@@ -301,6 +319,25 @@ def test_verify_headline_reports_failure(tmp_path):
     # the lowered fit-length guard is stated in every fit report
     fit_checks = [c for c in payload["checks"] if c["name"].startswith("rootn-fit")]
     assert all(c["details"]["min_entries"] == 8 for c in fit_checks)
+
+
+def test_verify_headline_compares_the_rates_when_both_fits_run(tmp_path):
+    # z/2 decays geometrically: both truncations fit, the geometric model
+    # wins each, and the rootn rates of the two are compared
+    rep = tmp_path / "v31.json"
+    assert run(["verify", "--theorem", "3.1", "--symbol", "affine:r=0.5", "--N", "64",
+                "--report", str(rep)]) == 1
+    checks = {c["name"]: c for c in json.loads(rep.read_text())["checks"]}
+    assert list(checks) == ["rootn-fit[N=32]", "rootn-fit[N=64]", "rootn-rate-stability"]
+    rates = []
+    for N in (32, 64):
+        fit = checks[f"rootn-fit[N={N}]"]
+        assert not fit["passed"] and fit["details"]["best_model"] == "geometric"
+        assert set(fit["details"]["fits"]) == {"geometric", "rootn", "nlogn"}
+        rates.append(fit["details"]["fits"]["rootn"]["c"])
+    stability = checks["rootn-rate-stability"]
+    assert stability["passed"]
+    assert [stability["details"]["c_half"], stability["details"]["c_full"]] == rates
 
 
 def test_verify_headline_needs_the_rootn_model(tmp_path):
@@ -455,6 +492,12 @@ def test_bad_config_rejected(tmp_path):
     assert run(["--config", str(cfg), "an"]) == 2
     cfg.write_text("not json at all")
     assert run(["--config", str(cfg), "an"]) == 2
+    # fit reports fits[0]: an empty model list is a configuration error
+    src = _rootn_csv(tmp_path)
+    _exits_2_without_artifacts(tmp_path, ["fit", "--in", str(src), "--report",
+                                          str(tmp_path / "never.json")], {"models": []})
+    with pytest.raises(cli.ConfigError, match="at least one model"):
+        cli.run_pipeline(cli.RunConfig("fit", infile=str(src), models=()))
 
 
 # top-level report keys of each command; the envelope is shared, the rest

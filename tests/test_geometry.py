@@ -23,7 +23,6 @@ from compopnum.geometry import (
     zinc_upper_bound,
 )
 from compopnum.opmatrix import hs_tail_bound
-from compopnum.series import dirichlet_power_norms
 from compopnum.symbols import (
     CUSP_DIAMETER,
     AffineMap,
@@ -603,7 +602,7 @@ def test_box_contains_the_region_below_the_first_breakpoint(spec, fraction):
     # resolves the tip's ~u^2/a half-width at every depth
     image = geometry.image_of(parse_symbol(spec))
     t = 1.0 - image.modulus * (1.0 - fraction * REGION.breakpoints()[0])
-    centre, theta0 = image.box(t)
+    centre, theta0 = np.angle(image.factor), image.box_angle(t)
     depth = t * np.linspace(0.0, 1.0, 129)[1:, None]
     offset = np.geomspace(1e-12, math.pi, 4000)
     offset = np.concatenate([-offset, offset])
@@ -621,7 +620,7 @@ def test_cusp_monte_carlo_hits_the_tip():
     # the box is twice the slice at depth t, and the slice at depth u < t is
     # ~(u/t)^2 of that: about a sixth of the samples hit
     t = 2.0**-6
-    _, theta0 = geometry.image_of(CUSP).box(t)
+    theta0 = geometry.image_of(CUSP).box_angle(t)
     box = (1.0 - (1.0 - t) ** 2) * (theta0 / np.pi)
     mc = annulus_area(CUSP, t, method="monte-carlo", samples=100_000, seed=2)
     assert mc.value / box >= 0.10
@@ -797,7 +796,8 @@ def test_annulus_monte_carlo_on_a_known_base_forms_no_point(monkeypatch):
 def test_annulus_monte_carlo_blocks_match_one_shot_draws(spec, t, samples):
     # reference: all draws at once, points by complex exp, membership in the image's frame
     s, seed = parse_symbol(spec), 9
-    centre, theta0 = geometry.image_of(s).box(t)
+    image = geometry.image_of(s)
+    centre, theta0 = np.angle(image.factor), image.box_angle(t)
     lo2 = (1.0 - t) ** 2
     box = (1.0 - lo2) * (theta0 / np.pi)
     u, v = _one_shot_uniforms(seed, samples)
@@ -1026,8 +1026,8 @@ def test_region_power_norms_in_row_blocks_match_one_matrix(n):
 @given(theta=ANGLES, n=st.integers(1, 200))
 def test_scaled_cusp_power_norms(theta, n):
     # ||(f chi)^k|| = |f|^k ||chi^k||: the scaled cusp takes the region route
-    scaled, _ = dirichlet_power_norms(ComposedMap(AffineMap(0.9, theta), CUSP), n)
-    plain, _ = dirichlet_power_norms(CUSP, n)
+    scaled = geometry.image_of(ComposedMap(AffineMap(0.9, theta), CUSP)).power_norms(n)
+    plain = geometry.image_of(CUSP).power_norms(n)
     assert scaled == pytest.approx(0.9 ** np.arange(1, n + 1) * plain, rel=1e-12)
 
 

@@ -61,7 +61,7 @@ def test_hs_tail_bound_closed_form_and_ordering():
     spec = singular_spectrum(assemble(AffineMap(0.5), 32))
     for n in (1, 4, 8, 16):
         bound = hs_tail_bound(AffineMap(0.5), n)
-        assert spec.values[n - 1] <= bound + spec.error_radii[n - 1]
+        assert spec.values[n - 1] <= bound + spec.radius
 
 
 def test_hs_tail_bound_identity_divergent():
@@ -412,7 +412,7 @@ def test_monotone_certification_under_refinement():
     s = builtin_contractions()[3]  # origin-fixed Moebius-composed contraction
     spec32 = singular_spectrum(assemble(s, 32, series_params=params))
     spec64 = singular_spectrum(assemble(s, 64, series_params=params))
-    assert np.all(spec64.values[:32] >= spec32.values - spec32.error_radii - 1e-12)
+    assert np.all(spec64.values[:32] >= spec32.values - spec32.radius - 1e-12)
     # and compressions only grow with N
     assert np.all(spec64.values[:32] + 1e-12 >= spec32.values)
 

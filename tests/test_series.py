@@ -7,13 +7,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from compopnum.geometry import image_of
 from compopnum.opmatrix import assemble, singular_spectrum
 from compopnum.series import (
     _EVAL_ULPS,
     _FLUSH_SAFETY,
     SeriesParams,
     Space,
-    coefficients_of_power,
     dirichlet_power_norms,
     power_coefficient_table,
     power_mass,
@@ -30,26 +30,26 @@ from compopnum.symbols import (
 
 
 def test_affine_cube_is_exact():
-    ps = coefficients_of_power(AffineMap(0.5), 3, 8)
+    table, _ = power_coefficient_table(AffineMap(0.5), 3, SeriesParams(8))
     expected = np.zeros(9, dtype=complex)
     expected[3] = 0.125
-    assert np.abs(ps.coeffs - expected).max() <= 1e-14
+    assert np.abs(table[2] - expected).max() <= 1e-14
     # exact zeros, not merely small: flushed against the roundoff floor
-    assert np.count_nonzero(ps.coeffs) == 1
-    assert ps.flushed == 8
+    assert np.count_nonzero(table[2]) == 1
 
 
 def test_cusp_constant_term_vanishes():
-    ps = coefficients_of_power(CuspMap(), 1, 64)
-    assert abs(ps.coeffs[0]) <= max(ps.error_bound, 1e-12)
-    assert not ps.aliasing_suspect
+    params = SeriesParams(64)
+    table, peaks = power_coefficient_table(CuspMap(), 1, params)
+    assert abs(table[0, 0]) <= max(params.error_bounds(peaks)[0], 1e-12)
+    assert not params.aliasing_suspect
 
 
 def test_moebius_coefficients_geometric_series():
     u = 0.3
-    ps = coefficients_of_power(MoebiusMap(u), 1, 12)
+    table, _ = power_coefficient_table(MoebiusMap(u), 1, SeriesParams(12))
     exact = np.array([u] + [-(1 - u * u) * u ** (j - 1) for j in range(1, 13)])
-    assert np.abs(ps.coeffs - exact).max() <= 1e-12
+    assert np.abs(table[0] - exact).max() <= 1e-12
 
 
 @pytest.mark.parametrize(
@@ -63,12 +63,11 @@ def test_moebius_coefficients_geometric_series():
 )
 def test_power_equals_selfconvolution(s):
     k, M = 4, 48
-    base = coefficients_of_power(s, 1, M).coeffs
-    conv = base.copy()
+    table, _ = power_coefficient_table(s, k, SeriesParams(M))
+    conv = table[0].copy()
     for _ in range(k - 1):
-        conv = np.convolve(conv, base)[: M + 1]
-    direct = coefficients_of_power(s, k, M).coeffs
-    assert np.abs(direct - conv).max() <= 1e-8
+        conv = np.convolve(conv, table[0])[: M + 1]
+    assert np.abs(table[k - 1] - conv).max() <= 1e-8
 
 
 def test_dirichlet_power_norms_affine_closed_form():
@@ -102,7 +101,7 @@ def test_cusp_region_vs_coefficients_at_low_powers():
     # the coefficient route can only lose mass (degrees above the cutoff),
     # and the loss grows with the power: the norm mass of cusp powers
     # spreads to exponentially high degrees
-    reg, _ = dirichlet_power_norms(CuspMap(), 3)
+    reg = image_of(CuspMap()).power_norms(3)
     coef, _ = dirichlet_power_norms(TWICE_CUSP, 3, M=4096)
     assert np.all(coef <= reg + 1e-9)
     gaps = (reg - coef) / reg
@@ -241,8 +240,6 @@ def test_series_params_validation():
         SeriesParams(8, Q=0).resolved()  # not the default plan
     with pytest.raises(ValueError):
         SeriesParams(8, rho=1.5).resolved()
-    with pytest.raises(ValueError):
-        coefficients_of_power(AffineMap(0.5), 0, 8)
 
 
 @pytest.fixture(scope="module")

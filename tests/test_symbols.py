@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from compopnum.series import coefficients_of_power
+from compopnum.series import SeriesParams, power_coefficient_table
 from compopnum.symbols import (
     CUSP_DIAMETER,
     AffineMap,
@@ -110,7 +110,7 @@ def test_degree_never_lies(s):
     # a polynomial of degree d has c_d != 0 and exact zeros beyond it, which
     # the extraction's roundoff flush keeps
     d = s.degree
-    c = coefficients_of_power(s, 1, 4 * d + 8).coeffs
+    c = power_coefficient_table(s, 1, SeriesParams(4 * d + 8))[0][0]
     assert c[d] != 0.0
     assert not np.any(c[d + 1 :])
 
