@@ -10,8 +10,9 @@ the configuration, runs the command, writes the one report and sets the exit
 code. Exit codes: 0 when every check that ran passed or none ran; 1 when a
 check ran and failed, or the computation raised a numerical error; 2 on a
 configuration error, which includes a missing or malformed input file, a
-missing output directory and a region-measure method that geometry rejects
-with MethodError (nothing is written then).
+missing output directory, a sampling plan that does not resolve and a
+region-measure method that geometry rejects with MethodError (nothing is
+written then).
 """
 
 from __future__ import annotations
@@ -133,9 +134,22 @@ def _write_report(path: str | None, payload: dict) -> None:
 _Outcome = tuple[dict, list[analysis.Report]]
 
 
+def _plan(cfg: RunConfig, M: int, N: int = 0) -> SeriesParams:
+    """The sampling plan of the flags, with degree M unless --M sets it; a
+    plan that does not resolve, or retains fewer than N degrees, is a
+    configuration error."""
+    params = SeriesParams(M if cfg.M is None else cfg.M, cfg.rho, cfg.Q)
+    try:
+        retained = params.resolved()[0]
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
+    if retained < N:
+        raise ConfigError(f"retained degree M = {retained} must reach the truncation size N = {N}")
+    return params
+
+
 def _spectrum_for(cfg: RunConfig, s: SymbolMap, N: int):
-    M = retained_degree(s, N) if cfg.M is None else cfg.M
-    params = SeriesParams(M=M, rho=cfg.rho, Q=cfg.Q)
+    params = _plan(cfg, retained_degree(s, N), N)
     m = assemble(s, N, cfg.resolved_space(s), params)
     return singular_spectrum(m), m
 
@@ -268,7 +282,8 @@ def _cmd_an(cfg: RunConfig, s: SymbolMap) -> _Outcome:
         "hs_tail": m.hs_tail,
         "row_tail": m.row_tail,
         "assembly_error": m.assembly_error,
-        "column_tail": {"model": m.column_tail_fit.model, "rmse": m.column_tail_fit.rmse},
+        # no fitted model is left, so no residual: the schema keeps rmse at 0
+        "column_tail": {"model": m.column_tail_route, "rmse": 0.0},
         "certification_floor": spec.certification_floor,
         "stable_entries": int(spec.stable.sum()),
         "reliable_entries": len(spec.reliable_range()),
@@ -278,7 +293,7 @@ def _cmd_an(cfg: RunConfig, s: SymbolMap) -> _Outcome:
 
 def _cmd_series(cfg: RunConfig, s: SymbolMap) -> _Outcome:
     k = 1 if cfg.k is None else cfg.k
-    params = SeriesParams(64 if cfg.M is None else cfg.M, cfg.rho, cfg.Q)
+    params = _plan(cfg, 64)
     table, peaks = power_coefficient_table(s, k, params)
     out = cfg.out or "series.csv"
     with open(out, "w", newline="") as fh:
@@ -324,7 +339,12 @@ def _read_spectrum_csv(path: str) -> np.ndarray:
         raise ConfigError(f"cannot read spectrum CSV {path!r}: {exc!r}") from exc
     if not rows or [n for n, _ in rows] != list(range(1, len(rows) + 1)):
         raise ConfigError(f"spectrum CSV {path!r} needs rows n = 1, 2, ... in order")
-    return np.array([v for _, v in rows])
+    values = np.array([v for _, v in rows])
+    bad = np.nonzero(~(np.isfinite(values) & (values >= 0.0)))[0]
+    if bad.size:
+        raise ConfigError(f"spectrum CSV {path!r} has a_n = {values[bad[0]]!r} at n = {bad[0] + 1}: "
+                          "singular values are finite and >= 0")
+    return values
 
 
 def _cmd_fit(cfg: RunConfig, s: SymbolMap) -> _Outcome:

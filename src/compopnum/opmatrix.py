@@ -10,16 +10,17 @@ rows) plus the coefficient-extraction noise.
 
 When the image is factor * base for a known base (the unit disk or the
 cusp region, see `geometry.image_of`), the column tail is a closed form of
-the image integral and no power beyond N is extracted.  The row tail takes
-each power's mass beyond the retained degree from `series.power_mass`,
-exact for a known base; other symbols' column tails sum the power norms plus
-their bounds (`dirichlet_power_norms`) to 4 max(N, 16) and fit the remainder.
+the image integral and no power beyond N is extracted; any other symbol's
+column tail is the sup-norm majorant `tails.column_tail_majorant`, infinite
+where it proves nothing.  The row tail takes each power's mass beyond the
+retained degree from `series.power_mass`: exact for a known base, 0 for a
+polynomial power the degree holds whole, infinite otherwise.
 
-`retained_degree` is the one rule for the default degree M: N for a known
-image base, whose exact row tail ||phi^k||^2 - sum_{j <= N} j |c_j|^2 needs
-no coefficient above the matrix, and 2N otherwise, where rows N+1..2N feed
-the fitted remainder.  Retaining 2N for a known base would compute, store
-and sum rows N+1..2N only for them to cancel against the exact norm.
+`retained_degree` is the one rule for the default degree M: N d for a
+polynomial of degree d, which holds its first N powers whole, and N for
+every other symbol.  Beyond N only the polynomial's exact row mass needs
+coefficients: a known base's exact row tail ||phi^k||^2 - sum_{j <= N} j
+|c_j|^2 needs none above the matrix, and no other mass beyond M is proved.
 
 Two certificates are attached to every spectrum:
 
@@ -30,12 +31,11 @@ Two certificates are attached to every spectrum:
   skips, at most VALUE_FLOOR * eps: by Weyl's inequality dropping them
   moves no value by more, and the entries past the kept columns read 0.0
   within the radius (1.7e-28 for the cusp at N = 1024, which keeps 255 of
-  its 1024 columns).  It is
-  rigorous for a known image base; otherwise the tails rest on the
-  least-squares fits of `tails.tail_remainder`, and the radius is an
-  estimate until proved majorants replace them: for the cusp written as a
-  twice-applied Moebius involution at M = 64, the exact power norms exceed
-  the fitted norms plus bounds by 8-74% on rows 7-12;
+  its 1024 columns).  It is rigorous: its tails are exact for a known
+  image base and proved bounds otherwise, infinite where nothing is
+  proved.  Without an image both are finite only for a polynomial of known
+  sup norm below 1 at the default degree; any other such symbol has only
+  the stability tier;
 * an empirical stability radius per entry, the change of the value when the
   truncation is halved.  It is an indicator, not a bound, and it can miss
   slow convergence: the cusp at N = 1024 marks n = 13 stable with radius
@@ -61,7 +61,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import geometry, tails
-from .series import Space, SeriesParams, dirichlet_power_norms
+# dirichlet_power_norms is not used here; perfbench's selftest checks that
+# the tracer rebinds this module's name for it
+from .series import Space, SeriesParams, dirichlet_power_norms  # noqa: F401
 from .series import power_coefficient_table, power_mass
 from .symbols import SymbolMap
 
@@ -91,7 +93,8 @@ class OperatorMatrix:
     hs_tail: float
     row_tail: float
     assembly_error: float
-    column_tail_fit: tails.TailFit  # the closed form or fit behind hs_tail
+    # how hs_tail was bounded: "closed-form:<base>", "sup-norm" or "divergent"
+    column_tail_route: str
     params: SeriesParams  # the sampling plan the coefficients came from
 
     @property
@@ -138,32 +141,28 @@ class SingularSpectrum:
         return np.nonzero(mask)[0] + 1
 
 
-def _column_tail(s: SymbolMap, n: int):
-    """(sqrt(sum_{k >= n} ||phi^k||_D^2 / k), how its remainder was found).
+def _column_tail(s: SymbolMap, n: int) -> tuple[float, str]:
+    """(sqrt(sum_{k >= n} ||phi^k||_D^2 / k) or a proved bound on it, its route).
 
-    A known image base gives the whole sum in closed form (model
-    "closed-form:<base>").  Otherwise the norms at the top of their error
-    bounds (`dirichlet_power_norms`, the mass beyond degree 2 k_max
-    included) are summed to k_max = 4 max(n - 1, 16), whatever a matrix
-    retains, and the remainder is fitted: infinite without summable decay.
+    A known image base gives the whole sum in closed form (route
+    "closed-form:<base>"); any other symbol the sup-norm majorant ("sup-norm"),
+    or infinity when that proves nothing ("divergent").
     """
     image = geometry.image_of(s)
     if image is not None:
-        return image.column_tail(n), tails.TailFit(f"closed-form:{image.base.name}", 0.0, 0.0)
-    k_max = 4 * max(n - 1, 16)
-    norms, bounds = dirichlet_power_norms(s, k_max, M=2 * k_max)
-    t = (norms + bounds) ** 2 / np.arange(1, k_max + 1)
-    fit = tails.tail_remainder(t)
-    return math.sqrt(float(t[n - 1 :].sum()) + fit.remainder), fit
+        return image.column_tail(n), f"closed-form:{image.base.name}"
+    tau = tails.column_tail_majorant(s, n)
+    return tau, "sup-norm" if math.isfinite(tau) else "divergent"
 
 
 def hs_tail_bound(s: SymbolMap, n: int) -> float:
     """sqrt(sum_{k >= n} ||phi^k||_D^2 / k), in closed form for a known image
-    base and otherwise by `_column_tail`'s plan, which `assemble` shares.
+    base and otherwise bounded by `_column_tail`'s majorant, which `assemble`
+    shares.
 
     Bounds the n-th approximation number from above (rank n-1 truncation of
-    the coefficient expansion).  Returns math.inf for non-compact symbols:
-    disk automorphisms, and power norms whose tail fit diverges.
+    the coefficient expansion).  Returns math.inf for non-compact symbols,
+    the disk automorphisms, and wherever no majorant is proved.
     """
     if n < 1:
         raise ValueError("index must be >= 1")
@@ -171,11 +170,11 @@ def hs_tail_bound(s: SymbolMap, n: int) -> float:
 
 
 def retained_degree(s: SymbolMap, N: int) -> int:
-    """Default retained degree M of an N x N truncation: N when phi has an
-    `Image` (`power_mass` then takes each row's mass beyond N exactly), else
-    2N for the remainder fits.  Q/(M+1) does not depend on the choice, so
-    rho^-M and the aliasing rho^Q are the same either way."""
-    return N if geometry.image_of(s) is not None else 2 * N
+    """Default retained degree M of an N x N truncation: N d for a polynomial
+    of degree d (`power_mass` then takes its rows' mass beyond M as 0), N for
+    every other symbol.  The default Q is a power of two of at least 8(M+1)
+    at every M, so rho^-M and the aliasing rho^Q hardly move with it."""
+    return N * (s.degree or 1)
 
 
 def assemble(
@@ -226,7 +225,7 @@ def assemble(
         A[0, 1:] = table[:, 0] / np.sqrt(k)
 
     # column tail: discarded basis vectors k > N
-    hs_tail, column_fit = _column_tail(s, N + 1)
+    hs_tail, column_route = _column_tail(s, N + 1)
     if space is Space.DIRICHLET:
         # each discarded column k also has |phi(0)|^(2k)/k in the constant
         # row: sum_{k > N} x^k / k <= x^(N+1) / ((N+1)(1-x)), x = |phi(0)|^2
@@ -245,7 +244,7 @@ def assemble(
         hs_tail=hs_tail,
         row_tail=row_tail,
         assembly_error=assembly_error,
-        column_tail_fit=column_fit,
+        column_tail_route=column_route,
         params=params,
     )
 

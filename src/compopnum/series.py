@@ -1,6 +1,7 @@
 """Power-series arithmetic: Taylor coefficients of symbol powers and their
-Dirichlet mass, the one place that takes it exactly (`geometry.image_of`)
-or fits its remainder.
+Dirichlet mass, the one place that takes the mass beyond the retained
+degree: exactly for a known image (`geometry.image_of`), 0 for a polynomial
+power that the degree holds whole, and otherwise infinite, as unproved.
 
 Coefficients of phi^k come from one FFT of the k-th power of samples of phi
 on one circle |z| = rho, chosen to balance roundoff, amplified by rho^-j,
@@ -35,7 +36,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import geometry, tails
+from . import geometry
 from .symbols import SymbolMap
 
 __all__ = [
@@ -152,10 +153,10 @@ def power_mass(s: SymbolMap, table: np.ndarray):
     """(mass, beyond) of the powers phi^k whose coefficients 0..M are the rows
     of `table`: mass[k-1, j] = j |c_j|^2 and beyond[k-1] the Dirichlet mass of
     phi^k above degree M.  For a known image base that is the exact norm^2
-    minus the retained mass; otherwise the row's fitted remainder, infinite
-    without summable decay or when too short to fit.  Either way it is 0
-    when phi is a polynomial of degree d (`SymbolMap.degree`, read off the
-    parameters) and k d <= M: the difference would be roundoff.
+    minus the retained mass; otherwise it is infinite, as no bound on it is
+    proved.  Either way it is 0 when phi is a polynomial of degree d
+    (`SymbolMap.degree`, read off the parameters) and k d <= M: the
+    difference would be roundoff.
     """
     j = np.arange(table.shape[1], dtype=float)
     mass = np.abs(table)  # j |c_j|^2 in place: no table-sized temporaries
@@ -165,7 +166,7 @@ def power_mass(s: SymbolMap, table: np.ndarray):
     if image is not None:
         beyond = np.maximum(image.power_norms(len(table)) ** 2 - mass.sum(axis=1), 0.0)
     else:
-        beyond = np.array([tails.tail_remainder(row).remainder for row in mass])
+        beyond = np.full(len(table), math.inf)
     if s.degree is not None:
         beyond[np.arange(1, len(table) + 1) * s.degree < table.shape[1]] = 0.0
     return mass, beyond
@@ -180,7 +181,8 @@ def dirichlet_power_norms(s: SymbolMap, n_max: int, M: int | None = None):
     the root of the mass beyond M (`power_mass`) to the coefficient errors
     in that norm: roundoff and evaluation at sqrt(M) rho^-M times their l2
     bounds, flushing at sqrt(j) times each floor, aliasing of the mass above
-    Q at A/2 times that root (Cauchy-Schwarz).
+    Q at A/2 times that root (Cauchy-Schwarz), so the bounds are infinite
+    wherever that mass is.
     """
     M = M if M is not None else max(64, 4 * n_max)
     params = SeriesParams(M)

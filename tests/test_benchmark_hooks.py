@@ -78,5 +78,5 @@ def test_tracer_installs_and_its_hooks_count(tmp_path):
     assert window["points"] == np.count_nonzero(np.abs(w) < 1.0)
     assert spans["geometry.CuspRegion.annulus_area"]["calls"] >= 1
     assert spans["geometry.M_functional"]["calls"] >= 1
-    # every command here has a known image base: no mass is fitted
-    assert "tails.tail_remainder" not in spans
+    # every command here has a known image base: no sup-norm majorant
+    assert "tails.column_tail_majorant" not in spans

@@ -10,7 +10,8 @@ from compopnum.analysis import fit_decay
 from compopnum.cli import main
 from compopnum.opmatrix import assemble, singular_spectrum
 from compopnum.series import SeriesParams, power_coefficient_table
-from compopnum.symbols import AffineMap, CuspMap
+from compopnum.symbols import AffineMap, CuspMap, builtin_contractions
+from compopnum.tails import column_tail_majorant
 
 
 def run(args):
@@ -39,9 +40,9 @@ def test_an_diagonal_csv(tmp_path):
 
 @pytest.mark.parametrize("N", [1, 2, 3])
 def test_an_small_truncation_without_known_base(tmp_path, N):
-    # rows of 2N+1 < 8 degrees are too short for a tail fit: their mass
-    # beyond the table is unknown, so nothing is certified (the cusp written
-    # as a twice-applied involution, whose powers are no polynomials)
+    # without an image no mass beyond the table is proved, so nothing is
+    # certified (the cusp written as a twice-applied involution, whose
+    # powers are no polynomials)
     out, rep = tmp_path / "spec.csv", tmp_path / "rep.json"
     twice = "compose(moebius:u=0.5+0i,compose(moebius:u=0.5+0i,cusp))"
     assert run(["an", "--symbol", twice, "--N", str(N),
@@ -56,9 +57,11 @@ def test_an_small_truncation_without_known_base(tmp_path, N):
 
 @pytest.mark.parametrize("symbol, args, M", [
     ("cusp", [], 64),
-    # the cusp behind an inner contraction has no Image
-    ("compose(cusp,affine:r=0.5)", [], 128),
+    # the cusp behind an inner contraction has no Image, and no mass beyond N
+    ("compose(cusp,affine:r=0.5)", [], 64),
     ("cusp", ["--M", "100"], 100),
+    # a polynomial of degree 2 keeps its first N powers whole
+    ("coeffs:[0,0.5,0.25]", [], 128),
 ])
 def test_an_reports_the_resolved_plan(tmp_path, symbol, args, M):
     rep = tmp_path / "rep.json"
@@ -71,15 +74,17 @@ def test_an_reports_the_resolved_plan(tmp_path, symbol, args, M):
 
 def test_an_column_tail_does_not_depend_on_M(tmp_path):
     # --M sizes the matrix only: the column tail of a symbol without a known
-    # image base (a disk hidden behind the involution pair) keeps its plan
-    hidden = "compose(moebius:u=0.5+0i,compose(moebius:u=0.5+0i,affine:r=0.9,theta=1))"
+    # image base is its sup-norm majorant, finite here (sup = 0.7934)
+    symbol = builtin_contractions()[3].spec_string()
     tails = []
     for extra in ([], ["--M", "1024"]):
         rep = tmp_path / "rep.json"
-        assert run(["an", "--symbol", hidden, "--N", "64", *extra,
+        assert run(["an", "--symbol", symbol, "--N", "64", *extra,
                     "--out", str(tmp_path / "spec.csv"), "--report", str(rep)]) == 0
-        tails.append(json.loads(rep.read_text())["hs_tail"])
-    assert tails[0] == tails[1]
+        payload = json.loads(rep.read_text())
+        assert payload["column_tail"] == {"model": "sup-norm", "rmse": 0.0}
+        tails.append(payload["hs_tail"])
+    assert tails[0] == tails[1] == column_tail_majorant(builtin_contractions()[3], 65)
 
 
 def _an_report(tmp_path, tag):
@@ -599,6 +604,11 @@ def _exits_2_without_artifacts(tmp_path, args, config=None):
     # and put the default r = 0.9 below it
     (None, ["verify", "--theorem", "2.2", "--N", "64", "--symbol",
             "compose(moebius:u=0.3+0i,compose(affine:r=0.9,cusp))"]),
+    # sampling plans that do not resolve, or retain too few degrees
+    (None, ["an", "--symbol", "cusp", "--N", "16", "--rho", "1.5"]),
+    (None, ["an", "--symbol", "cusp", "--N", "16", "--Q", "8"]),
+    (None, ["an", "--symbol", "affine:r=0.5", "--N", "16", "--M", "8"]),
+    (None, ["series", "--symbol", "cusp", "--k", "2", "--rho", "0"]),
 ])
 def test_config_that_would_not_be_what_ran_exits_2(tmp_path, config, args):
     rep, out = tmp_path / "never.json", tmp_path / "never.csv"
@@ -654,12 +664,23 @@ def test_blaschke_power_zero_is_in_range(tmp_path):
     assert json.loads(rep.read_text())["value"] == geometry.blaschke_certificate(0)
 
 
+def _geometric_csv(n_bad, bad):
+    # a_n = 0.9^n, n = 1..40, with one entry no singular value can have
+    rows = [f"{n},{bad if n == n_bad else repr(0.9**n)}" for n in range(1, 41)]
+    return "n,a_n\n" + "\n".join(rows) + "\n"
+
+
 @pytest.mark.parametrize("content", [
     None,  # no such file
     "n,value\n1,0.5\n",  # no a_n column
     "n,a_n,error_radius,certified\n",  # header only
     "n,a_n\n0,0.5\n1,0.25\n",  # n = 0 has no slot
     "n,a_n\n1,half\n",
+    # an infinite entry once ended in "degenerate fit"; nan and negative
+    # entries were dropped and the range still read [2, 40]
+    pytest.param(_geometric_csv(5, "inf"), id="inf-at-5"),
+    pytest.param(_geometric_csv(3, "nan"), id="nan-at-3"),
+    pytest.param(_geometric_csv(3, "-0.5"), id="negative-at-3"),
 ])
 def test_fit_input_errors_exit_2_naming_the_file(tmp_path, capsys, content):
     src = tmp_path / "in.csv"

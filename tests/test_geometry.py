@@ -9,7 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from compopnum import geometry, tails
+from compopnum import geometry
 from compopnum.geometry import (
     BlaschkeProduct,
     CarlesonWindow,
@@ -330,16 +330,6 @@ def test_M_functional_matches_sixty_scalar_terms(s):
         # the terms past the cut stay under the proved bound on them
         bound = REGION.tip_area_constant * t * 2.0**-geometry._DYADIC_CUT
         assert math.fsum(terms[geometry._DYADIC_CUT + 1 :]) <= bound
-
-
-def test_M_functional_fits_no_tail(monkeypatch):
-    def no_fit(*args, **kwargs):
-        raise AssertionError("M(t) must not fit a tail")
-
-    monkeypatch.setattr(tails, "tail_remainder", no_fit)
-    for s in CUSP_IMAGES + [AffineMap(0.5), MoebiusMap(0.3)]:
-        for t in M_DEPTHS:
-            M_functional(s, t)
 
 
 def test_vector_annulus_area_matches_scalar_calls():

@@ -79,7 +79,7 @@ def test_automorphism_column_tails_infinite():
     assert hs_tail_bound(parse_symbol(rotated), 3) == math.inf
     m = assemble(MoebiusMap(0.3), 16, Space.DIRICHLET)
     assert m.hs_tail == math.inf
-    assert m.column_tail_fit.model == "closed-form:disk"
+    assert m.column_tail_route == "closed-form:disk"
 
 
 @pytest.mark.parametrize("r", [0.3, 0.5, 0.9])
@@ -164,14 +164,14 @@ def test_an_inner_rotation_keeps_the_cusp_spectrum():
 
 def test_known_bases_fit_nothing(monkeypatch):
     # a known image base gives both tails from the image integral
-    def no_fit(t):
-        raise AssertionError("tail fit on a known image base")
+    def no_majorant(s, n):
+        raise AssertionError("sup-norm majorant on a known image base")
 
-    monkeypatch.setattr("compopnum.tails.tail_remainder", no_fit)
+    monkeypatch.setattr("compopnum.tails.column_tail_majorant", no_majorant)
     for s in (AffineMap(0.7, theta=1.0), CuspMap(), parse_symbol("compose(affine:r=0.9,cusp)")):
         m = assemble(s, 32)
         assert math.isfinite(m.hs_tail) and math.isfinite(m.row_tail)
-        assert m.column_tail_fit.model.startswith("closed-form:")
+        assert m.column_tail_route.startswith("closed-form:")
 
 
 def test_hs_tail_nonincreasing_in_truncation():
@@ -189,9 +189,9 @@ def test_cusp_hs_tail_vs_svd_estimate():
 
 def test_divergent_row_tails_count_as_infinite():
     # the Moebius involution applied twice is the cusp, with the cusp's
-    # singular values, but the image normal form does not see through it: on
-    # the coefficient route most of its rows show no decay by degree M, their
-    # mass beyond M is unknown, so nothing may be certified
+    # singular values, but the image normal form does not see through it:
+    # without an image no mass beyond degree M is proved, so nothing may be
+    # certified
     twice = "compose(moebius:u=0.5+0i,compose(moebius:u=0.5+0i,cusp))"
     m = assemble(parse_symbol(twice), 64)
     assert m.row_tail == math.inf
@@ -202,27 +202,29 @@ def test_divergent_row_tails_count_as_infinite():
 
 
 def test_unknown_base_column_tail_keeps_the_mass_beyond_M():
-    # the same symbol's column tail sums each power norm with its error
-    # bound, which holds the mass beyond the retained degree: rows with no
-    # visible decay make it infinite, where the retained mass alone gave
-    # 7.6e-8 against the cusp's closed form 0.0398
+    # the same symbol's column tail: its sup norm is unknown, so no majorant
+    # is proved, where the retained mass alone gave 7.6e-8 against the
+    # cusp's closed form 0.0398
     twice = "compose(moebius:u=0.5+0i,compose(moebius:u=0.5+0i,cusp))"
     m = assemble(parse_symbol(twice), 64)
     assert m.hs_tail == math.inf
-    assert m.column_tail_fit.model == "divergent"
+    assert m.column_tail_route == "divergent"
 
 
 @pytest.mark.parametrize("theta", [0.0, 1.0])
 @pytest.mark.parametrize("r", [0.7, 0.9])
 def test_affine_behind_the_involution_pair_matches_closed_form(r, theta):
-    # the fitted route on a symbol whose image base is hidden: its powers are
-    # monomials, so the row tail vanishes and the column tail is the disk's
-    affine = f"affine:r={r},theta={theta}"
-    hidden = f"compose(moebius:u=0.5+0i,compose(moebius:u=0.5+0i,{affine}))"
+    # a symbol whose image base is hidden: its powers are monomials, so its
+    # stable values are the disk's r^n, but its sup norm is unknown, so
+    # neither tail is proved and nothing is certified
+    hidden = f"compose(moebius:u=0.5+0i,compose(moebius:u=0.5+0i,affine:r={r},theta={theta}))"
     m = assemble(parse_symbol(hidden), 64)
-    assert m.column_tail_fit.model == "geometric"
-    assert m.hs_tail == pytest.approx(hs_tail_bound(parse_symbol(affine), 65), rel=1e-9, abs=0.0)
-    assert m.row_tail == 0.0
+    assert m.column_tail_route == "divergent" and m.row_tail == math.inf
+    spec = singular_spectrum(m)
+    assert not spec.certified.any()
+    n = np.nonzero(spec.stable)[0] + 1
+    assert n.size == 32
+    assert spec.values[n - 1] == pytest.approx(r**n, rel=1e-14, abs=0.0)
 
 
 def test_full_dirichlet_assembly_error_counts_the_constant_row():
@@ -245,14 +247,18 @@ def test_full_dirichlet_assembly_error_counts_the_constant_row():
     assert star.assembly_error == pytest.approx(expected, rel=1e-14, abs=0.0)
 
 
-def test_the_default_degree_is_n_only_for_a_known_image_base():
-    assert retained_degree(CuspMap(), 64) == 64
-    assert assemble(CuspMap(), 64).params.resolved()[0] == 64
-    # the cusp behind an inner contraction has no Image: its rows beyond N
-    # feed the remainder fits
-    unknown = parse_symbol("compose(cusp,affine:r=0.5)")
-    assert retained_degree(unknown, 64) == 128
-    assert assemble(unknown, 64).params.resolved()[0] == 128
+def test_the_default_degree_is_n_but_for_a_polynomial():
+    # the cusp behind an inner contraction has no Image, and no mass beyond
+    # N is proved for it: it keeps N, as the cusp does
+    for s in (CuspMap(), parse_symbol("compose(cusp,affine:r=0.5)"), builtin_contractions()[3]):
+        assert retained_degree(s, 64) == 64
+        assert assemble(s, 64).params.resolved()[0] == 64
+    # a polynomial of degree d keeps its first N powers whole at N d
+    poly = parse_symbol("coeffs:[0,0.5,0.25]")
+    assert retained_degree(poly, 64) == 128
+    assert retained_degree(parse_symbol("compose(coeffs:[0,0.5,0.25],coeffs:[0,0,1])"), 64) == 256
+    m = assemble(poly, 64)
+    assert m.params.resolved()[0] == 128 and math.isfinite(m.row_tail)
 
 
 @pytest.mark.parametrize("spec", [

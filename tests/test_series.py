@@ -90,11 +90,13 @@ TWICE_CUSP = parse_symbol("compose(moebius:u=0.5+0i,compose(moebius:u=0.5+0i,cus
 
 
 def test_power_norm_bound_infinite_without_visible_decay():
-    # the cusp's 13th to 16th powers still carry undecayed mass at degree 64
+    # without an image no mass beyond degree M is proved, on any row: the
+    # cusp's powers are not polynomials
+    table, _ = power_coefficient_table(TWICE_CUSP, 16, SeriesParams(64))
+    mass, beyond = power_mass(TWICE_CUSP, table)
+    assert np.all(np.isfinite(mass)) and np.all(np.isinf(beyond))
     norms, bounds = dirichlet_power_norms(TWICE_CUSP, 16)
-    assert np.all(np.isfinite(norms))
-    assert np.all(np.isfinite(bounds[:12]))
-    assert np.all(np.isinf(bounds[12:]))
+    assert np.all(np.isfinite(norms)) and np.all(np.isinf(bounds))
 
 
 def test_cusp_region_vs_coefficients_at_low_powers():
@@ -118,8 +120,8 @@ def test_power_mass_beyond_the_table():
     ks = np.arange(1, 5)
     assert mass.sum(axis=1) == pytest.approx(ks * 0.25**ks, rel=1e-14, abs=0.0)
     assert np.all(beyond >= 0.0) and np.all(beyond <= 1e-15)
-    # without a known base a row too short for a tail fit has unknown mass
-    # beyond it, unless it holds the whole power of a polynomial (degree 2k)
+    # without a known base a row has unknown mass beyond it, unless it holds
+    # the whole power of a polynomial (degree 2k)
     poly = parse_symbol("coeffs:[0,0.5,0.25]")
     short, _ = power_coefficient_table(poly, 3, SeriesParams(4))
     assert power_mass(poly, short)[1].tolist() == [0.0, 0.0, math.inf]
@@ -129,7 +131,8 @@ def test_power_mass_beyond_the_table():
 
 def test_whole_polynomial_powers_have_no_mass_beyond():
     # phi^15 ends at degree 30 of a 33-term row: its two trailing zeros once
-    # sent the tail fit to its crude branch, charging 5.4e-3 beyond M = 32
+    # sent a least-squares tail fit to its crude branch, charging 5.4e-3
+    # beyond M = 32
     poly = parse_symbol("coeffs:[0,0.5,0.25]")
     table, _ = power_coefficient_table(poly, 16, SeriesParams(32))
     assert np.all(power_mass(poly, table)[1] == 0.0)
