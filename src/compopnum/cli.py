@@ -287,7 +287,7 @@ def _cmd_an(cfg: RunConfig, s: SymbolMap) -> _Outcome:
         "certification_floor": spec.certification_floor,
         "stable_entries": int(spec.stable.sum()),
         "reliable_entries": len(spec.reliable_range()),
-        "svd": {"columns": spec.columns, "dropped": spec.dropped},
+        "svd": {"columns": spec.columns, "dropped": spec.dropped, "extracted": m.extracted},
     }, []
 
 

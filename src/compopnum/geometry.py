@@ -850,9 +850,15 @@ def blaschke_certificate(
 
 def _window_sup(b: BlaschkeProduct) -> float:
     """max over `default_window_grid()` of the quadrature's window mean / h,
-    one `_window_mean_quadrature` call for all the sizes about each centre."""
+    one `_window_mean_quadrature` call for all the sizes about each centre.
+
+    Only the 9 centres with theta >= 0 are integrated: the cusp region is
+    symmetric under conjugation and B has real zeros, so |B|^2 is too, and
+    the window about conj(xi) has the mean of the window about xi.
+    """
     centres, sizes = default_window_grid()
-    return max(float(np.max(_window_mean_quadrature(b, xi, sizes) / sizes)) for xi in centres)
+    return max(float(np.max(_window_mean_quadrature(b, xi, sizes) / sizes))
+               for xi in centres if xi.imag >= 0.0)
 
 
 # ---------------------------------------------------------------------------

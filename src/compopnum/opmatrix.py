@@ -16,6 +16,13 @@ where it proves nothing.  The row tail takes each power's mass beyond the
 retained degree from `series.power_mass`: exact for a known base, 0 for a
 polynomial power the degree holds whole, infinite otherwise.
 
+A power whose column provably carries no mass is never extracted: before
+any coefficient, `assemble` bounds every column of a symbol with an `Image`
+by Parseval on circles |z| = r < 1 (`_column_bounds`) and extracts only
+the K_a leading powers whose trailing bounds exceed the SVD's cut; the
+columns past them read 0.0, and their bound joins the dropped norm below.
+The cusp at N = 1024 extracts 295 of its 1024 powers.
+
 `retained_degree` is the one rule for the default degree M: N d for a
 polynomial of degree d, which holds its first N powers whole, and N for
 every other symbol.  Beyond N only the polynomial's exact row mass needs
@@ -27,15 +34,14 @@ Two certificates are attached to every spectrum:
 * a perturbation radius, hs_tail + row_tail + assembly_error + dropped,
   valid for every entry (singular values are 1-Lipschitz in the operator
   norm; `series` proves assembly_error but for the evaluation accuracy).
-  The last term is the Frobenius norm of the trailing columns the SVD
-  skips, at most VALUE_FLOOR * eps: by Weyl's inequality dropping them
-  moves no value by more, and the entries past the kept columns read 0.0
-  within the radius (1.7e-28 for the cusp at N = 1024, which keeps 255 of
-  its 1024 columns).  It is rigorous: its tails are exact for a known
-  image base and proved bounds otherwise, infinite where nothing is
-  proved.  Without an image both are finite only for a polynomial of known
-  sup norm below 1 at the default degree; any other such symbol has only
-  the stability tier;
+  The last term bounds the Frobenius norm of the trailing columns the SVD
+  skips, those never extracted included, at most VALUE_FLOOR * eps: by
+  Weyl's inequality dropping them moves no value by more, and the entries
+  past the kept columns read 0.0 within the radius.  It is rigorous: its
+  tails are exact for a known image base and proved bounds otherwise,
+  infinite where nothing is proved.  Without an image both are finite only
+  for a polynomial of known sup norm below 1 at the default degree; any
+  other such symbol has only the stability tier;
 * an empirical stability radius per entry, the change of the value when the
   truncation is halved.  It is an indicator, not a bound, and it can miss
   slow convergence: the cusp at N = 1024 marks n = 13 stable with radius
@@ -65,7 +71,7 @@ from . import geometry, tails
 # the tracer rebinds this module's name for it
 from .series import Space, SeriesParams, dirichlet_power_norms  # noqa: F401
 from .series import power_coefficient_table, power_mass
-from .symbols import SymbolMap
+from .symbols import SymbolMap, circle_sup_bounds
 
 __all__ = [
     "OperatorMatrix",
@@ -82,11 +88,21 @@ VALUE_FLOOR = 1e-12
 # trailing columns of smaller combined norm move no value >= VALUE_FLOOR by
 # more than eps relative (Weyl), so the SVD skips them
 _COLUMN_CUT = VALUE_FLOOR * np.finfo(float).eps
+# the circles |z| = 1 - depth on which `_column_bounds` samples sup |phi|,
+# each at Q / _BOUND_SAMPLING angles.  For the cusp at N = 1024 (Q = 16384)
+# they take ~2 ms and give K_a = 295; 16 circles of 4096 gave the same 295
+# in ~6 ms, and these circles at Q / 8 gave 314.  At N = 256 they take ~1 ms
+# of the ~3 ms the 68 powers they spare would cost.
+_BOUND_DEPTHS = np.geomspace(0.5, 3e-3, 6)
+_BOUND_SAMPLING = 4
 
 
 @dataclass(frozen=True)
 class OperatorMatrix:
-    """N x N (or (N+1) x (N+1) with the constant direction) truncation."""
+    """The N x N truncation (N+1 with the constant direction), stored as its
+    leading columns: those of the `extracted` powers, N of them unless
+    `assemble` proved the rest negligible.  The columns past them read 0.0
+    and `unextracted` bounds their Frobenius norm."""
 
     entries: np.ndarray
     N: int
@@ -96,6 +112,12 @@ class OperatorMatrix:
     # how hs_tail was bounded: "closed-form:<base>", "sup-norm" or "divergent"
     column_tail_route: str
     params: SeriesParams  # the sampling plan the coefficients came from
+    unextracted: float = 0.0
+
+    @property
+    def extracted(self) -> int:
+        """K_a, the powers whose columns `entries` holds."""
+        return self.entries.shape[1] - self.entries.shape[0] + self.N
 
     @property
     def truncation_norm_bound(self) -> float:
@@ -113,7 +135,9 @@ class SingularSpectrum:
     radius: float
     stability_radii: np.ndarray | None = None
     columns: int | None = None  # K, the leading columns the values come from
-    dropped: float = 0.0  # norm of the columns it skipped, already in radius
+    # bound on the norm of the columns it skipped, those never extracted
+    # included; already in radius
+    dropped: float = 0.0
 
     @property
     def certification_floor(self) -> float:
@@ -177,6 +201,35 @@ def retained_degree(s: SymbolMap, N: int) -> int:
     return N * (s.degree or 1)
 
 
+def _column_bounds(s: SymbolMap, N: int, c: int, Q: int) -> np.ndarray:
+    """b_k^2, k = 1..N: bounds on the squared norms of the power columns of
+    the (N+c)-row matrix, c = 1 with the constant row.
+
+    On |z| = r Parseval gives sum_j |c_j(phi^k)|^2 r^(2j) <= S(r)^(2k), S(r) =
+    max_{|z|=r} |phi|, so column k's squared norm, sum_{1<=j<=N} (j/k) |c_j|^2
+    plus |c_0|^2/k in the constant row, is at most (N+c) r^(-2N) S(r)^(2k)/k.
+    b_k^2 is the least of these over the circles of `_BOUND_DEPTHS`, with
+    S(r) from `circle_sup_bounds`.
+    """
+    r = 1.0 - _BOUND_DEPTHS
+    sup = circle_sup_bounds(s, r, Q // _BOUND_SAMPLING)
+    k = np.arange(1, N + 1)
+    # in logs: r^(-2N) overflows on the widest circle at N = 1024
+    log_b2 = math.log(N + c) - 2.0 * N * np.log(r)[:, None] + np.outer(2.0 * np.log(sup), k)
+    return np.exp(log_b2.min(axis=0) - np.log(k))
+
+
+def _negligible(sq: np.ndarray, beyond: float = 0.0) -> tuple[int, float]:
+    """(K, t): the fewest leading columns K whose trailing squared norms
+    sq[K:], plus `beyond` for columns past them, sum to at most
+    `_COLUMN_CUT`^2, and t the root of that sum.  The terms are nonnegative,
+    so nothing cancels and the tail is nonincreasing; a NaN counts as mass
+    and is kept."""
+    tail = np.append(np.cumsum(sq[::-1])[::-1], 0.0) + beyond
+    K = int(np.count_nonzero(~(tail <= _COLUMN_CUT**2)))
+    return K, math.sqrt(float(tail[K]))
+
+
 def assemble(
     s: SymbolMap,
     N: int,
@@ -189,6 +242,14 @@ def assemble(
     Dirichlet space, which prepends the constant direction (fixed by the
     operator) as basis index 0.  Without `series_params` the coefficients
     are retained to `retained_degree(s, N)`.
+
+    A symbol with an `Image` extracts only the first K_a powers: K_a is the
+    fewest whose later columns' bounds `_column_bounds` sum to at most
+    `_COLUMN_CUT`^2 in square, and that sum's root is `unextracted`, which
+    `singular_spectrum` counts in `dropped`.  The row tail charges each
+    power past K_a its whole mass (0 for a polynomial power the degree
+    holds whole), the image's norm.  A symbol without an `Image` extracts
+    all N, as it has no such norm.
 
     The row tail is taken before the matrix is built, so the table's mass
     array is gone by then; the matrix is one array, sqrt(j/k) formed in
@@ -204,25 +265,29 @@ def assemble(
         raise ValueError("retained degree must reach the truncation size")
     if params.aliasing_suspect:
         raise ArithmeticError("sampling plan is aliasing-suspect; refusing to certify")
-    table, peaks = power_coefficient_table(s, N, params)
+    # the constant direction, when the space has it, is basis index 0
+    c = int(space is Space.DIRICHLET)
+    K, unextracted = N, 0.0
+    if geometry.image_of(s) is not None:
+        K, unextracted = _negligible(_column_bounds(s, N, c, Q))
+    table, peaks = power_coefficient_table(s, K, params)
     j = np.arange(1, N + 1, dtype=float)
     k = np.arange(1, N + 1, dtype=float)
 
     # row tail: mass of phi^k, k <= N, above the retained rows
-    mass, beyond = power_mass(s, table)  # [k, j], [k]
-    row_tail = math.sqrt(float(((mass[:, N + 1 :].sum(axis=1) + beyond) / k).sum()))
+    mass, beyond = power_mass(s, table, N)  # [k, j] for k <= K, [k]
+    beyond[:K] += mass[:, N + 1 :].sum(axis=1)
+    row_tail = math.sqrt(float((beyond / k).sum()))
     del mass
 
-    # the constant direction, when the space has it, is basis index 0
-    c = int(space is Space.DIRICHLET)
-    A = np.zeros((N + c, N + c), dtype=table.dtype)
+    A = np.zeros((N + c, K + c), dtype=table.dtype)
     core = A[c:, c:]  # [j, k]; a complex core's real part is a view too
-    np.divide(j[:, None], k[None, :], out=core.real)
+    np.divide(j[:, None], k[None, :K], out=core.real)
     np.sqrt(core.real, out=core.real)
     core *= table[:, 1 : N + 1].T
     if c:
         A[0, 0] = 1.0
-        A[0, 1:] = table[:, 0] / np.sqrt(k)
+        A[0, 1:] = table[:, 0] / np.sqrt(k[:K])
 
     # column tail: discarded basis vectors k > N
     hs_tail, column_route = _column_tail(s, N + 1)
@@ -234,9 +299,10 @@ def assemble(
         hs_tail = math.sqrt(hs_tail**2 + const)
 
     # coefficient-noise aggregate: per-entry error sqrt(j/k) err_k, Frobenius;
-    # the constant row's entries c_0(phi^k)/sqrt(k) carry err_k/sqrt(k)
+    # the constant row's entries c_0(phi^k)/sqrt(k) carry err_k/sqrt(k); the
+    # columns never extracted carry no error, as `unextracted` bounds them whole
     w_rows = float(j.sum()) + (space is Space.DIRICHLET)
-    assembly_error = math.sqrt(float((params.error_bounds(peaks) ** 2 * w_rows / k).sum()))
+    assembly_error = math.sqrt(float((params.error_bounds(peaks) ** 2 * w_rows / k[:K]).sum()))
 
     return OperatorMatrix(
         entries=A,
@@ -246,6 +312,7 @@ def assemble(
         assembly_error=assembly_error,
         column_tail_route=column_route,
         params=params,
+        unextracted=unextracted,
     )
 
 
@@ -253,47 +320,49 @@ def _is_exact_diagonal(A: np.ndarray) -> bool:
     return np.count_nonzero(A) == np.count_nonzero(A.diagonal())
 
 
-def _values_of(A: np.ndarray) -> tuple[np.ndarray, int, float]:
-    """(singular values, columns K the SVD ran on, norm of the columns dropped).
+def _values_of(A: np.ndarray, beyond: float = 0.0) -> tuple[np.ndarray, int, float]:
+    """(singular values, columns K the SVD ran on, norm of the columns dropped)
+    of the square matrix whose leading columns are A, no wider than tall;
+    `beyond` bounds the norm of its columns past A, which read 0.0.
 
-    Columns K.. have a combined Frobenius norm at most `_COLUMN_CUT` and are
-    dropped: by Weyl's inequality the values of A[:, :K] are A's to within
-    that norm, and entries past K read exactly 0.0, the cut matrix's own.
-    K is the full width when no tail is that small, and 0 skips the SVD.
+    Columns K.. have a combined Frobenius norm (with `beyond`) at most
+    `_COLUMN_CUT` and are dropped: by Weyl's inequality the values of
+    A[:, :K] are the matrix's to within that norm, and entries past K read
+    exactly 0.0, the cut matrix's own.  K is A's width when no tail is that
+    small, and 0 skips the SVD.
     """
+    values = np.zeros(A.shape[0])
     if _is_exact_diagonal(A):
         # exact singular values of a diagonal matrix; preserves tiny entries
-        return np.sort(np.abs(np.diag(A)))[::-1], A.shape[1], 0.0
+        diagonal = np.sort(np.abs(np.diag(A)))[::-1]
+        values[: diagonal.size] = diagonal
+        return values, A.shape[1], beyond
     # column masses without an N x N temporary; a complex A's real and imag are views
     parts = (A.real, A.imag) if np.iscomplexobj(A) else (A,)
-    sq = sum(np.einsum("jk,jk->k", part, part) for part in parts)
-    # tail[k] sums columns k..: nonnegative terms, so nothing cancels and
-    # tail is nonincreasing in k; a NaN tail counts as mass and is kept
-    tail = np.append(np.cumsum(sq[::-1])[::-1], 0.0)
-    K = int(np.count_nonzero(~(tail <= _COLUMN_CUT**2)))
-    values = np.zeros(min(A.shape))
+    K, dropped = _negligible(sum(np.einsum("jk,jk->k", part, part) for part in parts), beyond**2)
     if K:
         values[: min(A.shape[0], K)] = np.linalg.svd(A[:, :K], compute_uv=False)
-    return values, K, math.sqrt(float(tail[K]))
+    return values, K, dropped
 
 
 def singular_spectrum(m: OperatorMatrix) -> SingularSpectrum:
     """Singular values of the truncation with both certificate tiers.
 
     The radius is the rigorous uniform one (perturbation bound by the
-    truncation norm, plus the norm of the columns `_values_of` drops);
-    stability_radii compares against the half-size compression, cut the
-    same way: an empirical indicator of truncation bias that can miss slow
-    convergence (see the module docstring).
+    truncation norm, plus the norm of the columns `_values_of` drops, those
+    `assemble` never extracted included); stability_radii compares against
+    the half-size compression, cut the same way: an empirical indicator of
+    truncation bias that can miss slow convergence (see the module
+    docstring).  Both spectra have one entry per row, those past the
+    columns reading 0.0.
     """
-    values, columns, dropped = _values_of(m.entries)
+    values, columns, dropped = _values_of(m.entries, m.unextracted)
     stab = None
     if m.N >= 8:
-        half = m.entries[: m.entries.shape[0] - m.N // 2, : m.entries.shape[1] - m.N // 2]
-        vals_half = _values_of(half)[0]
+        n = m.entries.shape[0] - m.N // 2
+        vals_half = _values_of(m.entries[:n, :n], m.unextracted)[0]
         stab = np.full(len(values), np.inf)
-        L = len(vals_half)
-        stab[:L] = np.abs(values[:L] - vals_half)
+        stab[:n] = np.abs(values[:n] - vals_half)
     return SingularSpectrum(
         values=values,
         radius=m.truncation_norm_bound + dropped,

@@ -13,8 +13,8 @@ against aliasing, which decays like rho^Q.  Their error bounds are a priori:
   Stability of Numerical Algorithms, Thm 24.2), below the flush floor
   64 log2(Q) eps max|g| rho^-j; coefficients below the floor become exact
   zeros, so polynomial symbols assemble exactly sparse (proved);
-* evaluation, in l2 by Parseval at most k _EVAL_ULPS eps max|g| for the
-  k-fold product of samples, resting on the measured `_EVAL_ULPS`.
+* evaluation, in l2 by Parseval at most k EVAL_ULPS eps max|g| for the
+  k-fold product of samples, resting on the measured `symbols.EVAL_ULPS`.
 
 Powers are transformed in blocks of `_POWER_BLOCK` rows, one FFT call per
 block, each built in one work buffer that every block reuses.  A symbol with
@@ -37,7 +37,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import geometry
-from .symbols import SymbolMap
+from .symbols import EVAL_ULPS, SymbolMap
 
 __all__ = [
     "Space",
@@ -50,9 +50,6 @@ __all__ = [
 _LOG_EPS_BUDGET = math.log(1e16)  # digits spent between amplification and aliasing
 _FLUSH_SAFETY = 64.0
 _EPS = float(np.finfo(float).eps)
-# bound on a sample's error in ulps, at its rounded point against mpmath at
-# the exact angle; measured worst, the cusp's tip: 9.3 (M=64) to 164 (M=8192)
-_EVAL_ULPS = 1024.0
 _ALIASING_LIMIT = 1e-6  # of the coefficient scale |c_m| <= 1; flags the plan
 # powers per FFT call, built in one work buffer that every block reuses: a
 # fresh 2 MB block per call (Q = 32768) was handed back to the kernel and
@@ -109,7 +106,7 @@ class SeriesParams:
         """Bound on every coefficient of phi^k whose samples peak at modulus
         peaks[k-1]: twice the flush floor at M, evaluation and aliasing."""
         M, rho, Q = self.resolved()
-        ulps = 2.0 * _FLUSH_SAFETY * math.log2(Q) + np.arange(1, len(peaks) + 1) * _EVAL_ULPS
+        ulps = 2.0 * _FLUSH_SAFETY * math.log2(Q) + np.arange(1, len(peaks) + 1) * EVAL_ULPS
         return ulps * _EPS * peaks * rho**-M + self.aliasing_bound
 
 
@@ -149,26 +146,31 @@ def power_coefficient_table(s: SymbolMap, k_max: int, params: SeriesParams):
     return table, peaks
 
 
-def power_mass(s: SymbolMap, table: np.ndarray):
-    """(mass, beyond) of the powers phi^k whose coefficients 0..M are the rows
-    of `table`: mass[k-1, j] = j |c_j|^2 and beyond[k-1] the Dirichlet mass of
-    phi^k above degree M.  For a known image base that is the exact norm^2
-    minus the retained mass; otherwise it is infinite, as no bound on it is
-    proved.  Either way it is 0 when phi is a polynomial of degree d
+def power_mass(s: SymbolMap, table: np.ndarray, k_max: int | None = None):
+    """(mass, beyond) of the powers phi^k, k = 1..k_max (default: the rows of
+    `table`, which hold the coefficients 0..M of the first powers):
+    mass[k-1, j] = j |c_j|^2 for each row, and beyond[k-1] bounds the
+    Dirichlet mass of phi^k above degree M.  For a known image base that is
+    the exact norm^2 minus the retained mass, or the whole norm^2 for a power
+    past the table; otherwise it is infinite, as no bound on it is proved.
+    Either way it is 0 when phi is a polynomial of degree d
     (`SymbolMap.degree`, read off the parameters) and k d <= M: the
     difference would be roundoff.
     """
+    k_max = len(table) if k_max is None else k_max
     j = np.arange(table.shape[1], dtype=float)
     mass = np.abs(table)  # j |c_j|^2 in place: no table-sized temporaries
     mass *= mass
     mass *= j
     image = geometry.image_of(s)
     if image is not None:
-        beyond = np.maximum(image.power_norms(len(table)) ** 2 - mass.sum(axis=1), 0.0)
+        beyond = image.power_norms(k_max) ** 2
+        rows = beyond[: len(table)]
+        np.maximum(rows - mass.sum(axis=1), 0.0, out=rows)
     else:
-        beyond = np.full(len(table), math.inf)
+        beyond = np.full(k_max, math.inf)
     if s.degree is not None:
-        beyond[np.arange(1, len(table) + 1) * s.degree < table.shape[1]] = 0.0
+        beyond[np.arange(1, k_max + 1) * s.degree < table.shape[1]] = 0.0
     return mass, beyond
 
 
@@ -190,6 +192,6 @@ def dirichlet_power_norms(s: SymbolMap, n_max: int, M: int | None = None):
     table, peaks = power_coefficient_table(s, n_max, params)
     mass, beyond = power_mass(s, table)
     fft, k = _FLUSH_SAFETY * math.log2(Q), np.arange(1, n_max + 1)
-    ulps = math.sqrt(M) * (fft + k * _EVAL_ULPS) + math.sqrt(M * (M + 1) / 2) * fft
+    ulps = math.sqrt(M) * (fft + k * EVAL_ULPS) + math.sqrt(M * (M + 1) / 2) * fft
     bounds = ulps * _EPS * peaks * rho**-M + (1.0 + params.aliasing_bound / 2) * np.sqrt(beyond)
     return np.sqrt(mass.sum(axis=1)), bounds

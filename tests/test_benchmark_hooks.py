@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from compopnum import geometry
+from compopnum import geometry, opmatrix
 from compopnum.opmatrix import retained_degree
 from compopnum.series import SeriesParams
 from compopnum.symbols import CuspMap
@@ -62,10 +62,12 @@ def test_tracer_installs_and_its_hooks_count(tmp_path):
     assert spans["series.power_coefficient_table"]["ffts"] > 0
     assert spans["opmatrix.singular_spectrum"]["svd_dim"] == 16
     # the catalog's evaluate methods: the real cusp's table samples Q/2 + 1
-    # points of its circle, Q from the default plan at N = 16; no other
-    # command evaluates it
+    # points of its circle, Q from the default plan at N = 16, and the
+    # column bound n/2 + 1 of each of its circles, n = Q/4; no other command
+    # evaluates it
     Q = SeriesParams(M=retained_degree(CuspMap(), 16)).resolved()[2]
-    assert spans["symbols.evaluate"]["points"] == Q // 2 + 1 == 129
+    circles = opmatrix._BOUND_DEPTHS.size * (Q // opmatrix._BOUND_SAMPLING // 2 + 1)
+    assert spans["symbols.evaluate"]["points"] == Q // 2 + 1 + circles == 129 + 6 * 33
     # the annulus route samples the base's polar test, never image_contains
     assert "geometry.image_contains" not in spans
     # the window route still tests points: one call a block of 2^18 + 5

@@ -961,6 +961,17 @@ def test_window_means_are_conjugation_symmetric(r):
             mirrored, geometry._window_mean_quadrature(b, xi, GRID_SIZES), rtol=1e-14, atol=0.0)
 
 
+@pytest.mark.parametrize("r", [1, 2, 8])
+def test_window_sup_on_the_upper_centres_is_the_whole_grids(r):
+    # _window_sup integrates the 9 centres with theta >= 0; their mirrors
+    # add nothing to the max
+    b = BlaschkeProduct(unit_interval_dyadic_zeros(r), power=r)
+    whole = max(float(np.max(geometry._window_mean_quadrature(b, xi, GRID_SIZES) / GRID_SIZES))
+                for xi in GRID_CENTRES)
+    assert sum(xi.imag >= 0.0 for xi in GRID_CENTRES) == 9
+    assert geometry._window_sup(b) == pytest.approx(whole, rel=1e-14, abs=0.0)
+
+
 def test_a_scalar_size_is_the_one_size_rule():
     b = BlaschkeProduct(unit_interval_dyadic_zeros(4), power=4)
     # the tip, and the centre e^{-i/2}

@@ -282,8 +282,9 @@ def test_a_known_base_retained_to_n_keeps_the_2n_results(spec):
 
 
 def test_cusp_assembly_holds_the_table_and_the_matrix_only():
-    # the table (N x (N+1) doubles at the default degree) and the N x N
-    # matrix; the mass array is dropped before the matrix is built
+    # the table (K_a x (N+1) doubles at the default degree) and the N x K_a
+    # matrix, K_a = 295 of 1024 powers; the mass array is dropped before the
+    # matrix is built
     N = 1024
     tracemalloc.start()
     try:
@@ -291,7 +292,7 @@ def test_cusp_assembly_holds_the_table_and_the_matrix_only():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 3.5 * N * N * 8
+    assert peak < 2 * N * N * 8
 
 
 def test_full_space_assembly_builds_the_matrix_in_place():
@@ -311,11 +312,28 @@ def test_full_space_assembly_builds_the_matrix_in_place():
     assert peak < 4.5 * N * N * 8
 
 
-def _uncut(m):
-    """The spectrum from full SVDs of the matrix and its half."""
-    values = np.linalg.svd(m.entries, compute_uv=False)
+def _full_width(s, m):
+    """(m's square matrix with every power extracted, the powers' peaks),
+    from a full-width table on m's plan: sqrt(j/k) c_j(phi^k), and
+    c_0(phi^k)/sqrt(k) in the constant row when m has one."""
+    N = m.N
+    c = m.entries.shape[0] - N
+    table, peaks = power_coefficient_table(s, N, m.params)
+    k = np.arange(1, N + 1, dtype=float)
+    A = np.zeros((N + c, N + c), dtype=table.dtype)
+    A[c:, c:] = np.sqrt(k[:, None] / k[None, :]) * table[:, 1 : N + 1].T
+    if c:
+        A[0, 0] = 1.0
+        A[0, 1:] = table[:, 0] / np.sqrt(k)
+    return A, peaks
+
+
+def _uncut(s, m):
+    """The spectrum from full SVDs of the full-width matrix and its half."""
+    A, _ = _full_width(s, m)
+    values = np.linalg.svd(A, compute_uv=False)
     h = m.N // 2
-    half = np.linalg.svd(m.entries[:-h, :-h], compute_uv=False)
+    half = np.linalg.svd(A[:-h, :-h], compute_uv=False)
     stab = np.full(len(values), np.inf)
     stab[: len(half)] = np.abs(values[: len(half)] - half)
     return opmatrix.SingularSpectrum(values, m.truncation_norm_bound, stab)
@@ -324,7 +342,7 @@ def _uncut(m):
 @pytest.mark.parametrize("N", [512, 1024])
 def test_the_svd_skips_the_cusps_negligible_columns(cusp_spectra, N):
     m, spec = cusp_spectra[N]
-    ref = _uncut(m)
+    ref = _uncut(CuspMap(), m)
     # the columns past K carry at most VALUE_FLOOR * eps, added to the radius
     assert spec.columns < N // 2
     assert 0.0 < spec.dropped <= opmatrix._COLUMN_CUT
@@ -354,16 +372,67 @@ def test_a_complex_table_takes_the_same_cut():
     # cut, are the cusp's
     N = 256
     cusp = singular_spectrum(assemble(CuspMap(), N))
-    m = assemble(parse_symbol("compose(cusp,affine:r=1,theta=1)"), N)
+    s = parse_symbol("compose(cusp,affine:r=1,theta=1)")
+    m = assemble(s, N)
     assert m.entries.dtype == complex
     spec = singular_spectrum(m)
     assert spec.columns == cusp.columns < N
     assert spec.dropped == pytest.approx(cusp.dropped, rel=1e-12)
     assert spec.radius == m.truncation_norm_bound + spec.dropped
-    ref = _uncut(m)
+    ref = _uncut(s, m)
     ok = ref.values >= opmatrix.VALUE_FLOOR
     assert spec.values[ok] == pytest.approx(ref.values[ok], rel=1e-9, abs=0.0)
     np.testing.assert_array_equal(spec.stable, ref.stable)
+
+
+CUT_SYMBOLS = ("cusp", "affine:r=0.7", "compose(cusp,moebius:u=0.3+0.2i)")
+
+
+@pytest.mark.parametrize("N", [256, 512])
+@pytest.mark.parametrize("spec", CUT_SYMBOLS)
+def test_column_bounds_hold_every_computed_column(spec, N):
+    # b_k bounds the true column; the computed one is off by at most the
+    # column's share of the assembly error, sqrt(j/k) err_k over its rows
+    s = parse_symbol(spec)
+    space = Space.DIRICHLET_STAR if s.fixes_origin else Space.DIRICHLET
+    m = assemble(s, N, space)
+    c = m.entries.shape[0] - N
+    A, peaks = _full_width(s, m)
+    sq = np.sum(np.abs(A) ** 2, axis=0)
+    norms = np.sqrt(sq[c:])
+    k = np.arange(1, N + 1)
+    allowance = m.params.error_bounds(peaks) * np.sqrt((N * (N + 1) / 2 + c) / k)
+    b = np.sqrt(opmatrix._column_bounds(s, N, c, m.params.resolved()[2]))
+    assert np.all(norms <= b + allowance)
+    # the extracted columns are the full-width matrix's, bit for bit, and
+    # the cut the SVD would take there never reaches past them
+    K_a = m.extracted
+    assert K_a < N
+    np.testing.assert_array_equal(m.entries, A[:, : K_a + c])
+    spectrum = singular_spectrum(m)
+    assert opmatrix._negligible(sq)[0] <= K_a + c
+    assert spectrum.columns <= K_a + c
+    assert 0.0 < m.unextracted <= spectrum.dropped <= opmatrix._COLUMN_CUT
+    # one value per row, those past the extracted columns 0.0
+    assert spectrum.values.shape == spectrum.stability_radii.shape == (N + c,)
+    assert not spectrum.values[K_a + c :].any()
+
+
+def test_an_unextracted_polynomial_power_has_no_row_mass():
+    # z -> 0.7 z: the powers past K_a are held whole by the degree, so the
+    # row tail stays 0 rather than their whole norm (3e-36 at N = 512)
+    m = assemble(AffineMap(0.7), 512)
+    assert m.extracted < 512
+    assert m.row_tail == 0.0
+
+
+def test_a_symbol_without_an_image_extracts_every_power():
+    # the row tail of an unextracted power is its whole norm, which only the
+    # image gives
+    s = builtin_contractions()[3]
+    m = assemble(s, 64)
+    assert m.extracted == 64 and m.unextracted == 0.0
+    assert m.entries.shape == (64, 64)
 
 
 def test_a_negligible_matrix_needs_no_svd(monkeypatch):

@@ -10,7 +10,6 @@ import pytest
 from compopnum.geometry import image_of
 from compopnum.opmatrix import assemble, singular_spectrum
 from compopnum.series import (
-    _EVAL_ULPS,
     _FLUSH_SAFETY,
     SeriesParams,
     Space,
@@ -19,6 +18,7 @@ from compopnum.series import (
     power_mass,
 )
 from compopnum.symbols import (
+    EVAL_ULPS,
     AffineMap,
     ComposedMap,
     CoefficientMap,
@@ -127,6 +127,22 @@ def test_power_mass_beyond_the_table():
     assert power_mass(poly, short)[1].tolist() == [0.0, 0.0, math.inf]
     table, _ = power_coefficient_table(poly, 2, SeriesParams(16))
     assert np.all(power_mass(poly, table)[1] == 0.0)
+
+
+def test_power_mass_past_the_table_is_the_whole_norm():
+    # powers past the table charge their whole exact mass, except where the
+    # degree holds a polynomial power whole
+    table, _ = power_coefficient_table(CuspMap(), 3, SeriesParams(64))
+    mass, beyond = power_mass(CuspMap(), table, 8)
+    assert mass.shape == (3, 65) and beyond.shape == (8,)
+    assert beyond[3:] == pytest.approx(image_of(CuspMap()).power_norms(8)[3:] ** 2, rel=1e-15, abs=0.0)
+    # the rows' norm^2 minus retained mass: the same up to a cancelled ulp
+    assert beyond[:3] == pytest.approx(power_mass(CuspMap(), table)[1], rel=0.0, abs=1e-15)
+    table, _ = power_coefficient_table(AffineMap(0.5), 4, SeriesParams(8))
+    beyond = power_mass(AffineMap(0.5), table, 10)[1]
+    assert beyond[:8].tolist() == [0.0] * 8
+    assert beyond[8:] == pytest.approx(np.arange(9, 11) * 0.25 ** np.arange(9, 11), rel=1e-14, abs=0.0)
+    assert np.all(np.isinf(power_mass(TWICE_CUSP, table, 6)[1]))
 
 
 def test_whole_polynomial_powers_have_no_mass_beyond():
@@ -289,7 +305,7 @@ def test_samples_meet_the_evaluation_constant(mp, spec, M):
     for q in qs:
         ref = _mp_map(mp, s, _exact_point(mp, rho, int(q), Q))
         rel = abs(mp.mpc(samples[q]) - ref) / abs(ref)
-        assert rel <= _EVAL_ULPS * np.finfo(float).eps
+        assert rel <= EVAL_ULPS * np.finfo(float).eps
 
 
 def test_cusp_power_coefficients_within_the_a_priori_bound(mp):

@@ -17,6 +17,7 @@ from compopnum.symbols import (
     SymbolMap,
     _ring_grid,
     builtin_contractions,
+    circle_sup_bounds,
     cusp_halfdisk_map,
     evaluate_boundary,
     parse_symbol,
@@ -246,6 +247,34 @@ def test_pseudo_hyperbolic_monotone_in_depth():
     for depth in (4, 8):
         grid = _ring_grid(depth)
         assert np.array_equal(full[: len(grid)], grid)
+
+
+@pytest.mark.parametrize("s", ALL_SYMBOLS, ids=lambda s: s.spec_string())
+def test_circle_sup_bounds_exceed_a_finer_grid(s):
+    # 64 samples a circle bound the max of 4096 from the whole circle; the
+    # disk maps' circles are exact: r |c| for c z, (|u| + r)/(1 + |u| r) for
+    # the Moebius map
+    radii = np.array([0.5, 0.9, 0.99])
+    bounds = circle_sup_bounds(s, radii, 64)
+    theta = 2.0 * np.pi * np.arange(4096) / 4096
+    fine = np.abs(s.evaluate(np.outer(radii, np.exp(1j * theta)))).max(axis=1)
+    assert np.all(bounds >= fine) and np.all(bounds <= 1.0)
+    if isinstance(s, AffineMap):
+        assert np.all(bounds >= s.r * radii)
+    if isinstance(s, MoebiusMap):
+        u = abs(s.u)
+        assert np.all(bounds >= (u + radii) / (1.0 + u * radii))
+
+
+def test_an_inner_rotation_keeps_the_circle_bounds():
+    # phi(e^{i t} z) takes the values of phi on each circle: the outer map's
+    # samples serve, bit for bit, where a turned grid would move the max
+    radii = np.array([0.5, 0.99])
+    cusp = circle_sup_bounds(CuspMap(), radii, 256)
+    for inner in (AffineMap(1.0, 1.0), MoebiusMap(0.0)):
+        assert circle_sup_bounds(ComposedMap(CuspMap(), inner), radii, 256).tolist() == cusp.tolist()
+    moved = circle_sup_bounds(ComposedMap(CuspMap(), MoebiusMap(0.3)), radii, 256)
+    assert moved.tolist() != cusp.tolist()
 
 
 @settings(max_examples=200, deadline=None)
