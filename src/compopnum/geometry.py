@@ -279,16 +279,18 @@ class CuspRegion:
 
     def power_norms(self, ks) -> np.ndarray:
         """Dirichlet norms k sqrt(moment_k) of w^k on the region, moment_k =
-        (1/pi) int |w|^(2k-2) dA, in blocks of _NORM_BLOCK powers.  The log1p
+        (1/pi) int |w|^(2k-2) dA, in blocks of _NORM_BLOCK powers, the last
+        padded, as a product's rounding depends on its row count.  The log1p
         keeps s^(2k-2) accurate at depths u ~ 1e-14 for k up to ~1e6."""
         ks = np.asarray(ks, dtype=float)
         u, w = self.radial_rule()
         log_s, weights = np.log1p(-u), w * self.angular_measure(u)
-        moments = np.empty(ks.shape)
+        padded = np.resize(ks, -(-ks.size // _NORM_BLOCK) * _NORM_BLOCK)
+        moments = np.empty(padded.shape)
         for start in range(0, ks.size, _NORM_BLOCK):
             rows = slice(start, start + _NORM_BLOCK)
-            moments[rows] = np.exp(np.outer(2.0 * ks[rows] - 2.0, log_s)) @ weights
-        return ks * np.sqrt(moments)
+            moments[rows] = np.exp(np.outer(2.0 * padded[rows] - 2.0, log_s)) @ weights
+        return ks * np.sqrt(moments[: ks.size])
 
     def column_tail_sq(self, n: int, r2: float) -> float:
         """sum_{k >= n} r2^k ||w^k||^2 / k over the region, r2 <= 1.

@@ -20,8 +20,9 @@ A power whose column provably carries no mass is never extracted: before
 any coefficient, `assemble` bounds every column of a symbol with an `Image`
 by Parseval on circles |z| = r < 1 (`_column_bounds`) and extracts only
 the K_a leading powers whose trailing bounds exceed the SVD's cut; the
-columns past them read 0.0, and their bound joins the dropped norm below.
-The cusp at N = 1024 extracts 295 of its 1024 powers.
+columns past them read 0.0, their bound joins the dropped norm below, and
+their row mass is the closed form's tau_{K_a+1}^2 - tau_{N+1}^2, tau_n^2 =
+sum_{k >= n} ||phi^k||^2 / k.  The cusp at N = 1024 extracts 295 of 1024.
 
 `retained_degree` is the one rule for the default degree M: N d for a
 polynomial of degree d, which holds its first N powers whole, and N for
@@ -165,24 +166,10 @@ class SingularSpectrum:
         return np.nonzero(mask)[0] + 1
 
 
-def _column_tail(s: SymbolMap, n: int) -> tuple[float, str]:
-    """(sqrt(sum_{k >= n} ||phi^k||_D^2 / k) or a proved bound on it, its route).
-
-    A known image base gives the whole sum in closed form (route
-    "closed-form:<base>"); any other symbol the sup-norm majorant ("sup-norm"),
-    or infinity when that proves nothing ("divergent").
-    """
-    image = geometry.image_of(s)
-    if image is not None:
-        return image.column_tail(n), f"closed-form:{image.base.name}"
-    tau = tails.column_tail_majorant(s, n)
-    return tau, "sup-norm" if math.isfinite(tau) else "divergent"
-
-
 def hs_tail_bound(s: SymbolMap, n: int) -> float:
-    """sqrt(sum_{k >= n} ||phi^k||_D^2 / k), in closed form for a known image
-    base and otherwise bounded by `_column_tail`'s majorant, which `assemble`
-    shares.
+    """sqrt(sum_{k >= n} ||phi^k||_D^2 / k): the image's closed form for a
+    known base, else the sup-norm majorant `tails.column_tail_majorant`;
+    `assemble` takes its column tail here.
 
     Bounds the n-th approximation number from above (rank n-1 truncation of
     the coefficient expansion).  Returns math.inf for non-compact symbols,
@@ -190,7 +177,8 @@ def hs_tail_bound(s: SymbolMap, n: int) -> float:
     """
     if n < 1:
         raise ValueError("index must be >= 1")
-    return _column_tail(s, n)[0]
+    image = geometry.image_of(s)
+    return image.column_tail(n) if image is not None else tails.column_tail_majorant(s, n)
 
 
 def retained_degree(s: SymbolMap, N: int) -> int:
@@ -246,10 +234,10 @@ def assemble(
     A symbol with an `Image` extracts only the first K_a powers: K_a is the
     fewest whose later columns' bounds `_column_bounds` sum to at most
     `_COLUMN_CUT`^2 in square, and that sum's root is `unextracted`, which
-    `singular_spectrum` counts in `dropped`.  The row tail charges each
-    power past K_a its whole mass (0 for a polynomial power the degree
-    holds whole), the image's norm.  A symbol without an `Image` extracts
-    all N, as it has no such norm.
+    `singular_spectrum` counts in `dropped`.  The row tail charges the
+    powers past K_a their whole mass, tau_{K_a+1}^2 - tau_{N+1}^2 from the
+    image's column tail (0 where the degree holds polynomial powers whole).
+    A symbol without an `Image` extracts all N, as it has no such tail.
 
     The row tail is taken before the matrix is built, so the table's mass
     array is gone by then; the matrix is one array, sqrt(j/k) formed in
@@ -267,30 +255,42 @@ def assemble(
         raise ArithmeticError("sampling plan is aliasing-suspect; refusing to certify")
     # the constant direction, when the space has it, is basis index 0
     c = int(space is Space.DIRICHLET)
+    image = geometry.image_of(s)
     K, unextracted = N, 0.0
-    if geometry.image_of(s) is not None:
+    if image is not None:
         K, unextracted = _negligible(_column_bounds(s, N, c, Q))
     table, peaks = power_coefficient_table(s, K, params)
     j = np.arange(1, N + 1, dtype=float)
-    k = np.arange(1, N + 1, dtype=float)
+    k = np.arange(1, K + 1, dtype=float)
 
-    # row tail: mass of phi^k, k <= N, above the retained rows
-    mass, beyond = power_mass(s, table, N)  # [k, j] for k <= K, [k]
-    beyond[:K] += mass[:, N + 1 :].sum(axis=1)
-    row_tail = math.sqrt(float((beyond / k).sum()))
+    # column tail: discarded basis vectors k > N
+    hs_tail = hs_tail_bound(s, N + 1)
+    if image is not None:
+        column_route = f"closed-form:{image.base.name}"
+    else:
+        column_route = "sup-norm" if math.isfinite(hs_tail) else "divergent"
+
+    # row tail: mass of phi^k, k <= N, above the retained rows.  The powers
+    # K_a < k <= N are never extracted; their whole mass is the image's
+    # tau_{K_a+1}^2 - tau_{N+1}^2.  tau is infinite only on a disk of modulus
+    # 1, where K_a < N never happens: an automorphism has S(r) >= r, so every
+    # b_k^2 is at least (N+c)/k >= 1
+    mass, beyond = power_mass(s, table)  # [k, j], [k]
+    row_sq = float(((mass[:, N + 1 :].sum(axis=1) + beyond) / k).sum())
     del mass
+    if K < N and (s.degree is None or N * s.degree > M):
+        row_sq += image.column_tail(K + 1) ** 2 - hs_tail**2
+    row_tail = math.sqrt(row_sq)
 
     A = np.zeros((N + c, K + c), dtype=table.dtype)
     core = A[c:, c:]  # [j, k]; a complex core's real part is a view too
-    np.divide(j[:, None], k[None, :K], out=core.real)
+    np.divide(j[:, None], k, out=core.real)
     np.sqrt(core.real, out=core.real)
     core *= table[:, 1 : N + 1].T
     if c:
         A[0, 0] = 1.0
-        A[0, 1:] = table[:, 0] / np.sqrt(k[:K])
+        A[0, 1:] = table[:, 0] / np.sqrt(k)
 
-    # column tail: discarded basis vectors k > N
-    hs_tail, column_route = _column_tail(s, N + 1)
     if space is Space.DIRICHLET:
         # each discarded column k also has |phi(0)|^(2k)/k in the constant
         # row: sum_{k > N} x^k / k <= x^(N+1) / ((N+1)(1-x)), x = |phi(0)|^2
@@ -302,7 +302,7 @@ def assemble(
     # the constant row's entries c_0(phi^k)/sqrt(k) carry err_k/sqrt(k); the
     # columns never extracted carry no error, as `unextracted` bounds them whole
     w_rows = float(j.sum()) + (space is Space.DIRICHLET)
-    assembly_error = math.sqrt(float((params.error_bounds(peaks) ** 2 * w_rows / k[:K]).sum()))
+    assembly_error = math.sqrt(float((params.error_bounds(peaks) ** 2 * w_rows / k).sum()))
 
     return OperatorMatrix(
         entries=A,

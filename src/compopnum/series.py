@@ -1,7 +1,8 @@
 """Power-series arithmetic: Taylor coefficients of symbol powers and their
-Dirichlet mass, the one place that takes the mass beyond the retained
-degree: exactly for a known image (`geometry.image_of`), 0 for a polynomial
-power that the degree holds whole, and otherwise infinite, as unproved.
+Dirichlet mass, the one place that takes an extracted power's mass beyond
+the retained degree: exactly for a known image (`geometry.image_of`), 0 for
+a polynomial power that the degree holds whole, and otherwise infinite, as
+unproved.
 
 Coefficients of phi^k come from one FFT of the k-th power of samples of phi
 on one circle |z| = rho, chosen to balance roundoff, amplified by rho^-j,
@@ -146,31 +147,26 @@ def power_coefficient_table(s: SymbolMap, k_max: int, params: SeriesParams):
     return table, peaks
 
 
-def power_mass(s: SymbolMap, table: np.ndarray, k_max: int | None = None):
-    """(mass, beyond) of the powers phi^k, k = 1..k_max (default: the rows of
-    `table`, which hold the coefficients 0..M of the first powers):
-    mass[k-1, j] = j |c_j|^2 for each row, and beyond[k-1] bounds the
-    Dirichlet mass of phi^k above degree M.  For a known image base that is
-    the exact norm^2 minus the retained mass, or the whole norm^2 for a power
-    past the table; otherwise it is infinite, as no bound on it is proved.
-    Either way it is 0 when phi is a polynomial of degree d
+def power_mass(s: SymbolMap, table: np.ndarray):
+    """(mass, beyond) of the powers phi^k whose coefficients 0..M are the rows
+    of `table`: mass[k-1, j] = j |c_j|^2 and beyond[k-1] the Dirichlet mass of
+    phi^k above degree M.  For a known image base that is the exact norm^2
+    minus the retained mass; otherwise it is infinite, as no bound on it is
+    proved.  Either way it is 0 when phi is a polynomial of degree d
     (`SymbolMap.degree`, read off the parameters) and k d <= M: the
     difference would be roundoff.
     """
-    k_max = len(table) if k_max is None else k_max
     j = np.arange(table.shape[1], dtype=float)
     mass = np.abs(table)  # j |c_j|^2 in place: no table-sized temporaries
     mass *= mass
     mass *= j
     image = geometry.image_of(s)
     if image is not None:
-        beyond = image.power_norms(k_max) ** 2
-        rows = beyond[: len(table)]
-        np.maximum(rows - mass.sum(axis=1), 0.0, out=rows)
+        beyond = np.maximum(image.power_norms(len(table)) ** 2 - mass.sum(axis=1), 0.0)
     else:
-        beyond = np.full(k_max, math.inf)
+        beyond = np.full(len(table), math.inf)
     if s.degree is not None:
-        beyond[np.arange(1, k_max + 1) * s.degree < table.shape[1]] = 0.0
+        beyond[np.arange(1, len(table) + 1) * s.degree < table.shape[1]] = 0.0
     return mass, beyond
 
 

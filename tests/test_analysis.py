@@ -265,6 +265,12 @@ def test_improvement_bound_rejects_an_empty_range():
         improvement_bound(lambda n: 1.0 / math.log(n + 2), 1)
 
 
+def test_upper_concave_hull_drops_a_point_below_the_chord():
+    # (1, 0) lies below the chord from (0, 0) to (2, 1)
+    hull = analysis._upper_concave_hull(np.array([0.0, 1.0, 2.0]), np.array([0.0, 0.0, 1.0]))
+    assert hull.tolist() == [0, 2]
+
+
 def test_improvement_bound_rho_increasing_on_grid():
     calc, _ = improvement_bound(lambda n: 1.0 / math.log(n + 2), 1_000)
     h = np.linspace(calc.hull_y[1], calc.hull_y[-1], 200)

@@ -1023,6 +1023,14 @@ def test_region_power_norms_in_row_blocks_match_one_matrix(n):
     np.testing.assert_allclose(REGION.power_norms(ks), ks * np.sqrt(moments), rtol=2e-16, atol=0.0)
 
 
+def test_region_power_norms_do_not_depend_on_how_many_are_asked():
+    # the last block is padded: unpadded, m = 15, 22, 43, 50, ... differed
+    # in the last bits
+    full = geometry.image_of(CUSP).power_norms(1024)
+    for m in [*range(1, 257, 7), 295, 1017]:
+        assert full[:m].tolist() == geometry.image_of(CUSP).power_norms(m).tolist(), m
+
+
 @settings(max_examples=10, deadline=None, derandomize=True)
 @given(theta=ANGLES, n=st.integers(1, 200))
 def test_scaled_cusp_power_norms(theta, n):

@@ -4,9 +4,9 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from compopnum import opmatrix
+from compopnum import geometry, opmatrix
 from compopnum.opmatrix import assemble, hs_tail_bound, retained_degree, singular_spectrum
-from compopnum.series import SeriesParams, Space, power_coefficient_table
+from compopnum.series import SeriesParams, Space, power_coefficient_table, power_mass
 from compopnum.symbols import AffineMap, CuspMap, MoebiusMap, builtin_contractions, parse_symbol
 
 
@@ -148,7 +148,7 @@ def test_the_contraction_certificate_does_not_depend_on_theta():
     ids=lambda s: s.spec_string(),
 )
 def test_assemble_and_hs_tail_bound_share_one_column_tail(s):
-    # tau_{N+1} has one plan, `_column_tail`'s, whatever N is
+    # tau_{N+1} has one plan, `hs_tail_bound`'s, whatever N is
     for N in (4, 8, 16, 64):
         assert assemble(s, N).hs_tail == hs_tail_bound(s, N + 1), N
 
@@ -419,20 +419,62 @@ def test_column_bounds_hold_every_computed_column(spec, N):
 
 
 def test_an_unextracted_polynomial_power_has_no_row_mass():
-    # z -> 0.7 z: the powers past K_a are held whole by the degree, so the
-    # row tail stays 0 rather than their whole norm (3e-36 at N = 512)
-    m = assemble(AffineMap(0.7), 512)
-    assert m.extracted < 512
-    assert m.row_tail == 0.0
+    # z -> 0.7 e^{i theta} z: the powers past K_a are held whole by the
+    # degree, so the row tail stays 0 rather than their whole norm (3e-36 at
+    # N = 512)
+    for spec in ("affine:r=0.7", "affine:r=0.7,theta=1.3"):
+        m = assemble(parse_symbol(spec), 512)
+        assert m.extracted < 512
+        assert m.row_tail == 0.0
 
 
 def test_a_symbol_without_an_image_extracts_every_power():
     # the row tail of an unextracted power is its whole norm, which only the
-    # image gives
+    # image's column tail gives
     s = builtin_contractions()[3]
     m = assemble(s, 64)
     assert m.extracted == 64 and m.unextracted == 0.0
     assert m.entries.shape == (64, 64)
+
+
+@pytest.mark.parametrize(
+    "spec, N, space",
+    [("cusp", N, Space.DIRICHLET_STAR) for N in (64, 256, 1024)]
+    + [("compose(affine:r=0.9,theta=1,cusp)", 512, Space.DIRICHLET_STAR),
+       ("compose(cusp,moebius:u=0.3+0.1i)", 512, Space.DIRICHLET)],
+)
+def test_unextracted_powers_charge_their_whole_norm(spec, N, space):
+    # the closed form tau_{K_a+1}^2 - tau_{N+1}^2 is the sum of the powers'
+    # exact norms^2 / k past K_a, the extracted ones charging their mass
+    # beyond the retained rows
+    s = parse_symbol(spec)
+    m = assemble(s, N, space)
+    K = m.extracted
+    table, _ = power_coefficient_table(s, K, m.params)
+    mass, beyond = power_mass(s, table)
+    k = np.arange(1, N + 1)
+    norms = geometry.image_of(s).power_norms(N)
+    rows = np.append(mass[:, N + 1 :].sum(axis=1) + beyond, norms[K:] ** 2)
+    assert m.row_tail == pytest.approx(math.sqrt(np.sum(rows / k)), rel=1e-14, abs=0.0)
+    # the cusp at N = 64 extracts every power, the other cases charge some
+    assert (K < N) == (N > 64)
+
+
+def test_a_disk_automorphism_extracts_every_power():
+    # S(r) >= r puts every column bound at (N+1)/k >= 1, so nothing is cut
+    # and the row tail never asks for the infinite tau of a modulus-1 disk
+    m = assemble(MoebiusMap(0.3), 128, Space.DIRICHLET)
+    assert m.extracted == 128 and m.unextracted == 0.0
+    assert math.isfinite(m.row_tail) and m.hs_tail == math.inf
+
+
+def test_bad_sizes_are_refused():
+    with pytest.raises(ValueError, match="index"):
+        hs_tail_bound(CuspMap(), 0)
+    with pytest.raises(ValueError, match="N >= 1"):
+        assemble(CuspMap(), 0)
+    with pytest.raises(ValueError, match="retained degree must reach the truncation size"):
+        assemble(CuspMap(), 32, series_params=SeriesParams(16))
 
 
 def test_a_negligible_matrix_needs_no_svd(monkeypatch):

@@ -129,22 +129,6 @@ def test_power_mass_beyond_the_table():
     assert np.all(power_mass(poly, table)[1] == 0.0)
 
 
-def test_power_mass_past_the_table_is_the_whole_norm():
-    # powers past the table charge their whole exact mass, except where the
-    # degree holds a polynomial power whole
-    table, _ = power_coefficient_table(CuspMap(), 3, SeriesParams(64))
-    mass, beyond = power_mass(CuspMap(), table, 8)
-    assert mass.shape == (3, 65) and beyond.shape == (8,)
-    assert beyond[3:] == pytest.approx(image_of(CuspMap()).power_norms(8)[3:] ** 2, rel=1e-15, abs=0.0)
-    # the rows' norm^2 minus retained mass: the same up to a cancelled ulp
-    assert beyond[:3] == pytest.approx(power_mass(CuspMap(), table)[1], rel=0.0, abs=1e-15)
-    table, _ = power_coefficient_table(AffineMap(0.5), 4, SeriesParams(8))
-    beyond = power_mass(AffineMap(0.5), table, 10)[1]
-    assert beyond[:8].tolist() == [0.0] * 8
-    assert beyond[8:] == pytest.approx(np.arange(9, 11) * 0.25 ** np.arange(9, 11), rel=1e-14, abs=0.0)
-    assert np.all(np.isinf(power_mass(TWICE_CUSP, table, 6)[1]))
-
-
 def test_whole_polynomial_powers_have_no_mass_beyond():
     # phi^15 ends at degree 30 of a 33-term row: its two trailing zeros once
     # sent a least-squares tail fit to its crude branch, charging 5.4e-3
