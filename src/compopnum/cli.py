@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import hashlib
 import json
 import math
 import os
@@ -76,6 +75,10 @@ class RunConfig:
 
     def config_hash(self) -> str:
         """Hash of the computation's inputs; output paths are left out."""
+        # imported here, as a report is written: hashlib loads OpenSSL's
+        # libcrypto, 3.5 MB resident that no computation needs
+        import hashlib
+
         config = asdict(self)
         del config["out"], config["report"]
         blob = json.dumps(config, sort_keys=True, default=str)

@@ -54,15 +54,37 @@ __all__ = [
 # ---------------------------------------------------------------------------
 # quadrature helpers
 
-# the Gauss-Legendre rule on [-1, 1] that every panel carries
-_GAUSS = np.polynomial.legendre.leggauss(20)
+
+def _mirrored(half):
+    """The Gauss-Legendre rule on [-1, 1] from its positive nodes and their
+    weights, [node, weight] rows in increasing node order."""
+    x, w = np.array(half).T
+    return np.concatenate([-x[::-1], x]), np.concatenate([w[::-1], w])
+
+
+# the Gauss-Legendre rule on [-1, 1] that every panel carries: numpy's
+# leggauss(20) bit for bit, which is exactly symmetric, kept as a table so
+# that no job imports numpy.polynomial (1.8 MB resident)
+_GAUSS = _mirrored([
+    [0.07652652113349734, 0.15275338713072628],
+    [0.22778585114164507, 0.14917298647260424],
+    [0.37370608871541955, 0.1420961093183824],
+    [0.5108670019508271, 0.1316886384491769],
+    [0.636053680726515, 0.1181945319615186],
+    [0.7463319064601508, 0.1019301198172407],
+    [0.8391169718222188, 0.08327674157670471],
+    [0.912234428251326, 0.06267204833410879],
+    [0.9639719272779138, 0.040601429800386446],
+    [0.993128599185095, 0.017614007139150893],
+])
 
 
 # width at which the dyadic refinement toward a panel set's end stops
 _PANEL_STOP = 1e-14
 
-# powers k per [k, node] block of the region power norms: 3.7 MB on the
-# radial rule's 7159 nodes, where the 1024 powers of a cusp `an` at once took 58 MB
+# powers k per [k, node] block of the region power norms, all written into
+# one 3.7 MB buffer on the radial rule's 7159 nodes: the ~295 powers of a
+# cusp `an` at once would take 17 MB, a fresh exp per block 7.3 MB
 _NORM_BLOCK = 64
 
 
@@ -287,9 +309,11 @@ class CuspRegion:
         log_s, weights = np.log1p(-u), w * self.angular_measure(u)
         padded = np.resize(ks, -(-ks.size // _NORM_BLOCK) * _NORM_BLOCK)
         moments = np.empty(padded.shape)
+        powers = np.empty((_NORM_BLOCK, u.size))  # s^(2k-2), one block at a time
         for start in range(0, ks.size, _NORM_BLOCK):
             rows = slice(start, start + _NORM_BLOCK)
-            moments[rows] = np.exp(np.outer(2.0 * padded[rows] - 2.0, log_s)) @ weights
+            np.outer(2.0 * padded[rows] - 2.0, log_s, out=powers)
+            moments[rows] = np.exp(powers, out=powers) @ weights
         return ks * np.sqrt(moments[: ks.size])
 
     def column_tail_sq(self, n: int, r2: float) -> float:
@@ -784,11 +808,16 @@ class BlaschkeProduct:
         """|B(w)|^2, vectorized; stays in [0, 1] on the closed disk.  A real
         zero z contributes ((x-z)^2 + y^2) / ((1-zx)^2 + (zy)^2), w = x+iy."""
         w = np.asarray(w, dtype=complex)
-        x, y2 = w.real.copy(), w.imag**2  # a contiguous x: every zero reads it twice
-        out = np.ones(w.shape, dtype=float)
-        for z in self.zeros:
-            out *= (np.square(x - z) + y2) / (np.square(1.0 - z * x) + z * z * y2)
-        return out**self.power
+        flat, out = w.reshape(-1), np.empty(w.size)
+        # _MC_BLOCK points at a time, so every zero's passes over them stay in cache
+        for start in range(0, w.size, _MC_BLOCK):
+            block = flat[start : start + _MC_BLOCK]
+            x, y2 = block.real.copy(), block.imag**2  # a contiguous x: every zero reads it twice
+            b = np.ones(block.size)
+            for z in self.zeros:
+                b *= (np.square(x - z) + y2) / (np.square(1.0 - z * x) + z * z * y2)
+            out[start : start + _MC_BLOCK] = b**self.power
+        return out.reshape(w.shape)
 
 
 def unit_interval_dyadic_zeros(count: int) -> tuple:
@@ -821,7 +850,7 @@ def _window_mean_quadrature(b: BlaschkeProduct, xi: complex, h):
     phi, arc_weights = _panel_rule(lo[i, j], hi[i, j])
     n = _GAUSS[0].size
     radius = np.repeat(sigma[i], n)
-    values = b.abs2(xi + radius * turn * np.exp(1j * phi))
+    values = b.abs2(xi + radius * turn * _polar(1.0, phi))
     mass = radius * np.repeat(weights[i], n) * arc_weights
     # a node rounded onto a size belongs to the panel that ends there
     prefixes = np.searchsorted(radius, hs, side="right")
@@ -868,6 +897,9 @@ def _window_sup(b: BlaschkeProduct) -> float:
 
 
 _GRAM_BLOCK = 128  # rows m and columns q of the region Gram built at a time
+# nodes a Gram block sums over at a time, in two reused 0.5 MB buffers: a
+# q-block on all 7159 nodes held up to three 7.3 MB temporaries at once
+_GRAM_CHUNK = 512
 _GRAM_CUT = 1e-30  # a block drops the nodes whose s^(2m+q) is below this
 
 
@@ -883,7 +915,9 @@ def region_gram_singular_values(N: int) -> np.ndarray:
     P[m, q] = sum_i weight_i s_i^(2m+q) ang_q(u_i), in blocks of _GRAM_BLOCK
     columns q and rows m < N - q.  The nodes where the block's largest power
     s^(2 m0 + q0) is at least _GRAM_CUT are a prefix of the rule's, and the
-    block runs on that prefix alone.  The nodes it drops have
+    block runs on that prefix alone, summed over chunks of _GRAM_CHUNK
+    nodes: the chunks drop the same nodes, and only reassociate the sums
+    (~1e-13 relative on the top singular values).  The nodes dropped have
     s^(2m+q) < _GRAM_CUT, |ang_q| <= 2 pi and the weights sum to 1/(2 pi), so
     each P entry loses at most _GRAM_CUT, each G entry at most N _GRAM_CUT,
     and by Weyl's inequality each eigenvalue moves by at most N^2 _GRAM_CUT,
@@ -893,7 +927,7 @@ def region_gram_singular_values(N: int) -> np.ndarray:
     roundoff of about N eps lam_max: singular values below sqrt(N eps
     lam_max), ~3e-7 at N = 1024 (lam_max ~ 0.39), are roundoff, not data,
     and the negative eigenvalues among them are clamped to exact zeros
-    (477 of the 1024 values at N = 1024).  Nothing marks them.
+    (478 of the 1024 values at N = 1024).  Nothing marks them.
     """
     if N < 1:
         raise ValueError("N must be positive")
@@ -906,25 +940,36 @@ def region_gram_singular_values(N: int) -> np.ndarray:
         return int(np.searchsorted(-k * log_s, -math.log(_GRAM_CUT), side="right"))
 
     G = np.zeros((N, N))
+    # B[q, node] and a scratch array (s^(2m) at the end) of one node chunk,
+    # reused by every chunk
+    chunk = np.empty((2, _GRAM_BLOCK, _GRAM_CHUNK))
     for q0 in range(0, N, _GRAM_BLOCK):
         q = np.arange(q0, min(q0 + _GRAM_BLOCK, N))
-        n = prefix(q0)
-        # angular factor: int over arcs of cos(q theta) dtheta (even in theta)
-        ang = np.sin(np.outer(q, alpha[:n]))
-        ang -= np.sin(np.outer(q, hi[:n]))
-        ang += np.sin(np.outer(q, lo[:n]))
-        ang *= (2.0 / np.maximum(q, 1))[:, None]
-        if q0 == 0:
-            ang[0] = _CUSP_REGION.angular_measure(u[:n])
-        ang *= np.exp(np.outer(q, log_s[:n]))
-        ang *= wts[:n]  # B[q, node] = weight s^q ang_q
-        for m0 in range(0, N - q0, _GRAM_BLOCK):
-            m = np.arange(m0, min(m0 + _GRAM_BLOCK, N - q0))
-            k = prefix(2 * m0 + q0)
-            P = np.exp(np.outer(2.0 * m, log_s[:k])) @ ang[:, :k].T
+        rows = [np.arange(m0, min(m0 + _GRAM_BLOCK, N - q0)) for m0 in range(0, N - q0, _GRAM_BLOCK)]
+        prefixes = [prefix(2 * m[0] + q0) for m in rows]  # prefixes[0] = prefix(q0)
+        P = np.zeros((N - q0, q.size))
+        for c0 in range(0, prefixes[0], _GRAM_CHUNK):
+            nodes = slice(c0, min(c0 + _GRAM_CHUNK, prefixes[0]))
+            B, T = chunk[:, : q.size, : nodes.stop - c0]
+            # angular factor: int over arcs of cos(q theta) dtheta (even in theta)
+            np.sin(np.outer(q, alpha[nodes], out=B), out=B)
+            B -= np.sin(np.outer(q, hi[nodes], out=T), out=T)
+            B += np.sin(np.outer(q, lo[nodes], out=T), out=T)
+            B *= (2.0 / np.maximum(q, 1))[:, None]
+            if q0 == 0:
+                B[0] = _CUSP_REGION.angular_measure(u[nodes])
+            B *= np.exp(np.outer(q, log_s[nodes], out=T), out=T)
+            B *= wts[nodes]  # B[q, node] = weight s^q ang_q
+            for m, k in zip(rows, prefixes):
+                if k <= c0:
+                    break  # the prefixes shrink down the rows
+                E = chunk[1, : m.size, : min(k, nodes.stop) - c0]
+                np.exp(np.outer(2.0 * m, log_s[c0 : c0 + E.shape[1]], out=E), out=E)
+                P[m] += E @ B[:, : E.shape[1]].T
+        for m in rows:
             # the q-th diagonal: G[m, m+q] = sqrt((m+1)(m+q+1)) P[m, q], m + q < N
             r, c = np.nonzero(m[:, None] + q < N)
             i, j = m[r], m[r] + q[c]
-            G[i, j] = np.sqrt((i + 1.0) * (j + 1.0)) * P[r, c]
+            G[i, j] = np.sqrt((i + 1.0) * (j + 1.0)) * P[i, c]
     lam = np.linalg.eigvalsh(G, UPLO="U")[::-1]
     return np.sqrt(np.maximum(lam, 0.0))

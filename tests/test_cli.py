@@ -1,6 +1,9 @@
 import csv
 import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -102,6 +105,35 @@ def test_report_without_checks_has_no_verdict(tmp_path):
 
 def test_config_hash_ignores_output_paths(tmp_path):
     assert _an_report(tmp_path, "a")["config_hash"] == _an_report(tmp_path, "b")["config_hash"]
+
+
+def test_config_hash_is_sha256_of_the_config():
+    # the value the module-level hashlib import gave for this config
+    cfg = cli.RunConfig(command="an", symbol="cusp", N=1024, seed=7, out="a.csv", report="r.json")
+    assert cfg.config_hash() == "b9bcaf959837a97b"
+
+
+_IMPORT_FLOOR_RUN = """
+import sys
+import numpy
+eager = "numpy.polynomial" in sys.modules
+import compopnum.cli
+print(eager, "_hashlib" in sys.modules, "numpy.polynomial" in sys.modules)
+"""
+
+
+def test_importing_the_cli_loads_neither_openssl_nor_numpy_polynomial():
+    # hashlib's libcrypto (3.5 MB resident) loads only when a report is
+    # hashed; numpy.polynomial (1.8 MB) loads only where numpy < 2 imports
+    # it with numpy itself
+    src = Path(__file__).resolve().parents[1] / "src"
+    proc = subprocess.run([sys.executable, "-c", _IMPORT_FLOOR_RUN], env=dict(os.environ, PYTHONPATH=str(src)),
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    eager, hashlib_loaded, polynomial_loaded = proc.stdout.split()
+    assert hashlib_loaded == "False"
+    if eager == "False":
+        assert polynomial_loaded == "False"
 
 
 def test_determinism_bit_identical(tmp_path):

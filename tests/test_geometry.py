@@ -2,6 +2,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -645,6 +646,22 @@ def test_blaschke_power_raises_the_product_to_it():
         np.testing.assert_allclose(got, base**r, rtol=1e-12, atol=0.0)
 
 
+def test_blaschke_blocks_are_the_one_pass_product_bit_for_bit():
+    # abs2 runs _MC_BLOCK points at a time; every point's value is that of
+    # the product over all the points at once, in their own shape
+    g = np.random.default_rng(5)
+    w = 0.999 * np.sqrt(g.random((3, 7001))) * np.exp(2j * np.pi * g.random((3, 7001)))
+    x, y2 = w.real, w.imag**2
+    zeros = unit_interval_dyadic_zeros(8)
+    want = np.ones(w.shape)
+    for z in zeros:
+        want *= (np.square(x - z) + y2) / (np.square(1.0 - z * x) + z * z * y2)
+    assert w.size > geometry._MC_BLOCK
+    got = BlaschkeProduct(zeros, power=8).abs2(w)
+    assert got.shape == w.shape
+    assert np.array_equal(got.view(np.uint64), (want**8).view(np.uint64))
+
+
 def _tip_area(h):
     """(1/pi) * area of S(1, h) n cusp region in closed form: the slice at
     radius sigma about the tip is an arc of angle 2 arcsin(sigma/a)."""
@@ -1023,6 +1040,34 @@ def test_region_power_norms_in_row_blocks_match_one_matrix(n):
     np.testing.assert_allclose(REGION.power_norms(ks), ks * np.sqrt(moments), rtol=2e-16, atol=0.0)
 
 
+@pytest.mark.parametrize("n", [1, 64, 65, 295])
+def test_region_power_norms_are_the_one_shot_blocks_bit_for_bit(n):
+    # each padded block of _NORM_BLOCK powers, its s^(2k-2) in a fresh array
+    ks = np.arange(1, n + 1, dtype=float)
+    u, w = REGION.radial_rule()
+    log_s, weights = np.log1p(-u), w * REGION.angular_measure(u)
+    padded = np.resize(ks, -(-n // geometry._NORM_BLOCK) * geometry._NORM_BLOCK)
+    moments = np.concatenate([np.exp(np.outer(2.0 * block - 2.0, log_s)) @ weights
+                              for block in padded.reshape(-1, geometry._NORM_BLOCK)])
+    assert REGION.power_norms(ks).tolist() == (ks * np.sqrt(moments[:n])).tolist()
+
+
+def _traced_peak_mb(f, *args):
+    """Peak traced allocation, in MB, of one call f(*args)."""
+    tracemalloc.start()
+    try:
+        f(*args)
+        return tracemalloc.get_traced_memory()[1] / 1e6
+    finally:
+        tracemalloc.stop()
+
+
+def test_region_power_norms_reuse_one_block_buffer():
+    # the ~295 powers of a cusp `an`: one 3.7 MB [k, node] buffer (7.6 MB
+    # with a fresh exp per block)
+    assert _traced_peak_mb(REGION.power_norms, np.arange(1, 296)) < 5.0
+
+
 def test_region_power_norms_do_not_depend_on_how_many_are_asked():
     # the last block is padded: unpadded, m = 15, 22, 43, 50, ... differed
     # in the last bits
@@ -1087,6 +1132,12 @@ def test_region_gram_blocks_match_full_gemm():
     assert values == pytest.approx(ref, rel=0.0, abs=1e-8)
 
 
+def test_region_gram_builds_on_node_chunks():
+    # G (8.4 MB at N = 1024) and the chunk buffers; whole 7159-node blocks
+    # held up to three 7.3 MB temporaries beside G, a 30.7 MB peak
+    assert _traced_peak_mb(region_gram_singular_values, 1024) < 20.0
+
+
 @pytest.mark.parametrize("N", [0, -3])
 def test_region_gram_rejects_empty_size(N):
     with pytest.raises(ValueError, match="N must be positive"):
@@ -1110,6 +1161,13 @@ def test_region_gram_monotone_and_dominates_matrix(cusp_spectra):
     _, spec = cusp_spectra[512]
     top = slice(0, 12)
     assert np.all(g512[top] >= spec.values[top] - 1e-9)
+
+
+def test_gauss_table_is_numpys_rule_bit_for_bit():
+    x, w = geometry._GAUSS
+    want_x, want_w = np.polynomial.legendre.leggauss(20)
+    assert np.array_equal(x.view(np.uint64), want_x.view(np.uint64))
+    assert np.array_equal(w.view(np.uint64), want_w.view(np.uint64))
 
 
 def _use_radial_nodes(monkeypatch, n):
