@@ -153,6 +153,7 @@ class CuspRegion:
     """
 
     name = "cusp"  # a class attribute, not a field
+    radial = False  # `contains_polar` reads the angle too
 
     @property
     def circles(self):
@@ -183,6 +184,37 @@ class CuspRegion:
         """`contains` at rho e^{i phi}, rho >= 0, without forming the point:
         bit for bit contains(_polar(rho, phi)), as |rho sin phi| = rho |sin phi|."""
         return _cusp_inside(rho * np.cos(phi) - 1.0, rho * np.abs(np.sin(phi)))
+
+    def polar_cells(self, rho_edges):
+        """(phi_in, phi_out), certificates of `contains_polar` on the radial
+        cells between increasing rho_edges: for rho_edges[j] <= rho <=
+        rho_edges[j+1], contains_polar(rho, phi) is True when |phi| <
+        phi_in[j] and False when |phi| >= phi_out[j], |phi| <= pi.  A cell
+        with (0, inf) certifies nothing.
+
+        Below the first breakpoint u0 the slice at depth u is the one arc
+        |theta| < lo(u) (`arc_data`: hi = alpha there), and lo grows with u.
+        So a cell's slices all hold |theta| < lo(shallow edge) and lie within
+        lo(deep edge), and phi_in = (1 - d) lo(shallow), phi_out = (1 + d)
+        lo(deep) with d = _CELL_MARGIN = 2^-20.  The margin covers the
+        rounding of the test: at rho = 1 - u, x = rho cos phi - 1 has an
+        absolute error below ~2^-52 and y a few ulps, so q - a y is off by
+        ~u 2^-51, while at |phi| = (1 -/+ d) lo(u) it stands ~d u^2 from 0
+        (a lo ~ u^2), and q + a x ~ -a u is far from 0.  Depths above ~2^-31
+        would do; cells are certified at depths in [2^-20, u0/2] only, a
+        2^11 margin, and away from u0, where the exclusion arc's far end
+        nears the corner and both tests near 0.  The edges' depths 1 - rho
+        are exact there (Sterbenz).  The region lies in the closed unit disk,
+        so cells at radii >= 1 + 2^-20 are outside at every angle: phi_out =
+        0.  Every other cell certifies nothing."""
+        rho = np.asarray(rho_edges, dtype=float)
+        shallow, deep = 1.0 - rho[1:], 1.0 - rho[:-1]
+        phi_in, phi_out = np.zeros(shallow.shape), np.full(shallow.shape, np.inf)
+        sure = (shallow >= _CELL_MARGIN) & (deep <= 0.5 * self.breakpoints()[0])
+        phi_in[sure] = (1.0 - _CELL_MARGIN) * self.arc_data(shallow[sure])[1]
+        phi_out[sure] = (1.0 + _CELL_MARGIN) * self.arc_data(deep[sure])[1]
+        phi_out[rho[:-1] >= 1.0 + _CELL_MARGIN] = 0.0
+        return phi_in, phi_out
 
     def kinks(self, xi):
         """Radii, in increasing order, where the slice {|w - xi| = sigma} changes
@@ -353,6 +385,7 @@ class _UnitDisk:
 
     name = "disk"
     tip_area_constant = math.inf  # the area below depth t is ~ 2t, not cubic
+    radial = True  # `contains_polar` reads rho alone: True below a radius
 
     def contains(self, w):
         return np.abs(w) < 1.0
@@ -614,36 +647,80 @@ def _mc_annulus_area(s: SymbolMap, image: Image | None, t: float, samples: int, 
     (image None).  On the cusp the box is twice the image's angular extent
     at depth t, so about a sixth of the samples hit near the tip.  The box
     is drawn in the base's frame, radius over the modulus and angle about
-    arg factor, and each sample goes to the base's `contains_polar` without
-    forming a point; the unknown base keeps the winding test on points.  The
-    hits are counted block by block; their standard error follows from the
-    count."""
+    arg factor, and the hits are those of the base's `contains_polar` on
+    every sample, counted block by block; their standard error follows from
+    the count.  No point is formed but for the unknown base's winding test.
+
+    The radius rho(u) = sqrt(lo2 + (1 - lo2) u) / modulus of a radial
+    uniform u rounds monotonically at every step, so a sample in radial bin
+    j = floor(u 2^12) (exact: u 2^12 is) lies between the bin's edge radii,
+    rho(j/2^12) and rho((j+1)/2^12).  A radial base (the disk) decides by
+    rho alone: one bisection over the doubles of [0, 1) finds the least u*
+    whose radius fails, the hits are the u < u*, and no angle is drawn.
+    Otherwise the base's `polar_cells` certify each bin's verdict below an
+    inner angle and from an outer one, and only the samples between the two
+    (~0.04% on the cusp) reach `contains_polar`, with their own rho and
+    phi; the unknown base certifies nothing.  Either way the count is the
+    one `contains_polar` gives every sample."""
     rng = np.random.default_rng(seed)
     lo2 = (1.0 - t) ** 2
     if image is None:
         contains, flagged = _sampling_membership(s, None, t)
-        theta0, modulus = math.pi, 1.0
+        theta0, modulus, base = math.pi, 1.0, None
 
         def inside(rho, phi):
             return contains(_polar(rho, phi))
     else:
         theta0, modulus, flagged = image.box_angle(t), image.modulus, False
-        inside = image.base.contains_polar
+        base, inside = image.base, image.base.contains_polar
     box = (1.0 - lo2) * (theta0 / np.pi)
+
+    def radius(u):
+        return np.sqrt(lo2 + (1.0 - lo2) * u) / modulus
+
     hits = 0
-    for u, v in _uniform_blocks(rng, samples):
-        # uniform on the box
-        rho = np.sqrt(lo2 + (1.0 - lo2) * u) / modulus
-        hits += int(np.count_nonzero(inside(rho, theta0 * (2.0 * v - 1.0))))
+    if base is not None and base.radial:
+        cut = _least_double(lambda u: not inside(radius(u), 0.0))
+        for u in _draw_blocks(rng, samples):
+            hits += int(np.count_nonzero(u < cut))
+    else:
+        edges = radius(np.arange(_MC_BINS + 1) / _MC_BINS)
+        if base is None:  # nothing certified: every sample takes the winding test
+            phi_in, phi_out = np.zeros(_MC_BINS), np.full(_MC_BINS, np.inf)
+        else:
+            phi_in, phi_out = base.polar_cells(edges)
+        for u, v in _uniform_blocks(rng, samples):
+            phi = theta0 * (2.0 * v - 1.0)
+            angle, cell = np.abs(phi), (u * _MC_BINS).astype(np.intp)
+            sure = angle < phi_in[cell]
+            near = np.flatnonzero(~sure & (angle < phi_out[cell]))
+            hits += int(np.count_nonzero(sure)) + int(np.count_nonzero(inside(radius(u[near]), phi[near])))
     value = box * (hits / samples)
     std = box * math.sqrt(hits * (samples - hits) / (samples * (samples - 1))) / math.sqrt(samples)
     return RegionMeasure(float(value), float(std), "monte-carlo", flagged)
+
+
+def _least_double(fails):
+    """The least double u in [0, 1) with fails(u), else 1.0, for fails
+    monotone on [0, 1) (False, then True): a bisection over the doubles,
+    which as non-negative numbers order as their bit patterns."""
+    lo, hi = 0, int(np.float64(1.0).view(np.int64))
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if fails(float(np.int64(mid).view(np.float64))):
+            hi = mid
+        else:
+            lo = mid + 1
+    return float(np.int64(lo).view(np.float64))
 
 
 # points a Monte Carlo route holds at a time: each float temporary of an
 # annulus block is then 64 KB, and each complex one of a window block 128 KB,
 # so a block's work stays in a 2 MiB per-core L2 cache
 _MC_BLOCK = 1 << 13
+# radial bins of the annulus route's angle certificates, and their margin
+_MC_BINS = 1 << 12
+_CELL_MARGIN = 2.0**-20
 
 
 def _polar(r, theta):
@@ -664,10 +741,14 @@ def _uniform_blocks(rng, samples: int):
     per double); rng ends where both one-shot draws leave it."""
     angles = copy.deepcopy(rng)
     angles.bit_generator.advance(samples)
-    for start in range(0, samples, _MC_BLOCK):
-        n = min(_MC_BLOCK, samples - start)
-        yield rng.random(n), angles.random(n)
+    yield from zip(_draw_blocks(rng, samples), _draw_blocks(angles, samples))
     rng.bit_generator.advance(samples)
+
+
+def _draw_blocks(rng, samples: int):
+    """rng.random(samples) in blocks of at most _MC_BLOCK."""
+    for start in range(0, samples, _MC_BLOCK):
+        yield rng.random(min(_MC_BLOCK, samples - start))
 
 
 _DYADIC_CUT = 50  # M(t) computes the dyadic terms j = 0.._DYADIC_CUT

@@ -786,6 +786,10 @@ def test_annulus_monte_carlo_on_a_known_base_forms_no_point(monkeypatch):
         annulus_area(twice, 0.5, method="monte-carlo", samples=100, seed=7)
 
 
+# the disk plans whose cut u* lies at an end: no hit, every hit
+CUT_HITS = {"affine:r=0.5": 0, "moebius:u=0.3+0i": 3 * BLOCK - 7}
+
+
 @pytest.mark.parametrize(
     "spec, t, samples",
     [
@@ -798,6 +802,12 @@ def test_annulus_monte_carlo_on_a_known_base_forms_no_point(monkeypatch):
         pytest.param("cusp", 2.0**-6, 3 * BLOCK - 7, id="cusp-tip-3block-7"),
         pytest.param(ROTATED_CUSP, 0.1, 3 * BLOCK - 7, id="rotated-cusp-3block-7"),
         pytest.param("affine:r=0.9,theta=5.6", 0.2, 3 * BLOCK - 7, id="disk-3block-7"),
+        # the disk's cut u* at both ends (`CUT_HITS`), and cusp plans whose
+        # deep cells certify nothing or whose cells cross rho = 1
+        pytest.param("affine:r=0.5", 0.1, 3 * BLOCK - 7, id="disk-empty"),
+        pytest.param("moebius:u=0.3+0i", 0.1, 3 * BLOCK - 7, id="disk-modulus-1"),
+        pytest.param("cusp", 0.3, 3 * BLOCK - 7, id="cusp-whole-circle"),
+        pytest.param("compose(affine:r=0.9,theta=1.1,cusp)", 0.15, 3 * BLOCK - 7, id="rotated-cusp-0.9"),
     ],
 )
 def test_annulus_monte_carlo_blocks_match_one_shot_draws(spec, t, samples):
@@ -811,10 +821,85 @@ def test_annulus_monte_carlo_blocks_match_one_shot_draws(spec, t, samples):
     w = np.sqrt(lo2 + (1.0 - lo2) * u) * np.exp(1j * (centre + theta0 * (2.0 * v - 1.0)))
     hits = geometry.image_contains(s, w)
     got = annulus_area(s, t, method="monte-carlo", samples=samples, seed=seed)
-    assert 0 < hits.sum() < samples
+    assert hits.sum() == CUT_HITS[spec] if spec in CUT_HITS else 0 < hits.sum() < samples
     assert got.value == box * hits.mean()  # the same hit count
     std = box * hits.std(ddof=1) / math.sqrt(samples)
     assert got.std_error == pytest.approx(std, rel=1e-14, abs=0.0)
+
+
+# plans whose Monte Carlo verdicts come from `CuspRegion.polar_cells`: the
+# benchmark's two cusp jobs, a box of the whole circle (t past the first
+# breakpoint: the cells below u0/2 certify nothing) and a rotated cusp at
+# modulus 0.9, whose cells cross rho = 1
+CELL_PLANS = [("cusp", 2.0**-6), (ROTATED_CUSP, 0.1), ("cusp", 0.3), ("compose(affine:r=0.9,theta=1.1,cusp)", 0.15)]
+
+
+def _mc_radius(image, t, u):
+    # the Monte Carlo route's radius in the base's frame
+    lo2 = (1.0 - t) ** 2
+    return np.sqrt(lo2 + (1.0 - lo2) * u) / image.modulus
+
+
+def _cell_verdicts(edges, theta0, seed):
+    """(certified inside, certified outside, contains_polar) on points of
+    every cell of `REGION.polar_cells(edges)`: both edges and a radius
+    inside, at up to 4 ulps below phi_in, at phi_out and up to 4 ulps above,
+    and at random angles in the box, each of either sign."""
+    g = np.random.default_rng(seed)
+    phi_in, phi_out = REGION.polar_cells(edges)
+    lo, hi = edges[:-1], edges[1:]
+    rho = np.concatenate([lo, hi, np.clip(lo + g.random(lo.size) * (hi - lo), lo, hi)])
+    cell = np.tile(np.arange(lo.size), 3)
+    ulps = np.arange(5.0)[:, None] * 2.0**-52
+    angles = np.concatenate([phi_in[cell] * (1.0 - ulps[1:]), phi_out[cell] * (1.0 + ulps),
+                             theta0 * g.random((4, cell.size))])
+    phi = np.where(g.random(angles.shape) < 0.5, -1.0, 1.0) * np.minimum(angles, np.pi)
+    rho = np.broadcast_to(rho, phi.shape)
+    return np.abs(phi) < phi_in[cell], np.abs(phi) >= phi_out[cell], REGION.contains_polar(rho, phi)
+
+
+@pytest.mark.parametrize("spec, t", CELL_PLANS)
+def test_polar_cells_match_contains_polar_bit_for_bit(spec, t):
+    image = geometry.image_of(parse_symbol(spec))
+    edges = _mc_radius(image, t, np.arange(geometry._MC_BINS + 1) / geometry._MC_BINS)
+    sure_in, sure_out, got = _cell_verdicts(edges, image.box_angle(t), 15)
+    assert got[sure_in].all() and not got[sure_out].any()
+    assert np.count_nonzero(sure_in) > 0 and np.count_nonzero(sure_out) > 0
+
+
+def test_polar_cells_hold_down_to_tip_depths():
+    # cells at depths 1e-12 up to past the first breakpoint, and beyond rho = 1
+    depth = np.geomspace(1e-12, 0.3, 4000)
+    edges = np.concatenate([1.0 - depth[::-1], 1.0 + np.geomspace(1e-12, 1e-3, 97)])
+    sure_in, sure_out, got = _cell_verdicts(edges, np.pi, 16)
+    assert got[sure_in].all() and not got[sure_out].any()
+    assert np.count_nonzero(sure_in) > 0 and np.count_nonzero(sure_out) > 0
+
+
+def test_annulus_monte_carlo_tests_few_points(monkeypatch):
+    # the benchmark's three plans at 1e6 samples: the cusp's cells leave at
+    # most 1% of the samples to contains_polar, the disk's bisection only
+    # scalars, and the disk draws no angle
+    sizes = []
+    for base in (CuspRegion, type(geometry._UNIT_DISK)):
+        def counted(self, rho, phi, polar=base.contains_polar):
+            sizes.append(np.size(rho))
+            return polar(self, rho, phi)
+
+        monkeypatch.setattr(base, "contains_polar", counted)
+    samples = 10**6
+    for spec, t in [("cusp", 2.0**-6), (ROTATED_CUSP, 0.1)]:
+        sizes.clear()
+        annulus_area(parse_symbol(spec), t, method="monte-carlo", samples=samples, seed=3)
+        assert 0 < sum(sizes) <= samples // 100
+    sizes.clear()
+
+    def no_angles(rng, samples):
+        raise AssertionError("drew angles")
+
+    monkeypatch.setattr(geometry, "_uniform_blocks", no_angles)
+    annulus_area(parse_symbol("affine:r=0.9,theta=5.6"), 0.2, method="monte-carlo", samples=samples, seed=3)
+    assert 0 < len(sizes) <= 64 and set(sizes) == {1}
 
 
 def _one_shot_window_values(u, v, xi, h, weight):
