@@ -290,7 +290,7 @@ def _cmd_an(cfg: RunConfig, s: SymbolMap) -> _Outcome:
         "certification_floor": spec.certification_floor,
         "stable_entries": int(spec.stable.sum()),
         "reliable_entries": len(spec.reliable_range()),
-        "svd": {"columns": spec.columns, "dropped": spec.dropped, "extracted": m.extracted},
+        "svd": {"columns": m.entries.shape[1], "dropped": m.unextracted, "extracted": m.extracted},
     }, []
 
 
@@ -391,6 +391,7 @@ _RANGES = {"area": ("t", lambda t: 0.0 < t <= 1.0, "in (0, 1]"),
            # from r = 54 on the last zero 1 - 2^-r rounds to 1.0, out of the disk
            "blaschke-cert": ("r", lambda r: 0 <= r <= 53, "in [0, 53]"),
            "2.2": ("r", lambda r: 0.0 < r < 1.0, "in (0, 1)"),
+           "3.1": ("N", lambda n: n >= 2, "at least 2"),
            "4.1": ("n_max", lambda n: n >= 2, "at least 2")}
 
 

@@ -16,13 +16,13 @@ where it proves nothing.  The row tail takes each power's mass beyond the
 retained degree from `series.power_mass`: exact for a known base, 0 for a
 polynomial power the degree holds whole, infinite otherwise.
 
-A power whose column provably carries no mass is never extracted: before
-any coefficient, `assemble` bounds every column of a symbol with an `Image`
-by Parseval on circles |z| = r < 1 (`_column_bounds`) and extracts only
-the K_a leading powers whose trailing bounds exceed the SVD's cut; the
-columns past them read 0.0, their bound joins the dropped norm below, and
-their row mass is the closed form's tau_{K_a+1}^2 - tau_{N+1}^2, tau_n^2 =
-sum_{k >= n} ||phi^k||^2 / k.  The cusp at N = 1024 extracts 295 of 1024.
+Columns are cut once, before extraction: `assemble` bounds every power's
+column by Parseval on circles |z| = r < 1 (`_column_bounds`) and extracts
+only the K_a leading powers whose trailing bounds sum to more than
+`_COLUMN_CUT`; the columns past them read 0.0, their bound is
+`unextracted`, and their row mass is tau_{K_a+1}^2 - tau_{N+1}^2 from
+`hs_tail_bound`, tau_n^2 = sum_{k >= n} ||phi^k||^2 / k.  The cusp at
+N = 1024 extracts 295 of 1024.
 
 `retained_degree` is the one rule for the default degree M: N d for a
 polynomial of degree d, which holds its first N powers whole, and N for
@@ -32,15 +32,11 @@ coefficients: a known base's exact row tail ||phi^k||^2 - sum_{j <= N} j
 
 Two certificates are attached to every spectrum:
 
-* a perturbation radius, hs_tail + row_tail + assembly_error + dropped,
-  valid for every entry (singular values are 1-Lipschitz in the operator
-  norm; `series` proves assembly_error but for the evaluation accuracy).
-  The last term bounds the Frobenius norm of the trailing columns the SVD
-  skips, those never extracted included, at most VALUE_FLOOR * eps: by
-  Weyl's inequality dropping them moves no value by more, and the entries
-  past the kept columns read 0.0 within the radius.  It is rigorous: its
-  tails are exact for a known image base and proved bounds otherwise,
-  infinite where nothing is proved.  Without an image both are finite only
+* a perturbation radius, hs_tail + row_tail + assembly_error +
+  unextracted, valid for every entry (singular values are 1-Lipschitz in
+  the operator norm, Weyl; `series` proves assembly_error but for the
+  evaluation accuracy).  It is rigorous: its tails are exact for a known
+  image base and proved bounds otherwise, infinite where nothing is proved.  Without an image both are finite only
   for a polynomial of known sup norm below 1 at the default degree; any
   other such symbol has only the stability tier;
 * an empirical stability radius per entry, the change of the value when the
@@ -87,7 +83,7 @@ __all__ = [
 # smallest singular value any consumer reads; every tier lies above it
 VALUE_FLOOR = 1e-12
 # trailing columns of smaller combined norm move no value >= VALUE_FLOOR by
-# more than eps relative (Weyl), so the SVD skips them
+# more than eps relative (Weyl), so `assemble` never extracts them
 _COLUMN_CUT = VALUE_FLOOR * np.finfo(float).eps
 # the circles |z| = 1 - depth on which `_column_bounds` samples sup |phi|,
 # each at Q / _BOUND_SAMPLING angles.  For the cusp at N = 1024 (Q = 16384)
@@ -113,7 +109,7 @@ class OperatorMatrix:
     # how hs_tail was bounded: "closed-form:<base>", "sup-norm" or "divergent"
     column_tail_route: str
     params: SeriesParams  # the sampling plan the coefficients came from
-    unextracted: float = 0.0
+    unextracted: float
 
     @property
     def extracted(self) -> int:
@@ -122,9 +118,9 @@ class OperatorMatrix:
 
     @property
     def truncation_norm_bound(self) -> float:
-        """Bound on the distance between the full operator and the
+        """Bound on the distance between the full operator and the stored
         compression, hence on every singular value error."""
-        return self.hs_tail + self.row_tail + self.assembly_error
+        return self.hs_tail + self.row_tail + self.assembly_error + self.unextracted
 
 
 @dataclass(frozen=True)
@@ -135,10 +131,6 @@ class SingularSpectrum:
     values: np.ndarray
     radius: float
     stability_radii: np.ndarray | None = None
-    columns: int | None = None  # K, the leading columns the values come from
-    # bound on the norm of the columns it skipped, those never extracted
-    # included; already in radius
-    dropped: float = 0.0
 
     @property
     def certification_floor(self) -> float:
@@ -207,13 +199,12 @@ def _column_bounds(s: SymbolMap, N: int, c: int, Q: int) -> np.ndarray:
     return np.exp(log_b2.min(axis=0) - np.log(k))
 
 
-def _negligible(sq: np.ndarray, beyond: float = 0.0) -> tuple[int, float]:
+def _negligible(sq: np.ndarray) -> tuple[int, float]:
     """(K, t): the fewest leading columns K whose trailing squared norms
-    sq[K:], plus `beyond` for columns past them, sum to at most
-    `_COLUMN_CUT`^2, and t the root of that sum.  The terms are nonnegative,
-    so nothing cancels and the tail is nonincreasing; a NaN counts as mass
-    and is kept."""
-    tail = np.append(np.cumsum(sq[::-1])[::-1], 0.0) + beyond
+    sq[K:] sum to at most `_COLUMN_CUT`^2, and t the root of that sum.  The
+    terms are nonnegative, so nothing cancels and the tail is nonincreasing;
+    a NaN counts as mass and is kept."""
+    tail = np.append(np.cumsum(sq[::-1])[::-1], 0.0)
     K = int(np.count_nonzero(~(tail <= _COLUMN_CUT**2)))
     return K, math.sqrt(float(tail[K]))
 
@@ -231,13 +222,11 @@ def assemble(
     operator) as basis index 0.  Without `series_params` the coefficients
     are retained to `retained_degree(s, N)`.
 
-    A symbol with an `Image` extracts only the first K_a powers: K_a is the
-    fewest whose later columns' bounds `_column_bounds` sum to at most
-    `_COLUMN_CUT`^2 in square, and that sum's root is `unextracted`, which
-    `singular_spectrum` counts in `dropped`.  The row tail charges the
-    powers past K_a their whole mass, tau_{K_a+1}^2 - tau_{N+1}^2 from the
-    image's column tail (0 where the degree holds polynomial powers whole).
-    A symbol without an `Image` extracts all N, as it has no such tail.
+    Only the first K_a powers are extracted: K_a is the fewest whose later
+    columns' bounds `_column_bounds` sum to at most `_COLUMN_CUT`^2 in
+    square, and that sum's root is `unextracted`.  The row tail charges the
+    powers past K_a their whole mass, tau_{K_a+1}^2 - tau_{N+1}^2 from
+    `hs_tail_bound` (none at degree 1: the powers k <= N have no rows past N).
 
     The row tail is taken before the matrix is built, so the table's mass
     array is gone by then; the matrix is one array, sqrt(j/k) formed in
@@ -255,31 +244,29 @@ def assemble(
         raise ArithmeticError("sampling plan is aliasing-suspect; refusing to certify")
     # the constant direction, when the space has it, is basis index 0
     c = int(space is Space.DIRICHLET)
-    image = geometry.image_of(s)
-    K, unextracted = N, 0.0
-    if image is not None:
-        K, unextracted = _negligible(_column_bounds(s, N, c, Q))
+    K, unextracted = _negligible(_column_bounds(s, N, c, Q))
     table, peaks = power_coefficient_table(s, K, params)
     j = np.arange(1, N + 1, dtype=float)
     k = np.arange(1, K + 1, dtype=float)
 
     # column tail: discarded basis vectors k > N
     hs_tail = hs_tail_bound(s, N + 1)
+    image = geometry.image_of(s)
     if image is not None:
         column_route = f"closed-form:{image.base.name}"
     else:
         column_route = "sup-norm" if math.isfinite(hs_tail) else "divergent"
 
     # row tail: mass of phi^k, k <= N, above the retained rows.  The powers
-    # K_a < k <= N are never extracted; their whole mass is the image's
-    # tau_{K_a+1}^2 - tau_{N+1}^2.  tau is infinite only on a disk of modulus
-    # 1, where K_a < N never happens: an automorphism has S(r) >= r, so every
-    # b_k^2 is at least (N+c)/k >= 1
+    # K_a < k <= N are never extracted; tau_{K_a+1}^2 - tau_{N+1}^2 bounds
+    # their whole mass (the image's closed form, or the majorant's per-k
+    # terms), infinite where tau_{K_a+1} is
     mass, beyond = power_mass(s, table)  # [k, j], [k]
     row_sq = float(((mass[:, N + 1 :].sum(axis=1) + beyond) / k).sum())
     del mass
-    if K < N and (s.degree is None or N * s.degree > M):
-        row_sq += image.column_tail(K + 1) ** 2 - hs_tail**2
+    if K < N and (s.degree is None or s.degree > 1):
+        tau = hs_tail_bound(s, K + 1)
+        row_sq += tau**2 - hs_tail**2 if math.isfinite(tau) else math.inf
     row_tail = math.sqrt(row_sq)
 
     A = np.zeros((N + c, K + c), dtype=table.dtype)
@@ -320,53 +307,31 @@ def _is_exact_diagonal(A: np.ndarray) -> bool:
     return np.count_nonzero(A) == np.count_nonzero(A.diagonal())
 
 
-def _values_of(A: np.ndarray, beyond: float = 0.0) -> tuple[np.ndarray, int, float]:
-    """(singular values, columns K the SVD ran on, norm of the columns dropped)
-    of the square matrix whose leading columns are A, no wider than tall;
-    `beyond` bounds the norm of its columns past A, which read 0.0.
-
-    Columns K.. have a combined Frobenius norm (with `beyond`) at most
-    `_COLUMN_CUT` and are dropped: by Weyl's inequality the values of
-    A[:, :K] are the matrix's to within that norm, and entries past K read
-    exactly 0.0, the cut matrix's own.  K is A's width when no tail is that
-    small, and 0 skips the SVD.
-    """
+def _values_of(A: np.ndarray) -> np.ndarray:
+    """Singular values of the square matrix whose leading columns are A, no
+    wider than tall; the columns past A read 0.0, and so do the entries
+    past its width."""
     values = np.zeros(A.shape[0])
     if _is_exact_diagonal(A):
         # exact singular values of a diagonal matrix; preserves tiny entries
-        diagonal = np.sort(np.abs(np.diag(A)))[::-1]
-        values[: diagonal.size] = diagonal
-        return values, A.shape[1], beyond
-    # column masses without an N x N temporary; a complex A's real and imag are views
-    parts = (A.real, A.imag) if np.iscomplexobj(A) else (A,)
-    K, dropped = _negligible(sum(np.einsum("jk,jk->k", part, part) for part in parts), beyond**2)
-    if K:
-        values[: min(A.shape[0], K)] = np.linalg.svd(A[:, :K], compute_uv=False)
-    return values, K, dropped
+        values[: min(A.shape)] = np.sort(np.abs(np.diag(A)))[::-1]
+    else:
+        values[: A.shape[1]] = np.linalg.svd(A, compute_uv=False)
+    return values
 
 
 def singular_spectrum(m: OperatorMatrix) -> SingularSpectrum:
     """Singular values of the truncation with both certificate tiers.
 
-    The radius is the rigorous uniform one (perturbation bound by the
-    truncation norm, plus the norm of the columns `_values_of` drops, those
-    `assemble` never extracted included); stability_radii compares against
-    the half-size compression, cut the same way: an empirical indicator of
-    truncation bias that can miss slow convergence (see the module
-    docstring).  Both spectra have one entry per row, those past the
-    columns reading 0.0.
+    The radius is the rigorous uniform one, `m.truncation_norm_bound`;
+    stability_radii compares against the half-size compression: an
+    empirical indicator of truncation bias that can miss slow convergence
+    (see the module docstring).  Both spectra have one entry per row.
     """
-    values, columns, dropped = _values_of(m.entries, m.unextracted)
+    values = _values_of(m.entries)
     stab = None
     if m.N >= 8:
         n = m.entries.shape[0] - m.N // 2
-        vals_half = _values_of(m.entries[:n, :n], m.unextracted)[0]
         stab = np.full(len(values), np.inf)
-        stab[:n] = np.abs(values[:n] - vals_half)
-    return SingularSpectrum(
-        values=values,
-        radius=m.truncation_norm_bound + dropped,
-        stability_radii=stab,
-        columns=columns,
-        dropped=dropped,
-    )
+        stab[:n] = np.abs(values[:n] - _values_of(m.entries[:n, :n]))
+    return SingularSpectrum(values=values, radius=m.truncation_norm_bound, stability_radii=stab)

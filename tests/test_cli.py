@@ -641,6 +641,8 @@ def _exits_2_without_artifacts(tmp_path, args, config=None):
     (None, ["an", "--symbol", "cusp", "--N", "16", "--Q", "8"]),
     (None, ["an", "--symbol", "affine:r=0.5", "--N", "16", "--M", "8"]),
     (None, ["series", "--symbol", "cusp", "--k", "2", "--rho", "0"]),
+    # the half truncation N // 2 = 0 would start the work and fail in assemble
+    (None, ["verify", "--theorem", "3.1", "--N", "1"]),
 ])
 def test_config_that_would_not_be_what_ran_exits_2(tmp_path, config, args):
     rep, out = tmp_path / "never.json", tmp_path / "never.csv"

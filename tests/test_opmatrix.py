@@ -343,11 +343,12 @@ def _uncut(s, m):
 def test_the_svd_skips_the_cusps_negligible_columns(cusp_spectra, N):
     m, spec = cusp_spectra[N]
     ref = _uncut(CuspMap(), m)
-    # the columns past K carry at most VALUE_FLOOR * eps, added to the radius
-    assert spec.columns < N // 2
-    assert 0.0 < spec.dropped <= opmatrix._COLUMN_CUT
-    assert spec.radius == m.truncation_norm_bound + spec.dropped
-    assert not spec.values[spec.columns :].any()
+    # the columns never extracted carry at most VALUE_FLOOR * eps, in the radius
+    K = m.entries.shape[1]
+    assert K < N // 2
+    assert 0.0 < m.unextracted <= opmatrix._COLUMN_CUT
+    assert spec.radius == m.truncation_norm_bound
+    assert not spec.values[K:].any()
     # Weyl: values above the floor move by eps relative, plus SVD roundoff
     ok = ref.values >= opmatrix.VALUE_FLOOR
     assert spec.values[ok] == pytest.approx(ref.values[ok], rel=1e-9, abs=0.0)
@@ -361,8 +362,8 @@ def test_a_matrix_without_a_negligible_tail_keeps_every_column():
     # and the values are the full SVD's
     m = assemble(MoebiusMap(0.3), 64, Space.DIRICHLET)
     spec = singular_spectrum(m)
-    assert spec.columns == m.entries.shape[1]
-    assert spec.dropped == 0.0
+    assert m.entries.shape[1] == 65
+    assert m.unextracted == 0.0
     assert spec.radius == m.truncation_norm_bound
     np.testing.assert_array_equal(spec.values, np.linalg.svd(m.entries, compute_uv=False))
 
@@ -371,21 +372,23 @@ def test_a_complex_table_takes_the_same_cut():
     # the inner rotation multiplies row j by e^{ij}: column norms, hence the
     # cut, are the cusp's
     N = 256
-    cusp = singular_spectrum(assemble(CuspMap(), N))
+    cusp = assemble(CuspMap(), N)
     s = parse_symbol("compose(cusp,affine:r=1,theta=1)")
     m = assemble(s, N)
     assert m.entries.dtype == complex
     spec = singular_spectrum(m)
-    assert spec.columns == cusp.columns < N
-    assert spec.dropped == pytest.approx(cusp.dropped, rel=1e-12)
-    assert spec.radius == m.truncation_norm_bound + spec.dropped
+    assert m.entries.shape[1] == cusp.entries.shape[1] < N
+    assert m.unextracted == pytest.approx(cusp.unextracted, rel=1e-12)
+    assert spec.radius == m.truncation_norm_bound
     ref = _uncut(s, m)
     ok = ref.values >= opmatrix.VALUE_FLOOR
     assert spec.values[ok] == pytest.approx(ref.values[ok], rel=1e-9, abs=0.0)
     np.testing.assert_array_equal(spec.stable, ref.stable)
 
 
-CUT_SYMBOLS = ("cusp", "affine:r=0.7", "compose(cusp,moebius:u=0.3+0.2i)")
+CUT_SYMBOLS = ("cusp", "affine:r=0.7", "compose(cusp,moebius:u=0.3+0.2i)",
+               "compose(cusp,affine:r=0.5)", "coeffs:[0,0.5,0.25]",
+               builtin_contractions()[3].spec_string())
 
 
 @pytest.mark.parametrize("N", [256, 512])
@@ -405,14 +408,13 @@ def test_column_bounds_hold_every_computed_column(spec, N):
     b = np.sqrt(opmatrix._column_bounds(s, N, c, m.params.resolved()[2]))
     assert np.all(norms <= b + allowance)
     # the extracted columns are the full-width matrix's, bit for bit, and
-    # the cut the SVD would take there never reaches past them
+    # the same cut on the computed columns never reaches past them
     K_a = m.extracted
     assert K_a < N
     np.testing.assert_array_equal(m.entries, A[:, : K_a + c])
     spectrum = singular_spectrum(m)
     assert opmatrix._negligible(sq)[0] <= K_a + c
-    assert spectrum.columns <= K_a + c
-    assert 0.0 < m.unextracted <= spectrum.dropped <= opmatrix._COLUMN_CUT
+    assert 0.0 < m.unextracted <= opmatrix._COLUMN_CUT
     # one value per row, those past the extracted columns 0.0
     assert spectrum.values.shape == spectrum.stability_radii.shape == (N + c,)
     assert not spectrum.values[K_a + c :].any()
@@ -426,15 +428,6 @@ def test_an_unextracted_polynomial_power_has_no_row_mass():
         m = assemble(parse_symbol(spec), 512)
         assert m.extracted < 512
         assert m.row_tail == 0.0
-
-
-def test_a_symbol_without_an_image_extracts_every_power():
-    # the row tail of an unextracted power is its whole norm, which only the
-    # image's column tail gives
-    s = builtin_contractions()[3]
-    m = assemble(s, 64)
-    assert m.extracted == 64 and m.unextracted == 0.0
-    assert m.entries.shape == (64, 64)
 
 
 @pytest.mark.parametrize(
@@ -460,6 +453,27 @@ def test_unextracted_powers_charge_their_whole_norm(spec, N, space):
     assert (K < N) == (N > 64)
 
 
+@pytest.mark.parametrize("spec", [
+    "cusp", "affine:r=0.7,theta=1.3", "compose(cusp,moebius:u=0.3+0.2i)",
+    "compose(cusp,affine:r=0.5)", "coeffs:[0,0.5,0.25]",
+    builtin_contractions()[3].spec_string(), "compose(moebius:u=0.3+0i,cusp)",
+])
+def test_the_row_tail_covers_every_power_of_the_truncation(spec):
+    # the exact row tail of all N powers, from a full-width table on m's
+    # plan; the unextracted powers' charge is their whole norm, so it is at
+    # least theirs (to roundoff where the closed form is the exact sum).
+    # The default M = 2N holds the powers of coeffs:[0,0.5,0.25] whole, but
+    # those past N/2 reach rows beyond N: the charge is needed at degree 2
+    s = parse_symbol(spec)
+    N = 512
+    m = assemble(s, N, Space.DIRICHLET_STAR if s.fixes_origin else Space.DIRICHLET)
+    table, _ = power_coefficient_table(s, N, m.params)
+    mass, beyond = power_mass(s, table)
+    k = np.arange(1, N + 1)
+    exact = math.sqrt(float(np.sum((mass[:, N + 1 :].sum(axis=1) + beyond) / k)))
+    assert m.row_tail >= exact * (1.0 - 1e-12)
+
+
 def test_a_disk_automorphism_extracts_every_power():
     # S(r) >= r puts every column bound at (N+1)/k >= 1, so nothing is cut
     # and the row tail never asks for the infinite tau of a modulus-1 disk
@@ -475,17 +489,6 @@ def test_bad_sizes_are_refused():
         assemble(CuspMap(), 0)
     with pytest.raises(ValueError, match="retained degree must reach the truncation size"):
         assemble(CuspMap(), 32, series_params=SeriesParams(16))
-
-
-def test_a_negligible_matrix_needs_no_svd(monkeypatch):
-    def no_svd(*a, **kw):
-        raise AssertionError("SVD of a matrix below the cut")
-
-    monkeypatch.setattr(np.linalg, "svd", no_svd)
-    values, columns, dropped = opmatrix._values_of(1e-30 * np.ones((3, 3)))
-    assert columns == 0
-    np.testing.assert_array_equal(values, np.zeros(3))
-    assert dropped == pytest.approx(3e-30, rel=1e-12)
 
 
 def test_negated_cusp_tails_equal_cusp_tails():
