@@ -133,15 +133,6 @@ def _sized_rule(kinks, sizes):
 # the cusp image domain
 
 
-def _cusp_inside(x, y):
-    """The cusp region's inequalities at the tip-measured point 1 + x + iy,
-    y >= 0 (see `CuspRegion.contains`)."""
-    q = x * x + y * y
-    inside = q + CUSP_DIAMETER * x < 0.0
-    inside &= q > CUSP_DIAMETER * y
-    return inside
-
-
 @dataclass(frozen=True)
 class CuspRegion:
     """Image of the cusp map: inside D(1-a/2, a/2), outside D(1 +/- ia/2, a/2).
@@ -153,7 +144,7 @@ class CuspRegion:
     """
 
     name = "cusp"  # a class attribute, not a field
-    radial = False  # `contains_polar` reads the angle too
+    radial = False  # `contains` reads the angle too
 
     @property
     def circles(self):
@@ -178,17 +169,16 @@ class CuspRegion:
         to the rounding of |w - c|, while q and a y keep it to a few ulps.
         """
         w = np.asarray(w, dtype=complex)
-        return _cusp_inside(w.real - 1.0, np.abs(w.imag))
-
-    def contains_polar(self, rho, phi):
-        """`contains` at rho e^{i phi}, rho >= 0, without forming the point:
-        bit for bit contains(_polar(rho, phi)), as |rho sin phi| = rho |sin phi|."""
-        return _cusp_inside(rho * np.cos(phi) - 1.0, rho * np.abs(np.sin(phi)))
+        x, y = w.real - 1.0, np.abs(w.imag)
+        q = x * x + y * y
+        inside = q + CUSP_DIAMETER * x < 0.0
+        inside &= q > CUSP_DIAMETER * y
+        return inside
 
     def polar_cells(self, rho_edges):
-        """(phi_in, phi_out), certificates of `contains_polar` on the radial
-        cells between increasing rho_edges: for rho_edges[j] <= rho <=
-        rho_edges[j+1], contains_polar(rho, phi) is True when |phi| <
+        """(phi_in, phi_out), certificates of `contains` on the radial cells
+        between increasing rho_edges: for rho_edges[j] <= rho <=
+        rho_edges[j+1], contains(_polar(rho, phi)) is True when |phi| <
         phi_in[j] and False when |phi| >= phi_out[j], |phi| <= pi.  A cell
         with (0, inf) certifies nothing.
 
@@ -385,14 +375,10 @@ class _UnitDisk:
 
     name = "disk"
     tip_area_constant = math.inf  # the area below depth t is ~ 2t, not cubic
-    radial = True  # `contains_polar` reads rho alone: True below a radius
+    radial = True  # `contains` reads |w| alone: True below a radius
 
     def contains(self, w):
         return np.abs(w) < 1.0
-
-    def contains_polar(self, rho, phi):
-        """`contains` at rho e^{i phi}: the radius alone decides."""
-        return rho < 1.0
 
     def annulus_area(self, t):
         return np.maximum(0.0, 1.0 - (1.0 - t) ** 2)
@@ -592,6 +578,7 @@ def _sampling_membership(s: SymbolMap, image: Image | None, t: float):
     when that curve cannot resolve the image at depth t (`_unresolved`).
     """
     if image is not None:
+        # through image_contains, whose points the benchmark tracer counts
         return (lambda w: image_contains(s, w)), False
     _require_univalent(s)
     curve = _boundary_curve(s, 0.5)
@@ -647,9 +634,9 @@ def _mc_annulus_area(s: SymbolMap, image: Image | None, t: float, samples: int, 
     (image None).  On the cusp the box is twice the image's angular extent
     at depth t, so about a sixth of the samples hit near the tip.  The box
     is drawn in the base's frame, radius over the modulus and angle about
-    arg factor, and the hits are those of the base's `contains_polar` on
-    every sample, counted block by block; their standard error follows from
-    the count.  No point is formed but for the unknown base's winding test.
+    arg factor, and the hits are those of the base's `contains` on every
+    sample, counted block by block; their standard error follows from the
+    count.  No sample divides by the factor.
 
     The radius rho(u) = sqrt(lo2 + (1 - lo2) u) / modulus of a radial
     uniform u rounds monotonically at every step, so a sample in radial bin
@@ -659,20 +646,17 @@ def _mc_annulus_area(s: SymbolMap, image: Image | None, t: float, samples: int, 
     whose radius fails, the hits are the u < u*, and no angle is drawn.
     Otherwise the base's `polar_cells` certify each bin's verdict below an
     inner angle and from an outer one, and only the samples between the two
-    (~0.04% on the cusp) reach `contains_polar`, with their own rho and
-    phi; the unknown base certifies nothing.  Either way the count is the
-    one `contains_polar` gives every sample."""
+    (~0.04% on the cusp) are formed by `_polar` and tested by `contains`;
+    the unknown base certifies nothing, and its winding test takes every
+    sample."""
     rng = np.random.default_rng(seed)
     lo2 = (1.0 - t) ** 2
     if image is None:
         contains, flagged = _sampling_membership(s, None, t)
         theta0, modulus, base = math.pi, 1.0, None
-
-        def inside(rho, phi):
-            return contains(_polar(rho, phi))
     else:
         theta0, modulus, flagged = image.box_angle(t), image.modulus, False
-        base, inside = image.base, image.base.contains_polar
+        base, contains = image.base, image.base.contains
     box = (1.0 - lo2) * (theta0 / np.pi)
 
     def radius(u):
@@ -680,7 +664,7 @@ def _mc_annulus_area(s: SymbolMap, image: Image | None, t: float, samples: int, 
 
     hits = 0
     if base is not None and base.radial:
-        cut = _least_double(lambda u: not inside(radius(u), 0.0))
+        cut = _least_double(lambda u: not contains(radius(u)))
         for u in _draw_blocks(rng, samples):
             hits += int(np.count_nonzero(u < cut))
     else:
@@ -694,7 +678,8 @@ def _mc_annulus_area(s: SymbolMap, image: Image | None, t: float, samples: int, 
             angle, cell = np.abs(phi), (u * _MC_BINS).astype(np.intp)
             sure = angle < phi_in[cell]
             near = np.flatnonzero(~sure & (angle < phi_out[cell]))
-            hits += int(np.count_nonzero(sure)) + int(np.count_nonzero(inside(radius(u[near]), phi[near])))
+            w = _polar(radius(u[near]), phi[near])
+            hits += int(np.count_nonzero(sure)) + int(np.count_nonzero(contains(w)))
     value = box * (hits / samples)
     std = box * math.sqrt(hits * (samples - hits) / (samples * (samples - 1))) / math.sqrt(samples)
     return RegionMeasure(float(value), float(std), "monte-carlo", flagged)

@@ -68,7 +68,7 @@ def test_tracer_installs_and_its_hooks_count(tmp_path):
     Q = SeriesParams(M=retained_degree(CuspMap(), 16)).resolved()[2]
     circles = opmatrix._BOUND_DEPTHS.size * (Q // opmatrix._BOUND_SAMPLING // 2 + 1)
     assert spans["symbols.evaluate"]["points"] == Q // 2 + 1 + circles == 129 + 6 * 33
-    # the annulus route samples the base's polar test, never image_contains
+    # the annulus route asks the base's contains, never image_contains
     assert "geometry.image_contains" not in spans
     # the window route still tests points: one call a block of 2^18 + 5
     # draws, each counting the draws that land in the disk

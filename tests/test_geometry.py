@@ -70,6 +70,7 @@ def test_region_contains_is_exact_at_the_tip(u):
     phi = lo * np.array([0.9, 0.99, 1.01, 1.1])
     w = (1.0 - u) * np.exp(1j * np.concatenate([phi, -phi]))
     assert REGION.contains(w).tolist() == [True, True, False, False] * 2
+    assert not REGION.contains(1.0)  # the tip itself is outside
 
 
 def test_angular_measure_matches_monte_carlo():
@@ -746,44 +747,13 @@ def test_polar_is_complex_exp_bit_for_bit():
         assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
 
-def test_cusp_polar_membership_is_contains_bit_for_bit():
-    g = np.random.default_rng(13)
-    n = 50_000
-    # anywhere near the region, then at depths 1e-9 up to the first
-    # breakpoint within twice the slice's half-angle, and the tip itself
-    depth = np.geomspace(1e-9, REGION.breakpoints()[0], n)
-    rho = np.concatenate([1.2 * g.random(n), 1.0 - depth, [1.0]])
-    phi = np.concatenate([g.uniform(-np.pi, np.pi, n), REGION.angular_measure(depth) * g.uniform(-1.0, 1.0, n), [0.0]])
-    got = REGION.contains_polar(rho, phi)
-    assert np.array_equal(got, REGION.contains(geometry._polar(rho, phi)))
-    assert 0 < np.count_nonzero(got[n:]) < n
-    assert not got[-1]
-
-
-def test_disk_polar_membership_reads_the_radius():
-    g = np.random.default_rng(14)
-    rho, phi = 2.0 * g.random(100_000), g.uniform(-np.pi, np.pi, 100_000)
-    away = np.abs(rho - 1.0) > 1e-12
-    disk = geometry._UNIT_DISK
-    got = disk.contains_polar(rho, phi)
-    assert np.array_equal(got[away], disk.contains(geometry._polar(rho, phi))[away])
-
-
-def test_annulus_monte_carlo_on_a_known_base_forms_no_point(monkeypatch):
+def test_annulus_monte_carlo_seeded_values_on_known_bases():
     # the values are those of points built by _polar in the image's frame
-    def no_points(*args):
-        raise AssertionError("formed a point")
-
-    monkeypatch.setattr(geometry, "_polar", no_points)
     for spec, t, value in [("cusp", 2.0**-6, 5.177709305142975e-07),
                            (ROTATED_CUSP, 0.1, 1.7574736142548277e-05),
                            ("affine:r=0.9,theta=5.6", 0.2, 0.16967879999999996)]:
         got = annulus_area(parse_symbol(spec), t, method="monte-carlo", samples=100_000, seed=7)
         assert got.value == value
-    # no Image: the winding test still takes points
-    twice = parse_symbol("compose(moebius:u=0.5+0i,compose(moebius:u=0.5+0i,cusp))")
-    with pytest.raises(AssertionError, match="formed a point"):
-        annulus_area(twice, 0.5, method="monte-carlo", samples=100, seed=7)
 
 
 # the disk plans whose cut u* lies at an end: no hit, every hit
@@ -808,13 +778,16 @@ CUT_HITS = {"affine:r=0.5": 0, "moebius:u=0.3+0i": 3 * BLOCK - 7}
         pytest.param("moebius:u=0.3+0i", 0.1, 3 * BLOCK - 7, id="disk-modulus-1"),
         pytest.param("cusp", 0.3, 3 * BLOCK - 7, id="cusp-whole-circle"),
         pytest.param("compose(affine:r=0.9,theta=1.1,cusp)", 0.15, 3 * BLOCK - 7, id="rotated-cusp-0.9"),
+        # no Image: every sample takes the winding test
+        pytest.param("compose(cusp,affine:r=0.5)", 0.9, BLOCK + 1, id="image-free"),
     ],
 )
 def test_annulus_monte_carlo_blocks_match_one_shot_draws(spec, t, samples):
-    # reference: all draws at once, points by complex exp, membership in the image's frame
+    # reference: all draws at once, points by complex exp, membership in the
+    # image's frame; with no Image the box is the whole annulus
     s, seed = parse_symbol(spec), 9
     image = geometry.image_of(s)
-    centre, theta0 = np.angle(image.factor), image.box_angle(t)
+    centre, theta0 = (0.0, np.pi) if image is None else (np.angle(image.factor), image.box_angle(t))
     lo2 = (1.0 - t) ** 2
     box = (1.0 - lo2) * (theta0 / np.pi)
     u, v = _one_shot_uniforms(seed, samples)
@@ -841,7 +814,7 @@ def _mc_radius(image, t, u):
 
 
 def _cell_verdicts(edges, theta0, seed):
-    """(certified inside, certified outside, contains_polar) on points of
+    """(certified inside, certified outside, contains) on points of
     every cell of `REGION.polar_cells(edges)`: both edges and a radius
     inside, at up to 4 ulps below phi_in, at phi_out and up to 4 ulps above,
     and at random angles in the box, each of either sign."""
@@ -855,11 +828,11 @@ def _cell_verdicts(edges, theta0, seed):
                              theta0 * g.random((4, cell.size))])
     phi = np.where(g.random(angles.shape) < 0.5, -1.0, 1.0) * np.minimum(angles, np.pi)
     rho = np.broadcast_to(rho, phi.shape)
-    return np.abs(phi) < phi_in[cell], np.abs(phi) >= phi_out[cell], REGION.contains_polar(rho, phi)
+    return np.abs(phi) < phi_in[cell], np.abs(phi) >= phi_out[cell], REGION.contains(geometry._polar(rho, phi))
 
 
 @pytest.mark.parametrize("spec, t", CELL_PLANS)
-def test_polar_cells_match_contains_polar_bit_for_bit(spec, t):
+def test_polar_cells_match_contains(spec, t):
     image = geometry.image_of(parse_symbol(spec))
     edges = _mc_radius(image, t, np.arange(geometry._MC_BINS + 1) / geometry._MC_BINS)
     sure_in, sure_out, got = _cell_verdicts(edges, image.box_angle(t), 15)
@@ -878,15 +851,15 @@ def test_polar_cells_hold_down_to_tip_depths():
 
 def test_annulus_monte_carlo_tests_few_points(monkeypatch):
     # the benchmark's three plans at 1e6 samples: the cusp's cells leave at
-    # most 1% of the samples to contains_polar, the disk's bisection only
+    # most 1% of the samples to contains, the disk's bisection only
     # scalars, and the disk draws no angle
     sizes = []
     for base in (CuspRegion, type(geometry._UNIT_DISK)):
-        def counted(self, rho, phi, polar=base.contains_polar):
-            sizes.append(np.size(rho))
-            return polar(self, rho, phi)
+        def counted(self, w, contains=base.contains):
+            sizes.append(np.size(w))
+            return contains(self, w)
 
-        monkeypatch.setattr(base, "contains_polar", counted)
+        monkeypatch.setattr(base, "contains", counted)
     samples = 10**6
     for spec, t in [("cusp", 2.0**-6), (ROTATED_CUSP, 0.1)]:
         sizes.clear()
