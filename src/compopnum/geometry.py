@@ -22,6 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .linalg import gram_singular_values
 from .symbols import (
     CUSP_DIAMETER,
     AffineMap,
@@ -989,11 +990,10 @@ def region_gram_singular_values(N: int) -> np.ndarray:
     and by Weyl's inequality each eigenvalue moves by at most N^2 _GRAM_CUT,
     ~1e-24 at N = 1024.
 
-    `eigvalsh` is backward stable, so its eigenvalues carry an absolute
-    roundoff of about N eps lam_max: singular values below sqrt(N eps
-    lam_max), ~3e-7 at N = 1024 (lam_max ~ 0.39), are roundoff, not data,
-    and the negative eigenvalues among them are clamped to exact zeros
-    (478 of the 1024 values at N = 1024).  Nothing marks them.
+    The values come from `linalg.gram_singular_values`, a pivoted Cholesky
+    factor of G stopped at a residual trace of eps trace G: each squared
+    value is a lower end of its eigenvalue, within eps trace G, and past the
+    factor's rank (61 at N = 1024) the values are exact zeros.
     """
     if N < 1:
         raise ValueError("N must be positive")
@@ -1037,5 +1037,5 @@ def region_gram_singular_values(N: int) -> np.ndarray:
             r, c = np.nonzero(m[:, None] + q < N)
             i, j = m[r], m[r] + q[c]
             G[i, j] = np.sqrt((i + 1.0) * (j + 1.0)) * P[i, c]
-    lam = np.linalg.eigvalsh(G, UPLO="U")[::-1]
-    return np.sqrt(np.maximum(lam, 0.0))
+    del chunk, B, T, E, P  # the chunk views hold its buffer
+    return gram_singular_values(G)

@@ -37,7 +37,7 @@ Two certificates are attached to every spectrum:
   the operator norm, Weyl; `series` proves assembly_error but for the
   evaluation accuracy).  It is rigorous: its tails are exact for a known
   image base and proved bounds otherwise, infinite where nothing is proved.  Without an image both are finite only
-  for a polynomial of known sup norm below 1 at the default degree; any
+  for a polynomial with sum |c_j| below 1 at the default degree; any
   other such symbol has only the stability tier;
 * an empirical stability radius per entry, the change of the value when the
   truncation is halved.  It is an indicator, not a bound, and it can miss

@@ -88,6 +88,12 @@ class SymbolMap:
         return abs(self.origin) <= 1e-12
 
     @property
+    def sup_bound(self) -> float | None:
+        """An upper bound on sup |phi|, None when none is known: the exact
+        `sup_norm_hint` unless the kind bounds it without knowing it."""
+        return self.sup_norm_hint
+
+    @property
     def is_automorphism(self) -> bool:
         """phi maps the disk onto itself: a Moebius map or a rotation c z, |c| = 1."""
         return self.degree == 1 and self.origin == 0 and self.sup_norm_hint == 1.0
@@ -323,7 +329,8 @@ class CoefficientMap(SymbolMap):
     """Polynomial symbol c_0 + c_1 z + ... + c_M z^M, a self-map of the disk
     on the caller's word.  Univalence is Alexander's sufficient criterion
     sum_{j>=2} j|c_j| <= |c_1| != 0 (Ann. of Math. 17, 1915); sup |phi| is
-    sum c_j, reached at z = 1, when no c_j is negative or complex."""
+    sum c_j, reached at z = 1, when no c_j is negative or complex, and at
+    most sum |c_j| always."""
 
     coeffs: tuple
 
@@ -341,6 +348,10 @@ class CoefficientMap(SymbolMap):
     def sup_norm_hint(self) -> float | None:
         known = all(c.imag == 0.0 and c.real >= 0.0 for c in self.coeffs)
         return sum(c.real for c in self.coeffs) if known else None
+
+    @property
+    def sup_bound(self) -> float:
+        return sum(abs(c) for c in self.coeffs)
 
     @property
     def origin(self) -> complex:

@@ -11,7 +11,7 @@ import inspect
 
 import pytest
 
-MODULES = ("symbols", "series", "tails", "opmatrix", "geometry", "analysis", "cli")
+MODULES = ("symbols", "series", "tails", "linalg", "opmatrix", "geometry", "analysis", "cli")
 
 
 @pytest.mark.parametrize("name", MODULES)

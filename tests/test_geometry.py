@@ -1163,9 +1163,9 @@ def test_region_gram_matches_diagonal_loop():
     assert region_gram_singular_values(N)[:10] == pytest.approx(ref[:10], rel=1e-12, abs=0.0)
 
 
-def _full_gemm_region_gram(N):
-    """The region Gram's singular values from every P[m, q], m, q < N, on
-    every node in the rule's own order, read back on the triangle."""
+def _full_gemm_gram(N):
+    """The region Gram's upper triangle from every P[m, q], m, q < N, on
+    every node in the rule's own order."""
     u, wts = REGION.radial_rule()
     alpha, lo, hi = REGION.arc_data(u)
     hi, lo = np.minimum(hi, alpha), np.minimum(lo, alpha)
@@ -1178,7 +1178,13 @@ def _full_gemm_region_gram(N):
     i, j = np.triu_indices(N)
     G = np.zeros((N, N))
     G[i, j] = np.sqrt((i + 1.0) * (j + 1.0)) * P[i, j - i]
-    return np.sqrt(np.maximum(np.linalg.eigvalsh(G, UPLO="U")[::-1], 0.0))
+    return G
+
+
+def _full_gemm_region_gram(N):
+    """The singular values of `_full_gemm_gram(N)`, read back on the triangle."""
+    lam = np.linalg.eigvalsh(_full_gemm_gram(N), UPLO="U")[::-1]
+    return np.sqrt(np.maximum(lam, 0.0))
 
 
 def test_region_gram_blocks_match_full_gemm():
@@ -1188,6 +1194,35 @@ def test_region_gram_blocks_match_full_gemm():
     values = region_gram_singular_values(N)
     assert values[:20] == pytest.approx(ref[:20], rel=1e-12, abs=0.0)
     assert values == pytest.approx(ref, rel=0.0, abs=1e-8)
+
+
+def test_region_gram_factor_brackets_the_eigenvalues():
+    # G - L L^T is semidefinite with trace <= eps trace G, so by Weyl
+    # lam_n(L L^T) <= lam_n(G) <= lam_n(L L^T) + eps trace G, up to the
+    # dense eigensolver's own roundoff eta
+    N = 256
+    G = _full_gemm_gram(N)
+    lam = np.linalg.eigvalsh(G, UPLO="U")[::-1]
+    eps = np.finfo(float).eps
+    eta = N * eps * lam[0]
+    sigma2 = region_gram_singular_values(N) ** 2
+    assert np.all(lam >= sigma2 - eta)
+    assert np.all(lam <= sigma2 + eps * np.trace(G) + eta)
+
+
+def test_region_gram_runs_no_dense_eigensolver(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("dense eigvalsh called")
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", refuse)
+    assert region_gram_singular_values(256)[0] > 0.0
+
+
+def test_region_gram_is_exactly_zero_past_the_factor_rank():
+    values = region_gram_singular_values(1024)
+    rank = np.count_nonzero(values)
+    assert rank <= 80
+    assert np.all(values[:rank] > 0.0) and not np.any(values[rank:])
 
 
 def test_region_gram_builds_on_node_chunks():

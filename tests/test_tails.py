@@ -37,9 +37,11 @@ def test_majorant_bounds_the_retained_column_mass(s):
 def test_majorant_without_a_proof_is_infinite_and_a_constant_is_zero():
     assert column_tail_majorant(parse_symbol("coeffs:[0.5]"), 3) == 0.0
     for spec in ("compose(cusp,affine:r=0.5)", "cusp", "moebius:u=0.3+0i",
-                 "coeffs:[0,0.5,0+0.25i]",  # no known sup
                  "compose(moebius:u=0.5+0i,compose(moebius:u=0.5+0i,affine:r=0.9))"):
         assert column_tail_majorant(parse_symbol(spec), 3) == math.inf, spec
+    # a complex coefficient leaves sup |phi| unknown, and sum |c_j| = 0.75 bounds it
+    assert column_tail_majorant(parse_symbol("coeffs:[0,0.5,0+0.25i]"), 3) == math.sqrt(
+        0.75**6 / (1 - 0.75**2))
     # a polynomial that is not univalent counts each value d times
     s = parse_symbol("coeffs:[0,0.1,0.4]")
     assert not s.is_univalent
@@ -67,3 +69,14 @@ def test_an_certifies_only_under_proved_tails(tmp_path):
     assert certified == 43
     assert payload["hs_tail"] == column_tail_majorant(poly, 513)
     assert payload["column_tail"] == {"model": "sup-norm", "rmse": 0.0}
+
+
+@pytest.mark.parametrize("spec", ["coeffs:[0,0.5,-0.25]", "coeffs:[0,0.5,0+0.25i]"])
+def test_an_certifies_a_polynomial_through_its_coefficient_bound(tmp_path, spec):
+    # sum |c_j| bounds sup |phi| when no exact sup is known: the column tail
+    # is finite and the polynomial certifies as coeffs:[0,0.5,0.25] does
+    s = parse_symbol(spec)
+    assert s.sup_norm_hint is None and s.sup_bound == 0.75
+    payload, certified = _an(tmp_path, s, N=256)
+    assert certified == 45
+    assert payload["hs_tail"] == column_tail_majorant(s, 257) < math.inf
