@@ -173,11 +173,11 @@ def beta_estimate(spec: SingularSpectrum) -> BetaEstimate:
 
 def sandwich_check(s: SymbolMap, spec: SingularSpectrum) -> Report:
     """Checks the rate sandwich: [phi]^2 - tol <= beta <= sup|phi| + tol,
-    with the slack tol = 0.02."""
+    with the slack tol = 0.02; an upper bound on sup|phi| (`sup_bound`) serves."""
     tol = 0.02
     bracket = pseudo_hyperbolic_sup(s)
     beta = beta_estimate(spec)
-    sup = s.sup_norm_hint if s.sup_norm_hint is not None else 1.0
+    sup = s.sup_bound
     lower_ok = bracket**2 - tol <= beta.value
     upper_ok = beta.value <= sup + tol
     return Report(

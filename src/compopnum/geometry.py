@@ -23,14 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import gram_singular_values
-from .symbols import (
-    CUSP_DIAMETER,
-    AffineMap,
-    ComposedMap,
-    CuspMap,
-    MoebiusMap,
-    SymbolMap,
-)
+from .symbols import CUSP_DIAMETER, AffineMap, CuspMap, MoebiusMap, SymbolMap
 
 __all__ = [
     "CuspRegion",
@@ -450,25 +443,13 @@ class Image:
 
 def image_of(s: SymbolMap) -> Image | None:
     """The Image of phi, or None when phi(D) is only known through the
-    boundary curve of phi.  An inner disk automorphism m (`is_automorphism`:
-    a Moebius map or a rotation) keeps the outer map's Image: phi(D) = X(m(D))
-    = X(D), and X^k o m has the Dirichlet integral of X^k.  An outer affine
-    map multiplies the inner factor and modulus by its own; the Moebius map
-    with u = 0 (z -> -z) negates the factor."""
-    if isinstance(s, ComposedMap) and s.inner.is_automorphism:
-        return image_of(s.outer)
-    if isinstance(s, AffineMap):
-        return Image(_UNIT_DISK, s.factor, s.r)
-    if isinstance(s, MoebiusMap):
-        return Image(_UNIT_DISK)
-    if isinstance(s, CuspMap):
-        return Image(_CUSP_REGION)
-    inner = image_of(s.inner) if isinstance(s, ComposedMap) else None
-    if inner is not None and isinstance(s.outer, AffineMap):
-        return Image(inner.base, s.outer.factor * inner.factor, s.outer.r * inner.modulus)
-    if inner is not None and isinstance(s.outer, MoebiusMap) and s.outer.u == 0:
-        return Image(inner.base, -inner.factor, inner.modulus)
-    return None
+    boundary curve of phi: the leaf of `s.peel` gives the base, the unit disk
+    for an affine or Moebius leaf and the cusp region for the cusp, and the
+    peel the factor.  X^k o m has the Dirichlet integral of X^k for a disk
+    automorphism m, so the peel's dropped inner automorphisms keep the norms."""
+    leaf, factor, modulus = s.peel
+    base = {AffineMap: _UNIT_DISK, MoebiusMap: _UNIT_DISK, CuspMap: _CUSP_REGION}.get(type(leaf))
+    return None if base is None else Image(base, factor, modulus)
 
 
 # ---------------------------------------------------------------------------
@@ -579,8 +560,7 @@ def _sampling_membership(s: SymbolMap, image: Image | None, t: float):
     when that curve cannot resolve the image at depth t (`_unresolved`).
     """
     if image is not None:
-        # through image_contains, whose points the benchmark tracer counts
-        return (lambda w: image_contains(s, w)), False
+        return image.contains, False
     _require_univalent(s)
     curve = _boundary_curve(s, 0.5)
     return (lambda w: _winding_contains(curve, w)), _unresolved(s, curve, t)

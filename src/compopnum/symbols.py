@@ -88,15 +88,22 @@ class SymbolMap:
         return abs(self.origin) <= 1e-12
 
     @property
-    def sup_bound(self) -> float | None:
-        """An upper bound on sup |phi|, None when none is known: the exact
-        `sup_norm_hint` unless the kind bounds it without knowing it."""
-        return self.sup_norm_hint
+    def sup_bound(self) -> float:
+        """An upper bound on sup |phi|: the exact `sup_norm_hint` unless the kind
+        bounds it without knowing it (a polynomial, a composition), else 1, as
+        phi maps the disk into itself."""
+        return 1.0 if self.sup_norm_hint is None else self.sup_norm_hint
 
     @property
     def is_automorphism(self) -> bool:
         """phi maps the disk onto itself: a Moebius map or a rotation c z, |c| = 1."""
-        return self.degree == 1 and self.origin == 0 and self.sup_norm_hint == 1.0
+        return self.degree == 1 and self.origin == 0 and self.sup_bound == 1.0
+
+    @property
+    def peel(self) -> tuple[SymbolMap, complex, float]:
+        """(leaf, factor, modulus): phi(D) = factor * leaf(D), modulus |factor| as the
+        scales give it.  An affine map is factor * the identity; a composition peels."""
+        return self, 1.0, 1.0
 
     def evaluate(self, z):
         _check_in_disk(z)
@@ -140,6 +147,10 @@ class AffineMap(SymbolMap):
     @property
     def factor(self) -> complex:
         return self.r * complex(math.cos(self.theta), math.sin(self.theta))
+
+    @property
+    def peel(self) -> tuple[SymbolMap, complex, float]:
+        return AffineMap(1.0), self.factor, self.r
 
     @property
     def real_coefficients(self) -> bool:
@@ -268,23 +279,50 @@ class ComposedMap(SymbolMap):
         return self.outer.is_univalent and self.inner.is_univalent
 
     @property
-    def sup_norm_hint(self) -> float | None:
-        # an inner disk automorphism m keeps the outer sup: X(m(D)) = X(D)
+    def is_automorphism(self) -> bool:
+        # Schwarz-Pick: a hyperbolic isometry is a composition of isometries only
+        return self.outer.is_automorphism and self.inner.is_automorphism
+
+    @property
+    def peel(self) -> tuple[SymbolMap, complex, float]:
+        """An inner disk automorphism m keeps the outer peel, X(m(D)) = X(D); an outer
+        affine map scales the inner one, w -> -w (u = 0) negates it; else no peel."""
         if self.inner.is_automorphism:
-            return self.outer.sup_norm_hint
-        inner = self.inner.sup_norm_hint
-        if inner is None:
-            return None
+            return self.outer.peel
+        leaf, factor, modulus = self.inner.peel
         if isinstance(self.outer, AffineMap):
-            return self.outer.r * inner
+            return leaf, self.outer.factor * factor, self.outer.r * modulus
+        if isinstance(self.outer, MoebiusMap) and self.outer.u == 0:
+            return leaf, -factor, modulus
+        return self, 1.0, 1.0
+
+    @property
+    def sup_norm_hint(self) -> float | None:
+        outer = self.outer.sup_norm_hint
+        inner = 1.0 if self.inner.is_automorphism else self.inner.sup_norm_hint
+        if outer is None or inner is None:
+            return None
+        if self.peel[0] is not self:
+            # an onto inner map or an outer w -> c w: sup|phi| = sup|outer| sup|inner|
+            return outer * inner
         if isinstance(self.outer, MoebiusMap):
             # the automorphism's largest modulus on |w| <= inner, taken at
-            # w = -inner u/|u|: exact when the inner image is that disk, at
-            # u = 0 (w -> -w) and at inner = 1 (|m(w)| -> 1 as |w| -> 1)
-            u = abs(self.outer.u)
-            if u == 0 or inner == 1.0 or _is_centred_disk_map(self.inner):
+            # w = -inner u/|u|: exact when the inner image is that disk (its
+            # leaf is c z) and at inner = 1 (|m(w)| -> 1 as |w| -> 1)
+            u, leaf = abs(self.outer.u), self.inner.peel[0]
+            if inner == 1.0 or (leaf.degree == 1 and leaf.origin == 0):
                 return (inner + u) / (1.0 + inner * u)
         return None
+
+    @property
+    def sup_bound(self) -> float:
+        # the exact sup; else phi(D) = factor * leaf(D) scales the leaf's bound;
+        # else the outer map's, as the inner map sends D into D
+        hint = self.sup_norm_hint
+        if hint is not None:
+            return hint
+        leaf, _, modulus = self.peel
+        return modulus * leaf.sup_bound if leaf is not self else self.outer.sup_bound
 
     @property
     def origin(self) -> complex:
@@ -315,13 +353,6 @@ class ComposedMap(SymbolMap):
 
     def spec_string(self):
         return f"compose({self.outer.spec_string()},{self.inner.spec_string()})"
-
-
-def _is_centred_disk_map(s: SymbolMap) -> bool:
-    """s(D) is the centred disk {|w| < sup|s|}: s is c z after inner automorphisms."""
-    while isinstance(s, ComposedMap) and s.inner.is_automorphism:
-        s = s.outer
-    return s.degree == 1 and s.origin == 0
 
 
 @dataclass(frozen=True)

@@ -23,13 +23,13 @@ def column_tail_majorant(s: SymbolMap, n: int) -> float:
     m = 1 for a univalent phi and m = d for a polynomial of degree d (valence
     at most m).
 
-    0 when m = 0 (a constant); infinite when m or a bound on sup |phi| is
-    unknown, or that bound is >= 1, where no decay is proved.
+    0 when m = 0 (a constant); infinite when m is unknown or the bound is
+    >= 1, where no decay is proved.
     """
     m = 1 if s.is_univalent else s.degree
     if m == 0:
         return 0.0
     sup = s.sup_bound
-    if m is None or sup is None or sup >= 1.0:
+    if m is None or sup >= 1.0:
         return math.inf
     return math.sqrt(m) * geometry.image_of(AffineMap(sup)).column_tail(n)

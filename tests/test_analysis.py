@@ -15,7 +15,7 @@ from compopnum.analysis import (
     upper_law_constant,
 )
 from compopnum.opmatrix import VALUE_FLOOR, SingularSpectrum, assemble, singular_spectrum
-from compopnum.symbols import AffineMap, builtin_contractions
+from compopnum.symbols import AffineMap, builtin_contractions, parse_symbol
 
 
 def spectrum_of(s, N=64):
@@ -82,6 +82,14 @@ def test_sandwich_affine():
 def test_sandwich_identity():
     rep = sandwich_check(AffineMap(1.0), spectrum_of(AffineMap(1.0), N=32))
     assert rep.passed
+
+
+def test_sandwich_upper_side_reads_the_bound():
+    # beta <= sup |phi| needs only an upper bound: sum |c_j| = 0.75, not 1
+    s = parse_symbol("coeffs:[0,0.5,-0.25]")
+    rep = sandwich_check(s, spectrum_of(s, N=96))
+    assert s.sup_norm_hint is None and rep.details["upper"] == 0.75
+    assert rep.passed and rep.details["beta"] == pytest.approx(0.6418, abs=1e-4)
 
 
 def test_sandwich_all_builtin_contractions():

@@ -7,7 +7,6 @@ module attributes, so it runs in a fresh process.
 """
 
 import json
-import math
 import os
 import subprocess
 import sys
@@ -15,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
-from compopnum import geometry, opmatrix
+from compopnum import opmatrix
 from compopnum.opmatrix import retained_degree
 from compopnum.series import SeriesParams
 from compopnum.symbols import CuspMap
@@ -40,12 +39,21 @@ commands = [
 ]
 codes = [cli.main(args + ["--report", f"{out}/{i}.json"]) for i, args in enumerate(commands)]
 commands_spans = spans.summary()
+import numpy as np
 from compopnum import geometry, symbols
 
+# the window route tests its points with the base's contains
 geometry.window_area(symbols.CuspMap(), geometry.CarlesonWindow(1.0, 0.25), "monte-carlo",
-                     samples=262149, seed=1)
-print(json.dumps({"codes": codes, "spans": commands_spans,
-                  "window": spans.summary()["geometry.image_contains"]}))
+                     samples=4099, seed=1)
+window_spans = sorted(spans.summary())
+# the winding-test entry, on seeded window points in the disk
+rng = np.random.default_rng(1)
+u, v = rng.random(4099), rng.random(4099)
+w = 1.0 + 0.25 * np.sqrt(u) * np.exp(1j * (2.0 * np.pi * v))
+w = w[np.abs(w) < 1.0]
+geometry.image_contains(symbols.CuspMap(), w)
+print(json.dumps({"codes": codes, "spans": commands_spans, "window_spans": window_spans,
+                  "passed": int(w.size), "contains": spans.summary()["geometry.image_contains"]}))
 """
 
 
@@ -68,16 +76,16 @@ def test_tracer_installs_and_its_hooks_count(tmp_path):
     Q = SeriesParams(M=retained_degree(CuspMap(), 16)).resolved()[2]
     circles = opmatrix._BOUND_DEPTHS.size * (Q // opmatrix._BOUND_SAMPLING // 2 + 1)
     assert spans["symbols.evaluate"]["points"] == Q // 2 + 1 + circles == 129 + 6 * 33
-    # the annulus route asks the base's contains, never image_contains
+    # the annulus and window routes ask the base's contains, never image_contains
     assert "geometry.image_contains" not in spans
-    # the window route still tests points: one call a block of 2^18 + 5
-    # draws, each counting the draws that land in the disk
-    window = result["window"]
-    assert window["calls"] == math.ceil(262149 / geometry._MC_BLOCK)
+    assert "geometry.image_contains" not in result["window_spans"]
+    # the hook on the winding-test entry counts one call and every point passed
     rng = np.random.default_rng(1)
-    u, v = rng.random(262149), rng.random(262149)
+    u, v = rng.random(4099), rng.random(4099)
     w = 1.0 + 0.25 * np.sqrt(u) * np.exp(1j * (2.0 * np.pi * v))
-    assert window["points"] == np.count_nonzero(np.abs(w) < 1.0)
+    assert result["passed"] == np.count_nonzero(np.abs(w) < 1.0) > 0
+    assert result["contains"]["calls"] == 1
+    assert result["contains"]["points"] == result["passed"]
     assert spans["geometry.CuspRegion.annulus_area"]["calls"] >= 1
     assert spans["geometry.M_functional"]["calls"] >= 1
     # every command here has a known image base: no sup-norm majorant

@@ -173,6 +173,11 @@ def test_area_auto_exact_needs_no_seed(tmp_path):
     # without an exact route, auto samples and the seed is mandatory again
     twice = "compose(moebius:u=0.5+0i,compose(moebius:u=0.5+0i,cusp))"
     assert run(["area", "--symbol", twice, "--t", "0.1"]) == 2
+    # an inner composition of automorphisms, or -z, keeps the cusp's exact route
+    for spec in ("compose(cusp,compose(moebius:u=0.3+0i,moebius:u=0.2+0i))",
+                 "compose(cusp,coeffs:[0,-1])"):
+        assert run(["area", "--symbol", spec, "--t", "0.1", "--report", str(rep)]) == 0
+        assert json.loads(rep.read_text())["value"] == payload["value"] == 1.3630207271432947e-4
 
 
 def test_area_exact(tmp_path):

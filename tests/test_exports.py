@@ -8,10 +8,14 @@ both.
 
 import importlib
 import inspect
+import pkgutil
 
 import pytest
 
-MODULES = ("symbols", "series", "tails", "linalg", "opmatrix", "geometry", "analysis", "cli")
+import compopnum
+
+# every module of the package, so one added or removed cannot escape the check
+MODULES = sorted(m.name for m in pkgutil.iter_modules(compopnum.__path__))
 
 
 @pytest.mark.parametrize("name", MODULES)

@@ -157,7 +157,8 @@ def test_image_of_unknown_base_is_none(spec):
 
 
 @pytest.mark.parametrize("inner", ["affine:r=1,theta=1", "affine:r=1,theta=-2.5", "affine:r=1,theta=0.3",
-                                   "moebius:u=0.3+0.1i", "coeffs:[0,1]"])
+                                   "moebius:u=0.3+0.1i", "coeffs:[0,1]", "coeffs:[0,-1]",
+                                   "compose(moebius:u=0.3+0i,moebius:u=0.2+0i)"])
 @pytest.mark.parametrize("outer", ["cusp", "compose(affine:r=0.9,theta=1,cusp)", "affine:r=0.7"])
 def test_an_inner_automorphism_keeps_the_outer_image(outer, inner):
     # phi(D) = X(m(D)) = X(D), and X^k o m has the Dirichlet integral of X^k

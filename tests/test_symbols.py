@@ -358,6 +358,10 @@ def test_a_composition_sup_is_exact_or_unknown(spec, sup):
     ("affine:r=1,theta=2", True),
     ("coeffs:[0,1]", True),
     ("compose(affine:r=1,theta=1,moebius:u=0+0i)", True),
+    ("coeffs:[0,-1]", True),  # -z: its bound sum |c_j| is 1
+    # a composition of automorphisms, of any degree, and no other
+    ("compose(moebius:u=0.3+0i,moebius:u=0.2+0i)", True),
+    ("compose(cusp,moebius:u=0.3+0i)", False),
     ("affine:r=0.9", False),
     ("coeffs:[0,0.5,0.25]", False),
     ("cusp", False),

@@ -71,6 +71,20 @@ def test_an_certifies_only_under_proved_tails(tmp_path):
     assert payload["column_tail"] == {"model": "sup-norm", "rmse": 0.0}
 
 
+@pytest.mark.parametrize(("spec", "bound", "certified", "stable"), [
+    # no peel: the inner map sends D into D, so the outer polynomial's bound holds
+    ("compose(coeffs:[0,0.5,0.25],affine:r=0.9)", 0.75, 34, 46),
+    # the peel: 0.9 times the leaf's sum |c_j|
+    ("compose(affine:r=0.9,coeffs:[0,0.5,-0.25])", 0.675, 36, 49),
+])
+def test_an_certifies_a_composition_through_its_bound(tmp_path, spec, bound, certified, stable):
+    s = parse_symbol(spec)
+    assert s.sup_norm_hint is None and s.sup_bound == bound
+    payload, n = _an(tmp_path, s, N=256)
+    assert (n, payload["stable_entries"]) == (certified, stable)
+    assert payload["hs_tail"] == column_tail_majorant(s, 257) < math.inf
+
+
 @pytest.mark.parametrize("spec", ["coeffs:[0,0.5,-0.25]", "coeffs:[0,0.5,0+0.25i]"])
 def test_an_certifies_a_polynomial_through_its_coefficient_bound(tmp_path, spec):
     # sum |c_j| bounds sup |phi| when no exact sup is known: the column tail
