@@ -205,15 +205,17 @@ def s_of_r(r: float) -> float:
     return math.exp(-eps * math.pi / 2.0)
 
 
-def lower_law_probe(spec: SingularSpectrum, r: float, sup_norm: float) -> Report:
+def lower_law_probe(spec: SingularSpectrum, r: float, sup_floor: float) -> Report:
     """Checks a_n >~ s(r)^(2n)/sqrt(n) for symbols with sup norm > r.
 
-    Works with log q_n = log a_n - 2n log s + (log n)/2 to avoid overflow;
-    passes when the minimum over the last reliable decade does not collapse
+    sup_floor is a lower bound on sup|phi| (the exact value or a proved
+    floor such as the largest boundary sample) and must exceed r.  Works
+    with log q_n = log a_n - 2n log s + (log n)/2 to avoid overflow; passes
+    when the minimum over the last reliable decade does not collapse
     below half the minimum over the first decade.  With fewer than 10
     reliable entries the probe cannot run, and the report fails saying so.
     """
-    if sup_norm <= r:
+    if sup_floor <= r:
         raise ValueError("probe requires sup|phi| > r")
     ns = spec.reliable_range()
     if len(ns) < 10:
@@ -345,9 +347,9 @@ def improvement_bound(eps_seq, n_max=10_000) -> tuple[BoundCalculus, Report]:
     knots = hull_y[1:]
     if len(knots) > 64:
         knots = knots[:: len(knots) // 64]
-    h_grid = np.unique(
-        np.concatenate([knots, np.geomspace(max(hull_y[1], 1e-12), hull_y[-1], 200)])
-    )
+    # sorted, equal neighbours dropped: np.unique's result without its numpy.ma import
+    h_grid = np.sort(np.concatenate([knots, np.geomspace(max(hull_y[1], 1e-12), hull_y[-1], 200)]))
+    h_grid = h_grid[np.concatenate([[True], h_grid[1:] != h_grid[:-1]])]
     log_rho = -h_grid / np.maximum(calc.psi(h_grid), 1e-300)
     log_inf = np.concatenate([
         np.logaddexp(np.log(block)[:, None] - np.outer(block, h_grid), log_rho).min(axis=1)

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import importlib
 import json
 import math
 import os
@@ -30,7 +31,7 @@ import numpy as np
 from . import __version__, analysis, geometry
 from .opmatrix import VALUE_FLOOR, assemble, retained_degree, singular_spectrum
 from .series import SeriesParams, Space, power_coefficient_table
-from .symbols import SymbolMap, parse_symbol
+from .symbols import EVAL_ULPS, SymbolMap, evaluate_boundary, parse_symbol
 
 __all__ = ["ConfigError", "RunConfig", "run_pipeline", "main"]
 
@@ -75,14 +76,16 @@ class RunConfig:
 
     def config_hash(self) -> str:
         """Hash of the computation's inputs; output paths are left out."""
-        # imported here, as a report is written: hashlib loads OpenSSL's
-        # libcrypto, 3.5 MB resident that no computation needs
-        import hashlib
-
         config = asdict(self)
         del config["out"], config["report"]
-        blob = json.dumps(config, sort_keys=True, default=str)
-        return hashlib.sha256(blob.encode()).hexdigest()[:16]
+        blob = json.dumps(config, sort_keys=True, default=str).encode()
+        # the interpreter's own sha256 (_sha2 from Python 3.12, _sha256 before):
+        # hashlib loads OpenSSL's libcrypto, 3.5 MB resident that no computation needs
+        for module in ("_sha2", "_sha256", "hashlib"):
+            try:
+                return importlib.import_module(module).sha256(blob).hexdigest()[:16]
+            except ImportError:
+                continue
 
 
 def _fmt(x) -> str:
@@ -175,14 +178,15 @@ def _verify_geometric_upper(cfg: RunConfig, s: SymbolMap) -> _Outcome:
 
 
 def _verify_slow_decay(cfg: RunConfig, s: SymbolMap) -> _Outcome:
-    if s.sup_norm_hint is None:
-        raise ConfigError("slow-decay probe needs a symbol with a known sup norm")
+    # a proved floor under sup|phi|: a boundary value is a limit of interior
+    # ones, good to EVAL_ULPS; xi = 1 is where the cusp reaches its tip
+    xi = np.exp(2j * np.pi * np.arange(4096) / 4096)
+    floor = float(np.abs(evaluate_boundary(s, xi)).max()) * (1.0 - EVAL_ULPS * sys.float_info.epsilon)
     r = cfg.r if cfg.r is not None else 0.9
-    if r >= s.sup_norm_hint:
-        raise ConfigError(f"slow-decay probe needs r below sup|phi| = {s.sup_norm_hint!r}, "
-                          f"not {r!r}")
+    if not r < floor:  # a NaN floor is no floor
+        raise ConfigError(f"slow-decay probe needs r below sup|phi| >= {floor!r}, not {r!r}")
     spec, _ = _spectrum_for(cfg, s, cfg.N)
-    return {}, [analysis.lower_law_probe(spec, float(r), s.sup_norm_hint)]
+    return {}, [analysis.lower_law_probe(spec, float(r), floor)]
 
 
 def _verify_window_bound(cfg: RunConfig, s: SymbolMap) -> _Outcome:

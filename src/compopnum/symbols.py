@@ -2,7 +2,7 @@
 
 Every map comes with closed-form evaluation and derivative, plus the
 facts the rest of the library needs, read off its parameters: univalence,
-an exact sup-norm when one is known, the value phi(0) (and so whether the
+an upper bound on the sup norm, the value phi(0) (and so whether the
 origin is fixed), whether the Taylor coefficients are real and the degree
 of a polynomial symbol.  The star of the catalog is the cusp map, built
 from a Moebius transform onto the right half-disk followed by log/inversion
@@ -75,7 +75,7 @@ class SymbolMap:
     """
 
     is_univalent = False
-    sup_norm_hint = None  # an exact sup |phi| when one is known
+    sup_bound = 1.0  # an upper bound on sup |phi|; 1 for every Schur function
     real_coefficients = False  # phi(conj z) = conj(phi(z))
     degree = None  # the degree when phi is known to be a polynomial
 
@@ -88,13 +88,6 @@ class SymbolMap:
         return abs(self.origin) <= 1e-12
 
     @property
-    def sup_bound(self) -> float:
-        """An upper bound on sup |phi|: the exact `sup_norm_hint` unless the kind
-        bounds it without knowing it (a polynomial, a composition), else 1, as
-        phi maps the disk into itself."""
-        return 1.0 if self.sup_norm_hint is None else self.sup_norm_hint
-
-    @property
     def is_automorphism(self) -> bool:
         """phi maps the disk onto itself: a Moebius map or a rotation c z, |c| = 1."""
         return self.degree == 1 and self.origin == 0 and self.sup_bound == 1.0
@@ -102,7 +95,7 @@ class SymbolMap:
     @property
     def peel(self) -> tuple[SymbolMap, complex, float]:
         """(leaf, factor, modulus): phi(D) = factor * leaf(D), modulus |factor| as the
-        scales give it.  An affine map is factor * the identity; a composition peels."""
+        scales give it.  An affine map or polynomial c z is c * the identity; a composition peels."""
         return self, 1.0, 1.0
 
     def evaluate(self, z):
@@ -141,7 +134,7 @@ class AffineMap(SymbolMap):
             raise ValueError("affine angle must be finite")
 
     @property
-    def sup_norm_hint(self) -> float:
+    def sup_bound(self) -> float:
         return self.r
 
     @property
@@ -174,7 +167,6 @@ class MoebiusMap(SymbolMap):
 
     is_univalent = True
     is_automorphism = True
-    sup_norm_hint = 1.0
 
     def __post_init__(self):
         if not abs(self.u) < 1.0:  # NaN fails this too
@@ -245,7 +237,6 @@ class CuspMap(SymbolMap):
     """
 
     is_univalent = True
-    sup_norm_hint = 1.0
     origin = 0j
     real_coefficients = True
 
@@ -297,32 +288,19 @@ class ComposedMap(SymbolMap):
         return self, 1.0, 1.0
 
     @property
-    def sup_norm_hint(self) -> float | None:
-        outer = self.outer.sup_norm_hint
-        inner = 1.0 if self.inner.is_automorphism else self.inner.sup_norm_hint
-        if outer is None or inner is None:
-            return None
-        if self.peel[0] is not self:
-            # an onto inner map or an outer w -> c w: sup|phi| = sup|outer| sup|inner|
-            return outer * inner
-        if isinstance(self.outer, MoebiusMap):
-            # the automorphism's largest modulus on |w| <= inner, taken at
-            # w = -inner u/|u|: exact when the inner image is that disk (its
-            # leaf is c z) and at inner = 1 (|m(w)| -> 1 as |w| -> 1)
-            u, leaf = abs(self.outer.u), self.inner.peel[0]
-            if inner == 1.0 or (leaf.degree == 1 and leaf.origin == 0):
-                return (inner + u) / (1.0 + inner * u)
-        return None
-
-    @property
     def sup_bound(self) -> float:
-        # the exact sup; else phi(D) = factor * leaf(D) scales the leaf's bound;
-        # else the outer map's, as the inner map sends D into D
-        hint = self.sup_norm_hint
-        if hint is not None:
-            return hint
-        leaf, _, modulus = self.peel
-        return modulus * leaf.sup_bound if leaf is not self else self.outer.sup_bound
+        """The outer map's largest modulus on |w| <= s, s the inner bound, as the
+        inner map sends D into sD: (s + |u|)/(1 + s|u|) for a Moebius map, taken
+        at w = -s u/|u|; s times the outer bound for an outer c w, read off its
+        degree (the peel describes the image, not the formula); else the outer
+        bound."""
+        s, outer = self.inner.sup_bound, self.outer
+        if isinstance(outer, MoebiusMap):
+            u = abs(outer.u)
+            return (s + u) / (1.0 + s * u)
+        if outer.degree == 1 and outer.origin == 0:
+            return outer.sup_bound * s
+        return outer.sup_bound
 
     @property
     def origin(self) -> complex:
@@ -360,8 +338,8 @@ class CoefficientMap(SymbolMap):
     """Polynomial symbol c_0 + c_1 z + ... + c_M z^M, a self-map of the disk
     on the caller's word.  Univalence is Alexander's sufficient criterion
     sum_{j>=2} j|c_j| <= |c_1| != 0 (Ann. of Math. 17, 1915); sup |phi| is
-    sum c_j, reached at z = 1, when no c_j is negative or complex, and at
-    most sum |c_j| always."""
+    at most sum |c_j|, with equality (at z = 1) when no c_j is negative or
+    complex.  c_1 z peels as the affine map it is: the disk scaled by c_1."""
 
     coeffs: tuple
 
@@ -376,13 +354,14 @@ class CoefficientMap(SymbolMap):
         return c[1] != 0 and sum(j * abs(cj) for j, cj in enumerate(c[2:], 2)) <= abs(c[1])
 
     @property
-    def sup_norm_hint(self) -> float | None:
-        known = all(c.imag == 0.0 and c.real >= 0.0 for c in self.coeffs)
-        return sum(c.real for c in self.coeffs) if known else None
-
-    @property
     def sup_bound(self) -> float:
         return sum(abs(c) for c in self.coeffs)
+
+    @property
+    def peel(self) -> tuple[SymbolMap, complex, float]:
+        if self.degree == 1 and self.origin == 0:
+            return AffineMap(1.0), self.coeffs[1], abs(self.coeffs[1])
+        return self, 1.0, 1.0
 
     @property
     def origin(self) -> complex:
@@ -415,9 +394,10 @@ class CoefficientMap(SymbolMap):
 
 
 def evaluate_boundary(s: SymbolMap, xi):
-    """Boundary value at |xi| = 1, for diagnostics only: every kind's closed
-    form extends continuously to the circle (the cusp corner z = 1 maps to
-    the tip 1, the half-disk pole z = -i to its limit)."""
+    """Boundary value at |xi| = 1: every kind's closed form extends
+    continuously to the circle (the cusp corner z = 1 maps to the tip 1, the
+    half-disk pole z = -i to its limit), so each value is a limit of interior
+    ones and |phi(xi)| is at most sup |phi|, good to `EVAL_ULPS`."""
     xi = np.asarray(xi, dtype=complex)
     if np.any(np.abs(np.abs(xi) - 1.0) > 1e-12):
         raise ValueError("boundary evaluation requires |xi| = 1")

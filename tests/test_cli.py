@@ -114,24 +114,29 @@ def test_config_hash_is_sha256_of_the_config():
 
 
 _IMPORT_FLOOR_RUN = """
-import sys
+import os, sys, tempfile
 import numpy
 eager = "numpy.polynomial" in sys.modules
 import compopnum.cli
-print(eager, "_hashlib" in sys.modules, "numpy.polynomial" in sys.modules)
+loaded = ["_hashlib" in sys.modules, "numpy.polynomial" in sys.modules]
+with tempfile.TemporaryDirectory() as tmp:
+    out, report = os.path.join(tmp, "an.csv"), os.path.join(tmp, "an.json")
+    args = ["an", "--symbol", "affine:r=0.5", "--N", "8", "--out", out, "--report", report]
+    assert compopnum.cli.main(args) == 0
+print(eager, *loaded, "_hashlib" in sys.modules)
 """
 
 
 def test_importing_the_cli_loads_neither_openssl_nor_numpy_polynomial():
-    # hashlib's libcrypto (3.5 MB resident) loads only when a report is
-    # hashed; numpy.polynomial (1.8 MB) loads only where numpy < 2 imports
-    # it with numpy itself
+    # hashlib's libcrypto (3.5 MB resident) does not load, not even when a
+    # report is hashed; numpy.polynomial (1.8 MB) loads only where numpy < 2
+    # imports it with numpy itself
     src = Path(__file__).resolve().parents[1] / "src"
     proc = subprocess.run([sys.executable, "-c", _IMPORT_FLOOR_RUN], env=dict(os.environ, PYTHONPATH=str(src)),
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    eager, hashlib_loaded, polynomial_loaded = proc.stdout.split()
-    assert hashlib_loaded == "False"
+    eager, hashlib_loaded, polynomial_loaded, hashlib_after_report = proc.stdout.split()
+    assert hashlib_loaded == hashlib_after_report == "False"
     if eager == "False":
         assert polynomial_loaded == "False"
 
@@ -534,6 +539,8 @@ def test_bad_config_rejected(tmp_path):
     assert run(["--config", str(cfg), "an"]) == 2
     cfg.write_text("not json at all")
     assert run(["--config", str(cfg), "an"]) == 2
+    cfg.write_text(json.dumps([{"N": 8}]))  # JSON, but not an object
+    assert run(["--config", str(cfg), "an"]) == 2
     # fit reports fits[0]: an empty model list is a configuration error
     src = _rootn_csv(tmp_path)
     _exits_2_without_artifacts(tmp_path, ["fit", "--in", str(src), "--report",
@@ -622,6 +629,7 @@ def _exits_2_without_artifacts(tmp_path, args, config=None):
     (None, ["bound-calculus", "--n-max", "1"]),
     (None, ["verify", "--theorem", "4.1", "--n-max", "1"]),
     (None, ["area", "--symbol", "cusp", "--t", "0"]),
+    (None, ["area", "--symbol", "cusp"]),  # no depth t to measure at
     (None, ["area", "--symbol", "cusp", "--t", "1.5"]),
     (None, ["blaschke-cert", "--r", "-1"]),
     (None, ["verify", "--theorem", "2.2", "--r", "1.5"]),
@@ -637,8 +645,8 @@ def _exits_2_without_artifacts(tmp_path, args, config=None):
     (None, ["an", "--symbol", "affine:r=0.5,theta=inf", "--N", "8"]),
     (None, ["an", "--symbol", "moebius:u=nan+0i", "--N", "8"]),
     (None, ["an", "--symbol", "coeffs:[0,nan]", "--N", "8"]),
-    # no known sup: (s + |u|)/(1 + s|u|) = 0.945 would overstate its 60/73
-    # and put the default r = 0.9 below it
+    # its sup 60/73, the boundary floor, lies below the default r = 0.9,
+    # though its bound (s + |u|)/(1 + s|u|) = 0.945 does not
     (None, ["verify", "--theorem", "2.2", "--N", "64", "--symbol",
             "compose(moebius:u=0.3+0i,compose(affine:r=0.9,cusp))"]),
     # sampling plans that do not resolve, or retain too few degrees
@@ -678,6 +686,15 @@ def test_the_builtin_polynomial_runs_the_slow_decay_probe(tmp_path):
     rep = tmp_path / "v22.json"
     assert run(["verify", "--theorem", "2.2", "--symbol", "coeffs:[0,0.5,0.25]", "--r", "0.5",
                 "--N", "256", "--report", str(rep)]) == 0
+    assert json.loads(rep.read_text())["passed"]
+
+
+def test_the_slow_decay_floor_is_a_boundary_sample(tmp_path):
+    # -z/2 has sup|phi| = 0.5 with a negative coefficient: the largest of the
+    # 4096 boundary samples, less EVAL_ULPS ulps, is the proved floor above r
+    rep = tmp_path / "v22.json"
+    assert run(["verify", "--theorem", "2.2", "--symbol", "coeffs:[0,-0.5]", "--r", "0.3",
+                "--N", "128", "--report", str(rep)]) == 0
     assert json.loads(rep.read_text())["passed"]
 
 

@@ -146,6 +146,15 @@ def test_image_of_double_negation_is_the_cusp():
     assert window_area(twice, CarlesonWindow(1.0, 0.25)).method == "exact-arcs"
 
 
+@pytest.mark.parametrize("poly", ["coeffs:[0,0.5]", "coeffs:[0,-0.5]", "coeffs:[0,0.3+0.4i]"])
+def test_a_polynomial_c_z_has_the_scaled_disk_image(poly):
+    # c z is the affine map c z: the disk of radius |c| = 0.5, exact areas and all
+    image, disk = geometry.image_of(parse_symbol(poly)), geometry.image_of(AffineMap(0.5))
+    assert (image.base, image.modulus) == (disk.base, disk.modulus)
+    assert annulus_area(parse_symbol(poly), 0.6) == annulus_area(AffineMap(0.5), 0.6)
+    assert annulus_area(parse_symbol(poly), 0.6).value == 0.08999999999999997
+
+
 @pytest.mark.parametrize("spec", [
     "compose(moebius:u=0.3+0i,cusp)",
     "compose(cusp,affine:r=0.5)",
@@ -171,9 +180,9 @@ def test_an_inner_automorphism_keeps_the_outer_image(outer, inner):
 
 
 def test_an_inner_automorphism_keeps_the_image_under_an_outer_map():
-    # the rule that gives this symbol its sup 0.9 gives it the scaled cusp's image
+    # the peel that gives this symbol the scaled cusp's image reads its bound 0.9
     s = parse_symbol("compose(affine:r=0.9,compose(cusp,coeffs:[0,1]))")
-    assert s.sup_norm_hint == 0.9
+    assert s.sup_bound == 0.9
     assert zinc_upper_bound(s, 100) == zinc_upper_bound(parse_symbol("compose(affine:r=0.9,cusp)"), 100)
 
 
@@ -452,6 +461,12 @@ def test_M_functional_needs_known_image(monkeypatch):
         M_functional(parse_symbol("compose(cusp,affine:r=0.5)"), 0.5)
 
 
+@pytest.mark.parametrize("t", [0.0, -0.5, 1.5, math.nan])
+def test_M_functional_rejects_a_depth_outside_the_unit_interval(t):
+    with pytest.raises(ValueError, match=r"annulus depth must lie in \(0, 1\]"):
+        M_functional(CUSP, t)
+
+
 def test_M_functional_infinite_for_automorphism():
     # m(t) ~ 2/t grows along the dyadic terms: no summable remainder
     assert M_functional(MoebiusMap(0.3), 0.1) == math.inf
@@ -482,8 +497,8 @@ def test_zinc_reads_the_image_not_the_spelling(monkeypatch):
     b = parse_symbol("compose(affine:r=0.9,compose(cusp,moebius:u=0.3+0i))")
     bounds = [zinc_upper_bound(a, n) for n in (100, 300)]
     assert [zinc_upper_bound(b, n) for n in (100, 300)] == bounds
-    # the empty-annulus depth 1 - 0.9 comes from the Image, not the sup norm
-    monkeypatch.setattr(ComposedMap, "sup_norm_hint", None)
+    # the empty-annulus depth 1 - 0.9 comes from the Image, not the sup bound
+    monkeypatch.setattr(ComposedMap, "sup_bound", 1.0)
     assert [zinc_upper_bound(a, n) for n in (100, 300)] == bounds
 
 
@@ -631,6 +646,8 @@ def test_blaschke_single_factor():
     ((float("inf"),), 1, "finite real"),
     ((0.5,), 1.5, "integer"),
     ((0.5,), 2.0, "integer"),
+    ((1.0,), 1, "open disk"),
+    ((-1.5,), 1, "open disk"),
 ])
 def test_blaschke_product_rejects_what_abs2_cannot_take(zeros, power, message):
     # abs2 reads each zero as real and raises |B|^2 to an integer power

@@ -215,11 +215,12 @@ def test_unknown_base_column_tail_keeps_the_mass_beyond_M():
 @pytest.mark.parametrize("r", [0.7, 0.9])
 def test_affine_behind_the_involution_pair_matches_closed_form(r, theta):
     # a symbol whose image base is hidden: its powers are monomials, so its
-    # stable values are the disk's r^n, but its sup norm is unknown, so
-    # neither tail is proved and nothing is certified
+    # stable values are the disk's r^n; its sup bound (0.9615 at r = 0.7)
+    # proves the column tail, but its row tail is not proved, so nothing is
+    # certified
     hidden = f"compose(moebius:u=0.5+0i,compose(moebius:u=0.5+0i,affine:r={r},theta={theta}))"
     m = assemble(parse_symbol(hidden), 64)
-    assert m.column_tail_route == "divergent" and m.row_tail == math.inf
+    assert m.column_tail_route == "sup-norm" and m.row_tail == math.inf
     spec = singular_spectrum(m)
     assert not spec.certified.any()
     n = np.nonzero(spec.stable)[0] + 1

@@ -243,6 +243,10 @@ def test_series_params_validation():
         SeriesParams(8, Q=0).resolved()  # not the default plan
     with pytest.raises(ValueError):
         SeriesParams(8, rho=1.5).resolved()
+    with pytest.raises(ValueError, match="degree must be nonnegative"):
+        SeriesParams(-1).resolved()
+    with pytest.raises(ValueError, match=r"rho\^M underflows"):
+        SeriesParams(2000, rho=0.5).resolved()  # 0.5^2000 is 0.0
 
 
 @pytest.fixture(scope="module")

@@ -156,6 +156,18 @@ def test_domain_error_on_boundary():
         AffineMap(0.5).evaluate(1.2)
 
 
+def test_boundary_evaluation_stays_on_the_circle():
+    for xi in (0.5, 1.5, np.array([1.0, 0.999j])):
+        with pytest.raises(ValueError, match=r"\|xi\| = 1"):
+            evaluate_boundary(CuspMap(), xi)
+
+
+@pytest.mark.parametrize("r", [0.0, -0.5, 1.5, math.nan])
+def test_affine_scale_lies_in_the_unit_interval(r):
+    with pytest.raises(ValueError, match=r"affine scale must lie in \(0, 1\]"):
+        AffineMap(r)
+
+
 @pytest.mark.parametrize("s", ALL_SYMBOLS, ids=lambda s: s.spec_string())
 def test_maps_into_disk(s):
     z = disk_points(10_000)
@@ -163,11 +175,11 @@ def test_maps_into_disk(s):
 
 
 @pytest.mark.parametrize("s", ALL_SYMBOLS, ids=lambda s: s.spec_string())
-def test_sup_norm_hint_respected(s):
-    if s.sup_norm_hint is None or s.sup_norm_hint >= 1.0:
-        pytest.skip("no strict hint")
+def test_sup_bound_respected(s):
+    if s.sup_bound >= 1.0:
+        pytest.skip("no strict bound")
     z = disk_points(20_000, seed=3)
-    assert np.abs(s.evaluate(z)).max() <= s.sup_norm_hint + 1e-10
+    assert np.abs(s.evaluate(z)).max() <= s.sup_bound + 1e-10
 
 
 @pytest.mark.parametrize("s", ALL_SYMBOLS, ids=lambda s: s.spec_string())
@@ -315,42 +327,55 @@ def test_parse_rejects_garbage():
             parse_symbol(bad)
 
 
+@pytest.mark.parametrize(("bad", "message"), [
+    ("compose(cusp,nope)", "cannot split"),
+    ("compose(cusp,affine:r=0.5,nope)", "cannot split"),
+    ("moebius:v=0.3+0i", "exactly u="),
+    ("moebius:u=0.3+0i,v=1", "exactly u="),
+])
+def test_parse_names_what_it_rejects(bad, message):
+    with pytest.raises(ValueError, match=message):
+        parse_symbol(bad)
+
+
 @pytest.mark.parametrize(("spec", "univalent", "sup"), [
     ("coeffs:[0,0.5,0.25]", True, 0.75),  # Alexander: 2 * 0.25 <= 0.5
     ("coeffs:[0,0,1]", False, 1.0),  # z^2 is 2-to-1
     ("coeffs:[0.1,0.5]", True, 0.6),
-    ("coeffs:[0,0.5+0.1i,0.25]", True, None),  # a complex coefficient: sup unknown
+    ("coeffs:[0,0.5+0.1i,0.25]", True, abs(0.5 + 0.1j) + 0.25),  # a bound, not the sup
     ("coeffs:[0.5]", False, 0.5),  # constant
-    ("coeffs:[0.2,-0.3]", True, None),  # a negative coefficient: sup unknown
+    ("coeffs:[0.2,-0.3]", True, 0.5),  # the sup, at z = -1
 ])
 def test_polynomial_facts_are_read_off_the_coefficients(spec, univalent, sup):
     s = parse_symbol(spec)
     assert s.is_univalent is univalent
-    assert s.sup_norm_hint == sup
+    assert s.sup_bound == sup
 
 
-@pytest.mark.parametrize(("spec", "sup"), [
-    ("compose(moebius:u=0.3+0.2i,affine:r=0.5)", 0.7291125019739527),
-    ("compose(moebius:u=0.21+0i,compose(affine:r=0.7,moebius:u=0.3+0i))", 0.7933740191804707),
-    ("compose(cusp,moebius:u=0.3+0i)", 1.0),
+@pytest.mark.parametrize(("spec", "bound", "reached"), [
+    ("compose(moebius:u=0.3+0.2i,affine:r=0.5)", 0.7291125019739527, None),
+    ("compose(moebius:u=0.21+0i,compose(affine:r=0.7,moebius:u=0.3+0i))", 0.7933740191804707, None),
+    ("compose(cusp,moebius:u=0.3+0i)", 1.0, None),
     # an inner automorphism keeps the outer sup
-    ("compose(affine:r=0.9,compose(cusp,moebius:u=0.3+0i))", 0.9),
-    ("compose(moebius:u=0+0i,compose(affine:r=0.9,cusp))", 0.9),
+    ("compose(affine:r=0.9,compose(cusp,moebius:u=0.3+0i))", 0.9, None),
+    ("compose(moebius:u=0+0i,compose(affine:r=0.9,cusp))", 0.9, None),
     ("compose(moebius:u=0.3+0i,compose(affine:r=0.5,affine:r=1,theta=1))",
-     (0.5 + 0.3) / (1.0 + 0.5 * 0.3)),
-    # the Moebius bound (s + |u|)/(1 + s|u|) is taken only where the image
+     (0.5 + 0.3) / (1.0 + 0.5 * 0.3), None),
+    # the Moebius bound (s + |u|)/(1 + s|u|) is reached only where the image
     # reaches -s u/|u|; the scaled cusp reaches only its tip, 60/73
-    ("compose(moebius:u=0.3+0i,compose(affine:r=0.9,cusp))", None),
+    ("compose(moebius:u=0.3+0i,compose(affine:r=0.9,cusp))", (0.9 + 0.3) / (1.0 + 0.9 * 0.3), 60 / 73),
 ])
-def test_a_composition_sup_is_exact_or_unknown(spec, sup):
+def test_a_composition_bounds_its_sup(spec, bound, reached):
     s = parse_symbol(spec)
-    assert s.sup_norm_hint == sup
-    if sup is not None:
-        top = np.abs(evaluate_boundary(s, np.exp(2j * np.pi * np.arange(2**14) / 2**14))).max()
-        assert top <= sup + 1e-12
+    assert s.sup_bound == bound
+    top = np.abs(evaluate_boundary(s, np.exp(2j * np.pi * np.arange(2**14) / 2**14))).max()
+    assert top <= bound + 1e-12
+    if reached is not None:
+        assert top == pytest.approx(reached, rel=0.0, abs=1e-12)
+    else:
         # the cusp nears its tip only logarithmically: a grid finds its sup
         # only where it hits the corner
-        assert "cusp" in spec or top >= sup - 1e-6
+        assert "cusp" in spec or top >= bound - 1e-6
 
 
 @pytest.mark.parametrize(("spec", "onto"), [
@@ -375,8 +400,8 @@ def test_builtin_contractions_are_contractions():
     assert len(cats) >= 5
     z = disk_points(5_000, seed=5)
     for s in cats:
-        assert s.sup_norm_hint is not None and s.sup_norm_hint < 1.0
-        assert np.abs(s.evaluate(z)).max() <= s.sup_norm_hint + 1e-10
+        assert s.sup_bound < 1.0
+        assert np.abs(s.evaluate(z)).max() <= s.sup_bound + 1e-10
         assert s.fixes_origin
         # every built-in is named by its spec string
         assert parse_symbol(s.spec_string()) == s

@@ -36,9 +36,12 @@ def test_majorant_bounds_the_retained_column_mass(s):
 
 def test_majorant_without_a_proof_is_infinite_and_a_constant_is_zero():
     assert column_tail_majorant(parse_symbol("coeffs:[0.5]"), 3) == 0.0
-    for spec in ("compose(cusp,affine:r=0.5)", "cusp", "moebius:u=0.3+0i",
-                 "compose(moebius:u=0.5+0i,compose(moebius:u=0.5+0i,affine:r=0.9))"):
+    for spec in ("compose(cusp,affine:r=0.5)", "cusp", "moebius:u=0.3+0i"):
         assert column_tail_majorant(parse_symbol(spec), 3) == math.inf, spec
+    # a Moebius map over an inner bound s stays below 1: (s + |u|)/(1 + s|u|)
+    s = parse_symbol("compose(moebius:u=0.5+0i,compose(moebius:u=0.5+0i,affine:r=0.9))")
+    assert s.sup_bound == pytest.approx(0.98837, abs=1e-5)
+    assert column_tail_majorant(s, 3) == pytest.approx(math.sqrt(s.sup_bound**6 / (1 - s.sup_bound**2)))
     # a complex coefficient leaves sup |phi| unknown, and sum |c_j| = 0.75 bounds it
     assert column_tail_majorant(parse_symbol("coeffs:[0,0.5,0+0.25i]"), 3) == math.sqrt(
         0.75**6 / (1 - 0.75**2))
@@ -72,14 +75,16 @@ def test_an_certifies_only_under_proved_tails(tmp_path):
 
 
 @pytest.mark.parametrize(("spec", "bound", "certified", "stable"), [
-    # no peel: the inner map sends D into D, so the outer polynomial's bound holds
+    # the inner map sends D into D, so the outer polynomial's bound holds
     ("compose(coeffs:[0,0.5,0.25],affine:r=0.9)", 0.75, 34, 46),
-    # the peel: 0.9 times the leaf's sum |c_j|
+    # an outer c w: 0.9 times the inner sum |c_j|
     ("compose(affine:r=0.9,coeffs:[0,0.5,-0.25])", 0.675, 36, 49),
+    # an outer c w that is not an affine map, read off its degree: its bound 1 times 0.9
+    ("compose(coeffs:[0,1],affine:r=0.9)", 0.9, 182, 128),
 ])
 def test_an_certifies_a_composition_through_its_bound(tmp_path, spec, bound, certified, stable):
     s = parse_symbol(spec)
-    assert s.sup_norm_hint is None and s.sup_bound == bound
+    assert s.sup_bound == bound
     payload, n = _an(tmp_path, s, N=256)
     assert (n, payload["stable_entries"]) == (certified, stable)
     assert payload["hs_tail"] == column_tail_majorant(s, 257) < math.inf
@@ -87,10 +92,10 @@ def test_an_certifies_a_composition_through_its_bound(tmp_path, spec, bound, cer
 
 @pytest.mark.parametrize("spec", ["coeffs:[0,0.5,-0.25]", "coeffs:[0,0.5,0+0.25i]"])
 def test_an_certifies_a_polynomial_through_its_coefficient_bound(tmp_path, spec):
-    # sum |c_j| bounds sup |phi| when no exact sup is known: the column tail
-    # is finite and the polynomial certifies as coeffs:[0,0.5,0.25] does
+    # sum |c_j| bounds sup |phi| whatever the coefficients' signs: the column
+    # tail is finite and the polynomial certifies as coeffs:[0,0.5,0.25] does
     s = parse_symbol(spec)
-    assert s.sup_norm_hint is None and s.sup_bound == 0.75
+    assert s.sup_bound == 0.75
     payload, certified = _an(tmp_path, s, N=256)
     assert certified == 45
     assert payload["hs_tail"] == column_tail_majorant(s, 257) < math.inf
